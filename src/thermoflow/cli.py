@@ -59,7 +59,7 @@ _USAGE = (
     "--potential FILE, --psi FILE,\n"
     "              --delta X, --epsilon X[,X...], --t-grid X[,X...], "
     "--max-period X,\n"
-    "              --eta X, --seed N, --threads N, --out DIR\n"
+    "              --eta X, --seed N, --out DIR\n"
 )
 
 
@@ -99,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--samples", type=int, default=20000)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", help="output directory for artifacts")
     return p
 
@@ -148,8 +147,7 @@ class _Run:
         return tfio.load_potential(tfio.read_json(path), graph=self.graph)
 
     def header(self) -> str:
-        return (f"# thermoflow {__version__}  config={self.hash}  "
-                f"threads={self.args.threads}")
+        return f"# thermoflow {__version__}  config={self.hash}"
 
     def need_seed(self):
         if self.args.seed is None:
@@ -434,8 +432,6 @@ _DISPATCH = {
     "entropy-dense": _cmd_entropy_dense,
 }
 
-_PARALLEL_OK = {"ldp", "equidistribute"}  # order-independent aggregation
-
 
 def main(argv=None) -> int:
     _setup_logging()
@@ -451,10 +447,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit:
-        return 64
-    if args.threads != 1 and args.subcommand not in _PARALLEL_OK:
-        print(f"error: --threads > 1 is only allowed for "
-              f"{sorted(_PARALLEL_OK)}", file=sys.stderr)
         return 64
     try:
         run = _Run(args)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -206,7 +205,7 @@ def separated_generic_set(system: Suspension, mu: MarkovMeasure,
     count = sum(c for st, c in dp.items() if accept(*st))
     if count == 0:
         raise ValueError("increase t")
-    log_count = _log_bigint(count)
+    log_count = math.log(count)  # math.log takes ints of any size
     rng = np.random.default_rng(seed)
     sample = _sample_from_box(system.sft, n, accept, rng,
                               k=min(20, count))
@@ -219,12 +218,6 @@ def separated_generic_set(system: Suspension, mu: MarkovMeasure,
     return SeparatedSet(n, count, log_count, h, t,
                         {"pi1": pi1, "p11": p11, "zeta": zeta},
                         tuple(dists))
-
-
-def _log_bigint(c: int) -> float:
-    return math.log(c) if c < 10 ** 300 else \
-        math.lgamma(1) + len(str(c)) * math.log(10) \
-        + math.log(int(str(c)[:15]) / 10 ** 14)
 
 
 def _close_word(sft: Sft, w):

@@ -495,15 +495,3 @@ def lift_distance(g1: Geodesic, g2: Geodesic, t, window: int = 64):
     b = float(g.vertex_distances()[v1][v2])
     return abs(h1 + t) + b + abs(h2 + t)
 
-
-# --- golden graphs -----------------------------------------------------
-
-
-def rose_graph(n_petals: int = 2, lengths=None) -> MetricGraph:
-    if lengths is None:
-        lengths = [1] * n_petals
-    return MetricGraph(1, [(0, 0, l) for l in lengths])
-
-
-def theta_graph(lengths=(1, 1, 1)) -> MetricGraph:
-    return MetricGraph(2, [(0, 1, l) for l in lengths])

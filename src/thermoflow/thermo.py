@@ -3,9 +3,12 @@
 Pressure is computed three ways:
 
 * ``spectral``: P(phi) is the unique s at which the Perron root of
-  M(s)_{ee'} = A_{ee'} exp(phihat(e) - s r(e)) equals 1 (phihat integrates
-  the potential over the fiber of e); located by bisection on the
-  log-Perron-root, which is strictly decreasing in s.
+  M(s)_{ee'} = A_{ee'} exp(phihat(e') - s r(e')) equals 1 (phihat
+  integrates the potential over the fiber of e'); the log-Perron-root is
+  strictly decreasing in s, and the Illinois method locates its zero in a
+  fixed bracket.  Perron roots come from a warm-started power iteration on
+  M + lam I, lam the running root estimate, which converges on periodic
+  SFTs (bipartite graphs) too.
 * ``separated``: growth-rate regression of exact phi-weighted partition
   sums Z(t) over words whose cumulative roof lands in (t - max r, t],
   computed by dynamic programming on an integer grid (requires rational
@@ -329,31 +332,32 @@ def birkhoff_cycle(system: Suspension, phi: CylinderPotential, word) -> float:
 # ----------------------------------------------------------------------
 
 
-def _power_iteration(M: np.ndarray, tol: float = 1e-13,
-                     max_iter: int = 100_000):
-    """(Perron root, right eigenvector) by power iteration from all-ones."""
+_PERRON_TOL = 1e-13
+_PERRON_MAX_ITER = 100_000
+
+
+def _perron(M: np.ndarray, v0=None):
+    """(Perron root, right Perron vector summing to 1) of an irreducible
+    non-negative M by power iteration on M + lam I, lam = sum(M v) the
+    running estimate, from v0 if given.  The shift makes the Perron root
+    strictly dominant even when M is periodic.  The ratios (M v)_i / v_i
+    bracket both lam and the root (Collatz-Wielandt), so the relative
+    width of their range bounds the relative error of lam."""
     n = M.shape[0]
-    v = np.ones(n)
-    lam = 0.0
-    for _ in range(max_iter):
+    v = np.full(n, 1.0 / n) if v0 is None else v0 / v0.sum()
+    for it in range(1, _PERRON_MAX_ITER + 1):
         w = M @ v
-        new = w.max()
-        if new <= 0:
-            raise NonConvergenceError("matrix lost positivity")
-        w = w / new
-        if abs(new - lam) <= tol * max(new, 1.0) and \
-                np.max(np.abs(w - v)) <= 1e-12:
-            return new, w / w.sum()
-        lam, v = new, w
+        lam = w.sum()
+        r = w / v
+        res = (r.max() - r.min()) / lam
+        if res <= _PERRON_TOL:
+            return float(lam), v
+        if not math.isfinite(res):
+            break
+        v = 0.5 * (w / lam + v)
     raise NonConvergenceError(
-        f"power iteration did not converge; residual "
-        f"{np.max(np.abs(M @ v - lam * v)):.3e}")
-
-
-def _perron(M: np.ndarray):
-    lam, v = _power_iteration(M)
-    _, u = _power_iteration(M.T)
-    return lam, v, u
+        f"Perron iteration on a {n}x{n} matrix stopped after {it} "
+        f"iterations with relative residual {res:.3e}")
 
 
 @dataclass(frozen=True)
@@ -369,29 +373,41 @@ class PressureResult:
 
 def _spectral_root(A: np.ndarray, phihat: np.ndarray, roofs: np.ndarray,
                    tol: float) -> tuple:
+    """(root, half-width of the final bracket, Perron solves) of the
+    decreasing s -> log Perron root of M(s), by the Illinois method."""
+    v = None
+
     def log_perron(s):
-        M = A * np.exp(phihat - s * roofs)[None, :]
-        lam, _ = _power_iteration(M)
+        nonlocal v
+        lam, v = _perron(A * np.exp(phihat - s * roofs)[None, :], v)
         return math.log(lam)
 
+    # M(lo) >= A entrywise, so its Perron root is >= rho(A) >= 1; every row
+    # of M(hi) sums to at most 1, so its Perron root is <= 1
     lo = float(np.min(phihat / roofs)) - 1e-12
-    outdeg = A.sum(axis=1).max()
-    hi = float(np.max(phihat / roofs)) + math.log(outdeg) / roofs.min() \
-        + 1e-12
+    hi = float(np.max(phihat / roofs)) \
+        + math.log(A.sum(axis=1).max()) / roofs.min() + 1e-12
     flo, fhi = log_perron(lo), log_perron(hi)
-    while flo < 0:
-        lo -= 1.0
-        flo = log_perron(lo)
-    while fhi > 0:
-        hi += 1.0
-        fhi = log_perron(hi)
+    solves, moved = 2, 0  # moved: the end replaced last, +1 lo, -1 hi
     while hi - lo > 2 * tol:
-        mid = 0.5 * (lo + hi)
-        if log_perron(mid) > 0:
-            lo = mid
+        # regula falsi point, kept tol inside the bracket so that the end
+        # beyond the root moves too
+        s = hi - fhi * (hi - lo) / (fhi - flo)
+        s = min(max(s, lo + tol), hi - tol)
+        fs = log_perron(s)
+        solves += 1
+        # Illinois: halve the value at an end kept twice in a row
+        if fs > 0:
+            lo, flo = s, fs
+            if moved > 0:
+                fhi *= 0.5
+            moved = 1
         else:
-            hi = mid
-    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+            hi, fhi = s, fs
+            if moved < 0:
+                flo *= 0.5
+            moved = -1
+    return 0.5 * (lo + hi), 0.5 * (hi - lo), solves
 
 
 def pressure(system: Suspension, phi, method: str = "spectral",
@@ -399,7 +415,10 @@ def pressure(system: Suspension, phi, method: str = "spectral",
              tol: float = 1e-10) -> PressureResult:
     """Topological pressure of the suspension flow for the potential phi."""
     if isinstance(phi, DistancePotential):
-        return _distance_potential_pressure(system, phi, method)
+        if method != "spectral":
+            raise ValueError("distance potentials support only the "
+                             "spectral pressure method")
+        return _distance_potential_pressure(system, phi)
     if not isinstance(phi, CylinderPotential):
         raise TypeError("potential must be cylinder or distance")
     from .sft import is_irreducible
@@ -410,9 +429,10 @@ def pressure(system: Suspension, phi, method: str = "spectral",
     roofs = np.array(roof_w.values, dtype=float)
 
     if method == "spectral":
-        val, err = _spectral_root(A, phihat, roofs, tol)
+        val, err, solves = _spectral_root(A, phihat, roofs, tol)
         return PressureResult(val, err, "spectral",
-                              {"bracket_width": 2 * err})
+                              {"bracket_width": 2 * err,
+                               "perron_solves": solves})
     if method == "separated":
         return _separated_pressure(sft_w, roof_w, phihat, t_grid,
                                    max_period)
@@ -523,8 +543,7 @@ def _gurevic_pressure(system: Suspension, phi: CylinderPotential,
 
 
 def _distance_potential_pressure(system: Suspension,
-                                 phi: DistancePotential,
-                                 method: str) -> PressureResult:
+                                 phi: DistancePotential) -> PressureResult:
     """Approximate by cylinder potentials of widths 2, 4, 6; report the
     width-6 value with the width-4 -> 6 difference as the error."""
     vals = {}
@@ -532,7 +551,7 @@ def _distance_potential_pressure(system: Suspension,
         cyl = cylinder_approximation(system, phi, w)
         vals[w] = pressure(system, cyl, method="spectral").value
     err = abs(vals[6] - vals[4])
-    return PressureResult(vals[6], err + 1e-9, method,
+    return PressureResult(vals[6], err + 1e-9, "spectral",
                           {"widths": vals})
 
 
@@ -569,9 +588,10 @@ def equilibrium_state(system: Suspension, phi) -> SuspendedMeasure:
     sft_w, roof_w, words, phihat = _prepare(system, phi)
     A = np.array(sft_w.transitions, dtype=float)
     roofs = np.array(roof_w.values, dtype=float)
-    P_val, _ = _spectral_root(A, phihat, roofs, 1e-12)
+    P_val, _, _ = _spectral_root(A, phihat, roofs, 1e-12)
     M = A * np.exp(phihat - P_val * roofs)[None, :]
-    lam, v, u = _perron(M)
+    lam, v = _perron(M)
+    _, u = _perron(M.T)
     kernel = M * v[None, :] / (lam * v[:, None])
     kernel = kernel / kernel.sum(axis=1)[:, None]
     pi = u * v

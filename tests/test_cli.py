@@ -112,22 +112,6 @@ def test_seed_mandatory_for_sampling(capsys):
     assert "--seed is mandatory" in err
 
 
-def test_threads_rejected_for_serial_subcommands(capsys):
-    code, _, err = run_cli(capsys, "pressure", "--sft",
-                           data_path("full2.json"), "--potential",
-                           data_path("zero.json"), "--threads", "4")
-    assert code == 64
-    assert "--threads > 1 is only allowed" in err
-
-
-def test_threads_allowed_for_parallel_subcommands(capsys):
-    code, out, _ = run_cli(capsys, "equidistribute", "--graph",
-                           data_path("rose2.json"), "--t-grid", "2,4",
-                           "--threads", "2")
-    assert code == 0
-    assert "threads=2" in out
-
-
 def test_ldp_requires_psi(capsys):
     code, _, err = run_cli(capsys, "ldp", "--sft", data_path("full2.json"),
                            "--seed", "1")

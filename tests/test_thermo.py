@@ -10,7 +10,10 @@ from scipy.optimize import brentq
 from thermoflow import (
     BiWord,
     CylinderPotential,
+    DistancePotential,
+    Geodesic,
     MarkovMeasure,
+    NonConvergenceError,
     OrbitSegment,
     Roof,
     Sft,
@@ -24,8 +27,13 @@ from thermoflow import (
     graph_suspension,
     pressure,
     random_markov_measure,
+    rate_function,
     zero_potential,
 )
+from thermoflow import io as tfio
+from thermoflow.thermo import _perron
+
+from conftest import data_path
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -119,6 +127,74 @@ def test_pressure_rejects_reducible():
     bad = Suspension(Sft([[1, 1], [0, 1]]), Roof([1.0, 1.0]))
     with pytest.raises(Exception):
         pressure(bad, zero_potential(), "spectral")
+
+
+def test_distance_potential_pressure_is_spectral_only(rose2):
+    system = graph_suspension(rose2)
+    ref = Geodesic(rose2, system.point(BiWord.periodic((0,)), 0.0))
+    phi = DistancePotential(ref, 0.5)
+    for method in ("separated", "gurevic"):
+        with pytest.raises(ValueError, match="spectral"):
+            pressure(system, phi, method)
+
+
+# --- Perron solver on periodic and stiff matrices ----------------------------
+
+def test_pressure_two_cycle():
+    # Sft([[0,1],[1,0]]) is periodic; its one closed orbit has period 2 and
+    # integral 0.3, so P = 0.3 / 2
+    system = Suspension(Sft([[0, 1], [1, 0]]), Roof([1.0, 1.0]))
+    res = pressure(system, phi1(system.sft, [0.3, 0.0]), "spectral")
+    assert abs(res.value - 0.15) <= 1e-9
+    assert 0 < res.diagnostics["perron_solves"] <= 10
+
+
+def _dense_pressure(system, phi):
+    """Root of s -> log spectral radius of M(s), by dense eigenvalues."""
+    A = np.array(system.sft.transitions, dtype=float)
+    r = np.array(system.roof.values, dtype=float)
+    phihat = np.array([phi.value((e,)) for e in range(len(r))]) * r
+
+    def f(s):
+        M = A * np.exp(phihat - s * r)[None, :]
+        return math.log(max(abs(np.linalg.eigvals(M))))
+
+    return brentq(f, -10.0, 10.0, xtol=1e-14)
+
+
+def test_theta_nonconstant_potential():
+    # the theta graph codes as a period-2 (bipartite) edge shift
+    g = tfio.load_graph(tfio.read_json(data_path("theta.json")))
+    system = graph_suspension(g)
+    rng = np.random.default_rng(2024)
+    phi = phi1(system.sft, rng.uniform(-1.0, 1.0, system.sft.n_symbols))
+    P, _ = pressure(system, phi, "spectral")
+    assert abs(P - _dense_pressure(system, phi)) <= 1e-9
+    h, m = entropy_and_mean(equilibrium_state(system, phi), phi)
+    assert abs(h + m - P) <= 1e-9
+
+
+def test_perron_stiff_two_by_two():
+    # golden (1,2) far out on the pressure curve: |lambda_2| / rho ~ 0.99997
+    lam, v = _perron(np.array([[1.0, 1.48e9], [1.0, 0.0]]))
+    rho = (1 + math.sqrt(1 + 4 * 1.48e9)) / 2
+    assert abs(lam - rho) <= 1e-12 * rho
+    assert abs(v.sum() - 1.0) <= 1e-12
+
+
+def test_perron_failure_names_size_iterations_residual():
+    M = np.array([[np.nan, 1.0], [1.0, 0.0]])
+    with pytest.raises(NonConvergenceError,
+                       match=r"2x2 matrix .* 1 iterations .* residual nan"):
+        _perron(M)
+
+
+def test_rate_legendre_golden12_matches_direct(golden12):
+    psi = phi1(golden12.sft, [0.0, 1.0])
+    leg = rate_function(golden12, None, psi, [0.1], "legendre")[0.1]
+    direct = rate_function(golden12, None, psi, [0.1], "direct")[0.1]
+    assert math.isfinite(leg)
+    assert abs(leg - direct) <= 1e-3
 
 
 # --- equilibrium states ------------------------------------------------------
