@@ -6,8 +6,10 @@ The approximating ergodic measure is realized as an explicit finite-state
 block Markov chain (states = (component, position-in-block, symbol), plus
 deterministic glue states), so its ergodicity and entropy are exactly
 computable rather than abstract limits.  Separated generic sets are
-counted exactly by dynamic programming over pair statistics (2-symbol
-alphabets), giving integer-arithmetic #Gamma >= e^{t h} certificates;
+counted exactly in closed form over pair statistics (irreducible 2-symbol
+base shifts: a word is fixed by its runs, so each (#1, #11) cell is a sum
+of products of two binomials), giving integer-arithmetic #Gamma >= e^{t h}
+certificates; members are sampled uniformly from the same cells, and
 weak* closeness of members is verified on seeded samples.
 """
 
@@ -20,7 +22,8 @@ import numpy as np
 
 from .ldp import (EmpiricalMeasure, WeakStarConfig, empirical_measure,
                   weak_star_distance)
-from .sft import BiWord, Sft, glue_words, min_gap_bound
+from .sft import (BiWord, Sft, WeakSpecificationError, glue_words,
+                  is_irreducible, min_gap_bound)
 from .suspension import OrbitSegment, Roof, SuspPoint, Suspension
 from .thermo import MarkovMeasure, SuspendedMeasure
 
@@ -63,8 +66,8 @@ class ApproxTarget:
 
 @dataclass(frozen=True)
 class SeparatedSet:
-    """A (t, 3 eps)-separated set of generic words, held as an exactly
-    counted statistics box plus a sampler."""
+    """A (t, 3 eps)-separated set of generic words, held as a statistics
+    box counted exactly in closed form, plus sampled members."""
 
     length: int
     count: int  # exact number of words in the box
@@ -79,47 +82,39 @@ class SeparatedSet:
         return self.log_count >= self.t * self.h_target
 
 
-def _mu_pair_stats(mu: MarkovMeasure):
-    pi1 = float(mu.stationary[1])
-    p11 = float(mu.stationary[1] * mu.transition[1, 1])
-    return pi1, p11
+def _compositions(m: int, k: int) -> int:
+    """Number of ways to write m as an ordered sum of k positive parts."""
+    return math.comb(m - 1, k - 1) if m >= k >= 1 else int(m == k == 0)
 
 
-def _box_counts(sft: Sft, n: int):
-    """DP table over (last symbol, #1s, #11s) for admissible length-n
-    words on a 2-symbol SFT; exact integer counts."""
-    # dp[(last, n1, n11)] = count
-    dp = {}
-    for s in range(2):
-        dp[(s, s, 0)] = 1
-    for _ in range(n - 1):
-        nxt = {}
-        for (last, n1, n11), c in dp.items():
-            for b in sft.successors(last):
-                key = (b, n1 + (b == 1), n11 + (last == 1 and b == 1))
-                nxt[key] = nxt.get(key, 0) + c
-        dp = nxt
-    return dp
+def _box_cells(sft: Sft, n: int, box: dict):
+    """The admissible length-n words in the statistics box, grouped into
+    cells (weight, n1, n11, z, first symbol) by their run structure.
 
-
-_LAYER_CACHE = {}
-
-
-def _dp_layers(sft: Sft, n: int):
-    key = (sft, n)
-    if key not in _LAYER_CACHE:
-        layers = [{}]
-        for s in range(2):
-            layers[0][(s, s, 0)] = 1
-        for _ in range(n - 1):
-            nxt = {}
-            for (last, n1, n11), c in layers[-1].items():
-                for b in sft.successors(last):
-                    k2 = (b, n1 + (b == 1), n11 + (last == 1 and b == 1))
-                    nxt[k2] = nxt.get(k2, 0) + c
-            layers.append(nxt)
-        _LAYER_CACHE[key] = layers
-    return _LAYER_CACHE[key]
+    On an irreducible 2-symbol SFT a word is fixed by its runs: its n1 ones
+    form r = n1 - n11 runs, its zeros fill z in {r-1, r, r+1} runs, which
+    alternate starting from the first symbol.  A cell holds
+    weight = C(n1-1, r-1) C(n0-1, z-1) words.  A forbidden 00 keeps only
+    zero runs of length 1 (n0 = z); a forbidden 11 keeps only n11 = 0.
+    An irreducible 2-symbol SFT never forbids 01 or 10."""
+    pi1, p11, zeta = box["pi1"], box["p11"], box["zeta"]
+    allow00, allow11 = sft.allowed(0, 0), sft.allowed(1, 1)
+    cells = []
+    for n1 in range(n + 1):
+        if abs(n1 / n - pi1) > zeta:
+            continue
+        n0 = n - n1
+        for n11 in range(max(0, n1 - 1) + 1):
+            if abs(n11 / (n - 1) - p11) > zeta or (n11 and not allow11):
+                continue
+            r = n1 - n11
+            for z, first in ((r - 1, 1), (r, 0), (r, 1), (r + 1, 0)):
+                if z < 0 or (z != n0 and not allow00):
+                    continue
+                weight = _compositions(n1, r) * _compositions(n0, z)
+                if weight:
+                    cells.append((weight, n1, n11, z, first))
+    return cells
 
 
 def _randrange_big(rng, total: int) -> int:
@@ -136,43 +131,34 @@ def _randrange_big(rng, total: int) -> int:
             return r
 
 
-def _sample_from_box(sft: Sft, n: int, accept, rng, k: int):
-    """Uniform samples from the admissible words whose final statistics
-    pass `accept`, via backward DP weights."""
-    layers = _dp_layers(sft, n)
-    finals = [(st, c) for st, c in layers[-1].items() if accept(*st)]
-    total = sum(c for _, c in finals)
+def _random_composition(rng, m: int, k: int) -> list:
+    """Uniform composition of m into k positive parts (uniform cut points)."""
+    if k == 0:
+        return []
+    cuts = np.sort(rng.choice(m - 1, k - 1, replace=False)) + 1
+    return np.diff(cuts, prepend=0, append=m).tolist()
+
+
+def _sample_from_box(cells, n: int, rng, k: int):
+    """k uniform samples from the length-n words of a box given by its
+    cells: pick a cell by weight, split its ones and zeros into runs by
+    uniform compositions, and interleave the runs."""
+    total = sum(c[0] for c in cells)
     words = []
     for _ in range(k):
         r = _randrange_big(rng, total)
-        for st, c in finals:
-            if r < c:
+        for weight, n1, n11, z, first in cells:
+            if r < weight:
                 break
-            r -= c
-        # walk backwards
-        word = [st[0]]
-        cur = st
-        for layer in range(n - 1, 0, -1):
-            b, n1, n11 = cur
-            # predecessors: states (last, n1', n11') in layers[layer-1]
-            # with a transition to b
-            preds = []
-            for last in range(2):
-                if not sft.allowed(last, b):
-                    continue
-                p = (last, n1 - (b == 1), n11 - (last == 1 and b == 1))
-                c = layers[layer - 1].get(p, 0)
-                if c:
-                    preds.append((p, c))
-            tot = sum(c for _, c in preds)
-            r2 = _randrange_big(rng, tot)
-            for p, c in preds:
-                if r2 < c:
-                    break
-                r2 -= c
-            word.append(p[0])
-            cur = p
-        words.append(tuple(reversed(word)))
+            r -= weight
+        runs = {1: iter(_random_composition(rng, n1, n1 - n11)),
+                0: iter(_random_composition(rng, n - n1, z))}
+        word = []
+        sym = first
+        while len(word) < n:
+            word.extend([sym] * next(runs[sym]))
+            sym = 1 - sym
+        words.append(tuple(word))
     return words
 
 
@@ -182,11 +168,15 @@ def separated_generic_set(system: Suspension, mu: MarkovMeasure,
                           ) -> SeparatedSet:
     """Gamma: a (t, 3*EPS_SEP)-separated set of length-n words whose
     empirical statistics lie in a box around mu's pair statistics, with
-    exact count >= e^{t h}.  2-symbol alphabets only (the DP tracks
-    (last symbol, #1, #11), which determines all pair counts)."""
+    exact count >= e^{t h}.  Irreducible 2-symbol base shifts only: the
+    box is counted and sampled in closed form from the words' runs, as
+    (#1, #11) determines all pair counts."""
     if system.sft.n_symbols != 2:
         raise NotImplementedError(
             "exact box counting implemented for 2-symbol alphabets")
+    if not is_irreducible(system.sft):
+        raise WeakSpecificationError(
+            "exact box counting needs an irreducible base shift")
     if not (h < _flow_entropy(mu, system.roof)):
         raise ValueError("h must be strictly below the measure's entropy")
     mean_roof = float(np.dot(mu.stationary,
@@ -194,30 +184,23 @@ def separated_generic_set(system: Suspension, mu: MarkovMeasure,
     n = int(math.floor(t / mean_roof + 1e-9))
     if n < max(16, int(4.0 / eta)):
         raise ValueError("increase t")
-    pi1, p11 = _mu_pair_stats(mu)
-    zeta = eta / 8.0
-
-    def accept(last, n1, n11):
-        return (abs(n1 / n - pi1) <= zeta
-                and abs(n11 / (n - 1) - p11) <= zeta)
-
-    dp = _box_counts(system.sft, n)
-    count = sum(c for st, c in dp.items() if accept(*st))
+    pi1 = float(mu.stationary[1])
+    box = {"pi1": pi1, "p11": float(pi1 * mu.transition[1, 1]),
+           "zeta": eta / 8.0}
+    cells = _box_cells(system.sft, n, box)
+    count = sum(c[0] for c in cells)
     if count == 0:
         raise ValueError("increase t")
     log_count = math.log(count)  # math.log takes ints of any size
     rng = np.random.default_rng(seed)
-    sample = _sample_from_box(system.sft, n, accept, rng,
-                              k=min(20, count))
+    sample = _sample_from_box(cells, n, rng, k=min(20, count))
     dists = []
     target = _markov_statistics(mu, system.roof, cfg)
     for w in sample:
         x = SuspPoint(BiWord.periodic(_close_word(system.sft, w)), 0.0)
         e = empirical_measure(system, x, float(t), cfg)
         dists.append(weak_star_distance(e, target, cfg))
-    return SeparatedSet(n, count, log_count, h, t,
-                        {"pi1": pi1, "p11": p11, "zeta": zeta},
-                        tuple(dists))
+    return SeparatedSet(n, count, log_count, h, t, box, tuple(dists))
 
 
 def _close_word(sft: Sft, w):
@@ -320,18 +303,14 @@ def glue_generic_family(system: Suspension, target: ApproxTarget,
     log_Em = m * (sum(g.log_count for g in gammas) - math.log(C))
 
     # sample members of E_m: pick one word per (round, component), glue
+    cells = [_box_cells(system.sft, g.length, g.box) for g in gammas]
+
     def sample_member():
         word = []
         starts = []
         for _ in range(m):
-            for i, g in enumerate(gammas):
-                w = _sample_from_box(
-                    system.sft, g.length,
-                    lambda last, n1, n11, g=g: (
-                        abs(n1 / g.length - g.box["pi1"]) <= g.box["zeta"]
-                        and abs(n11 / (g.length - 1) - g.box["p11"])
-                        <= g.box["zeta"]),
-                    rng, 1)[0]
+            for g, c in zip(gammas, cells):
+                w = _sample_from_box(c, g.length, rng, 1)[0]
                 if word:
                     gap = glue_words(system.sft, (word[-1],), (w[0],))
                     word.extend(gap)

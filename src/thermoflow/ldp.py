@@ -468,6 +468,38 @@ class DeviationResult:
     note: str = ""
 
 
+def _sample_integrals(m: SuspendedMeasure, psi_v: np.ndarray, t: float,
+                      length: int, n_samples: int, rng) -> np.ndarray:
+    """int_0^t psi along n_samples stationary orbits of m, each started at
+    a uniform height of its first fiber; width-1 psi with values psi_v.
+
+    One pass over the fibers keeps running sums of the roof (cum) and of
+    psi times the roof (psic); k counts the fibers that end before time t,
+    and prev_cum, full hold cum and psic through the last of them."""
+    roofs = m.state_roofs()
+    start_w = m.base.stationary * roofs
+    words = m.base.sample_words(n_samples, length, rng,
+                                start_weights=start_w)
+    h0 = rng.random(n_samples) * roofs[words[:, 0]]
+    total = h0 + t
+    cum = np.zeros(n_samples)
+    psic = np.zeros(n_samples)
+    prev_cum = np.zeros(n_samples)
+    full = np.zeros(n_samples)
+    k = np.zeros(n_samples, dtype=np.int64)
+    for col in words.T:
+        r = roofs[col]
+        cum = cum + r
+        psic = psic + psi_v[col] * r
+        before = cum < total
+        prev_cum = np.where(before, cum, prev_cum)
+        full = np.where(before, psic, full)
+        k += before
+    first_partial = h0 * psi_v[words[:, 0]]
+    last_partial = (total - prev_cum) * psi_v[words[np.arange(n_samples), k]]
+    return full - first_partial + last_partial
+
+
 def deviation_frequency(system: Suspension, m: SuspendedMeasure,
                         psi: CylinderPotential, eps: float, t: float,
                         n_samples: int, seed: int) -> DeviationResult:
@@ -486,32 +518,13 @@ def deviation_frequency(system: Suspension, m: SuspendedMeasure,
     if any(len(w) != 1 for w in m.base.words):
         raise ValueError("width-1 base measure required")
     rng = np.random.default_rng(seed)
-    roofs = m.state_roofs()
     mbar = entropy_and_mean(m, psi)[1]
-    n_sym = m.base.n_states
-    psi_v = np.array([psi.value((s,)) for s in range(n_sym)])
+    psi_v = np.array([psi.value((s,)) for s in range(m.base.n_states)])
     length = int(math.ceil(t / system.roof.min)) + 2
-    start_w = m.base.stationary * roofs
-    words = m.base.sample_words(n_samples, length, rng,
-                                start_weights=start_w)
-    h0 = rng.random(n_samples) * roofs[words[:, 0]]
-    r_path = roofs[words]
-    cum = np.cumsum(r_path, axis=1)  # cum[:, j] = total roof through j
-    total = h0 + t
-    # index of fiber occupied at time t
-    k = (cum < total[:, None]).sum(axis=1)
-    # integral over fully/partially visited fibers
-    psir = psi_v[words] * r_path
-    psic = np.cumsum(psir, axis=1)
-    rows = np.arange(n_samples)
-    full = np.where(k > 0, psic[rows, np.maximum(k - 1, 0)], 0.0)
-    first_partial = h0 * psi_v[words[:, 0]]
-    prev_cum = np.where(k > 0, cum[rows, np.maximum(k - 1, 0)], 0.0)
-    last_partial = (total - prev_cum) * psi_v[words[rows, k]]
-    integral = full - first_partial + last_partial
+    integral = _sample_integrals(m, psi_v, t, length, n_samples, rng)
     tol = 1e-9 * t * max(1.0, float(np.max(np.abs(psi_v))))
     hits = int(np.sum(np.abs(integral - t * mbar) >= t * eps - tol))
-    from scipy.stats import beta as beta_dist
+    from scipy.special import betaincinv  # the beta quantile
     alpha = 0.05
     if hits == 0:
         ci_hi_p = 1.0 - (alpha / 2) ** (1.0 / n_samples)
@@ -519,8 +532,8 @@ def deviation_frequency(system: Suspension, m: SuspendedMeasure,
                                math.log(ci_hi_p) / t, 0, n_samples,
                                "zero hits: upper confidence bound only")
     freq = hits / n_samples
-    lo_p = beta_dist.ppf(alpha / 2, hits, n_samples - hits + 1)
-    hi_p = beta_dist.ppf(1 - alpha / 2, hits + 1, n_samples - hits) \
+    lo_p = betaincinv(hits, n_samples - hits + 1, alpha / 2)
+    hi_p = betaincinv(hits + 1, n_samples - hits, 1 - alpha / 2) \
         if hits < n_samples else 1.0
     note = "" if hits >= 10 else "insufficient resolution"
     return DeviationResult(freq, math.log(freq) / t,

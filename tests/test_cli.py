@@ -126,6 +126,20 @@ def test_entropy_dense_requires_eta(capsys):
     assert "--eta is required" in err
 
 
+def test_entropy_dense_certificate_deterministic(capsys, tmp_path):
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for d in dirs:
+        code, out, _ = run_cli(capsys, "entropy-dense", "--sft",
+                               data_path("full2.json"), "--eta", "0.05",
+                               "--seed", "0", "--out", str(d))
+        assert code == 0
+        cert = next(line for line in out.splitlines()
+                    if line.startswith("count certificate:"))
+        assert cert.endswith("True")
+    assert filecmp.cmp(dirs[0] / "entropy_dense.json",
+                       dirs[1] / "entropy_dense.json", shallow=False)
+
+
 # --- artifacts ----------------------------------------------------------------
 
 def test_artifacts_bitwise_deterministic(capsys, tmp_path):

@@ -2,10 +2,14 @@
 sets, glued generic families with counting certificates, the block-chain
 ergodic approximation, and stable countable gluing."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
+
+from box_reference import pair_stat_counts
 
 from thermoflow import (
     ApproxTarget,
@@ -16,6 +20,7 @@ from thermoflow import (
     Roof,
     Sft,
     Suspension,
+    WeakSpecificationError,
     WeakStarConfig,
     chain_statistics,
     ergodic_approximation,
@@ -27,10 +32,20 @@ from thermoflow import (
     separated_generic_set,
     weak_star_distance,
 )
+from thermoflow.entropy_density import _box_cells, _sample_from_box
+from thermoflow.sft import is_admissible_word
 
 CFG = WeakStarConfig()
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
+
+# the four irreducible 2-symbol SFTs
+IRREDUCIBLE_2 = {
+    "full2": [[1, 1], [1, 1]],
+    "golden": [[1, 1], [1, 0]],
+    "no00": [[0, 1], [1, 1]],
+    "cycle2": [[0, 1], [1, 0]],
+}
 
 
 def bernoulli(p):
@@ -58,7 +73,7 @@ def _random_segment(system, rng):
 def test_separated_set_bernoulli_certificate(full2_unit):
     g = separated_generic_set(full2_unit, bernoulli(0.5), h=0.6, t=40.0,
                               eta=0.1, seed=0)
-    assert g.count == 32583198648  # exact DP count, frozen
+    assert g.count == 32583198648  # exact closed-form count, frozen
     assert g.certificate_ok
     assert g.log_count >= g.t * g.h_target  # >= e^{24} members
     # sampled members are generic: empirical statistics near the target
@@ -81,6 +96,56 @@ def test_separated_set_count_monotone_in_t(full2_unit):
     assert b.count > a.count
     # exponential growth rate stays below topological entropy
     assert b.log_count / b.t <= math.log(2) + 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(IRREDUCIBLE_2))
+def test_box_cells_match_reference_dp(name):
+    """The run-structure closed form counts every (#1, #11) class exactly."""
+    sft = Sft(IRREDUCIBLE_2[name])
+    everything = {"pi1": 0.5, "p11": 0.5, "zeta": 1.0}
+    ref = pair_stat_counts(sft, 60)
+    for n in range(2, 61):
+        got = {}
+        for weight, n1, n11, _, _ in _box_cells(sft, n, everything):
+            got[(n1, n11)] = got.get((n1, n11), 0) + weight
+        assert got == {k: c for k, c in ref[n].items() if c}, n
+
+
+@pytest.mark.parametrize("name, pi1, p11, zeta", [
+    ("full2", 0.5, 0.25, 0.05),
+    ("golden", 0.3, 0.0, 0.1),
+    ("no00", 0.7, 0.45, 0.1),
+    ("cycle2", 0.5, 0.0, 0.1),
+])
+def test_box_sampler_uniform(name, pi1, p11, zeta):
+    """Seeded draws are admissible box words, uniform over the box."""
+    sft = Sft(IRREDUCIBLE_2[name])
+    n = 12
+    box = {"pi1": pi1, "p11": p11, "zeta": zeta}
+
+    def in_box(w):
+        n11 = sum(a & b for a, b in zip(w, w[1:]))
+        return (abs(sum(w) / n - pi1) <= zeta
+                and abs(n11 / (n - 1) - p11) <= zeta)
+
+    words = [w for w in itertools.product((0, 1), repeat=n)
+             if is_admissible_word(sft, w) and in_box(w)]
+    cells = _box_cells(sft, n, box)
+    assert sum(c[0] for c in cells) == len(words) > 0
+    index = {w: i for i, w in enumerate(words)}
+    hits = np.zeros(len(words))
+    for w in _sample_from_box(cells, n, np.random.default_rng(3),
+                              20 * len(words)):
+        assert w in index  # admissible and in the box
+        hits[index[w]] += 1
+    assert chisquare(hits).pvalue > 1e-3
+
+
+def test_separated_set_rejects_reducible_base():
+    system = Suspension(Sft([[1, 1], [0, 1]]), Roof([1.0, 1.0]))
+    with pytest.raises(WeakSpecificationError, match="irreducible"):
+        separated_generic_set(system, bernoulli(0.5), h=-0.5, t=40.0,
+                              eta=0.1, seed=0)
 
 
 def test_separated_set_requires_h_below_entropy(full2_unit):
