@@ -24,7 +24,8 @@ from .ldp import (EmpiricalMeasure, WeakStarConfig, empirical_measure,
                   weak_star_distance)
 from .sft import (BiWord, Sft, WeakSpecificationError, glue_words,
                   is_irreducible, min_gap_bound)
-from .suspension import OrbitSegment, Roof, SuspPoint, Suspension
+from .suspension import (OrbitSegment, Roof, SuspPoint, Suspension,
+                         _fiber_times, _locate)
 from .thermo import MarkovMeasure, SuspendedMeasure
 
 __all__ = [
@@ -316,23 +317,24 @@ def glue_generic_family(system: Suspension, target: ApproxTarget,
                     word.extend(gap)
                 starts.append(len(word))
                 word.extend(w)
-        return tuple(word), starts
+        word = tuple(word)
+        times = _fiber_times(word.__getitem__, system.roof.values, 0,
+                             len(word))
+        return word, starts, times
 
     lam_stats = mixture_statistics(target, system.roof, cfg)
     block_D = []
     members = []
     for _ in range(3):
-        word, starts = sample_member()
-        members.append((word, starts))
+        word, starts, times = sample_member()
+        members.append((word, starts, times))
         x = SuspPoint(BiWord.periodic(_close_word(system.sft, word)), 0.0)
         # c: duration of one glued round (all p blocks and gaps)
         round_end = starts[p - 1] + gammas[p - 1].length \
             if p > 1 else len(word)
-        c_time = sum(system.roof[word[j]] for j in range(round_end))
-        b0 = 0.0
+        c_time = times[round_end]
         for kk in range(min(m, 2)):
-            base_idx = starts[kk * p]
-            b_time = sum(system.roof[word[j]] for j in range(base_idx))
+            b_time = times[starts[kk * p]]
             e = empirical_measure(system, system.flow(x, b_time),
                                   c_time, cfg)
             block_D.append(weak_star_distance(e, lam_stats, cfg))
@@ -341,26 +343,20 @@ def glue_generic_family(system: Suspension, target: ApproxTarget,
     seps = []
     for a in range(len(members)):
         for b in range(a + 1, len(members)):
-            wa, _ = members[a]
-            wb, _ = members[b]
+            wa, _, ta = members[a]
+            wb, _, tb = members[b]
             j = next((i for i in range(min(len(wa), len(wb)))
                       if wa[i] != wb[i]), None)
             if j is None:
                 continue
             xa = SuspPoint(BiWord.periodic(_close_word(system.sft, wa)), 0.0)
             xb = SuspPoint(BiWord.periodic(_close_word(system.sft, wb)), 0.0)
-            ta = sum(system.roof[wa[i]] for i in range(j))
-            tb = sum(system.roof[wb[i]] for i in range(j))
-            d = system.bw_distance(system.flow(xa, ta),
-                                   system.flow(xb, tb))
+            d = system.bw_distance(system.flow(xa, ta[j]),
+                                   system.flow(xb, tb[j]))
             seps.append(d)
-    word0, starts0 = members[0]
-    b_times = []
-    for kk in range(m):
-        idx = starts0[kk * p]
-        b_times.append(sum(system.roof[word0[j]] for j in range(idx)))
-    round_end = starts0[p - 1] + gammas[p - 1].length
-    c_time = sum(system.roof[word0[j]] for j in range(round_end))
+    _, starts0, times0 = members[0]
+    b_times = [times0[starts0[kk * p]] for kk in range(m)]
+    c_time = times0[starts0[p - 1] + gammas[p - 1].length]
     return GluedFamily(t, m, tuple(lengths), tuple(gammas), k_part, C,
                        log_Em, tuple(b_times), c_time,
                        tuple(block_D), tuple(seps), EPS_SEP / 2.0)
@@ -584,12 +580,11 @@ def glue_countable(system: Suspension, segs, delta: float, depth: int):
     # start time (s_{d-1} - t_{d-1}), then add its window length
     m = system.margin(delta)
     last = head[-1]
-    c = system._occupied_symbols(last.start, last.duration)
+    roof = system.roof.values
+    c, _ = _locate(last.start.base.symbol_at, roof,
+                   last.start.height + last.duration)
     start_time = res.block_starts[-1] - last.duration
-    shift = 0
-    h = point.height + start_time
-    while h >= system.roof[point.base.symbol_at(shift)]:
-        h -= system.roof[point.base.symbol_at(shift)]
-        shift += 1
+    shift, _ = _locate(point.base.symbol_at, roof,
+                       point.height + start_time)
     emitted_end = shift + c + m + 1
     return point, emitted_end

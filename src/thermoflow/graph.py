@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .sft import Sft, _min_rotation, _primitive_root
-from .suspension import Roof, SuspPoint, Suspension
+from .suspension import (Roof, SuspPoint, Suspension, _fiber_times,
+                         _locate)
 
 __all__ = [
     "GraphModelError",
@@ -237,23 +238,17 @@ class Geodesic:
         return self.susp.base.symbol_at(k)
 
     def shift_time(self, t) -> "Geodesic":
-        susp = graph_suspension(self.graph)
-        return Geodesic(self.graph, susp.flow(self.susp, t))
+        base = self.susp.base
+        k, h = _locate(base.symbol_at, self.graph.length,
+                       self.susp.height + t)
+        return Geodesic(self.graph, SuspPoint(base.shift(k) if k else base, h))
 
     def position(self, t):
         """(directed edge, offset along it) occupied at time t."""
-        h = self.susp.height + t
-        idx = 0
         base = self.susp.base
-        if h >= 0:
-            while h >= self.graph.length[base.symbol_at(idx)]:
-                h -= self.graph.length[base.symbol_at(idx)]
-                idx += 1
-        else:
-            while h < 0:
-                idx -= 1
-                h += self.graph.length[base.symbol_at(idx)]
-        return base.symbol_at(idx), h
+        k, h = _locate(base.symbol_at, self.graph.length,
+                       self.susp.height + t)
+        return base.symbol_at(k), h
 
 
 @dataclass(frozen=True)
@@ -296,14 +291,6 @@ def enumerate_closed_geodesics(g: MetricGraph, max_period):
 # ----------------------------------------------------------------------
 # lifts and the d_GX metric
 # ----------------------------------------------------------------------
-
-
-def _cumlen(g: MetricGraph, word, i):
-    """Arclength from the tail of word[0] to the tail of word[i] (i may be
-    negative; word is a dict-like callable coordinate -> edge)."""
-    if i >= 0:
-        return sum((g.length[word(k)] for k in range(i)), Fraction(0))
-    return -sum((g.length[word(k)] for k in range(i, 0)), Fraction(0))
 
 
 def _agreement_run(w1, w2, i, j, lo, hi):
@@ -382,11 +369,9 @@ def d_GX(g1: Geodesic, g2: Geodesic, tail_horizon: float = 8.0):
     w1 = g1.susp.base.symbol_at
     w2 = g2.susp.base.symbol_at
 
-    cum1 = {}
-    cum2 = {}
-    for i in range(-nwin, nwin + 2):
-        cum1[i] = _cumlen(g, w1, i)
-        cum2[i] = _cumlen(g, w2, i)
+    # arclength from the tail of edge 0 to the tail of edge i
+    cum1 = _fiber_times(w1, g.length, -nwin, nwin + 1)
+    cum2 = _fiber_times(w2, g.length, -nwin, nwin + 1)
 
     vd = g.vertex_distances()
     best = math.inf
@@ -483,8 +468,9 @@ def lift_distance(g1: Geodesic, g2: Geodesic, t, window: int = 64):
     if w1(0) == w2(0):
         km, kp, hit_lo, hit_hi = _agreement_run(w1, w2, 0, 0,
                                                 -window, window)
-        Lp = math.inf if hit_hi else float(_cumlen(g, w1, kp + 1))
-        Lm = math.inf if hit_lo else -float(_cumlen(g, w1, -km))
+        cum = _fiber_times(w1, g.length, -km, kp + 1)
+        Lp = math.inf if hit_hi else float(cum[kp + 1])
+        Lm = math.inf if hit_lo else -float(cum[-km])
         x = h1 + t
         y = h2 + t
         xc = min(max(x, -Lm), Lp)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .suspension import OrbitSegment, SuspPoint, Suspension
+from .suspension import SuspPoint, Suspension, _residences
 from .thermo import (CylinderPotential, MarkovMeasure, SuspendedMeasure,
                      birkhoff_cycle, combine_cylinder, entropy_and_mean,
                      equilibrium_state, pressure, zero_potential)
@@ -123,25 +123,24 @@ def empirical_measure(system: Suspension, x: SuspPoint, t: float,
     """E_t(x): exact residence statistics of the orbit segment (x, t)."""
     if t <= 0:
         raise ValueError("t > 0 required")
-    h = x.height
-    idx = 0
+    symbol_at = x.base.symbol_at
+    roof = system.roof.values
+    bins = cfg.height_bins
     weights = []
-    remaining = t
-    hist = np.zeros(cfg.height_bins)
-    hh = h
-    while remaining > 0:
-        r = system.roof[x.base.symbol_at(idx)]
-        use = min(r - hh, remaining)
-        weights.append(use)
-        # height histogram: normalized height sweeps [hh/r, (hh+use)/r)
-        lo, hi = hh / r, (hh + use) / r
-        for b in range(cfg.height_bins):
-            blo, bhi = b / cfg.height_bins, (b + 1) / cfg.height_bins
-            hist[b] += max(0.0, min(hi, bhi) - max(lo, blo)) * r
-        remaining -= use
-        hh = 0.0
-        idx += 1
-    word = x.base.window(0, idx + cfg.depth)
+    hist = np.zeros(bins)
+    whole = 0.0  # time spent in whole fibers, spread evenly over the bins
+    for k, lo, hi in _residences(symbol_at, roof, x.height, t):
+        weights.append(hi - lo)
+        r = roof[symbol_at(k)]
+        if lo == 0 and hi == r:
+            whole += r
+            continue
+        # normalized height sweeps [lo/r, hi/r)
+        for b in range(bins):
+            blo, bhi = b / bins, (b + 1) / bins
+            hist[b] += max(0.0, min(hi / r, bhi) - max(lo / r, blo)) * r
+    hist += whole / bins
+    word = x.base.window(0, len(weights) + cfg.depth)
 
     return _window_statistics(system, word, weights, lambda: hist, cfg)
 

@@ -339,17 +339,6 @@ class BiWord:
         return BiWord(self.left_tail, self.core, self.right_tail,
                       self.core_start - m)
 
-    @property
-    def is_periodic(self) -> bool:
-        return not self.core and self.left_tail == self.right_tail
-
-    def period_word(self) -> tuple:
-        """For a periodic BiWord, the word read from coordinate 0."""
-        if not self.is_periodic:
-            raise ValueError("not a periodic point")
-        n = len(self.left_tail)
-        return tuple(self.symbol_at(k) for k in range(n))
-
     def validate(self, sft: Sft) -> bool:
         """Check full admissibility: tail self-seams, seams with the core,
         and the core itself."""

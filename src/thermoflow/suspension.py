@@ -3,6 +3,18 @@
 Points are (base sequence, height) with 0 <= height < r(x_0); the flow moves
 vertically and wraps through the roof: (x, r(x_0)) ~ (sigma x, 0).
 
+Fiber convention
+----------------
+Fiber k is the set of heights [0, r(x_k)) over coordinate k.  A height
+equal to the roof belongs to the next fiber, at height 0; an orbit segment
+is cut into pieces of positive length, one per fiber it meets.  Every
+conversion between a time and a (fiber, height) coordinate, here and in the
+graph, thermodynamic, large-deviation and entropy-density modules, goes
+through one walk: `_locate` (time -> fiber, either direction),
+`_residences` (the pieces of a segment) and `_fiber_times` (fiber -> time).
+The walk only adds and subtracts roof values, so it is exact when heights
+and roofs are Fractions.
+
 Metric convention
 -----------------
 The base metric is the forward-window metric
@@ -209,6 +221,46 @@ def _bw_from_words(xs, ys, u: float, v: float, horizon: int) -> float:
     return best
 
 
+def _locate(symbol_at, lengths, h, k=0):
+    """The fiber walk: (k', h') with 0 <= h' < lengths[symbol_at(k')] for
+    the point at height h (of either sign, any size) above the floor of
+    fiber k.  symbol_at maps a coordinate to a symbol, lengths a symbol to
+    its roof value; a height equal to a fiber's length belongs to the next
+    fiber."""
+    while h < 0:
+        k -= 1
+        h += lengths[symbol_at(k)]
+    r = lengths[symbol_at(k)]
+    while h >= r:
+        h -= r
+        k += 1
+        r = lengths[symbol_at(k)]
+    return k, h
+
+
+def _residences(symbol_at, lengths, h, t, k=0):
+    """The positive-length pieces (k, lo, hi) of the orbit segment of
+    duration t >= 0 from height h of fiber k: fiber k is occupied at
+    heights [lo, hi), for hi - lo time units."""
+    k_end, h_end = _locate(symbol_at, lengths, h + t, k)
+    for j in range(k, k_end):
+        yield j, h, lengths[symbol_at(j)]
+        h = 0
+    if h_end > h:
+        yield k_end, h, h_end
+
+
+def _fiber_times(symbol_at, lengths, lo, hi):
+    """{k: time from the floor of fiber 0 to the floor of fiber k} for
+    lo <= k <= hi (lo <= 0 <= hi), by running sums of the roof values."""
+    times = {0: 0}
+    for k in range(hi):
+        times[k + 1] = times[k] + lengths[symbol_at(k)]
+    for k in range(-1, lo - 1, -1):
+        times[k] = times[k + 1] - lengths[symbol_at(k)]
+    return times
+
+
 class Suspension:
     """A suspension flow over an irreducible SFT with locally-constant roof."""
 
@@ -240,20 +292,8 @@ class Suspension:
 
     def flow(self, p: SuspPoint, t) -> SuspPoint:
         """phi_t; exact arithmetic when height and roof values are exact."""
-        h = p.height + t
-        idx = 0
-        base = p.base
-        if t >= 0:
-            while h >= self.roof[base.symbol_at(idx)]:
-                h -= self.roof[base.symbol_at(idx)]
-                idx += 1
-        else:
-            while h < 0:
-                idx -= 1
-                h += self.roof[base.symbol_at(idx)]
-        if idx:
-            base = base.shift(idx)
-        return SuspPoint(base, h)
+        k, h = _locate(p.base.symbol_at, self.roof.values, p.height + t)
+        return SuspPoint(p.base.shift(k) if k else p.base, h)
 
     # ------------------------------------------------------------------
     # Bowen-Walters metric
@@ -275,10 +315,6 @@ class Suspension:
             _bw_from_words(xs, ys, u, v, horizon),
             _bw_from_words(ys, xs, v, u, horizon),
         )
-
-    def _check_same_system(self, other: "Suspension"):
-        if self != other:
-            raise ValueError("points belong to different suspension systems")
 
     # ------------------------------------------------------------------
     # shadowing
@@ -304,16 +340,17 @@ class Suspension:
         span = int(t / self.roof.min) + horizon + M + 4
         yw = y.base.window(-M, span)
         xw = seg.start.base.window(-M, span)
-        roof = self.roof
-        cy = cx = 0  # current coordinate of each point
+        roof = self.roof.values
+        # ky, kx index the windows: coordinate k sits at index k + M
+        ky = kx = M
         hy, hx = y.height, seg.start.height
         width = 2 * M + horizon
         worst = 0.0
         for i in range(n + 1):
-            ys = yw[cy:cy + width]
-            xs = xw[cx:cx + width]
-            u = hy / roof[yw[cy + M]]
-            v = hx / roof[xw[cx + M]]
+            ys = yw[ky - M:ky - M + width]
+            xs = xw[kx - M:kx - M + width]
+            u = hy / roof[yw[ky]]
+            v = hx / roof[xw[kx]]
             d = min(
                 _bw_from_words(ys, xs, u, v, horizon),
                 _bw_from_words(xs, ys, v, u, horizon),
@@ -321,14 +358,8 @@ class Suspension:
             if d > worst:
                 worst = d
             if i < n:
-                hy += step
-                while hy >= roof[yw[cy + M]]:
-                    hy -= roof[yw[cy + M]]
-                    cy += 1
-                hx += step
-                while hx >= roof[xw[cx + M]]:
-                    hx -= roof[xw[cx + M]]
-                    cx += 1
+                ky, hy = _locate(yw.__getitem__, roof, hy + step, ky)
+                kx, hx = _locate(xw.__getitem__, roof, hx + step, kx)
         return worst
 
     # ------------------------------------------------------------------
@@ -343,16 +374,6 @@ class Suspension:
         while 2.0 ** (-(m + 2)) >= delta:
             m += 1
         return m
-
-    def _occupied_symbols(self, p: SuspPoint, t) -> int:
-        """Index of the symbol occupied at time t flowing from p (so the
-        segment visits symbols 0..c inclusive)."""
-        h = p.height + t
-        idx = 0
-        while h >= self.roof[p.base.symbol_at(idx)]:
-            h -= self.roof[p.base.symbol_at(idx)]
-            idx += 1
-        return idx
 
     def transition_bound(self, delta: float) -> float:
         """Declared maximum transition time for gluing at scale delta:
@@ -380,7 +401,9 @@ class Suspension:
         heights = []
         for seg in segs:
             x = seg.start.base
-            c = self._occupied_symbols(seg.start, seg.duration)
+            # the segment visits symbols 0..c
+            c, _ = _locate(x.symbol_at, self.roof.values,
+                           seg.start.height + seg.duration)
             windows.append(x.window(0, c + m + 1))
             heights.append(seg.start.height)
 
@@ -426,14 +449,9 @@ class Suspension:
         y0 = SuspPoint(base, heights[0])
 
         # exact block start times along the glued orbit
-        coord0 = block_core_starts[0] - len(left_prefix)  # = 0
-        starts = []
-        for j in range(len(segs)):
-            cj = block_core_starts[j] - len(left_prefix)
-            tshift = sum(
-                self.roof[base.symbol_at(k)] for k in range(coord0, cj)
-            )
-            starts.append(tshift + heights[j] - heights[0])
+        coords = [c - len(left_prefix) for c in block_core_starts]
+        times = _fiber_times(base.symbol_at, self.roof.values, 0, coords[-1])
+        starts = [times[c] + h - heights[0] for c, h in zip(coords, heights)]
         taus = []
         for j in range(len(segs) - 1):
             tau_j = starts[j + 1] - (starts[j] + segs[j].duration)
@@ -459,7 +477,8 @@ class Suspension:
         seg.duration + (tau + margin(delta) + 2) * max roof."""
         m = self.margin(delta)
         x = seg.start.base
-        c = self._occupied_symbols(seg.start, seg.duration)
+        c, _ = _locate(x.symbol_at, self.roof.values,
+                       seg.start.height + seg.duration)
         w = x.window(0, c + m + 1)
         u = glue_words(self.sft, (w[-1],), (w[0],))
         cyc = _primitive_root(w + u)

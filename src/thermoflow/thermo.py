@@ -32,7 +32,8 @@ from fractions import Fraction
 import numpy as np
 
 from .sft import BiWord, Sft
-from .suspension import OrbitSegment, Roof, SuspPoint, Suspension
+from .suspension import (OrbitSegment, Roof, SuspPoint, Suspension,
+                         _residences)
 
 __all__ = [
     "NonConvergenceError",
@@ -285,21 +286,11 @@ def _prepare(system: Suspension, phi: CylinderPotential):
 def birkhoff(system: Suspension, phi, seg: OrbitSegment) -> float:
     """Phi(x, t) = int_0^t phi(f_s x) ds."""
     if isinstance(phi, CylinderPotential):
-        t = seg.duration
         base = seg.start.base
-        h = seg.start.height
         total = 0.0
-        idx = 0
-        remaining = t
-        # first (partial) fiber
-        while remaining > 0:
-            r = system.roof[base.symbol_at(idx)]
-            avail = r - h
-            use = min(avail, remaining)
-            total += use * phi.value(base.window(idx, idx + phi.width))
-            remaining -= use
-            h = 0.0
-            idx += 1
+        for k, lo, hi in _residences(base.symbol_at, system.roof.values,
+                                     seg.start.height, seg.duration):
+            total += (hi - lo) * phi.value(base.window(k, k + phi.width))
         return total
     if isinstance(phi, DistancePotential):
         from scipy.integrate import quad
@@ -710,6 +701,7 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
         r0 = roofs[word[0]]
         u = h / r0
         cum = np.cumsum(roofs[word])
+        start = SuspPoint(_biword_from_path(word, system), float(h))
         for t in t_grid:
             # c(t): index of the fiber occupied at time t
             c = int(np.searchsorted(cum, h + t, side="right"))
@@ -717,9 +709,7 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
             lw = logpi[word[0]] + logP[word[:depth], word[1:depth + 1]].sum()
             win = (min(1.0, u + rho) - max(0.0, u - rho)) * r0
             ball = math.exp(lw) * win / mu.mean_roof
-            seg = OrbitSegment(SuspPoint(
-                _biword_from_path(word, system), float(h)), float(t))
-            Phi = birkhoff(system, phi, seg)
+            Phi = birkhoff(system, phi, OrbitSegment(start, float(t)))
             ratios[t].append(ball / math.exp(-t * P_val + Phi))
     table = {t: (min(v), max(v)) for t, v in ratios.items()}
     allv = [x for v in ratios.values() for x in v]

@@ -14,6 +14,7 @@ from thermoflow import (
     GraphModelError,
     MetricGraph,
     OrbitSegment,
+    SuspPoint,
     build_edge_sft,
     d_GX,
     enumerate_closed_geodesics,
@@ -185,6 +186,20 @@ def _position_distance(g, geo1, geo2, t):
     e1, h1 = geo1.position(t)
     e2, h2 = geo2.position(t)
     return float(g.point_distance((e1, h1), (e2, h2)))
+
+
+def test_shift_time_and_position_exact_on_fractions(theta):
+    """shift_time and position read the same exact edge lengths, so with
+    Fraction heights and times they agree with ==."""
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        geo = random_geodesic(theta, rng)
+        h = Fraction(int(rng.integers(4)), 4) * theta.length[geo.edge_at(0)]
+        geo = Geodesic(theta, SuspPoint(geo.susp.base, h))
+        t = Fraction(int(rng.integers(-60, 60)), 3)
+        assert geo.shift_time(t).position(0) == geo.position(t)
+        s = Fraction(int(rng.integers(-60, 60)), 4)
+        assert geo.shift_time(t).shift_time(s) == geo.shift_time(t + s)
 
 
 def test_tool2_bound_random_pairs(rose2, theta):

@@ -9,7 +9,9 @@ import pytest
 from thermoflow import (
     BiWord,
     CylinderPotential,
+    OrbitSegment,
     WeakStarConfig,
+    birkhoff,
     deviation_frequency,
     empirical_measure,
     enumerate_closed_geodesics,
@@ -50,6 +52,17 @@ def test_empirical_equals_orbit_on_period(full2_unit):
     e = empirical_measure(full2_unit, x, 3.0, CFG)
     m = orbit_measure(full2_unit, (0, 1, 1), CFG)
     assert weak_star_distance(e, m, CFG) < 1e-12
+
+
+def test_segment_ending_on_a_roof_has_no_empty_piece(golden12):
+    """golden (1,2) from height 0 for t = 3 meets two fibers, weights 1 and
+    2; the fiber whose floor the segment ends on gets no piece."""
+    x = golden12.point(BiWord.periodic((0, 1, 0, 0, 1), phase=0), 0.0)
+    phi = CylinderPotential(1, {(0,): 1.0, (1,): 10.0})
+    assert birkhoff(golden12, phi, OrbitSegment(x, 3.0)) == 21.0
+    e = empirical_measure(golden12, x, 3.0, CFG)
+    assert e.freqs[1] == {(0,): 1.0 / 3.0, (1,): 2.0 / 3.0}
+    assert set(e.freqs[CFG.depth]) == {(0, 1, 0, 0, 1, 0), (1, 0, 0, 1, 0, 1)}
 
 
 def test_empirical_additivity(full2_unit):
