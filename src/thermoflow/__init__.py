@@ -8,7 +8,6 @@ from .sft import (
     is_irreducible,
     min_gap_bound,
     glue_words,
-    enumerate_primitive_cycles,
     BiWord,
     is_admissible_word,
 )
@@ -39,7 +38,6 @@ from .thermo import (
     SuspendedMeasure,
     PressureResult,
     birkhoff,
-    birkhoff_cycle,
     pressure,
     equilibrium_state,
     entropy_and_mean,
@@ -83,8 +81,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Sft", "WeakSpecificationError", "is_irreducible", "min_gap_bound",
-    "glue_words", "enumerate_primitive_cycles", "BiWord",
-    "is_admissible_word",
+    "glue_words", "BiWord", "is_admissible_word",
     "Roof", "SuspPoint", "OrbitSegment", "GluingResult", "ClosedOrbit",
     "Suspension",
     "GraphModelError", "MetricGraph", "Geodesic", "ClosedGeodesic",
@@ -92,7 +89,7 @@ __all__ = [
     "enumerate_closed_geodesics",
     "NonConvergenceError", "CylinderPotential", "DistancePotential",
     "MarkovMeasure", "SuspendedMeasure", "PressureResult", "birkhoff",
-    "birkhoff_cycle", "pressure", "equilibrium_state", "entropy_and_mean",
+    "pressure", "equilibrium_state", "entropy_and_mean",
     "gibbs_ratio_stats", "bowen_constant_estimate", "block_recode",
     "combine_cylinder", "cylinder_approximation", "random_markov_measure",
     "zero_potential",

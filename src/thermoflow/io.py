@@ -23,7 +23,6 @@ from .thermo import CylinderPotential, DistancePotential, zero_potential
 
 __all__ = [
     "load_sft",
-    "dump_sft",
     "load_roof",
     "load_graph",
     "load_potential",
@@ -41,14 +40,6 @@ def load_sft(obj) -> tuple:
     if len(names) != sft.n_symbols:
         raise ValueError("symbols length does not match transitions")
     return sft, list(names)
-
-
-def dump_sft(sft: Sft, names=None) -> dict:
-    return {
-        "symbols": list(names) if names
-        else [str(i) for i in range(sft.n_symbols)],
-        "transitions": [list(map(int, row)) for row in sft.transitions],
-    }
 
 
 def load_roof(obj) -> Roof:
@@ -69,14 +60,6 @@ def load_graph(obj):
     edges = [(e["from"], e["to"], parse_length(e["length"]))
              for e in obj["edges"]]
     return MetricGraph(int(obj["vertices"]), edges)
-
-
-def dump_graph(g) -> dict:
-    return {
-        "vertices": g.n_vertices,
-        "edges": [{"from": a, "to": b, "length": str(l)}
-                  for (a, b, l) in g.und_edges],
-    }
 
 
 def load_point(obj) -> SuspPoint:
@@ -110,23 +93,6 @@ def load_potential(obj, graph=None):
     if kind == "zero":
         return zero_potential()
     raise ValueError(f"unknown potential type {kind!r}")
-
-
-def dump_potential(phi) -> dict:
-    if isinstance(phi, CylinderPotential):
-        return {
-            "type": "cylinder",
-            "width": phi.width,
-            "table": {",".join(map(str, w)): v
-                      for w, v in phi.table.items()},
-        }
-    if isinstance(phi, DistancePotential):
-        return {
-            "type": "distance",
-            "reference": dump_point(phi.reference.susp),
-            "scale": phi.scale,
-        }
-    raise TypeError(f"unsupported potential {type(phi).__name__}")
 
 
 def read_json(path):

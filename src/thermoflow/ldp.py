@@ -19,8 +19,9 @@ import numpy as np
 
 from .suspension import SuspPoint, Suspension, _residences
 from .thermo import (CylinderPotential, MarkovMeasure, SuspendedMeasure,
-                     birkhoff_cycle, combine_cylinder, entropy_and_mean,
-                     equilibrium_state, pressure, zero_potential)
+                     _orbit_sums, _prepare, combine_cylinder,
+                     entropy_and_mean, equilibrium_state, pressure,
+                     zero_potential)
 
 __all__ = [
     "WeakStarConfig",
@@ -146,35 +147,30 @@ def empirical_measure(system: Suspension, x: SuspPoint, t: float,
 
 
 def weighted_orbit_measure(system: Suspension, phi, t: float,
-                           cfg: WeakStarConfig = WeakStarConfig(),
-                           _orbits=None):
+                           cfg: WeakStarConfig = WeakStarConfig()):
     """(1/C(t)) sum_{gamma in Per(t)} e^{Phi(gamma)} mu_gamma; returns
-    (EmpiricalMeasure, C(t), number of orbits)."""
-    from .sft import enumerate_primitive_cycles
-    if _orbits is None:
-        max_len = int(math.floor(t / system.roof.min + 1e-9))
-        cycles = enumerate_primitive_cycles(system.sft, max_len)
-        _orbits = [c for c in cycles
-                   if sum(system.roof[s] for s in c) <= t + 1e-12]
-    if not _orbits:
+    (EmpiricalMeasure, C(t), number of orbits).
+
+    Per(t) holds the primitive closed orbits of period <= t.  The sums are
+    exact transfer-matrix traces on the roof lattice (`thermo._orbit_sums`),
+    so the roof values must be rational."""
+    _, counts, sums, words, weights = _orbit_sums(system, phi, t, cfg.depth)
+    if not counts.any():
         raise ValueError("no closed orbits yet")
-    freqs = {k: {} for k in range(1, cfg.depth + 1)}
-    hist = np.zeros(cfg.height_bins)
-    C = 0.0
-    contribs = []
-    for cyc in _orbits:
-        wgt = math.exp(birkhoff_cycle(system, phi, cyc))
-        C += wgt
-        contribs.append((cyc, wgt))
-    for cyc, wgt in contribs:
-        m = orbit_measure(system, cyc, cfg)
-        share = wgt / C
-        for k in range(1, cfg.depth + 1):
-            for w, f in m.freqs[k].items():
-                freqs[k][w] = freqs[k].get(w, 0.0) + share * f
-        hist += share * m.heights
+    C = float(sums.sum())
+    freqs = {}
+    for k in range(words.shape[1], 0, -1):
+        # the words are sorted, so words with equal k-prefixes are adjacent
+        head = np.ones(len(words), dtype=bool)
+        head[1:] = (words[1:, :k] != words[:-1, :k]).any(axis=1)
+        starts = np.flatnonzero(head)
+        words, weights = words[starts, :k], np.add.reduceat(weights, starts)
+        if k <= cfg.depth:
+            freqs[k] = dict(zip(map(tuple, words.tolist()),
+                                (weights / C).tolist()))
+    hist = np.full(cfg.height_bins, 1.0 / cfg.height_bins)
     return (EmpiricalMeasure(freqs, hist, system.sft.n_symbols),
-            C, len(contribs))
+            C, int(counts.sum()))
 
 
 def measure_statistics(mu: SuspendedMeasure,
@@ -267,16 +263,47 @@ def _lambda_curve(system: Suspension, phi, psi, P0):
 
 
 def _psi_range(system: Suspension, psi: CylinderPotential):
-    """Achievable range of int psi dnu over invariant measures: extremes
-    of the cycle averages (Birkhoff sums / periods) over short cycles plus
-    the per-symbol rates; cheap outer bracket via per-state extremes."""
-    from .sft import enumerate_primitive_cycles
-    vals = []
-    for cyc in enumerate_primitive_cycles(system.sft,
-                                          min(6, system.sft.n_symbols + 2)):
-        p = sum(system.roof[s] for s in cyc)
-        vals.append(birkhoff_cycle(system, psi, cyc) / p)
-    return min(vals), max(vals)
+    """Achievable range of int psi dnu over invariant measures: the least
+    and greatest cycle average psihat(c) / r(c) over closed orbits c, on
+    the SFT recoded to psi's width."""
+    sft_w, roof_w, _, psihat = _prepare(system, psi)
+    r = np.array(roof_w.values, dtype=float)
+    A = sft_w.transitions
+    return (-_max_cycle_ratio(A, -psihat, r), _max_cycle_ratio(A, psihat, r))
+
+
+def _max_cycle_ratio(A: np.ndarray, num: np.ndarray,
+                     den: np.ndarray) -> float:
+    """max over cycles c of num(c) / den(c), den > 0, by Dinkelbach's
+    parametric search.  For lam below the maximum some cycle has
+    sum(num - lam den) > 0; the ratio of the cycle of best mean weight
+    is the next lam, and the search stops when no cycle ratio exceeds
+    lam.  Best-mean cycles come from max-plus powers of the entering-edge
+    weights, walks of up to n edges, argmax predecessors kept."""
+    n = len(num)
+    lam = float(np.min(num / den))  # no cycle ratio lies below it
+    while True:
+        w = np.where(A, (num - lam * den)[None, :], -np.inf)
+        Pk, preds = w, [None]
+        best, bi, bk = -np.inf, 0, 1
+        for k in range(1, n + 1):
+            if k > 1:
+                cand = Pk[:, :, None] + w[None, :, :]
+                arg = cand.argmax(axis=1)
+                Pk = np.take_along_axis(cand, arg[:, None, :], axis=1)[:, 0]
+                preds.append(arg)
+            i = int(np.argmax(np.diag(Pk)))
+            if Pk[i, i] / k > best:
+                best, bi, bk = Pk[i, i] / k, i, k
+        walk, j = [], bi
+        for k in range(bk, 1, -1):
+            walk.append(j)
+            j = preds[k - 1][bi, j]
+        walk.append(j)
+        ratio = float(num[walk].sum() / den[walk].sum())
+        if not ratio > lam:
+            return lam
+        lam = ratio
 
 
 def _rate_legendre(system, phi, psi, eps_grid, P0, mbar) -> dict:
@@ -426,6 +453,7 @@ def _rate_direct(system, phi, psi, eps_grid, P0, mbar,
             pass
         return -math.inf
 
+    lo_u, hi_u = _psi_range(system, psi)
     out = {}
     for eps in eps_grid:
         if eps == 0:
@@ -441,7 +469,6 @@ def _rate_direct(system, phi, psi, eps_grid, P0, mbar,
         # on one of the boundaries unless it is a vertex)
         for sign in (+1, -1):
             tgt = mbar + sign * eps
-            lo_u, hi_u = _psi_range(system, psi)
             if tgt < lo_u - 1e-9 or tgt > hi_u + 1e-9:
                 continue
             start = best_params if best_params is not None \

@@ -1,6 +1,6 @@
 """Subshifts of finite type: admissibility, irreducibility, gap constants,
-gluing words, primitive cycle enumeration, and a finite representation of
-eventually-periodic bi-infinite sequences (BiWord).
+gluing words, and a finite representation of eventually-periodic
+bi-infinite sequences (BiWord).
 
 Conventions
 -----------
@@ -31,7 +31,6 @@ __all__ = [
     "is_irreducible",
     "min_gap_bound",
     "glue_words",
-    "enumerate_primitive_cycles",
     "BiWord",
     "is_admissible_word",
 ]
@@ -190,57 +189,6 @@ def _primitive_root(word: tuple) -> tuple:
 
 def _min_rotation(word: tuple) -> tuple:
     return min(word[i:] + word[:i] for i in range(len(word)))
-
-
-def enumerate_primitive_cycles(sft: Sft, max_len: int):
-    """All primitive cyclically-admissible words of length <= max_len, one
-    representative per rotation class (the lexicographically minimal
-    rotation).  Verifies internally that the number of n-periodic sequences
-    matches trace(A^n)."""
-    if max_len < 1:
-        raise ValueError("max_len >= 1 required")
-    n_sym = sft.n_symbols
-    A = sft.transitions
-    cycles = []
-
-    def dfs(start, path):
-        cur = path[-1]
-        if len(path) <= max_len and sft.allowed(cur, start) and len(path) >= 1:
-            word = tuple(path)
-            # keep one representative per rotation class: the minimal
-            # rotation must equal `word` itself, and `word` primitive.
-            if word == _min_rotation(word) and _primitive_root(word) == word:
-                cycles.append(word)
-        if len(path) == max_len:
-            return
-        for s in range(start, n_sym):  # symbols < start can't be in a
-            # cycle whose minimal rotation starts at `start`
-            if sft.allowed(cur, s):
-                path.append(s)
-                dfs(start, path)
-                path.pop()
-
-    for start in range(n_sym):
-        dfs(start, [start])
-
-    # internal consistency: fixed points of sigma^n vs trace(A^n)
-    by_len = {}
-    for c in cycles:
-        by_len.setdefault(len(c), []).append(c)
-    M = np.eye(n_sym, dtype=object)
-    Aobj = A.astype(object)
-    for n in range(1, max_len + 1):
-        M = M @ Aobj
-        trace = int(np.trace(M))
-        count = sum(
-            d * len(by_len.get(d, ())) for d in range(1, n + 1) if n % d == 0
-        )
-        if count != trace:  # pragma: no cover - internal invariant
-            raise AssertionError(
-                f"periodic point count mismatch at n={n}: {count} != {trace}"
-            )
-    cycles.sort(key=lambda w: (len(w), w))
-    return cycles
 
 
 def _rot_left(w: tuple) -> tuple:

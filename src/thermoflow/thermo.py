@@ -10,13 +10,18 @@ Pressure is computed three ways:
   M + lam I, lam the running root estimate, which converges on periodic
   SFTs (bipartite graphs) too.
 * ``separated``: growth-rate regression of exact phi-weighted partition
-  sums Z(t) over words whose cumulative roof lands in (t - max r, t],
-  computed by dynamic programming on an integer grid (requires rational
-  roof values).
-* ``gurevic``: growth rate of period-weighted sums over closed orbits,
-  S(t) = sum_{period <= t} period * e^{Phi(orbit)}; the period weighting
-  cancels the 1/t prefactor of the orbit count so the finite-t difference
-  quotient stabilizes quickly.
+  sums Z(t) over words whose cumulative roof lands in (t - max r, t].
+* ``gurevic``: growth rate of period-weighted sums over primitive closed
+  orbits, S(t) = sum_{period <= t} period * e^{Phi(orbit)}; the period
+  weighting cancels the 1/t prefactor of the orbit count.
+
+Both finite-t methods, and ``ldp.weighted_orbit_measure``, run on one
+lattice engine and need rational roof values: on the lattice 1/L symbol s
+lasts R_s = L r_s ticks, and one dynamic programme over ticks gives the
+e^{k phihat}-weighted path matrices U_k[N] of N ticks.  Their traces sum
+every closed orbit with its repeats, and a Moebius inversion with the
+exponent k twisted along turns them into exact sums over primitive orbits
+(`_orbit_sums`).  Sums up to time t cost L t ticks, at most _MAX_TICKS.
 
 Equilibrium states are built from Perron eigendata (Parry/Gibbs kernel),
 on the w-block recoding when the potential has width w > 1.  Flow entropy
@@ -51,7 +56,6 @@ __all__ = [
     "block_recode",
     "combine_cylinder",
     "cylinder_approximation",
-    "birkhoff_cycle",
     "random_markov_measure",
     "zero_potential",
 ]
@@ -187,24 +191,6 @@ class MarkovMeasure:
             lp = np.where(P > 0, np.log(np.where(P > 0, P, 1.0)), 0.0)
         return float(-(pi[:, None] * P * lp).sum())
 
-    def supported_on(self, sft: Sft) -> bool:
-        P = self.transition
-        for i in range(self.n_states):
-            for j in range(self.n_states):
-                if P[i, j] > 0:
-                    a, b = self.words[i][-1], self.words[j][0]
-                    if not sft.allowed(a, b):
-                        return False
-        return True
-
-    def word_probability(self, word) -> float:
-        """Probability of a cylinder in the *state* alphabet."""
-        word = tuple(word)
-        p = self.stationary[word[0]]
-        for a, b in zip(word, word[1:]):
-            p *= self.transition[a, b]
-        return float(p)
-
     def sample_words(self, n: int, length: int, rng,
                      start_weights=None) -> np.ndarray:
         """n independent stationary sample paths (vectorized)."""
@@ -305,17 +291,6 @@ def birkhoff(system: Suspension, phi, seg: OrbitSegment) -> float:
         val, _ = quad(f, 0.0, t, epsabs=1e-8 * max(t, 1.0), limit=200)
         return val
     raise TypeError(f"unsupported potential {type(phi).__name__}")
-
-
-def birkhoff_cycle(system: Suspension, phi: CylinderPotential, word) -> float:
-    """Phi over one period of the closed orbit with cyclic word `word`."""
-    word = tuple(word)
-    n = len(word)
-    total = 0.0
-    for k in range(n):
-        ww = tuple(word[(k + j) % n] for j in range(phi.width))
-        total += phi.value(ww) * system.roof[word[k]]
-    return total
 
 
 # ----------------------------------------------------------------------
@@ -425,40 +400,24 @@ def pressure(system: Suspension, phi, method: str = "spectral",
                               {"bracket_width": 2 * err,
                                "perron_solves": solves})
     if method == "separated":
-        return _separated_pressure(sft_w, roof_w, phihat, t_grid,
-                                   max_period)
+        return _separated_pressure(A, roof_w, phihat, t_grid, max_period)
     if method == "gurevic":
         return _gurevic_pressure(system, phi, max_period)
     raise ValueError(f"unknown pressure method {method!r}")
 
 
-def _separated_pressure(sft: Sft, roof: Roof, phihat, t_grid,
+def _separated_pressure(A: np.ndarray, roof: Roof, phihat, t_grid,
                         max_period: float) -> PressureResult:
-    fr = [Fraction(v).limit_denominator(10 ** 6) for v in roof.values]
-    if any(float(f) != v for f, v in zip(fr, roof.values)):
-        raise ValueError(
-            "separated method needs rational roof values")
-    L = math.lcm(*[f.denominator for f in fr])
-    R = [int(f * L) for f in fr]
-    n = sft.n_symbols
+    L, R = _lattice(roof, max_period)
     Nmax = int(math.ceil(max_period * L)) + 1
     weights = np.exp(phihat)
-    # V[N][s]: sum of e^Phi over admissible words with total scaled roof N
-    # ending in s
-    V = np.zeros((Nmax + 1, n))
-    for s in range(n):
-        if R[s] <= Nmax:
-            V[R[s], s] += weights[s]
-    succ = [sft.successors(s) for s in range(n)]
-    for N in range(1, Nmax + 1):
-        for s in range(n):
-            if V[N, s] == 0.0:
-                continue
-            for s2 in succ[s]:
-                N2 = N + R[s2]
-                if N2 <= Nmax:
-                    V[N2, s2] += V[N, s] * weights[s2]
-    totals = V.sum(axis=1)
+    U = _tick_dp(A, R, weights[None, :], [Nmax])
+    # totals[N]: sum of e^Phi over admissible words with total ticks N; a
+    # word is its first symbol s followed by a path of N - R_s ticks from s
+    paths = np.array([u[0].sum(axis=1) for u in U])
+    totals = np.zeros(Nmax + 1)
+    for s, r in enumerate(R):
+        totals[r:] += weights[s] * paths[:Nmax + 1 - r, s]
     maxR = max(R)
     if t_grid is None:
         t_grid = [max_period * (0.5 + 0.1 * j) for j in range(6)]
@@ -489,38 +448,25 @@ def _separated_pressure(sft: Sft, roof: Roof, phihat, t_grid,
     return PressureResult(float(slope), err, "separated",
                           {"t_grid": list(map(float, ts)),
                            "log_Z": list(map(float, logs)),
-                           "slope_ci": ci})
+                           "slope_ci": ci, "lattice": L, "ticks": Nmax})
 
 
 def _gurevic_pressure(system: Suspension, phi: CylinderPotential,
                       max_period: float) -> PressureResult:
-    from .sft import enumerate_primitive_cycles
-    max_len = int(math.floor(max_period / system.roof.min + 1e-9))
-    cycles = enumerate_primitive_cycles(system.sft, max_len)
-    data = []  # (period, period * e^Phi)
-    for cyc in cycles:
-        p = sum(system.roof[s] for s in cyc)
-        if p <= max_period + 1e-12:
-            data.append((p, p * math.exp(birkhoff_cycle(system, phi, cyc))))
-    if not data:
+    L, counts, sums, _, _ = _orbit_sums(system, phi, max_period)
+    p = np.flatnonzero(counts)
+    if not len(p):
         raise NonConvergenceError("no closed orbits up to max_period")
-    data.sort()
-    periods = np.array([d[0] for d in data])
-    w = np.array([d[1] for d in data])
-    csum = np.cumsum(w)
+    periods = p / L
+    csum = np.cumsum(periods * sums[p])
 
     # sample at the times where the sum actually jumps (it is constant in
     # between), restricted to the stabilized upper half of the range
-    jump_ts, jump_logs = [], []
-    for i in range(len(periods)):
-        if i == len(periods) - 1 or periods[i + 1] > periods[i]:
-            if periods[i] >= max_period / 2 - 1e-9:
-                jump_ts.append(float(periods[i]))
-                jump_logs.append(math.log(csum[i]))
-    if len(jump_ts) < 3:
+    upper = periods >= max_period / 2 - 1e-9
+    if np.count_nonzero(upper) < 3:
         raise NonConvergenceError("gurevic: too few grid points with orbits")
-    ts = np.array(jump_ts)
-    logs = np.array(jump_logs)
+    ts = periods[upper]
+    logs = np.log(csum[upper])
     diffs = list(np.diff(logs) / np.diff(ts))
     # the quotients oscillate around the limit with shrinking amplitude;
     # the last one is the estimate, half the last oscillation the error
@@ -530,7 +476,155 @@ def _gurevic_pressure(system: Suspension, phi: CylinderPotential,
                           {"grid": ts.tolist(),
                            "log_S": logs.tolist(),
                            "difference_quotients": diffs,
-                           "finite_t_value": logs[-1] / ts[-1]})
+                           "finite_t_value": logs[-1] / ts[-1],
+                           "lattice": L, "ticks": len(counts) - 1,
+                           "n_orbits": int(counts.sum())})
+
+
+# ----------------------------------------------------------------------
+# lattice engine for closed-orbit sums
+# ----------------------------------------------------------------------
+
+
+_MAX_TICKS = 4096
+
+
+def _lattice(roof: Roof, t: float) -> tuple:
+    """(L, R): the least L with every roof value on the lattice 1/L, and
+    the ticks R_s = L r_s of each symbol.  Raises ValueError when a roof
+    value is not rational (denominator above 10^6) or when L t exceeds
+    _MAX_TICKS."""
+    fr = [Fraction(v).limit_denominator(10 ** 6) for v in roof.values]
+    if any(float(f) != float(v) for f, v in zip(fr, roof.values)):
+        raise ValueError("closed-orbit sums need rational roof values")
+    L = math.lcm(*[f.denominator for f in fr])
+    if L * t > _MAX_TICKS:
+        raise ValueError(f"closed-orbit sums up to t = {t:g} need {L * t:g} "
+                         f"lattice ticks, above the cap {_MAX_TICKS}")
+    return L, np.array([int(f * L) for f in fr])
+
+
+def _tick_dp(A: np.ndarray, R: np.ndarray, weights: np.ndarray,
+             top) -> list:
+    """U[N] for N = 0..top[0]: U[N][k, i, j] sums prod_{l=1..m}
+    weights[k, s_l] over the admissible paths i = s_0, s_1, ..., s_m = j
+    (m >= 0) of R[s_1] + ... + R[s_m] = N ticks.  Row k is kept while
+    N <= top[k] (top is non-increasing), so U[N] has one row per k with
+    top[k] >= N."""
+    top = np.asarray(top)
+    steps = [(rho, (A * (R == rho))[None] * weights[:, None, :])
+             for rho in np.unique(R)]
+    U = [np.broadcast_to(np.eye(len(R)), (len(top),) + A.shape)]
+    for N in range(1, int(top[0]) + 1):
+        rows = int(np.count_nonzero(top >= N))
+        acc = np.zeros((rows,) + A.shape)
+        for rho, B in steps:
+            if rho <= N:
+                acc += U[N - rho][:rows] @ B[:rows]
+        U.append(acc)
+    return U
+
+
+def _mobius(n: int) -> np.ndarray:
+    """mu[d] for d = 0..n (mu[0] = 0)."""
+    mu = np.ones(n + 1, dtype=np.int64)
+    mu[0] = 0
+    prime = np.ones(n + 1, dtype=bool)
+    for q in range(2, n + 1):
+        if prime[q]:
+            prime[2 * q::q] = False
+            mu[q::q] *= -1
+            mu[q * q::q * q] = 0
+    return mu
+
+
+def _orbit_sums(system: Suspension, phi: CylinderPotential, t: float,
+                depth: int = 0) -> tuple:
+    """Exact sums over the primitive closed orbits gamma of period <= t.
+
+    Returns (L, counts, sums, words, weights).  For p = 0..floor(L t),
+    counts[p] is the number of primitive orbits of lattice period p and
+    sums[p] the sum of their e^{Phi(gamma)}.  With depth > 0, words lists
+    the admissible words of length max(depth, phi.width) that occur in
+    some gamma, in lexicographic order, and weights[i] is
+    sum_gamma e^{Phi(gamma)} mu_gamma(words[i]), with mu_gamma the
+    residence-time frequency; otherwise both are None.
+
+    Runs on the SFT recoded to the potential's width.  A closed path of N
+    ticks is a rotation of a q-fold repeat of a primitive orbit gamma of
+    lattice period p = N / q, and its rotations, each weighted by the
+    ticks R of its last symbol, add up to p e^{q Phi(gamma)}.  So
+    tr_k(N) = sum_j R_j U_k[N]_jj = sum_{p | N} p A(p, k N / p), where
+    A(p, m) sums e^{m Phi} over the primitive orbits of period p, and
+    p A(p, 1) = sum_{d | p} mu(d) tr_d(p / d); k = 0 counts.  Plain
+    Moebius inversion (k fixed) is wrong once phi != 0.  Word frequencies
+    follow the same inversion, with the rotations that start with the
+    word w in place of the trace: those of orbits at least as long as w
+    are e^{Phi(w[1:])} U_k[N - R(w[1:])][w[-1], w[0]]; a shorter orbit
+    counts when w is periodic with its length (the periodicity mask)."""
+    sft_w, roof_w, states, phihat = _prepare(system, phi)
+    L, R = _lattice(roof_w, t)
+    P = int(math.floor(t * L + 1e-9))
+    A = sft_w.transitions.astype(float)
+    k = np.arange(P + 1)
+    U = _tick_dp(A, R, np.exp(np.outer(k, phihat)),
+                 [P] + [P // d for d in k[1:]])
+    # U[N][k] is row off[N] + k of Ucat; (d, N) runs over the pairs with
+    # d square-free and d N <= P
+    Ucat = np.concatenate(U)
+    off = np.cumsum([0] + [len(u) for u in U])
+    mu = _mobius(P)
+    d, N = np.nonzero(mu[:, None] * (np.outer(k, k[1:]) <= P))
+    N += 1
+    tr = np.einsum("pjj,j->p", Ucat, R)
+    p = np.maximum(k, 1)
+    counts = np.rint(np.bincount(d * N, mu[d] * tr[off[N]], P + 1) / p)
+    sums = np.bincount(d * N, mu[d] * tr[off[N] + d], P + 1) / p
+    if not np.all(np.isfinite(sums)):
+        raise NonConvergenceError(f"closed-orbit sums overflow on {P} "
+                                  f"lattice ticks")
+    if not depth or not P:
+        return L, counts.astype(np.int64), sums, None, None
+
+    W = np.arange(len(R))[:, None]  # admissible words of states
+    for _ in range(max(depth, phi.width) - phi.width):
+        i, j = np.nonzero(A[W[:, -1]])
+        W = np.column_stack([W[i], j])
+    first, last = W[:, 0], W[:, -1]
+    Rc = np.cumsum(R[W], axis=1)
+    Fc = np.cumsum(phihat[W], axis=1)
+    # rotations of N ticks that start with a word at least as long as the
+    # word: the word, then a path of N - Rin ticks back to its first state;
+    # Z[r, d] = sum_N U[N - lag_r][d] / N for each distinct lag Rin
+    Rin, Fin = Rc[:, -1] - R[first], Fc[:, -1] - phihat[first]
+    lags, r = np.unique(Rin, return_inverse=True)
+    Z = np.zeros((len(lags), P + 1) + A.shape)
+    for z, lag in zip(Z, lags):
+        sel = N > lag
+        np.add.at(z, d[sel], Ucat[off[N[sel] - lag] + d[sel]]
+                  / N[sel, None, None])
+    ds = np.flatnonzero(mu)
+    marks = Z[r[:, None], ds, last[:, None], first[:, None]]
+    acc = (marks * np.exp(np.outer(Fin, ds))) @ (mu[ds] / ds)
+    seen = marks[:, 0] > 0
+    # rotations of orbits of m < len(word) states: the periodicity mask
+    per = np.zeros((len(W), W.shape[1] - 1), dtype=bool)
+    for m in range(1, W.shape[1]):
+        per[:, m - 1] = ((W[:, m:] == W[:, :-m]).all(axis=1)
+                         & (A[W[:, m - 1], first] > 0))
+    i, m = np.nonzero(per & (Rc[:, :-1] <= P))
+    Nw, Fw = Rc[i, m, None], Fc[i, m, None]
+    inside = ds * Nw <= P
+    np.add.at(acc, i, np.where(inside, mu[ds] / (ds * Nw) * np.exp(
+        np.where(inside, ds * Fw, 0.0)), 0.0).sum(axis=1))
+    seen[i] = True
+    weights = R[first] * acc
+    if not np.all(np.isfinite(weights)):
+        raise NonConvergenceError(f"closed-orbit sums overflow on {P} "
+                                  f"lattice ticks")
+    S = np.array(states)
+    words = np.concatenate([S[W[:, :-1], 0], S[last]], axis=1)
+    return L, counts.astype(np.int64), sums, words[seen], weights[seen]
 
 
 def _distance_potential_pressure(system: Suspension,

@@ -10,6 +10,9 @@ from thermoflow import (
     BiWord,
     CylinderPotential,
     OrbitSegment,
+    Roof,
+    Sft,
+    Suspension,
     WeakStarConfig,
     birkhoff,
     deviation_frequency,
@@ -116,19 +119,26 @@ def test_weak_star_bernoulli_closed_form(full2_unit):
 
 # --- equidistribution ----------------------------------------------------------
 
-def test_equidistribution_rose2_both_potentials(rose2):
-    system = graph_suspension(rose2)
-    phi0 = zero_potential()
-    phi_ab = CylinderPotential(1, {(0,): 0.15, (1,): 0.0,
-                                   (2,): -0.1, (3,): 0.05})
-    for phi in (phi0, phi_ab):
-        target = measure_statistics(equilibrium_state(system, phi), CFG)
-        Ds = []
-        for t in (4.0, 8.0, 12.0):
-            emp, C, n = weighted_orbit_measure(system, phi, t, CFG)
-            Ds.append(weak_star_distance(emp, target, CFG))
-        assert Ds[0] >= Ds[1] >= Ds[2]
-        assert Ds[2] < 0.05
+def test_equidistribution_rose2_both_potentials(rose2, theta):
+    """D(weighted orbit measure, equilibrium statistics) falls along a
+    ladder of period cutoffs up to t = 30, on rose2 (criterion 7's inputs)
+    and on the bipartite theta graph."""
+    ladders = (
+        (rose2, CylinderPotential(1, {(0,): 0.15, (1,): 0.0,
+                                      (2,): -0.1, (3,): 0.05})),
+        (theta, CylinderPotential(1, {(s,): 0.04 * (s - 2.5)
+                                      for s in range(6)})),
+    )
+    for graph, phi_ab in ladders:
+        system = graph_suspension(graph)
+        for phi in (zero_potential(), phi_ab):
+            target = measure_statistics(equilibrium_state(system, phi), CFG)
+            Ds = []
+            for t in (4.0, 8.0, 12.0, 20.0, 30.0):
+                emp, C, n = weighted_orbit_measure(system, phi, t, CFG)
+                Ds.append(weak_star_distance(emp, target, CFG))
+            assert all(a >= b for a, b in zip(Ds, Ds[1:])), Ds
+            assert Ds[-1] < 0.05, Ds
 
 
 def test_weighted_measure_single_orbit(rose2):
@@ -164,6 +174,22 @@ def test_gurevic_periodic_consistency(rose2):
 
 
 # --- rate function --------------------------------------------------------------
+
+def test_legendre_range_reaches_long_cycles():
+    """The psi-range must come from every cycle: on an 8-cycle with a loop
+    at 0, psi = 1 on symbol 3 averages between 0 (the loop) and 1/8 (the
+    8-cycle).  Scanning only short cycles gave (0, 0) and an infinite
+    Legendre rate at eps = 0.02."""
+    A = np.zeros((8, 8), dtype=int)
+    A[np.arange(8), (np.arange(8) + 1) % 8] = 1
+    A[0, 0] = 1
+    system = Suspension(Sft(A.tolist()), Roof([1.0] * 8))
+    psi = CylinderPotential(1, {(s,): float(s == 3) for s in range(8)})
+    q = {m: rate_function(system, zero_potential(), psi, [0.02], m)[0.02]
+         for m in ("legendre", "direct")}
+    assert math.isfinite(q["legendre"])
+    assert abs(q["legendre"] - q["direct"]) < 1e-3, q
+
 
 def test_rate_function_bernoulli_golden(full2_unit):
     psi = ind1()

@@ -1,5 +1,5 @@
 """Core SFT layer: admissibility, irreducibility, gap bounds, gap words,
-primitive-cycle enumeration, and the canonical bi-infinite word form."""
+and the canonical bi-infinite word form."""
 
 import itertools
 
@@ -11,7 +11,6 @@ from thermoflow import (
     BiWord,
     Sft,
     WeakSpecificationError,
-    enumerate_primitive_cycles,
     glue_words,
     is_admissible_word,
     is_irreducible,
@@ -141,34 +140,6 @@ def _random_word(sft, rng, max_len=4):
         succ = sft.successors(word[-1])
         word.append(int(succ[rng.integers(len(succ))]))
     return tuple(word)
-
-
-# --- primitive cycles -------------------------------------------------------
-
-def test_enumerate_primitive_cycles_examples(rose2):
-    from thermoflow import build_edge_sft
-    full2 = Sft([[1, 1], [1, 1]])
-    assert sorted(enumerate_primitive_cycles(full2, 1)) == [(0,), (1,)]
-    golden = Sft([[1, 1], [1, 0]])
-    assert sorted(enumerate_primitive_cycles(golden, 2)) == [(0,), (0, 1)]
-    rose_sft, _ = build_edge_sft(rose2)
-    assert len(enumerate_primitive_cycles(rose_sft, 1)) == 4
-
-
-def test_periodic_count_equals_trace():
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        sft = random_irreducible_sft(rng, max_symbols=4)
-        cycles = enumerate_primitive_cycles(sft, 12)
-        A = np.array(sft.transitions, dtype=object)
-        for n in range(1, 13):
-            trace = int(np.trace(np.linalg.matrix_power(
-                np.array(sft.transitions, dtype=np.int64), n)))
-            # each primitive cycle of length d | n contributes d fixed
-            # points of sigma^n
-            count = sum(len(c) for c in cycles if n % len(c) == 0)
-            assert count == trace
-        del A
 
 
 # --- BiWord canonical form --------------------------------------------------

@@ -34,6 +34,7 @@ from thermoflow import io as tfio
 from thermoflow.thermo import _perron
 
 from conftest import data_path
+from cycle_reference import primitive_orbits
 
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
@@ -127,6 +128,17 @@ def test_pressure_rejects_reducible():
     bad = Suspension(Sft([[1, 1], [0, 1]]), Roof([1.0, 1.0]))
     with pytest.raises(Exception):
         pressure(bad, zero_potential(), "spectral")
+
+
+def test_closed_orbit_diagnostics(theta):
+    """gurevic and separated report the roof lattice 1/L and the ticks
+    they ran on; gurevic also reports the primitive orbits it summed."""
+    system = graph_suspension(theta)  # roofs 1, 3/2, 2: L = 2
+    g = pressure(system, zero_potential(), "gurevic", max_period=12.0)
+    assert (g.diagnostics["lattice"], g.diagnostics["ticks"]) == (2, 24)
+    assert g.diagnostics["n_orbits"] == len(primitive_orbits(system, 12.0))
+    s = pressure(system, zero_potential(), "separated", max_period=12.0)
+    assert (s.diagnostics["lattice"], s.diagnostics["ticks"]) == (2, 25)
 
 
 def test_distance_potential_pressure_is_spectral_only(rose2):
