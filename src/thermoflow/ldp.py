@@ -154,7 +154,8 @@ def weighted_orbit_measure(system: Suspension, phi, t: float,
     Per(t) holds the primitive closed orbits of period <= t.  The sums are
     exact transfer-matrix traces on the roof lattice (`thermo._orbit_sums`),
     so the roof values must be rational."""
-    _, counts, sums, words, weights = _orbit_sums(system, phi, t, cfg.depth)
+    _, counts, sums, _, words, weights = _orbit_sums(system, phi, t,
+                                                     cfg.depth)
     if not counts.any():
         raise ValueError("no closed orbits yet")
     C = float(sums.sum())

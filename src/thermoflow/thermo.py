@@ -11,9 +11,11 @@ Pressure is computed three ways:
   SFTs (bipartite graphs) too.
 * ``separated``: growth-rate regression of exact phi-weighted partition
   sums Z(t) over words whose cumulative roof lands in (t - max r, t].
-* ``gurevic``: growth rate of period-weighted sums over primitive closed
-  orbits, S(t) = sum_{period <= t} period * e^{Phi(orbit)}; the period
-  weighting cancels the 1/t prefactor of the orbit count.
+* ``gurevic``: growth rate of the period-weighted closed-orbit sum
+  psi(t) = sum tau(gamma) e^{Phi(gamma)} over closed orbits of period
+  <= t with their repeats, tau the primitive period, across adjacent
+  windows of periods; the period weighting cancels the 1/t prefactor of
+  the orbit count.
 
 Both finite-t methods, and ``ldp.weighted_orbit_measure``, run on one
 lattice engine and need rational roof values: on the lattice 1/L symbol s
@@ -453,30 +455,40 @@ def _separated_pressure(A: np.ndarray, roof: Roof, phihat, t_grid,
 
 def _gurevic_pressure(system: Suspension, phi: CylinderPotential,
                       max_period: float) -> PressureResult:
-    L, counts, sums, _, _ = _orbit_sums(system, phi, max_period)
-    p = np.flatnonzero(counts)
-    if not len(p):
-        raise NonConvergenceError("no closed orbits up to max_period")
-    periods = p / L
-    csum = np.cumsum(periods * sums[p])
+    """Growth rate of psi(t) = sum tau(gamma) e^{Phi(gamma)} over the
+    closed orbits gamma of period <= t, repeats included, with tau the
+    primitive period (the flow's Chebyshev function).
 
-    # sample at the times where the sum actually jumps (it is constant in
-    # between), restricted to the stabilized upper half of the range
-    upper = periods >= max_period / 2 - 1e-9
-    if np.count_nonzero(upper) < 3:
-        raise NonConvergenceError("gurevic: too few grid points with orbits")
-    ts = periods[upper]
-    logs = np.log(csum[upper])
-    diffs = list(np.diff(logs) / np.diff(ts))
-    # the quotients oscillate around the limit with shrinking amplitude;
-    # the last one is the estimate, half the last oscillation the error
-    value = diffs[-1]
-    err = 0.5 * abs(diffs[-1] - diffs[-2]) + 2.0 / max_period ** 2
-    return PressureResult(float(value), float(err), "gurevic",
-                          {"grid": ts.tolist(),
-                           "log_S": logs.tolist(),
-                           "difference_quotients": diffs,
-                           "finite_t_value": logs[-1] / ts[-1],
+    psi is read on the lattice points that are multiples of the tick
+    graph's period g, so that it is compared over whole periods.  W(N) =
+    psi(N) - psi(N - h) sums the orbits whose period lies in the last h
+    steps before N, h a quarter of the range; the estimate is the growth
+    rate log(W(N) / W(N - h)) / h at the top N, and the error is how far
+    that rate moves as N slides back one window.  The windows cancel the
+    constant term of psi, and W is a sum of powers of the tick matrix's
+    eigenvalues, so the rate is exact for one eigenvalue and otherwise
+    oscillates with the second one (theta).  The primitive-orbit sums
+    alone lack the repeats, which bias finite-t rates upwards (0.053 on
+    golden (1,2) at t = 12)."""
+    L, counts, _, traces, _, _ = _orbit_sums(system, phi, max_period)
+    if not counts.any():
+        raise NonConvergenceError("no closed orbits up to max_period")
+    g = int(np.gcd.reduce(np.flatnonzero(traces)))
+    psi = np.cumsum(traces)[::g] / L
+    J = len(psi) - 1
+    h = J // 4
+    ends = np.arange(J - h, J + 1)
+    top, below = psi[ends] - psi[ends - h], psi[ends - h] - psi[ends - 2 * h]
+    if h < 1 or not below[-1] > 0:
+        raise NonConvergenceError("gurevic: too few lattice points with "
+                                  "closed orbits")
+    ok = below > 0
+    rates = L / g * np.log(top[ok] / below[ok]) / h
+    value = rates[-1]
+    return PressureResult(float(value), float(np.max(np.abs(rates - value))),
+                          "gurevic",
+                          {"t_grid": (ends[ok] * g / L).tolist(),
+                           "rates": rates.tolist(), "window": h * g / L,
                            "lattice": L, "ticks": len(counts) - 1,
                            "n_orbits": int(counts.sum())})
 
@@ -542,9 +554,12 @@ def _orbit_sums(system: Suspension, phi: CylinderPotential, t: float,
                 depth: int = 0) -> tuple:
     """Exact sums over the primitive closed orbits gamma of period <= t.
 
-    Returns (L, counts, sums, words, weights).  For p = 0..floor(L t),
-    counts[p] is the number of primitive orbits of lattice period p and
-    sums[p] the sum of their e^{Phi(gamma)}.  With depth > 0, words lists
+    Returns (L, counts, sums, traces, words, weights).  For
+    p = 0..floor(L t), counts[p] is the number of primitive orbits of
+    lattice period p (a float, exact below 2^53), sums[p] the sum of their e^{Phi(gamma)}, and
+    traces[p] = tr_1(p) sums e^{Phi} over the closed orbits of p ticks
+    counted with their repeats, each weighted by the lattice period of
+    its primitive orbit.  With depth > 0, words lists
     the admissible words of length max(depth, phi.width) that occur in
     some gamma, in lexicographic order, and weights[i] is
     sum_gamma e^{Phi(gamma)} mu_gamma(words[i]), with mu_gamma the
@@ -580,11 +595,13 @@ def _orbit_sums(system: Suspension, phi: CylinderPotential, t: float,
     p = np.maximum(k, 1)
     counts = np.rint(np.bincount(d * N, mu[d] * tr[off[N]], P + 1) / p)
     sums = np.bincount(d * N, mu[d] * tr[off[N] + d], P + 1) / p
-    if not np.all(np.isfinite(sums)):
+    traces = np.zeros(P + 1)
+    traces[1:] = tr[off[1:-1] + 1]
+    if not np.all(np.isfinite(sums)) or not np.all(np.isfinite(traces)):
         raise NonConvergenceError(f"closed-orbit sums overflow on {P} "
                                   f"lattice ticks")
     if not depth or not P:
-        return L, counts.astype(np.int64), sums, None, None
+        return L, counts, sums, traces, None, None
 
     W = np.arange(len(R))[:, None]  # admissible words of states
     for _ in range(max(depth, phi.width) - phi.width):
@@ -624,7 +641,7 @@ def _orbit_sums(system: Suspension, phi: CylinderPotential, t: float,
                                   f"lattice ticks")
     S = np.array(states)
     words = np.concatenate([S[W[:, :-1], 0], S[last]], axis=1)
-    return L, counts.astype(np.int64), sums, words[seen], weights[seen]
+    return L, counts, sums, traces, words[seen], weights[seen]
 
 
 def _distance_potential_pressure(system: Suspension,

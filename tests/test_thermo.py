@@ -130,6 +130,26 @@ def test_pressure_rejects_reducible():
         pressure(bad, zero_potential(), "spectral")
 
 
+def test_gurevic_error_covers_spectral(rose2, theta, golden12, full2_unit):
+    """The gurevic error bar covers the spectral pressure and stays below
+    0.1, for phi = 0 and a seeded phi, on the benchmark models at their
+    max_period (the bipartite theta oscillates the most), and on the
+    periodic 2-cycle, whose closed orbits have even lattice periods only."""
+    rng = np.random.default_rng(17)
+    cycle2 = Suspension(Sft([[0, 1], [1, 0]]), Roof([1.0, 1.0]))
+    for system, max_period in ((graph_suspension(rose2), 9.0),
+                               (graph_suspension(theta), 12.0),
+                               (golden12, 12.0), (full2_unit, 12.0),
+                               (cycle2, 12.0)):
+        n = system.sft.n_symbols
+        for phi in (zero_potential(),
+                    phi1(system.sft, rng.uniform(-0.2, 0.2, n).tolist())):
+            truth = pressure(system, phi, "spectral").value
+            v, err = pressure(system, phi, "gurevic", max_period=max_period)
+            assert abs(v - truth) <= err + 1e-9, (system, v, err, truth)
+            assert err <= 0.1
+
+
 def test_closed_orbit_diagnostics(theta):
     """gurevic and separated report the roof lattice 1/L and the ticks
     they ran on; gurevic also reports the primitive orbits it summed."""
