@@ -48,6 +48,6 @@ def run(out_dir: str, t_grid: str) -> int:
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="results/equidistribution")
-    ap.add_argument("--t-grid", default="4,6,8,10,12")
+    ap.add_argument("--t-grid", default="4,8,12,16,20,25,30")
     args = ap.parse_args()
     sys.exit(run(args.out, args.t_grid))

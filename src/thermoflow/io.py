@@ -27,7 +27,6 @@ __all__ = [
     "load_graph",
     "load_potential",
     "load_point",
-    "dump_point",
     "parse_length",
 ]
 
@@ -65,12 +64,6 @@ def load_graph(obj):
 def load_point(obj) -> SuspPoint:
     base = BiWord.from_json(obj)
     return SuspPoint(base, float(obj.get("height", 0.0)))
-
-
-def dump_point(p: SuspPoint) -> dict:
-    out = p.base.to_json()
-    out["height"] = p.height
-    return out
 
 
 def load_potential(obj, graph=None):

@@ -154,17 +154,15 @@ def weighted_orbit_measure(system: Suspension, phi, t: float,
     Per(t) holds the primitive closed orbits of period <= t.  The sums are
     exact transfer-matrix traces on the roof lattice (`thermo._orbit_sums`),
     so the roof values must be rational."""
-    _, counts, sums, _, words, weights = _orbit_sums(system, phi, t,
-                                                     cfg.depth)
+    _, counts, _, words, weights = _orbit_sums(system, phi, t, cfg.depth)
     if not counts.any():
         raise ValueError("no closed orbits yet")
-    C = float(sums.sum())
+    C = float(weights.sum())
     freqs = {}
     for k in range(words.shape[1], 0, -1):
         # the words are sorted, so words with equal k-prefixes are adjacent
-        head = np.ones(len(words), dtype=bool)
-        head[1:] = (words[1:, :k] != words[:-1, :k]).any(axis=1)
-        starts = np.flatnonzero(head)
+        new = (words[1:, :k] != words[:-1, :k]).any(axis=1)
+        starts = np.flatnonzero(np.r_[True, new])
         words, weights = words[starts, :k], np.add.reduceat(weights, starts)
         if k <= cfg.depth:
             freqs[k] = dict(zip(map(tuple, words.tolist()),
@@ -268,39 +266,31 @@ def _psi_range(system: Suspension, psi: CylinderPotential):
     and greatest cycle average psihat(c) / r(c) over closed orbits c, on
     the SFT recoded to psi's width."""
     sft_w, roof_w, _, psihat = _prepare(system, psi)
-    r = np.array(roof_w.values, dtype=float)
     A = sft_w.transitions
+    r = np.array(roof_w.values, dtype=float)
     return (-_max_cycle_ratio(A, -psihat, r), _max_cycle_ratio(A, psihat, r))
 
 
 def _max_cycle_ratio(A: np.ndarray, num: np.ndarray,
                      den: np.ndarray) -> float:
     """max over cycles c of num(c) / den(c), den > 0, by Dinkelbach's
-    parametric search.  For lam below the maximum some cycle has
-    sum(num - lam den) > 0; the ratio of the cycle of best mean weight
-    is the next lam, and the search stops when no cycle ratio exceeds
-    lam.  Best-mean cycles come from max-plus powers of the entering-edge
-    weights, walks of up to n edges, argmax predecessors kept."""
-    n = len(num)
+    parametric search: while some cycle has sum(num - lam den) > 0, the
+    ratio of the cycle of best mean weight is the next lam.  Best-mean
+    cycles come from max-plus powers (walks of up to n edges) of the
+    entering-edge weights, with argmax predecessors kept."""
     lam = float(np.min(num / den))  # no cycle ratio lies below it
     while True:
         w = np.where(A, (num - lam * den)[None, :], -np.inf)
-        Pk, preds = w, [None]
-        best, bi, bk = -np.inf, 0, 1
-        for k in range(1, n + 1):
-            if k > 1:
-                cand = Pk[:, :, None] + w[None, :, :]
-                arg = cand.argmax(axis=1)
-                Pk = np.take_along_axis(cand, arg[:, None, :], axis=1)[:, 0]
-                preds.append(arg)
-            i = int(np.argmax(np.diag(Pk)))
-            if Pk[i, i] / k > best:
-                best, bi, bk = Pk[i, i] / k, i, k
-        walk, j = [], bi
-        for k in range(bk, 1, -1):
-            walk.append(j)
-            j = preds[k - 1][bi, j]
-        walk.append(j)
+        walks, preds = [w], []
+        for _ in range(len(num) - 1):
+            cand = walks[-1][:, :, None] + w[None]
+            preds.append(cand.argmax(axis=1))
+            walks.append(cand.max(axis=1))
+        means = [np.diag(Pk) / (k + 1) for k, Pk in enumerate(walks)]
+        k, i = np.unravel_index(np.argmax(means), (len(means), len(num)))
+        walk = [i]
+        for pred in reversed(preds[:k]):
+            walk.append(pred[i, walk[-1]])
         ratio = float(num[walk].sum() / den[walk].sum())
         if not ratio > lam:
             return lam

@@ -13,17 +13,11 @@ Pressure is computed three ways:
   sums Z(t) over words whose cumulative roof lands in (t - max r, t].
 * ``gurevic``: growth rate of the period-weighted closed-orbit sum
   psi(t) = sum tau(gamma) e^{Phi(gamma)} over closed orbits of period
-  <= t with their repeats, tau the primitive period, across adjacent
-  windows of periods; the period weighting cancels the 1/t prefactor of
-  the orbit count.
+  <= t with their repeats, tau the primitive period.
 
-Both finite-t methods, and ``ldp.weighted_orbit_measure``, run on one
-lattice engine and need rational roof values: on the lattice 1/L symbol s
-lasts R_s = L r_s ticks, and one dynamic programme over ticks gives the
-e^{k phihat}-weighted path matrices U_k[N] of N ticks.  Their traces sum
-every closed orbit with its repeats, and a Moebius inversion with the
-exponent k twisted along turns them into exact sums over primitive orbits
-(`_orbit_sums`).  Sums up to time t cost L t ticks, at most _MAX_TICKS.
+Both finite-t methods and ``ldp.weighted_orbit_measure`` read exact
+closed-orbit sums from one lattice engine (`_orbit_sums`), which needs
+rational roof values and L t <= _MAX_TICKS ticks on the lattice 1/L.
 
 Equilibrium states are built from Perron eigendata (Parry/Gibbs kernel),
 on the w-block recoding when the potential has width w > 1.  Flow entropy
@@ -413,7 +407,7 @@ def _separated_pressure(A: np.ndarray, roof: Roof, phihat, t_grid,
     L, R = _lattice(roof, max_period)
     Nmax = int(math.ceil(max_period * L)) + 1
     weights = np.exp(phihat)
-    U = _tick_dp(A, R, weights[None, :], [Nmax])
+    U = _tick_dp(A, R, weights[None, :], np.array([Nmax]))
     # totals[N]: sum of e^Phi over admissible words with total ticks N; a
     # word is its first symbol s followed by a path of N - R_s ticks from s
     paths = np.array([u[0].sum(axis=1) for u in U])
@@ -455,25 +449,16 @@ def _separated_pressure(A: np.ndarray, roof: Roof, phihat, t_grid,
 
 def _gurevic_pressure(system: Suspension, phi: CylinderPotential,
                       max_period: float) -> PressureResult:
-    """Growth rate of psi(t) = sum tau(gamma) e^{Phi(gamma)} over the
-    closed orbits gamma of period <= t, repeats included, with tau the
-    primitive period (the flow's Chebyshev function).
-
-    psi is read on the lattice points that are multiples of the tick
-    graph's period g, so that it is compared over whole periods.  W(N) =
-    psi(N) - psi(N - h) sums the orbits whose period lies in the last h
-    steps before N, h a quarter of the range; the estimate is the growth
-    rate log(W(N) / W(N - h)) / h at the top N, and the error is how far
-    that rate moves as N slides back one window.  The windows cancel the
-    constant term of psi, and W is a sum of powers of the tick matrix's
-    eigenvalues, so the rate is exact for one eigenvalue and otherwise
-    oscillates with the second one (theta).  The primitive-orbit sums
-    alone lack the repeats, which bias finite-t rates upwards (0.053 on
-    golden (1,2) at t = 12)."""
-    L, counts, _, traces, _, _ = _orbit_sums(system, phi, max_period)
-    if not counts.any():
-        raise NonConvergenceError("no closed orbits up to max_period")
-    g = int(np.gcd.reduce(np.flatnonzero(traces)))
+    """On whole periods g of the tick graph, W(N) = psi(N) - psi(N - h)
+    sums the last h steps, h a quarter of the range; the estimate is
+    log(W(N) / W(N - h)) / h at the top N, the error how far it moves as N
+    slides back one window.  W is a sum of powers of the tick matrix's
+    eigenvalues: the rate is exact for one eigenvalue, and oscillates with
+    the second otherwise (theta).  Primitive orbits alone lack the
+    repeats, which bias finite-t rates up (0.053 on golden (1,2) at
+    t = 12)."""
+    L, counts, traces, _, _ = _orbit_sums(system, phi, max_period)
+    g = int(np.gcd.reduce(np.flatnonzero(traces))) or 1
     psi = np.cumsum(traces)[::g] / L
     J = len(psi) - 1
     h = J // 4
@@ -503,9 +488,8 @@ _MAX_TICKS = 4096
 
 def _lattice(roof: Roof, t: float) -> tuple:
     """(L, R): the least L with every roof value on the lattice 1/L, and
-    the ticks R_s = L r_s of each symbol.  Raises ValueError when a roof
-    value is not rational (denominator above 10^6) or when L t exceeds
-    _MAX_TICKS."""
+    the ticks R_s = L r_s.  ValueError for a roof value that is not
+    rational (denominator above 10^6) or for L t above _MAX_TICKS."""
     fr = [Fraction(v).limit_denominator(10 ** 6) for v in roof.values]
     if any(float(f) != float(v) for f, v in zip(fr, roof.values)):
         raise ValueError("closed-orbit sums need rational roof values")
@@ -517,13 +501,12 @@ def _lattice(roof: Roof, t: float) -> tuple:
 
 
 def _tick_dp(A: np.ndarray, R: np.ndarray, weights: np.ndarray,
-             top) -> list:
+             top: np.ndarray) -> list:
     """U[N] for N = 0..top[0]: U[N][k, i, j] sums prod_{l=1..m}
     weights[k, s_l] over the admissible paths i = s_0, s_1, ..., s_m = j
     (m >= 0) of R[s_1] + ... + R[s_m] = N ticks.  Row k is kept while
     N <= top[k] (top is non-increasing), so U[N] has one row per k with
     top[k] >= N."""
-    top = np.asarray(top)
     steps = [(rho, (A * (R == rho))[None] * weights[:, None, :])
              for rho in np.unique(R)]
     U = [np.broadcast_to(np.eye(len(R)), (len(top),) + A.shape)]
@@ -537,71 +520,54 @@ def _tick_dp(A: np.ndarray, R: np.ndarray, weights: np.ndarray,
     return U
 
 
-def _mobius(n: int) -> np.ndarray:
-    """mu[d] for d = 0..n (mu[0] = 0)."""
-    mu = np.ones(n + 1, dtype=np.int64)
-    mu[0] = 0
-    prime = np.ones(n + 1, dtype=bool)
-    for q in range(2, n + 1):
-        if prime[q]:
-            prime[2 * q::q] = False
-            mu[q::q] *= -1
-            mu[q * q::q * q] = 0
-    return mu
-
-
 def _orbit_sums(system: Suspension, phi: CylinderPotential, t: float,
-                depth: int = 0) -> tuple:
-    """Exact sums over the primitive closed orbits gamma of period <= t.
+                depth: int = None) -> tuple:
+    """Exact sums over the closed orbits gamma of period <= t: (L, counts,
+    traces, words, weights).  For p = 0..floor(L t), counts[p] is the
+    number of primitive orbits of lattice period p (exact below 2^53) and
+    traces[p] = tr_1(p) sums e^{Phi} over the closed orbits of p ticks,
+    repeats included, times the lattice period of their primitive orbit.
+    Unless depth is None, words lists the admissible words of length
+    max(depth, phi.width) that occur in primitive orbits, sorted, and
+    weights[i] = sum_gamma e^{Phi(gamma)} mu_gamma(words[i]) over them.
 
-    Returns (L, counts, sums, traces, words, weights).  For
-    p = 0..floor(L t), counts[p] is the number of primitive orbits of
-    lattice period p (a float, exact below 2^53), sums[p] the sum of their e^{Phi(gamma)}, and
-    traces[p] = tr_1(p) sums e^{Phi} over the closed orbits of p ticks
-    counted with their repeats, each weighted by the lattice period of
-    its primitive orbit.  With depth > 0, words lists
-    the admissible words of length max(depth, phi.width) that occur in
-    some gamma, in lexicographic order, and weights[i] is
-    sum_gamma e^{Phi(gamma)} mu_gamma(words[i]), with mu_gamma the
-    residence-time frequency; otherwise both are None.
-
-    Runs on the SFT recoded to the potential's width.  A closed path of N
-    ticks is a rotation of a q-fold repeat of a primitive orbit gamma of
-    lattice period p = N / q, and its rotations, each weighted by the
-    ticks R of its last symbol, add up to p e^{q Phi(gamma)}.  So
-    tr_k(N) = sum_j R_j U_k[N]_jj = sum_{p | N} p A(p, k N / p), where
-    A(p, m) sums e^{m Phi} over the primitive orbits of period p, and
-    p A(p, 1) = sum_{d | p} mu(d) tr_d(p / d); k = 0 counts.  Plain
-    Moebius inversion (k fixed) is wrong once phi != 0.  Word frequencies
-    follow the same inversion, with the rotations that start with the
-    word w in place of the trace: those of orbits at least as long as w
-    are e^{Phi(w[1:])} U_k[N - R(w[1:])][w[-1], w[0]]; a shorter orbit
-    counts when w is periodic with its length (the periodicity mask)."""
+    On the SFT recoded to phi's width, the rotations of a q-fold repeat of
+    a primitive orbit of lattice period p, each weighted by the ticks R of
+    its last symbol, add up to p e^{q Phi}.  So tr_k(N) = sum_j R_j
+    U_k[N]_jj = sum_{p | N} p A(p, k N / p), A(p, m) the sum of e^{m Phi}
+    over the primitive orbits of period p, and p A(p, 1) = sum_{d | p}
+    mu(d) tr_d(p / d): Moebius inversion with the exponent twisted along
+    (k fixed is wrong once phi != 0); k = 0 counts.  Word weights invert
+    the rotations that start with the word w instead: for orbits at least
+    as long as w, e^{Phi(w[1:])} U_k[N - R(w[1:])][w[-1], w[0]]; a shorter
+    orbit counts when w is periodic with its length (periodicity mask)."""
     sft_w, roof_w, states, phihat = _prepare(system, phi)
     L, R = _lattice(roof_w, t)
     P = int(math.floor(t * L + 1e-9))
     A = sft_w.transitions.astype(float)
     k = np.arange(P + 1)
     U = _tick_dp(A, R, np.exp(np.outer(k, phihat)),
-                 [P] + [P // d for d in k[1:]])
-    # U[N][k] is row off[N] + k of Ucat; (d, N) runs over the pairs with
-    # d square-free and d N <= P
-    Ucat = np.concatenate(U)
+                 np.r_[P, P // k[1:]])
+    Ucat = np.concatenate(U)  # U[N][k] is its row off[N] + k
     off = np.cumsum([0] + [len(u) for u in U])
-    mu = _mobius(P)
-    d, N = np.nonzero(mu[:, None] * (np.outer(k, k[1:]) <= P))
-    N += 1
+    # Moebius function: sum_{d | n} mu(d) = [n = 1]
+    mu = np.zeros(P + 1, dtype=np.int64)
+    mu[1:2] = 1  # a slice: no index 1 when P = 0
+    for q in range(1, P + 1):
+        mu[2 * q::q] -= mu[q]
+    # the pairs (d, N) with d square-free and d N <= P
+    d, N = np.nonzero((mu != 0)[:, None] & (k > 0)
+                      & (k[:, None] <= P // np.maximum(k, 1)))
     tr = np.einsum("pjj,j->p", Ucat, R)
-    p = np.maximum(k, 1)
-    counts = np.rint(np.bincount(d * N, mu[d] * tr[off[N]], P + 1) / p)
-    sums = np.bincount(d * N, mu[d] * tr[off[N] + d], P + 1) / p
+    counts = np.rint(np.bincount(d * N, mu[d] * tr[off[N]], P + 1)
+                     / np.maximum(k, 1))
     traces = np.zeros(P + 1)
     traces[1:] = tr[off[1:-1] + 1]
-    if not np.all(np.isfinite(sums)) or not np.all(np.isfinite(traces)):
+    if not np.all(np.isfinite(tr)):
         raise NonConvergenceError(f"closed-orbit sums overflow on {P} "
                                   f"lattice ticks")
-    if not depth or not P:
-        return L, counts, sums, traces, None, None
+    if depth is None or not P:
+        return L, counts, traces, None, None
 
     W = np.arange(len(R))[:, None]  # admissible words of states
     for _ in range(max(depth, phi.width) - phi.width):
@@ -641,7 +607,7 @@ def _orbit_sums(system: Suspension, phi: CylinderPotential, t: float,
                                   f"lattice ticks")
     S = np.array(states)
     words = np.concatenate([S[W[:, :-1], 0], S[last]], axis=1)
-    return L, counts, sums, traces, words[seen], weights[seen]
+    return L, counts, traces, words[seen], weights[seen]
 
 
 def _distance_potential_pressure(system: Suspension,
