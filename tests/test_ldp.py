@@ -176,10 +176,10 @@ def test_gurevic_periodic_consistency(rose2):
 # --- rate function --------------------------------------------------------------
 
 def test_legendre_range_reaches_long_cycles():
-    """The psi-range must come from every cycle: on an 8-cycle with a loop
-    at 0, psi = 1 on symbol 3 averages between 0 (the loop) and 1/8 (the
-    8-cycle).  Scanning only short cycles gave (0, 0) and an infinite
-    Legendre rate at eps = 0.02."""
+    """The psi-range must reach cycles of every length: on an 8-cycle with
+    a loop at 0, psi = 1 on symbol 3 averages between 0 (the loop) and 1/8
+    (the 8-cycle), so mean + 0.02 is achievable and the Legendre rate at
+    eps = 0.02 is finite."""
     A = np.zeros((8, 8), dtype=int)
     A[np.arange(8), (np.arange(8) + 1) % 8] = 1
     A[0, 0] = 1
