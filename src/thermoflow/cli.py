@@ -16,14 +16,13 @@ import csv
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .sft import glue_words, min_gap_bound
+from .sft import BiWord, _close_word, glue_words, min_gap_bound
 from .suspension import OrbitSegment, Suspension
 from .graph import GraphModelError, graph_suspension
 from .thermo import (
@@ -215,11 +214,9 @@ def _random_segments(system: Suspension, rng, count=3, max_len=6):
             succ = system.sft.successors(word[-1])
             word.append(int(succ[rng.integers(len(succ))]))
         # close the word into a cycle so the segment lies on a genuine orbit
-        gap = glue_words(system.sft, (word[-1],), (word[0],))
-        cyc = tuple(word) + tuple(gap)
-        from .sft import BiWord
-        start = system.point(BiWord.periodic(cyc, phase=0), 0.0)
-        dur = float(sum(system.roof[s] for s in word))
+        cyc = _close_word(system.sft, word)
+        start = system.point(BiWord.periodic(cyc), 0.0)
+        dur = sum(system.roof.array[word].tolist())
         segs.append(OrbitSegment(start, dur))
     return segs
 

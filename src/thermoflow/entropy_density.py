@@ -16,17 +16,16 @@ weak* closeness of members is verified on seeded samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ldp import (EmpiricalMeasure, WeakStarConfig, empirical_measure,
-                  weak_star_distance)
-from .sft import (BiWord, Sft, WeakSpecificationError, glue_words,
-                  is_irreducible, min_gap_bound)
-from .suspension import (OrbitSegment, Roof, SuspPoint, Suspension,
-                         _fiber_times, _locate)
-from .thermo import MarkovMeasure, SuspendedMeasure
+                  measure_statistics, weak_star_distance)
+from .sft import (BiWord, Sft, WeakSpecificationError, _close_word,
+                  glue_words, is_irreducible, min_gap_bound)
+from .suspension import Roof, SuspPoint, Suspension, _fiber_times, _locate
+from .thermo import MarkovMeasure, SuspendedMeasure, entropy_and_mean
 
 __all__ = [
     "ApproxTarget",
@@ -178,11 +177,10 @@ def separated_generic_set(system: Suspension, mu: MarkovMeasure,
     if not is_irreducible(system.sft):
         raise WeakSpecificationError(
             "exact box counting needs an irreducible base shift")
-    if not (h < _flow_entropy(mu, system.roof)):
+    flow_mu = SuspendedMeasure(mu, system.roof)
+    if not (h < entropy_and_mean(flow_mu, None)[0]):
         raise ValueError("h must be strictly below the measure's entropy")
-    mean_roof = float(np.dot(mu.stationary,
-                             [system.roof[i] for i in range(2)]))
-    n = int(math.floor(t / mean_roof + 1e-9))
+    n = int(math.floor(t / flow_mu.mean_roof + 1e-9))
     if n < max(16, int(4.0 / eta)):
         raise ValueError("increase t")
     pi1 = float(mu.stationary[1])
@@ -196,7 +194,7 @@ def separated_generic_set(system: Suspension, mu: MarkovMeasure,
     rng = np.random.default_rng(seed)
     sample = _sample_from_box(cells, n, rng, k=min(20, count))
     dists = []
-    target = _markov_statistics(mu, system.roof, cfg)
+    target = measure_statistics(flow_mu, cfg)
     for w in sample:
         x = SuspPoint(BiWord.periodic(_close_word(system.sft, w)), 0.0)
         e = empirical_measure(system, x, float(t), cfg)
@@ -204,23 +202,8 @@ def separated_generic_set(system: Suspension, mu: MarkovMeasure,
     return SeparatedSet(n, count, log_count, h, t, box, tuple(dists))
 
 
-def _close_word(sft: Sft, w):
-    w = tuple(w)
-    if sft.allowed(w[-1], w[0]):
-        return w
-    return w + glue_words(sft, (w[-1],), (w[0],))
-
-
 def _flow_entropy(mu: MarkovMeasure, roof: Roof) -> float:
-    mean = float(np.dot(mu.stationary,
-                        [roof[i] for i in range(len(roof))]))
-    return mu.entropy() / mean
-
-
-def _markov_statistics(mu: MarkovMeasure, roof: Roof,
-                       cfg: WeakStarConfig) -> EmpiricalMeasure:
-    from .ldp import measure_statistics
-    return measure_statistics(SuspendedMeasure(mu, roof), cfg)
+    return entropy_and_mean(SuspendedMeasure(mu, roof), None)[0]
 
 
 def mixture_statistics(target: ApproxTarget, roof: Roof,
@@ -228,7 +211,7 @@ def mixture_statistics(target: ApproxTarget, roof: Roof,
                        ) -> EmpiricalMeasure:
     """Statistics of lambda = sum a_i mu_i at the flow level (time-average
     mixture weights are the a_i)."""
-    stats = [(a, _markov_statistics(m, roof, cfg))
+    stats = [(a, measure_statistics(SuspendedMeasure(m, roof), cfg))
              for m, a in target.components]
     freqs = {k: {} for k in range(1, cfg.depth + 1)}
     hist = None
@@ -437,7 +420,7 @@ def _build_block_chain(system: Suspension, target: ApproxTarget, L: int):
         for ib, pr in row.items():
             P[ia, ib] = pr
     emit = np.array([st[3] for st in states])
-    roofs = np.array([system.roof[int(e)] for e in emit])
+    roofs = system.roof.array[emit]
     # the chain is periodic (deterministic position cycling), so the
     # stationary vector comes from a direct linear solve, not iteration
     A = P.T - np.eye(n)
@@ -519,10 +502,8 @@ def ergodic_approximation(system: Suspension, target: ApproxTarget,
     h_mu = mixture_entropy(target, system.roof)
     if len(comps) == 1:
         mu = comps[0][0]
-        roofs = np.array([system.roof[i]
-                          for i in range(system.sft.n_symbols)])
         return ApproximationReport(
-            mu, roofs, eta, 0.0, h_mu, h_mu, 0,
+            mu, system.roof.array, eta, 0.0, h_mu, h_mu, 0,
             {"log_Em_rate": h_mu, "bound": h_mu, "note": "single ergodic "
              "component: target returned unchanged"}, ())
     tau = min_gap_bound(system.sft)

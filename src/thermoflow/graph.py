@@ -209,16 +209,14 @@ class MetricGraph:
 
 def build_edge_sft(g: MetricGraph):
     """Directed-edge SFT with non-backtracking transitions and roof = edge
-    lengths."""
+    lengths, kept exact."""
     n = g.n_dir
     A = [[0] * n for _ in range(n)]
     for e in range(n):
         for e2 in range(n):
             if g.head[e] == g.tail[e2] and e2 != g.reversal(e):
                 A[e][e2] = 1
-    sft = Sft(A)
-    roof = Roof([float(l) for l in g.length])
-    return sft, roof
+    return Sft(A), Roof(g.length)
 
 
 def graph_suspension(g: MetricGraph) -> Suspension:

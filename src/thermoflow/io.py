@@ -5,6 +5,10 @@ Schemas
 SFT:       { "symbols": ["name", ...], "transitions": [[0|1, ...], ...] }
            (symbol names are presentation-only; indices are canonical)
 Roof:      { "roof": [r_0, ..., r_{n-1}] }
+           with numbers kept as read (a float is the binary fraction it
+           stores) and strings such as "1/3" or "1.5" parsed exactly; a
+           roof value that is not a binary fraction must be a string for
+           closed-orbit sums
 Graph:     { "vertices": n, "edges": [{"from": i, "to": j, "length": q}] }
            with lengths as decimal strings parsed exactly when rational
 Potential: { "type": "cylinder", "width": w, "table": {"word": value} }
@@ -42,7 +46,8 @@ def load_sft(obj) -> tuple:
 
 
 def load_roof(obj) -> Roof:
-    return Roof([float(v) for v in obj["roof"]])
+    return Roof([parse_length(v) if isinstance(v, str) else v
+                 for v in obj["roof"]])
 
 
 def parse_length(q) -> Fraction:

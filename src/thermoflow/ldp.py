@@ -70,7 +70,7 @@ class EmpiricalMeasure:
     def frequency(self, word) -> float:
         return self.freqs.get(len(word), {}).get(tuple(word), 0.0)
 
-    def check_marginalization(self, tol: float = 1e-12) -> float:
+    def check_marginalization(self) -> float:
         """Max discrepancy between each depth-k table and the left
         marginal of the depth-(k+1) table."""
         worst = 0.0
@@ -182,7 +182,7 @@ def measure_statistics(mu: SuspendedMeasure,
     if any(len(w) != 1 for w in mu.base.words):
         raise ValueError("measure_statistics needs a width-1 base measure")
     n = mu.base.n_states
-    roofs = mu.state_roofs()
+    roofs = mu.roof.array
     freqs = {}
     words = [((s,), mu.base.stationary[s]) for s in range(n)]
     for k in range(1, cfg.depth + 1):
@@ -266,8 +266,7 @@ def _psi_range(system: Suspension, psi: CylinderPotential):
     and greatest cycle average psihat(c) / r(c) over closed orbits c, on
     the SFT recoded to psi's width."""
     sft_w, roof_w, _, psihat = _prepare(system, psi)
-    A = sft_w.transitions
-    r = np.array(roof_w.values, dtype=float)
+    A, r = sft_w.transitions, roof_w.array
     return (-_max_cycle_ratio(A, -psihat, r), _max_cycle_ratio(A, psihat, r))
 
 
@@ -493,7 +492,7 @@ def _sample_integrals(m: SuspendedMeasure, psi_v: np.ndarray, t: float,
     One pass over the fibers keeps running sums of the roof (cum) and of
     psi times the roof (psic); k counts the fibers that end before time t,
     and prev_cum, full hold cum and psic through the last of them."""
-    roofs = m.state_roofs()
+    roofs = m.roof.array
     start_w = m.base.stationary * roofs
     words = m.base.sample_words(n_samples, length, rng,
                                 start_weights=start_w)

@@ -178,6 +178,16 @@ def glue_words(sft: Sft, v, w) -> tuple:
     return tuple(u)
 
 
+def _close_word(sft: Sft, w) -> tuple:
+    """w followed by the glue_words gap that closes it into a cycle; w
+    itself when w[-1] -> w[0] is allowed (glue_words would re-check
+    irreducibility to return the empty gap)."""
+    w = tuple(w)
+    if sft.allowed(w[-1], w[0]):
+        return w
+    return w + glue_words(sft, (w[-1],), (w[0],))
+
+
 def _primitive_root(word: tuple) -> tuple:
     """Shortest word whose repetition gives `word`."""
     n = len(word)

@@ -47,7 +47,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .sft import BiWord, Sft, _primitive_root, glue_words, min_gap_bound
+import numpy as np
+
+from .sft import (BiWord, Sft, _close_word, _primitive_root, glue_words,
+                  min_gap_bound)
 
 __all__ = [
     "Roof",
@@ -60,13 +63,22 @@ __all__ = [
 
 
 class Roof:
-    """Per-symbol positive roof values (time units)."""
+    """Per-symbol positive roof values (time units).
+
+    `values` keeps the values as given: Fractions and ints stay exact, and a
+    float is the binary fraction it stores.  The fiber walk and the lattice
+    engine of closed-orbit sums read them exactly.  `array` is their one
+    float64 view: the values are validated on it, `min` and `max` read it,
+    and so does every numeric kernel.  A roof value that is not a binary
+    fraction, such as 1/3, must be given exactly for closed-orbit sums."""
 
     def __init__(self, values):
-        vals = tuple(values)
-        if not vals or any(not (v > 0) or not math.isfinite(v) for v in vals):
+        self.values = tuple(values)
+        self.array = np.array(self.values, dtype=float)
+        if not self.values or not (0 < self.array.min()
+                                   and self.array.max() < math.inf):
             raise ValueError("roof values must be finite and positive")
-        self.values = vals
+        self.array.setflags(write=False)
 
     def __getitem__(self, i):
         return self.values[i]
@@ -75,12 +87,12 @@ class Roof:
         return len(self.values)
 
     @property
-    def max(self):
-        return max(self.values)
+    def max(self) -> float:
+        return float(self.array.max())
 
     @property
-    def min(self):
-        return min(self.values)
+    def min(self) -> float:
+        return float(self.array.min())
 
     def __eq__(self, other):
         return isinstance(other, Roof) and self.values == other.values
@@ -479,9 +491,7 @@ class Suspension:
         x = seg.start.base
         c, _ = _locate(x.symbol_at, self.roof.values,
                        seg.start.height + seg.duration)
-        w = x.window(0, c + m + 1)
-        u = glue_words(self.sft, (w[-1],), (w[0],))
-        cyc = _primitive_root(w + u)
+        cyc = _primitive_root(_close_word(self.sft, x.window(0, c + m + 1)))
         base = BiWord.periodic(cyc, phase=0)
         period = sum(self.roof[s] for s in cyc)
         y = SuspPoint(base, seg.start.height)

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .sft import BiWord, Sft
+from .sft import BiWord, Sft, _close_word
 from .suspension import (OrbitSegment, Roof, SuspPoint, Suspension,
                          _residences)
 
@@ -215,19 +215,16 @@ def _stationary_vector(P: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SuspendedMeasure:
-    """Flow-invariant measure nu x Leb / mean_roof over a suspension."""
+    """Flow-invariant measure nu x Leb / mean_roof over a suspension; roof
+    gives each state of the base measure its value."""
 
     base: MarkovMeasure
     roof: Roof
-    mean_roof: float = field(default=None)
+    mean_roof: float = field(init=False)
 
     def __post_init__(self):
-        mr = float(np.dot(self.base.stationary,
-                          [self.roof[i] for i in range(len(self.roof))]))
-        object.__setattr__(self, "mean_roof", mr)
-
-    def state_roofs(self) -> np.ndarray:
-        return np.array([self.roof[i] for i in range(len(self.roof))])
+        object.__setattr__(self, "mean_roof", float(
+            np.dot(self.base.stationary, self.roof.array)))
 
 
 # ----------------------------------------------------------------------
@@ -255,8 +252,7 @@ def block_recode(sft: Sft, roof: Roof, w: int):
 def _prepare(system: Suspension, phi: CylinderPotential):
     """Recoded (sft, roof, words, phihat) matching the potential width."""
     sft_w, roof_w, words = block_recode(system.sft, system.roof, phi.width)
-    phihat = np.array([phi.value(u) * roof_w[i]
-                       for i, u in enumerate(words)])
+    phihat = np.array([phi.value(u) for u in words]) * roof_w.array
     return sft_w, roof_w, words, phihat
 
 
@@ -388,10 +384,9 @@ def pressure(system: Suspension, phi, method: str = "spectral",
         raise ValueError("system is not irreducible")
     sft_w, roof_w, words, phihat = _prepare(system, phi)
     A = np.array(sft_w.transitions, dtype=float)
-    roofs = np.array(roof_w.values, dtype=float)
 
     if method == "spectral":
-        val, err, solves = _spectral_root(A, phihat, roofs, tol)
+        val, err, solves = _spectral_root(A, phihat, roof_w.array, tol)
         return PressureResult(val, err, "spectral",
                               {"bracket_width": 2 * err,
                                "perron_solves": solves})
@@ -488,15 +483,18 @@ _MAX_TICKS = 4096
 
 def _lattice(roof: Roof, t: float) -> tuple:
     """(L, R): the least L with every roof value on the lattice 1/L, and
-    the ticks R_s = L r_s.  ValueError for a roof value that is not
-    rational (denominator above 10^6) or for L t above _MAX_TICKS."""
-    fr = [Fraction(v).limit_denominator(10 ** 6) for v in roof.values]
-    if any(float(f) != float(v) for f, v in zip(fr, roof.values)):
-        raise ValueError("closed-orbit sums need rational roof values")
+    the ticks R_s = L r_s, read exactly from the stored values (a float is
+    the binary fraction it stores).  ValueError for L t above _MAX_TICKS,
+    which is where a float standing for a number that is not a binary
+    fraction (0.1, 2 ** 0.5) ends up."""
+    fr = [Fraction(v) for v in roof.values]
     L = math.lcm(*[f.denominator for f in fr])
-    if L * t > _MAX_TICKS:
-        raise ValueError(f"closed-orbit sums up to t = {t:g} need {L * t:g} "
-                         f"lattice ticks, above the cap {_MAX_TICKS}")
+    if L * Fraction(t) > _MAX_TICKS:
+        raise ValueError(
+            f"closed-orbit sums up to t = {float(t):g} on the roof lattice "
+            f"1/{L} need more ticks than the cap {_MAX_TICKS}; they need "
+            f"rational roof values with small denominators, given exactly "
+            f"(as Fractions, or as strings such as \"1/3\" in a JSON roof)")
     return L, np.array([int(f * L) for f in fr])
 
 
@@ -631,13 +629,8 @@ def cylinder_approximation(system: Suspension, phi: DistancePotential,
     g = phi.reference.graph
     table = {}
     for u in _admissible_words(system.sft, width):
-        if not system.sft.allowed(u[-1], u[0]):
-            # extend to an admissible cycle for evaluation
-            from .sft import glue_words
-            gap = glue_words(system.sft, (u[-1],), (u[0],))
-            cyc = u + gap
-        else:
-            cyc = u
+        # extend to an admissible cycle for evaluation
+        cyc = _close_word(system.sft, u)
         geo = Geodesic(g, SuspPoint(BiWord.periodic(cyc), 0.0))
         table[u] = phi.at_geodesic(geo)
     return CylinderPotential(width, table)
@@ -655,7 +648,7 @@ def equilibrium_state(system: Suspension, phi) -> SuspendedMeasure:
         phi = cylinder_approximation(system, phi, 4)
     sft_w, roof_w, words, phihat = _prepare(system, phi)
     A = np.array(sft_w.transitions, dtype=float)
-    roofs = np.array(roof_w.values, dtype=float)
+    roofs = roof_w.array
     P_val, _, _ = _spectral_root(A, phihat, roofs, 1e-12)
     M = A * np.exp(phihat - P_val * roofs)[None, :]
     lam, v = _perron(M)
@@ -691,7 +684,7 @@ def _phihat_on_states(mu: SuspendedMeasure, phi: CylinderPotential):
     P = mu.base.transition
     for i, u in enumerate(words):
         if len(u) >= phi.width:
-            out[i] = phi.value(u) * mu.roof[i]
+            out[i] = phi.value(u)
         else:
             # average phi over kernel-weighted continuations
             vals = 0.0
@@ -705,8 +698,8 @@ def _phihat_on_states(mu: SuspendedMeasure, phi: CylinderPotential):
                     if P[st, j] > 0:
                         stack.append((w + (words[j][-1],), j,
                                       pr * P[st, j]))
-            out[i] = vals * mu.roof[i]
-    return out
+            out[i] = vals
+    return out * mu.roof.array
 
 
 def random_markov_measure(sft: Sft, rng, words=None) -> MarkovMeasure:
@@ -760,7 +753,7 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
     k_rho = _forced_depth(rho)
     tmax = max(t_grid)
     length = int(math.ceil(tmax / system.roof.min)) + k_rho + 3
-    roofs = mu.state_roofs()
+    roofs = mu.roof.array
     start_w = mu.base.stationary * roofs
     paths = mu.base.sample_words(samples, length, rng,
                                  start_weights=start_w)
@@ -778,7 +771,8 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
         r0 = roofs[word[0]]
         u = h / r0
         cum = np.cumsum(roofs[word])
-        start = SuspPoint(_biword_from_path(word, system), float(h))
+        start = SuspPoint(
+            BiWord.periodic(_close_word(system.sft, word.tolist())), float(h))
         for t in t_grid:
             # c(t): index of the fiber occupied at time t
             c = int(np.searchsorted(cum, h + t, side="right"))
@@ -792,15 +786,6 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
     allv = [x for v in ratios.values() for x in v]
     return {"min_ratio": min(allv), "max_ratio": max(allv),
             "per_t": table}
-
-
-def _biword_from_path(word, system: Suspension) -> BiWord:
-    """Eventually-periodic point whose forward window matches `word`."""
-    from .sft import glue_words
-    word = tuple(int(s) for s in word)
-    gap = glue_words(system.sft, (word[-1],), (word[0],)) \
-        if not system.sft.allowed(word[-1], word[0]) else ()
-    return BiWord.periodic(word + gap, phase=0)
 
 
 def bowen_constant_estimate(system: Suspension, phi, eps: float,
@@ -828,7 +813,7 @@ def bowen_constant_estimate(system: Suspension, phi, eps: float,
             for _ in range(length + 2 * _BW_MAX_SHIFT):
                 word.append(int(rng.choice(system.sft.successors(word[-1]))))
             word = tuple(word)
-            x = _biword_from_path(word, system)
+            x = BiWord.periodic(_close_word(system.sft, word))
             # y agrees with x on the window forced by eps-shadowing along
             # [0, S] and takes a different admissible continuation beyond
             core = x.window(-_BW_MAX_SHIFT, length)

@@ -103,6 +103,32 @@ def test_glue_verifies_shadowing(capsys):
     assert "all transition times within bound: True" in out
 
 
+def test_glue_on_exact_graph_writes_json(capsys, tmp_path):
+    """The theta graph's roof holds Fractions; the report's :.6f fields
+    and glue.json must still get floats."""
+    code, out, _ = run_cli(capsys, "glue", "--graph",
+                           data_path("theta.json"), "--delta", "0.3",
+                           "--seed", "0", "--out", str(tmp_path))
+    assert code == 0
+    with open(tmp_path / "glue.json") as f:
+        artifact = json.load(f)
+    assert artifact["shadowing_verified"] is True
+
+
+def test_pressure_reads_exact_roof_strings(capsys, tmp_path):
+    """A JSON roof of strings is read exactly: 1/3 gives the lattice 1/3."""
+    roof = tmp_path / "roof.json"
+    roof.write_text(json.dumps({"roof": ["1", "1/3"]}))
+    out_dir = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "pressure", "--sft",
+                         data_path("golden.json"), "--roof", str(roof),
+                         "--potential", data_path("zero.json"),
+                         "--method", "gurevic", "--out", str(out_dir))
+    assert code == 0
+    with open(out_dir / "pressure.json") as f:
+        assert json.load(f)["gurevic"]["diagnostics"]["lattice"] == 3
+
+
 # --- flag validation ----------------------------------------------------------
 
 def test_seed_mandatory_for_sampling(capsys):

@@ -202,6 +202,25 @@ def test_shift_time_and_position_exact_on_fractions(theta):
         assert geo.shift_time(t).shift_time(s) == geo.shift_time(t + s)
 
 
+def test_suspension_flow_matches_shift_time_on_thirds():
+    """graph_suspension keeps the exact edge lengths, so its flow and
+    Geodesic.shift_time put every time on the same edge at the same height,
+    also next to an edge of length 1/3, which no float stores."""
+    g = MetricGraph(2, [(0, 1, Fraction(1, 3)), (0, 1, 1), (0, 1, 2)])
+    system = graph_suspension(g)
+    assert system.roof.values == tuple(g.length)
+    third = float(Fraction(1, 3))  # just below 1/3
+    p = SuspPoint(BiWord.periodic((0, 3)), 0.0)
+    assert system.flow(p, third) == Geodesic(g, p).shift_time(third).susp \
+        == SuspPoint(p.base, third)
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        geo = random_geodesic(g, rng)
+        for t in (third, -third, Fraction(int(rng.integers(-60, 60)), 3),
+                  float(rng.uniform(-20.0, 20.0))):
+            assert system.flow(geo.susp, t) == geo.shift_time(t).susp
+
+
 def test_tool2_bound_random_pairs(rose2, theta):
     """Comparison lemma with constant K = 1/2 in the proof-consistent
     direction d_GX >= (1/2) d_X, i.e. d_X(gamma1(s), gamma2(t)) <=

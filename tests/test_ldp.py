@@ -80,10 +80,19 @@ def test_empirical_additivity(full2_unit):
             assert abs(e2t.frequency(w) - avg) < 1e-9
 
 
-def test_marginalization_consistency(full2_unit):
+def test_marginalization_consistency(full2_unit, golden12, rose2, theta):
+    """Each depth-k table is the left marginal of the depth-(k+1) table,
+    for residence statistics, weighted orbit measures and the exact
+    statistics of an equilibrium state."""
     x = full2_unit.point(BiWord.periodic((0, 1, 1, 0)), 0.2)
-    e = empirical_measure(full2_unit, x, 7.3, CFG)
-    e.check_marginalization(full2_unit.sft)
+    stats = [empirical_measure(full2_unit, x, 7.3, CFG)]
+    for g in (rose2, theta):
+        stats.append(weighted_orbit_measure(graph_suspension(g),
+                                            zero_potential(), 8.0, CFG)[0])
+    stats.append(measure_statistics(
+        equilibrium_state(golden12, zero_potential()), CFG))
+    for e in stats:
+        assert e.check_marginalization() <= 1e-12
 
 
 # --- weak* metric -------------------------------------------------------------

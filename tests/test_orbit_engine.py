@@ -1,11 +1,14 @@
 """The lattice engine for closed-orbit sums against the cycle-enumeration
 oracle in `cycle_reference.py`, and the oracle itself against traces."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from thermoflow import (
     CylinderPotential,
+    MetricGraph,
     Roof,
     Sft,
     Suspension,
@@ -22,7 +25,8 @@ from test_sft import random_irreducible_sft
 
 CFG = WeakStarConfig()
 # the oracle enumerates every cycle, so each ladder stops where it gets slow
-LADDER_TOP = {"rose2": 9, "theta": 14, "golden12": 16, "full2": 12}
+LADDER_TOP = {"rose2": 9, "theta": 14, "golden12": 16, "full2": 12,
+              "third": 5}
 
 
 def _system(name, rose2, theta):
@@ -32,6 +36,9 @@ def _system(name, rose2, theta):
         return graph_suspension(theta)
     if name == "golden12":
         return Suspension(Sft([[1, 1], [1, 0]]), Roof([1.0, 2.0]))
+    if name == "third":  # exact edge lengths 1/3, 1, 2: lattice 1/3
+        return graph_suspension(MetricGraph(
+            2, [(0, 1, Fraction(1, 3)), (0, 1, 1), (0, 1, 2)]))
     return Suspension(Sft([[1, 1], [1, 1]]), Roof([1.0, 1.0]))
 
 

@@ -14,7 +14,7 @@ from thermoflow import (
     Sft,
     SuspPoint,
     Suspension,
-    build_edge_sft,
+    graph_suspension,
     min_gap_bound,
 )
 
@@ -66,8 +66,7 @@ def test_flow_additive_and_invertible(golden12):
 def test_flow_exact_on_fractions(theta):
     """On exact roofs (1, 3/2, 2) and Fraction times the flow is a group
     action with ==, not to a tolerance."""
-    sft, _ = build_edge_sft(theta)
-    system = Suspension(sft, Roof(theta.length))
+    system = graph_suspension(theta)
     rng = np.random.default_rng(11)
     for _ in range(60):
         p = _random_point(system, rng)
@@ -88,8 +87,7 @@ def test_flow_to_roof_lands_on_next_floor(golden12, theta):
     assert q == SuspPoint(y.shift(1), 0.0)
     assert golden12.flow(q, 1.0) == SuspPoint(y.shift(2), 0.0)
     assert golden12.flow(q, -2.0) == SuspPoint(y, 0.0)
-    sft, _ = build_edge_sft(theta)
-    system = Suspension(sft, Roof(theta.length))
+    system = graph_suspension(theta)
     x = BiWord.periodic((2, 5), phase=0)  # edges of length 3/2
     q = system.flow(SuspPoint(x, Fraction(1, 2)), 1)
     assert q == SuspPoint(x.shift(1), Fraction(0))
