@@ -12,6 +12,10 @@ edge words share a run) or are joined by a bridge between two vertices, so
 pointwise tree distances are piecewise-linear in t and the d_GX integral
 against e^{-2|t|} is evaluated in closed form per linear piece (quadrature
 error zero; only the tail truncation contributes to the error bound).
+`d_GX` is an array kernel over the two edge windows: one equality mask
+yields every common run, every run's integral is evaluated at once, and
+bridged alignments separate into per-vertex minima, so a call costs
+O(n_win^2) array work plus O(n_win + V^2) for the bridges.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .sft import Sft, _min_rotation, _primitive_root
-from .suspension import (Roof, SuspPoint, Suspension, _fiber_times,
-                         _locate)
+from .suspension import Roof, SuspPoint, Suspension, _locate
 
 __all__ = [
     "GraphModelError",
@@ -69,6 +74,9 @@ class MetricGraph:
             self.head += [b, a]
             self.length += [l, l]
         self.n_dir = 2 * m
+        # the one float64 view of the exact lengths, for numeric kernels
+        self.length_array = np.array(self.length, dtype=float)
+        self.length_array.setflags(write=False)
 
         deg = [0] * self.n_vertices
         for (a, b, _) in und:
@@ -308,51 +316,65 @@ def _agreement_run(w1, w2, i, j, lo, hi):
     return km, kp, hit_lo, hit_hi
 
 
-def _exp_segment(a, b, t0, t1):
-    """integral of (a + b t) e^{-2|t|} over [t0, t1], t0 <= t1, assuming the
-    interval does not straddle 0."""
-    if t1 <= 0:
-        # e^{2t}: antiderivative e^{2t} ((a + b t)/2 - b/4)
-        def F(t):
-            return math.exp(2 * t) * ((a + b * t) / 2.0 - b / 4.0)
-        return F(t1) - F(t0)
-    # t0 >= 0, e^{-2t}: antiderivative -e^{-2t} ((a + b t)/2 + b/4)
-    def G(t):
-        return -math.exp(-2 * t) * ((a + b * t) / 2.0 + b / 4.0)
-    return G(t1) - G(t0)
+def _window(geo: Geodesic, nwin: int):
+    """The edges on coordinates -nwin..nwin, as an int array, and the times
+    from the floor of fiber 0 to the floors of fibers -nwin..nwin + 1, as
+    float running sums of the graph's float lengths both ways from 0."""
+    w = np.array(geo.susp.base.window(-nwin, nwin + 1))
+    lens = geo.graph.length_array[w]
+    up = np.cumsum(lens[nwin:])
+    down = np.cumsum(lens[nwin - 1::-1])
+    return w, np.concatenate((-down[::-1], [0.0], up))
 
 
-def _integrate_pwl(breaks, dfun, T):
-    """integral over [-T, T] of d(t) e^{-2|t|} where d is piecewise linear
-    with kinks only at `breaks` (plus 0); dfun(t) -> d(t) as float."""
-    pts = sorted({-T, T, 0.0} | {float(b) for b in breaks
-                                 if -T < float(b) < T})
-    total = 0.0
-    for t0, t1 in zip(pts, pts[1:]):
-        d0, d1 = dfun(t0), dfun(t1)
-        b = (d1 - d0) / (t1 - t0)
-        a = d0 - b * t0
-        total += _exp_segment(a, b, t0, t1)
-    return total
+def _agreement_runs(w1, w2):
+    """The maximal runs on which w1[i + s] == w2[j + s] for 0 <= s <
+    end - i, one per run and diagonal: arrays i, j, end."""
+    n = len(w1)
+    # skew[k, c] = (w1[k - 1] == w2[k - 1 - c + n]): column c holds the
+    # diagonal i - j = c - n, framed by all-False rows k = 0 and k = n + 1
+    buf = np.zeros((n + 2, 2 * n + 1), dtype=bool)
+    buf[1:-1, :n] = w1[:, None] == w2[::-1]
+    skew = buf.ravel()[:(n + 2) * 2 * n].reshape(n + 2, 2 * n)
+    step = np.diff(skew.view(np.int8), axis=0).T
+    c, i = np.nonzero(step == 1)
+    end = np.nonzero(step == -1)[1]
+    return i, i - (c - n), end
 
 
-def _lb_from_d0(d0: float) -> float:
-    """Lower bound for int d(t) e^{-2|t|} dt given d(0) = d0 and
-    |d'| <= 2."""
-    return d0 - 1.0 + math.exp(-d0)
+def _integrate_rows(t, d):
+    """Row sums of int d(t) e^{-2|t|} dt, d linear between the sorted kinks
+    t of each row (0 among them) with values d there.  On each side of 0,
+    sigma e^{2 sigma t} ((a + b t)/2 - sigma b/4), sigma = 1 for t <= 0 and
+    -1 for t >= 0, is an antiderivative of (a + b t) e^{-2|t|}."""
+    t0, t1 = t[:, :-1], t[:, 1:]
+    dt = t1 - t0
+    b = (d[:, 1:] - d[:, :-1]) / np.where(dt > 0, dt, 1.0)
+    a = d[:, :-1] - b * t0
+    sigma = np.where(t1 <= 0, 1.0, -1.0)
+
+    def anti(t):
+        return sigma * np.exp(2 * sigma * t) * ((a + b * t) / 2.0
+                                                - sigma * b / 4.0)
+
+    return np.where(dt > 0, anti(t1) - anti(t0), 0.0).sum(axis=1)
 
 
 def d_GX(g1: Geodesic, g2: Geodesic, tail_horizon: float = 8.0):
     """The geodesic-space metric: min over lift alignments of
     int d_tree(lift1(t), lift2(t)) e^{-2|t|} dt, truncated at
-    |t| = tail_horizon; returns (value, error bound).
+    |t| = tail_horizon = T; returns (value, error bound).
 
-    Alignment candidates: every common-edge match (i, j) between the two
-    edge words inside the combinatorial window, and every vertex pair
-    bridged by a shortest path; both give two-ray tree configurations with
-    piecewise-linear pointwise distance, integrated in closed form.  The
-    error bound is the analytic tail int_T^inf (d(T) + 2(t-T)) e^{-2t} dt
-    for both sides.
+    Both edge words are read once, on a window of coordinates that reaches
+    past |t| = T on both sides.  Common-edge alignments glue the lifts
+    along a maximal run on which the words agree, one per run and diagonal
+    i - j of the windows' equality mask.  Bridged alignments join vertices
+    v1, v2 that the lifts pass at times -a_x, -a_y by a path of length
+    b = vd[v1][v2]; their integral F(a_x) + F(a_y) + b (1 - e^{-2T}),
+    F(a) = int |t + a| e^{-2|t|} dt, is least at the least F per vertex.
+    The value is the least integral over both kinds, common runs winning
+    ties; the error bound is the tail int_T^inf (d(T) + 2(t-T)) e^{-2t} dt
+    on both sides of the winner.
     """
     if g1.graph is not g2.graph and g1.graph != g2.graph:
         raise ValueError("geodesics over different graphs")
@@ -360,91 +382,61 @@ def d_GX(g1: Geodesic, g2: Geodesic, tail_horizon: float = 8.0):
     T = float(tail_horizon)
     if T < 1:
         raise ValueError("tail_horizon >= 1 required")
-    minlen = float(min(g.length))
-    h1 = float(g1.susp.height)
-    h2 = float(g2.susp.height)
-    nwin = math.ceil((T + float(max(g.length))) / minlen) + 2
-    w1 = g1.susp.base.symbol_at
-    w2 = g2.susp.base.symbol_at
+    lengths = g.length_array
+    nwin = math.ceil((T + lengths.max()) / lengths.min()) + 2
+    n = 2 * nwin + 1
+    w1, cum1 = _window(g1, nwin)
+    w2, cum2 = _window(g2, nwin)
+    # x(t) = t + a1[i]: lift 1's position past the tail of window edge i
+    a1 = float(g1.susp.height) - cum1[:n]
+    a2 = float(g2.susp.height) - cum2[:n]
 
-    # arclength from the tail of edge 0 to the tail of edge i
-    cum1 = _fiber_times(w1, g.length, -nwin, nwin + 1)
-    cum2 = _fiber_times(w2, g.length, -nwin, nwin + 1)
+    # common-edge rows: the lifts share [0, hi] past the tail of the run's
+    # first edge; a run cut by the window's edge is cut beyond |t| = T,
+    # where it changes no distance that is integrated
+    i, j, end = _agreement_runs(w1, w2)
+    hi = (cum1[end] - cum1[i])[:, None]
+    ax, ay = a1[i][:, None], a2[j][:, None]
+    rows = len(i)
+    ts = np.empty((rows + 2 * n, 7))
+    ts[:, :3] = (-T, 0.0, T)
+    ts[:rows, 3:] = np.hstack((-ax, hi - ax, -ay, hi - ay))
+    # bridged rows: F(a) for every fiber of both windows, kinked at -a
+    a = np.concatenate((a1, a2))[:, None]
+    ts[rows:, 3:] = T
+    ts[rows:, 3:4] = -a
+    np.minimum(np.maximum(ts, -T, out=ts), T, out=ts)
+    ts.sort(axis=1)
+    x, y = ts[:rows] + ax, ts[:rows] + ay
+    xc = np.minimum(np.maximum(x, 0.0), hi)
+    yc = np.minimum(np.maximum(y, 0.0), hi)
+    d = np.vstack((np.abs(xc - yc) + (np.abs(x - xc) + np.abs(y - yc)),
+                   np.abs(ts[rows:] + a)))
+    value = _integrate_rows(ts, d)
+    F = value[rows:]
+    value = value[:rows]
 
-    vd = g.vertex_distances()
-    best = math.inf
-    best_dT = (0.0, 0.0)
+    # the best bridged alignment, from F's least value per vertex
+    on_v = np.asarray(g.tail)[np.concatenate((w1, w2))] \
+        == np.arange(g.n_vertices)[:, None]
+    Fv = np.where(on_v, F, np.inf)
+    vd = np.array(g.vertex_distances(), dtype=float)
+    total = Fv[:, :n].min(axis=1)[:, None] + Fv[:, n:].min(axis=1) \
+        + (1.0 - math.exp(-2 * T)) * vd
+    v1, v2 = np.unravel_index(np.argmin(total), total.shape)
+    bx = a1[Fv[v1, :n].argmin()]
+    by = a2[Fv[v2, n:].argmin()]
+    b = vd[v1, v2]
 
-    def consider(dfun, breaks, d0):
-        nonlocal best, best_dT
-        if _lb_from_d0(d0) >= best:
-            return
-        val = _integrate_pwl(breaks, dfun, T)
-        if val < best:
-            best = val
-            best_dT = (dfun(-T), dfun(T))
-
-    # --- common-edge alignments ---------------------------------------
-    idx_range = range(-nwin, nwin + 1)
-    occ2 = {}
-    for j in idx_range:
-        occ2.setdefault(w2(j), []).append(j)
-
-    seen_cfg = set()
-    for i in idx_range:
-        for j in occ2.get(w1(i), ()):
-            # relative placement is determined by the agreement run's
-            # endpoints, so dedupe by (i - j, run boundaries)
-            km, kp, hit_lo, hit_hi = _agreement_run(
-                w1, w2, i, j, -nwin, nwin)
-            key = (i - j, i - km, i + kp, hit_lo, hit_hi)
-            if key in seen_cfg:
-                continue
-            seen_cfg.add(key)
-            anchor1 = float(cum1[i])
-            anchor2 = float(cum2[j])
-            Lp = math.inf if hit_hi else float(cum1[i + kp + 1]) - anchor1
-            Lm = math.inf if hit_lo else anchor1 - float(cum1[i - km])
-            ax = h1 - anchor1  # x(t) = t + ax
-            ay = h2 - anchor2
-
-            def dfun(t, ax=ax, ay=ay, Lp=Lp, Lm=Lm):
-                x = t + ax
-                y = t + ay
-                xc = min(max(x, -Lm), Lp)
-                yc = min(max(y, -Lm), Lp)
-                return abs(xc - yc) + (x - xc if x > xc else xc - x) \
-                    + (y - yc if y > yc else yc - y)
-
-            breaks = []
-            for A in (ax, ay):
-                if Lp < math.inf:
-                    breaks.append(Lp - A)
-                if Lm < math.inf:
-                    breaks.append(-Lm - A)
-            consider(dfun, breaks, dfun(0.0))
-
-    # --- bridged vertex alignments ------------------------------------
-    seen_v = set()
-    for i in idx_range:
-        for j in idx_range:
-            v1 = g.tail[w1(i)]
-            v2 = g.tail[w2(j)]
-            ax = h1 - float(cum1[i])
-            ay = h2 - float(cum2[j])
-            b = float(vd[v1][v2])
-            key = (round(ax - ay, 12), round(ax, 12), b)
-            if key in seen_v:
-                continue
-            seen_v.add(key)
-
-            def dfun(t, ax=ax, ay=ay, b=b):
-                return abs(t + ax) + b + abs(t + ay)
-
-            consider(dfun, [-ax, -ay], dfun(0.0))
-
-    tail_err = math.exp(-2 * T) * (best_dT[0] + best_dT[1] + 2.0) / 2.0
-    return best, tail_err
+    k = int(np.argmin(value)) if rows else None
+    if k is None or total[v1, v2] < value[k]:
+        val = total[v1, v2]
+        d_lo = abs(-T + bx) + b + abs(-T + by)
+        d_hi = abs(T + bx) + b + abs(T + by)
+    else:
+        val, d_lo, d_hi = value[k], d[k, 0], d[k, -1]
+    tail_err = math.exp(-2 * T) * (d_lo + d_hi + 2.0) / 2.0
+    return float(val), float(tail_err)
 
 
 def lift_distance(g1: Geodesic, g2: Geodesic, t, window: int = 64):
@@ -459,16 +451,17 @@ def lift_distance(g1: Geodesic, g2: Geodesic, t, window: int = 64):
     h2 = float(g2.susp.height)
     t = float(t)
     # position coverage check
-    minlen = float(min(g.length))
-    need = max(abs(h1 + t), abs(h2 + t)) + float(max(g.length))
-    if window * minlen < need:
+    lengths = g.length_array
+    need = max(abs(h1 + t), abs(h2 + t)) + float(lengths.max())
+    if window * float(lengths.min()) < need:
         raise ValueError("insufficient unwinding")
     if w1(0) == w2(0):
         km, kp, hit_lo, hit_hi = _agreement_run(w1, w2, 0, 0,
                                                 -window, window)
-        cum = _fiber_times(w1, g.length, -km, kp + 1)
-        Lp = math.inf if hit_hi else float(cum[kp + 1])
-        Lm = math.inf if hit_lo else -float(cum[-km])
+        Lp = math.inf if hit_hi else math.fsum(
+            lengths[w1(k)] for k in range(kp + 1))
+        Lm = math.inf if hit_lo else math.fsum(
+            lengths[w1(k)] for k in range(-km, 0))
         x = h1 + t
         y = h2 + t
         xc = min(max(x, -Lm), Lp)

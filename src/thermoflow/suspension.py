@@ -352,7 +352,7 @@ class Suspension:
         span = int(t / self.roof.min) + horizon + M + 4
         yw = y.base.window(-M, span)
         xw = seg.start.base.window(-M, span)
-        roof = self.roof.values
+        roof = self.roof.array.tolist()
         # ky, kx index the windows: coordinate k sits at index k + M
         ky = kx = M
         hy, hx = y.height, seg.start.height

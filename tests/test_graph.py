@@ -22,6 +22,8 @@ from thermoflow import (
     lift_distance,
 )
 
+import dgx_reference
+
 
 def random_geodesic(g, rng, word_len=8):
     """Geodesic carried by a random periodic non-backtracking edge word."""
@@ -37,6 +39,41 @@ def random_geodesic(g, rng, word_len=8):
     h = float(rng.random()) * roof[base.symbol_at(0)]
     susp = graph_suspension(g)
     return Geodesic(g, susp.point(base, h))
+
+
+THIRDS = MetricGraph(2, [(0, 1, Fraction(1, 3)), (0, 1, 1), (0, 1, 2)])
+
+
+def agreement_pair(g, rng, R=2):
+    """Two geodesics whose edge words agree exactly on coordinates
+    [-R, R) and continue with their own one-symbol tails outside."""
+    sft, roof = build_edge_sft(g)
+    word = [int(rng.integers(g.n_dir))]
+    for _ in range(2 * R - 1):
+        succ = sft.successors(word[-1])
+        word.append(int(succ[rng.integers(len(succ))]))
+    susp = graph_suspension(g)
+    bases = [BiWord((int(rng.integers(g.n_dir)),), tuple(word),
+                    (int(rng.integers(g.n_dir)),), -R) for _ in "ab"]
+    h = float(rng.random()) * roof[bases[0].symbol_at(0)]
+    return tuple(Geodesic(g, susp.point(base, h)) for base in bases)
+
+
+def dgx_corpus(g, seed, n_pairs):
+    """Seeded d_GX inputs (g1, g2, tail_horizon) on g: random pairs moved
+    by random shift_time offsets, and every fourth pair followed by an
+    identical pair, a geodesic against itself shifted in time and an
+    agreement-window pair; horizons alternate between 8 and 12."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for k in range(n_pairs):
+        a, b = (random_geodesic(g, rng).shift_time(float(rng.uniform(-3, 3)))
+                for _ in "ab")
+        pairs.append((a, b))
+        if k % 4 == 0:
+            pairs += [(a, a), (b, b.shift_time(float(rng.uniform(-3, 3)))),
+                      agreement_pair(g, rng, R=1 + k % 3)]
+    return [(a, b, (8.0, 12.0)[k % 2]) for k, (a, b) in enumerate(pairs)]
 
 
 # --- model construction -----------------------------------------------------
@@ -142,17 +179,51 @@ def test_lift_distance_insufficient_unwinding(rose2):
         lift_distance(g1, g1, 1000.0, window=8)
 
 
+def test_lift_distance_matches_exact_run_sums(rose2, theta):
+    """The run ends are float sums of the lengths; on binary-fraction
+    lengths they equal the exact sums, so lift_distance is bit for bit the
+    exact-sum reference."""
+    for g in (rose2, theta):
+        rng = np.random.default_rng(19)
+        for k in range(80):
+            if k % 2:
+                g1, g2 = agreement_pair(g, rng, R=int(rng.integers(1, 12)))
+            else:
+                g1, g2 = random_geodesic(g, rng), random_geodesic(g, rng)
+            for t in rng.uniform(-20.0, 20.0, 5):
+                assert lift_distance(g1, g2, t) \
+                    == dgx_reference.lift_distance(g1, g2, t)
+
+
 # --- d_GX -------------------------------------------------------------------
 
-def test_dgx_identity_and_symmetry(rose2):
-    rng = np.random.default_rng(6)
-    g1 = random_geodesic(rose2, rng)
-    v, err = d_GX(g1, g1)
-    assert v == 0.0
-    g2 = random_geodesic(rose2, rng)
-    v12, _ = d_GX(g1, g2)
-    v21, _ = d_GX(g2, g1)
-    assert v12 == v21
+@pytest.mark.parametrize("name", ["rose2", "theta", "thirds"])
+def test_dgx_matches_reference(name, rose2, theta):
+    """The array kernel against the pairwise alignment loop of
+    dgx_reference: value and error bound within 1e-12 (relative to
+    max(1, |v|)); the summation order differs, so not bit for bit."""
+    g = {"rose2": rose2, "theta": theta, "thirds": THIRDS}[name]
+    for a, b, T in dgx_corpus(g, 41, 16):
+        v, err = d_GX(a, b, tail_horizon=T)
+        v_ref, err_ref = dgx_reference.d_GX(a, b, tail_horizon=T)
+        assert abs(v - v_ref) <= 1e-12 * max(1.0, abs(v_ref))
+        assert abs(err - err_ref) <= 1e-12 * max(1.0, abs(err_ref))
+
+
+def test_dgx_identity_and_symmetry(rose2, theta):
+    """d(a, a) == 0 and d(a, b) == d(b, a) exactly on the binary-fraction
+    lengths of rose2 and theta, where every fiber time is exact; on the
+    thirds graph the two orders sum different roundings of the lengths, so
+    symmetry holds to 1e-14."""
+    for g in (rose2, theta, THIRDS):
+        for a, b, T in dgx_corpus(g, 43, 60):
+            assert d_GX(a, a, tail_horizon=T)[0] == 0.0
+            v_ab, _ = d_GX(a, b, tail_horizon=T)
+            v_ba, _ = d_GX(b, a, tail_horizon=T)
+            if g is THIRDS:
+                assert abs(v_ab - v_ba) <= 1e-14 * max(1.0, abs(v_ab))
+            else:
+                assert v_ab == v_ba
 
 
 def test_dgx_agreement_window_bound(rose2):
@@ -206,7 +277,7 @@ def test_suspension_flow_matches_shift_time_on_thirds():
     """graph_suspension keeps the exact edge lengths, so its flow and
     Geodesic.shift_time put every time on the same edge at the same height,
     also next to an edge of length 1/3, which no float stores."""
-    g = MetricGraph(2, [(0, 1, Fraction(1, 3)), (0, 1, 1), (0, 1, 2)])
+    g = THIRDS
     system = graph_suspension(g)
     assert system.roof.values == tuple(g.length)
     third = float(Fraction(1, 3))  # just below 1/3

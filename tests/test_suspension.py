@@ -165,6 +165,20 @@ def test_shadows_origin_mismatch(full2_unit):
     assert not full2_unit.shadows(full2_unit.point(b, 0.0), seg, 0.1)
 
 
+def test_max_orbit_distance_exact_roof_matches_float_roof(theta):
+    """The shadowing grid walks the roof's float view, so an exact roof
+    (1, 3/2, 2) and the same roof given as floats give the same sup."""
+    exact = graph_suspension(theta)
+    floats = Suspension(exact.sft, Roof([float(r) for r in theta.length]))
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        y, x = _random_point(exact, rng), _random_point(exact, rng)
+        seg = OrbitSegment(x, float(rng.uniform(0.5, 6.0)))
+        for delta in (0.3, 0.1):
+            assert exact.max_orbit_distance(y, seg, delta) \
+                == floats.max_orbit_distance(y, seg, delta)
+
+
 # --- gluing -----------------------------------------------------------------
 
 def test_glue_single_segment_identity(golden12):
