@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ldp import (EmpiricalMeasure, WeakStarConfig, empirical_measure,
-                  measure_statistics, weak_star_distance)
+from .ldp import (EmpiricalMeasure, WeakStarConfig, _markov_statistics,
+                  empirical_measure, measure_statistics, weak_star_distance)
 from .sft import (BiWord, Sft, WeakSpecificationError, _close_word,
                   glue_words, is_irreducible, min_gap_bound)
 from .suspension import Roof, SuspPoint, Suspension, _fiber_times, _locate
@@ -80,6 +80,12 @@ class SeparatedSet:
     @property
     def certificate_ok(self) -> bool:
         return self.log_count >= self.t * self.h_target
+
+
+def _weak_star_diameter(cfg: WeakStarConfig) -> float:
+    """The largest weak* distance, 2 sum_k 2^-k + 2 2^-(depth+1) =
+    2 - 2^-depth: each frequency table has total variation at most 2."""
+    return 2.0 - 2.0 ** -cfg.depth
 
 
 def _compositions(m: int, k: int) -> int:
@@ -213,15 +219,11 @@ def mixture_statistics(target: ApproxTarget, roof: Roof,
     mixture weights are the a_i)."""
     stats = [(a, measure_statistics(SuspendedMeasure(m, roof), cfg))
              for m, a in target.components]
-    freqs = {k: {} for k in range(1, cfg.depth + 1)}
-    hist = None
-    for a, st in stats:
-        for k in freqs:
-            for w, f in st.freqs[k].items():
-                freqs[k][w] = freqs[k].get(w, 0.0) + a * f
-        hist = a * st.heights if hist is None else hist + a * st.heights
-    n_sym = stats[0][1].n_symbols
-    return EmpiricalMeasure(freqs, hist, n_sym)
+    return EmpiricalMeasure(np.concatenate([st.words for _, st in stats]),
+                            np.concatenate([a * st.weights
+                                            for a, st in stats]),
+                            sum(a * st.heights for a, st in stats),
+                            stats[0][1].n_symbols)
 
 
 def mixture_entropy(target: ApproxTarget, roof: Roof) -> float:
@@ -264,8 +266,7 @@ def glue_generic_family(system: Suspension, target: ApproxTarget,
     eta = target.eta
     tau = min_gap_bound(system.sft)
     maxr = system.roof.max
-    M_diam = 2.0 * sum(2.0 ** (-k) for k in range(1, cfg.depth + 1)) \
-        + 2.0 * 2.0 ** (-(cfg.depth + 1))
+    M_diam = _weak_star_diameter(cfg)
     overhead = p * (tau + 1) * maxr
     if overhead / t >= eta / M_diam:
         raise ValueError(
@@ -441,31 +442,9 @@ def chain_statistics(chain: MarkovMeasure, roofs: np.ndarray,
                      cfg: WeakStarConfig = WeakStarConfig()
                      ) -> EmpiricalMeasure:
     """Residence-weighted symbol-word frequencies of a hidden-Markov
-    emission chain (exact transfer-operator computation)."""
-    P = chain.transition
-    pi = chain.stationary
-    emit = np.array([w[0] for w in chain.words])
-    mean_roof = float(np.dot(pi, roofs))
-    n_sym = int(emit.max()) + 1
-    freqs = {}
-    # vectors nu_w over states: probability of seeing word w starting in
-    # each state, weighted by pi * roof at the first state
-    base = {(): pi * roofs / mean_roof}
-    for k in range(1, cfg.depth + 1):
-        layer = {}
-        for w, vec in base.items():
-            for s in range(n_sym):
-                mask = (emit == s).astype(float)
-                if len(w) == 0:
-                    nv = vec * mask
-                else:
-                    nv = (vec @ P) * mask
-                if nv.sum() > 1e-300:
-                    layer[w + (s,)] = nv
-        freqs[k] = {w: float(v.sum()) for w, v in layer.items()}
-        base = layer
-    hist = np.full(cfg.height_bins, 1.0 / cfg.height_bins)
-    return EmpiricalMeasure(freqs, hist, n_sym)
+    emission chain: exact sums over the chain's state paths, each state
+    showing the last symbol of its word."""
+    return _markov_statistics(chain, roofs, cfg)
 
 
 @dataclass(frozen=True)
@@ -525,8 +504,7 @@ def ergodic_approximation(system: Suspension, target: ApproxTarget,
             f"infeasible eta: switching overhead {overhead}/L limits the "
             f"achievable tolerance; minimal achievable eta ~ {min_eta:.4f}")
     # counting certificate from the glued family at a t in the valid regime
-    M_diam = 2.0 * sum(2.0 ** (-k) for k in range(1, cfg.depth + 1)) \
-        + 2.0 * 2.0 ** (-(cfg.depth + 1))
+    M_diam = _weak_star_diameter(cfg)
     t_glue = max(400.0, 2.0 * overhead * M_diam / eta)
     fam = glue_generic_family(system, target, t_glue, m=3, seed=seed,
                               cfg=cfg)

@@ -218,12 +218,9 @@ class MetricGraph:
 def build_edge_sft(g: MetricGraph):
     """Directed-edge SFT with non-backtracking transitions and roof = edge
     lengths, kept exact."""
-    n = g.n_dir
-    A = [[0] * n for _ in range(n)]
-    for e in range(n):
-        for e2 in range(n):
-            if g.head[e] == g.tail[e2] and e2 != g.reversal(e):
-                A[e][e2] = 1
+    A = np.equal.outer(g.head, g.tail)
+    e = np.arange(g.n_dir)
+    A[e, g.reversal(e)] = False
     return Sft(A), Roof(g.length)
 
 

@@ -5,12 +5,12 @@ Schemas
 SFT:       { "symbols": ["name", ...], "transitions": [[0|1, ...], ...] }
            (symbol names are presentation-only; indices are canonical)
 Roof:      { "roof": [r_0, ..., r_{n-1}] }
-           with numbers kept as read (a float is the binary fraction it
-           stores) and strings such as "1/3" or "1.5" parsed exactly; a
-           roof value that is not a binary fraction must be a string for
-           closed-orbit sums
 Graph:     { "vertices": n, "edges": [{"from": i, "to": j, "length": q}] }
-           with lengths as decimal strings parsed exactly when rational
+           Roof values and lengths follow one rule (`parse_length`): a
+           string such as "1/3" or "0.1" is parsed exactly, a number is
+           kept as read (a float is the binary fraction it stores).  A
+           value that is not a binary fraction must be a string for
+           closed-orbit sums
 Potential: { "type": "cylinder", "width": w, "table": {"word": value} }
            or { "type": "distance", "reference": <point>, "scale": s }
 Point:     { "left_tail", "core", "right_tail", "origin", "height" }
@@ -46,17 +46,13 @@ def load_sft(obj) -> tuple:
 
 
 def load_roof(obj) -> Roof:
-    return Roof([parse_length(v) if isinstance(v, str) else v
-                 for v in obj["roof"]])
+    return Roof([parse_length(v) for v in obj["roof"]])
 
 
-def parse_length(q) -> Fraction:
-    """Edge length from a decimal string (exact) or a number."""
-    if isinstance(q, str):
-        return Fraction(q)
-    if isinstance(q, int):
-        return Fraction(q)
-    return Fraction(q).limit_denominator(10 ** 9)
+def parse_length(q):
+    """A roof value or edge length: a string is parsed exactly as a
+    Fraction, a number is returned as read."""
+    return Fraction(q) if isinstance(q, str) else q
 
 
 def load_graph(obj):

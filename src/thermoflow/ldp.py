@@ -1,9 +1,10 @@
 """Weighted periodic-orbit equidistribution and large deviations.
 
-Empirical measures are represented by their residence-time cylinder
-frequencies up to a fixed depth plus a normalized-height histogram; the
-weak* distance is the weighted sum of total-variation discrepancies of
-those statistics.  The rate function q(eps) = P(phi) - sup{h + int phi :
+An empirical measure is one table of residence-time cylinder frequencies
+(the words of a fixed depth as sorted int rows with their weights, every
+shorter table a prefix marginal) plus a normalized-height histogram; the
+weak* distance is the weighted sum of total-variation discrepancies over
+all depths.  The rate function q(eps) = P(phi) - sup{h + int phi :
 |int psi - mean| >= eps} is computed both by a Legendre transform of the
 pressure curve beta -> P(phi + beta psi) and by direct constrained
 maximization over Markov kernels (grid scan + polish), and compared to
@@ -14,9 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from .sft import _words
 from .suspension import SuspPoint, Suspension, _residences
 from .thermo import (CylinderPotential, MarkovMeasure, SuspendedMeasure,
                      _orbit_sums, _prepare, combine_cylinder,
@@ -53,19 +58,35 @@ class WeakStarConfig:
 
 
 class EmpiricalMeasure:
-    """Residence-time statistics: cylinder frequencies per depth plus a
-    normalized-height histogram; depth-k tables marginalize consistently."""
+    """Residence-time statistics as one word table: the distinct words of
+    length depth, as the rows of `words` in lexicographic order, with
+    their frequencies `weights` (positive, summing to 1), plus a
+    normalized-height histogram.  Every depth-k table, k < depth, is the
+    prefix marginal of that table; `freqs` holds them all as a read-only
+    view, {k: {word tuple: frequency}}, built on first read."""
 
-    def __init__(self, freqs, heights, n_symbols: int):
-        # freqs: {depth: {word tuple: frequency}}
-        self.freqs = {k: dict(v) for k, v in freqs.items()}
+    def __init__(self, words, weights, heights, n_symbols: int):
+        words = np.asarray(words)
+        order = np.lexsort(words.T[::-1])
+        _, words, weights = next(_marginals(
+            words[order], np.asarray(weights, dtype=float)[order]))
+        keep = weights > 0
+        self.words, self.weights = words[keep], weights[keep]
+        self.words.setflags(write=False)
+        self.weights.setflags(write=False)
+        tot = self.weights.sum()
+        if abs(tot - 1.0) > 1e-9:
+            raise ValueError(f"frequencies sum to {tot}")
         h = np.asarray(heights, dtype=float)
         self.heights = h / h.sum() if h.sum() > 0 else h
         self.n_symbols = n_symbols
-        for k, table in self.freqs.items():
-            tot = sum(table.values())
-            if abs(tot - 1.0) > 1e-9:
-                raise ValueError(f"depth-{k} frequencies sum to {tot}")
+
+    @cached_property
+    def freqs(self):
+        return MappingProxyType({
+            k: MappingProxyType(dict(zip(map(tuple, w.tolist()),
+                                         f.tolist())))
+            for k, w, f in _marginals(self.words, self.weights)})
 
     def frequency(self, word) -> float:
         return self.freqs.get(len(word), {}).get(tuple(word), 0.0)
@@ -87,35 +108,35 @@ class EmpiricalMeasure:
         return worst
 
 
-def _window_statistics(system: Suspension, word, weights, heights_fn,
-                       cfg: WeakStarConfig) -> EmpiricalMeasure:
-    """Shared kernel: word[i] visited with residence weight weights[i];
-    the depth-k window starting at i is word[i:i+k] (callers must supply
-    enough trailing symbols)."""
-    n = len(weights)
-    total = float(sum(weights))
-    freqs = {k: {} for k in range(1, cfg.depth + 1)}
-    for i in range(n):
-        wgt = weights[i] / total
-        for k in range(1, cfg.depth + 1):
-            w = tuple(word[i: i + k])
-            freqs[k][w] = freqs[k].get(w, 0.0) + wgt
-    return EmpiricalMeasure(freqs, heights_fn(), system.sft.n_symbols)
+def _marginals(words: np.ndarray, weights: np.ndarray):
+    """(k, k-words, summed weights) for k = depth, ..., 1 of a table whose
+    rows are sorted (repeats allowed): each table reduced from the one
+    before it by summing the rows with equal k-prefixes, which are
+    adjacent.  first[i] is the first column where row i differs from row
+    i - 1 (depth when equal), computed once."""
+    depth = words.shape[1]
+    diff = words[1:] != words[:-1]
+    first = np.empty(len(words), dtype=np.int64)
+    first[0] = -1
+    first[1:] = np.where(diff.any(axis=1), diff.argmax(axis=1), depth)
+    for k in range(depth, 0, -1):
+        starts = np.flatnonzero(first < k)
+        words, weights = words[starts, :k], np.add.reduceat(weights, starts)
+        first = first[starts]
+        yield k, words, weights
 
 
 def orbit_measure(system: Suspension, cycle_word,
                   cfg: WeakStarConfig = WeakStarConfig()) -> EmpiricalMeasure:
-    """mu_gamma: exact residence-time statistics of a closed orbit."""
-    w = tuple(cycle_word)
-    n = len(w)
-    ext = w * (1 + (cfg.depth + n - 1) // n)
-    weights = [system.roof[s] for s in w]
-
-    def heights():
-        # within each fiber the normalized height is uniform
-        return np.full(cfg.height_bins, 1.0 / cfg.height_bins)
-
-    return _window_statistics(system, ext, weights, heights, cfg)
+    """mu_gamma: exact residence-time statistics of a closed orbit; within
+    each fiber the normalized height is uniform."""
+    w = np.array(cycle_word)
+    weights = np.array([system.roof[s] for s in w.tolist()], dtype=float)
+    ext = np.tile(w, 1 + (cfg.depth + len(w) - 1) // len(w))
+    hist = np.full(cfg.height_bins, 1.0 / cfg.height_bins)
+    return EmpiricalMeasure(sliding_window_view(ext, cfg.depth)[:len(w)],
+                            weights / weights.sum(), hist,
+                            system.sft.n_symbols)
 
 
 def empirical_measure(system: Suspension, x: SuspPoint, t: float,
@@ -141,9 +162,11 @@ def empirical_measure(system: Suspension, x: SuspPoint, t: float,
             blo, bhi = b / bins, (b + 1) / bins
             hist[b] += max(0.0, min(hi / r, bhi) - max(lo / r, blo)) * r
     hist += whole / bins
-    word = x.base.window(0, len(weights) + cfg.depth)
-
-    return _window_statistics(system, word, weights, lambda: hist, cfg)
+    word = np.array(x.base.window(0, len(weights) + cfg.depth - 1))
+    weights = np.array(weights, dtype=float)
+    return EmpiricalMeasure(sliding_window_view(word, cfg.depth),
+                            weights / weights.sum(), hist,
+                            system.sft.n_symbols)
 
 
 def weighted_orbit_measure(system: Suspension, phi, t: float,
@@ -158,18 +181,27 @@ def weighted_orbit_measure(system: Suspension, phi, t: float,
     if not counts.any():
         raise ValueError("no closed orbits yet")
     C = float(weights.sum())
-    freqs = {}
-    for k in range(words.shape[1], 0, -1):
-        # the words are sorted, so words with equal k-prefixes are adjacent
-        new = (words[1:, :k] != words[:-1, :k]).any(axis=1)
-        starts = np.flatnonzero(np.r_[True, new])
-        words, weights = words[starts, :k], np.add.reduceat(weights, starts)
-        if k <= cfg.depth:
-            freqs[k] = dict(zip(map(tuple, words.tolist()),
-                                (weights / C).tolist()))
     hist = np.full(cfg.height_bins, 1.0 / cfg.height_bins)
-    return (EmpiricalMeasure(freqs, hist, system.sft.n_symbols),
-            C, int(counts.sum()))
+    return (EmpiricalMeasure(words[:, :cfg.depth], weights / C, hist,
+                             system.sft.n_symbols), C, int(counts.sum()))
+
+
+def _markov_statistics(chain: MarkovMeasure, roofs: np.ndarray,
+                       cfg: WeakStarConfig) -> EmpiricalMeasure:
+    """Exact residence statistics of a Markov chain whose state i lasts
+    roofs[i] and shows the symbol chain.words[i][-1]: a state path p
+    carries nu(p) r(p_0) / mean roof, nu(p) = pi(p_0) P(p_0, p_1) ...,
+    summed over the paths that show the same word."""
+    P = chain.transition
+    paths = _words(P > 0, cfg.depth)
+    prob = chain.stationary[paths[:, 0]]
+    for a, b in zip(paths.T[:-1], paths.T[1:]):
+        prob = prob * P[a, b]
+    mean_roof = float(np.dot(chain.stationary, roofs))
+    emit = np.array([w[-1] for w in chain.words])
+    hist = np.full(cfg.height_bins, 1.0 / cfg.height_bins)
+    return EmpiricalMeasure(emit[paths], prob * roofs[paths[:, 0]] / mean_roof,
+                            hist, int(emit.max()) + 1)
 
 
 def measure_statistics(mu: SuspendedMeasure,
@@ -181,38 +213,31 @@ def measure_statistics(mu: SuspendedMeasure,
     Requires a width-1 base (states = symbols)."""
     if any(len(w) != 1 for w in mu.base.words):
         raise ValueError("measure_statistics needs a width-1 base measure")
-    n = mu.base.n_states
-    roofs = mu.roof.array
-    freqs = {}
-    words = [((s,), mu.base.stationary[s]) for s in range(n)]
-    for k in range(1, cfg.depth + 1):
-        freqs[k] = {w: p * roofs[w[0]] / mu.mean_roof
-                    for w, p in words if p > 0}
-        words = [(w + (s,), p * mu.base.transition[w[-1], s])
-                 for w, p in words for s in range(n)
-                 if mu.base.transition[w[-1], s] > 0]
-    hist = np.full(cfg.height_bins, 1.0 / cfg.height_bins)
-    return EmpiricalMeasure(freqs, hist, n)
+    return _markov_statistics(mu.base, mu.roof.array, cfg)
 
 
-def weak_star_distance(a, b, cfg: WeakStarConfig = WeakStarConfig(),
-                       system: Suspension = None) -> float:
+def weak_star_distance(a, b, cfg: WeakStarConfig = WeakStarConfig()
+                       ) -> float:
     """D(a, b) = sum_k 2^-k sum_{|w|=k} |freq_a(w) - freq_b(w)|
-    + 2^-(depth+1) * sum_bins |height histogram difference|."""
+    + 2^-(depth+1) * sum_bins |height histogram difference|.
+
+    One pass over the two tables merged with signs + and -: at full depth
+    each word's rows sum to freq_a - freq_b, and every prefix marginal of
+    that signed table is the difference of the marginals."""
     if isinstance(a, SuspendedMeasure):
         a = measure_statistics(a, cfg)
     if isinstance(b, SuspendedMeasure):
         b = measure_statistics(b, cfg)
-    if set(a.freqs) != set(b.freqs):
+    if a.words.shape[1] != b.words.shape[1]:
         raise ValueError("depth mismatch between empirical measures")
-    total = 0.0
-    for k in a.freqs:
-        keys = set(a.freqs[k]) | set(b.freqs[k])
-        total += cfg.depth_weight(k) * sum(
-            abs(a.freqs[k].get(w, 0.0) - b.freqs[k].get(w, 0.0))
-            for w in keys)
     if len(a.heights) != len(b.heights):
         raise ValueError("height-bin mismatch")
+    words = np.concatenate([a.words, b.words])
+    signed = np.concatenate([a.weights, -b.weights])
+    order = np.lexsort(words.T[::-1])
+    total = 0.0
+    for k, _, diff in _marginals(words[order], signed[order]):
+        total += cfg.depth_weight(k) * float(np.abs(diff).sum())
     total += cfg.height_weight * float(np.abs(a.heights - b.heights).sum())
     return total
 
@@ -220,11 +245,6 @@ def weak_star_distance(a, b, cfg: WeakStarConfig = WeakStarConfig(),
 # ----------------------------------------------------------------------
 # rate function
 # ----------------------------------------------------------------------
-
-
-def _mean_of(system: Suspension, mu: SuspendedMeasure,
-             psi: CylinderPotential) -> float:
-    return entropy_and_mean(mu, psi)[1]
 
 
 def rate_function(system: Suspension, phi, psi: CylinderPotential,
@@ -239,7 +259,7 @@ def rate_function(system: Suspension, phi, psi: CylinderPotential,
         phi = zero_potential()
     P0 = pressure(system, phi, "spectral", tol=1e-12).value
     m_eq = equilibrium_state(system, phi)
-    mbar = _mean_of(system, m_eq, psi)
+    mbar = entropy_and_mean(m_eq, psi)[1]
     if method == "legendre":
         return _rate_legendre(system, phi, psi, eps_grid, P0, mbar)
     if method == "direct":

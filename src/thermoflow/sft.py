@@ -105,6 +105,16 @@ def is_admissible_word(sft: Sft, word) -> bool:
     return all(sft.allowed(a, b) for a, b in zip(w, w[1:]))
 
 
+def _words(A, w: int) -> np.ndarray:
+    """The words of length w admissible for the 0/1 matrix A, as the rows
+    of an int array in lexicographic order."""
+    W = np.arange(len(A))[:, None]
+    for _ in range(w - 1):
+        i, j = np.nonzero(A[W[:, -1]])
+        W = np.column_stack([W[i], j])
+    return W
+
+
 def is_irreducible(sft: Sft) -> bool:
     """True iff for every ordered pair (i, j) some admissible path i -> j
     (of length >= 1) exists."""
@@ -273,10 +283,6 @@ class BiWord:
         w = tuple(word)
         return cls(w, (), w, phase)
 
-    @classmethod
-    def constant(cls, symbol: int) -> "BiWord":
-        return cls.periodic((symbol,))
-
     # --- core API --------------------------------------------------------
 
     def symbol_at(self, k: int) -> int:
@@ -296,17 +302,6 @@ class BiWord:
         """sigma^m: (sigma^m x)_k = x_{k+m}."""
         return BiWord(self.left_tail, self.core, self.right_tail,
                       self.core_start - m)
-
-    def validate(self, sft: Sft) -> bool:
-        """Check full admissibility: tail self-seams, seams with the core,
-        and the core itself."""
-        lt, co, rt = self.left_tail, self.core, self.right_tail
-        chains = [lt + lt, rt + rt]
-        if co:
-            chains.append((lt[-1],) + co + (rt[0],))
-        else:
-            chains.append((lt[-1], rt[0]))
-        return all(is_admissible_word(sft, c) for c in chains)
 
     def __eq__(self, other):
         return (

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .sft import BiWord, Sft, _close_word
+from .sft import BiWord, Sft, _close_word, _words
 from .suspension import (OrbitSegment, Roof, SuspPoint, Suspension,
                          _residences)
 
@@ -83,18 +83,6 @@ class CylinderPotential:
     def value(self, word) -> float:
         return self.table[tuple(word[: self.width])]
 
-    def at(self, p: SuspPoint) -> float:
-        return self.value(p.base.window(0, self.width))
-
-    def validate(self, sft: Sft):
-        for w in _admissible_words(sft, self.width):
-            if w not in self.table:
-                raise ValueError(f"table missing admissible word {w}")
-
-    def scaled(self, c: float) -> "CylinderPotential":
-        return CylinderPotential(
-            self.width, {k: c * v for k, v in self.table.items()})
-
 
 def zero_potential() -> CylinderPotential:
     """phi = 0 as a width-1 potential with a defaulting table."""
@@ -128,19 +116,12 @@ class DistancePotential:
         return self.scale * v
 
 
-def _admissible_words(sft: Sft, w: int):
-    words = [(s,) for s in range(sft.n_symbols)]
-    for _ in range(w - 1):
-        words = [u + (b,) for u in words for b in sft.successors(u[-1])]
-    return words
-
-
 def combine_cylinder(a: CylinderPotential, b: CylinderPotential,
                      sft: Sft, cb: float = 1.0) -> CylinderPotential:
     """a + cb * b as a cylinder potential of width max(widths)."""
     w = max(a.width, b.width)
     table = {}
-    for word in _admissible_words(sft, w):
+    for word in map(tuple, _words(sft.transitions, w).tolist()):
         table[word] = a.value(word) + cb * b.value(word)
     return CylinderPotential(w, table)
 
@@ -238,15 +219,16 @@ def block_recode(sft: Sft, roof: Roof, w: int):
     which the word construction already guarantees)."""
     if w == 1:
         return sft, roof, tuple((s,) for s in range(sft.n_symbols))
-    words = _admissible_words(sft, w)
-    idx = {u: i for i, u in enumerate(words)}
-    n = len(words)
-    A = [[0] * n for _ in range(n)]
-    for i, u in enumerate(words):
-        for b in sft.successors(u[-1]):
-            v = u[1:] + (b,)
-            A[i][idx[v]] = 1
-    return (Sft(A), Roof([roof[u[0]] for u in words]), tuple(words))
+    W = _words(sft.transitions, w)
+    # the rows of W are sorted, so are their base-n values: u + (b,) leads
+    # to the state whose value is (value(u) mod n^(w-1)) n + b
+    n = sft.n_symbols
+    key = np.ravel_multi_index(W.T, (n,) * w)
+    i, b = np.nonzero(sft.transitions[W[:, -1]])
+    A = np.zeros((len(W), len(W)), bool)
+    A[i, np.searchsorted(key, key[i] % n ** (w - 1) * n + b)] = True
+    return (Sft(A), Roof([roof[s] for s in W[:, 0].tolist()]),
+            tuple(map(tuple, W.tolist())))
 
 
 def _prepare(system: Suspension, phi: CylinderPotential):
@@ -567,10 +549,7 @@ def _orbit_sums(system: Suspension, phi: CylinderPotential, t: float,
     if depth is None or not P:
         return L, counts, traces, None, None
 
-    W = np.arange(len(R))[:, None]  # admissible words of states
-    for _ in range(max(depth, phi.width) - phi.width):
-        i, j = np.nonzero(A[W[:, -1]])
-        W = np.column_stack([W[i], j])
+    W = _words(A, max(depth, phi.width) - phi.width + 1)  # state words
     first, last = W[:, 0], W[:, -1]
     Rc = np.cumsum(R[W], axis=1)
     Fc = np.cumsum(phihat[W], axis=1)
@@ -628,7 +607,7 @@ def cylinder_approximation(system: Suspension, phi: DistancePotential,
     from .graph import Geodesic
     g = phi.reference.graph
     table = {}
-    for u in _admissible_words(system.sft, width):
+    for u in map(tuple, _words(system.sft.transitions, width).tolist()):
         # extend to an admissible cycle for evaluation
         cyc = _close_word(system.sft, u)
         geo = Geodesic(g, SuspPoint(BiWord.periodic(cyc), 0.0))
@@ -677,29 +656,20 @@ def entropy_and_mean(mu: SuspendedMeasure, phi) -> tuple:
 
 def _phihat_on_states(mu: SuspendedMeasure, phi: CylinderPotential):
     """Fiber integrals of phi on the measure's state alphabet.  When the
-    potential needs more symbols than a state word provides, average over
-    admissible continuations weighted by the kernel."""
-    out = np.zeros(mu.base.n_states)
+    potential needs more symbols than the state words provide, average over
+    the state paths that continue them, weighted by the kernel; a state
+    shows the last symbol of its word."""
     words = mu.base.words
+    more = phi.width - min(map(len, words))
+    if more <= 0:
+        return np.array([phi.value(u) for u in words]) * mu.roof.array
     P = mu.base.transition
-    for i, u in enumerate(words):
-        if len(u) >= phi.width:
-            out[i] = phi.value(u)
-        else:
-            # average phi over kernel-weighted continuations
-            vals = 0.0
-            stack = [(u, i, 1.0)]
-            while stack:
-                w, st, pr = stack.pop()
-                if len(w) >= phi.width:
-                    vals += pr * phi.value(w)
-                    continue
-                for j in range(mu.base.n_states):
-                    if P[st, j] > 0:
-                        stack.append((w + (words[j][-1],), j,
-                                      pr * P[st, j]))
-            out[i] = vals
-    return out * mu.roof.array
+    paths = _words(P > 0, more + 1)
+    prob = np.prod(P[paths[:, :-1], paths[:, 1:]], axis=1)
+    vals = [phi.value(words[p[0]] + tuple(words[j][-1] for j in p[1:]))
+            for p in paths.tolist()]
+    return np.bincount(paths[:, 0], prob * vals,
+                       len(words)) * mu.roof.array
 
 
 def random_markov_measure(sft: Sft, rng, words=None) -> MarkovMeasure:
@@ -730,8 +700,7 @@ def _forced_depth(rho: float) -> int:
 
 
 def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
-                      rho: float, t_grid, samples: int, seed: int,
-                      delta0: float = None) -> dict:
+                      rho: float, t_grid, samples: int, seed: int) -> dict:
     """Ratios mu(B_t(x, rho)) / e^{-t P + Phi(x, t)} over sampled points.
 
     The Bowen ball B_t(x, rho) is evaluated as the cylinder of the symbols
@@ -739,9 +708,7 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
     window of radius rho, whose flow measure is
     nu(cylinder) * window_length / mean_roof.
     """
-    if delta0 is None:
-        delta0 = min(1.0, system.roof.min) / 4.0
-    if rho >= delta0:
+    if rho >= min(1.0, system.roof.min) / 4.0:
         raise ValueError("above expansivity scale")
     if len(mu.base.words[0]) != 1:
         raise ValueError("gibbs_ratio_stats needs a width-1 base measure")
@@ -789,14 +756,11 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
 
 
 def bowen_constant_estimate(system: Suspension, phi, eps: float,
-                            S_grid, samples: int, seed: int,
-                            delta0: float = None) -> dict:
+                            S_grid, samples: int, seed: int) -> dict:
     """V(eps, S) = sup over sampled eps-shadowing pairs of
     |Phi(x, S) - Phi(y, S)|; the Bowen property predicts a table bounded
     in S."""
-    if delta0 is None:
-        delta0 = min(1.0, system.roof.min) / 4.0
-    if eps >= delta0:
+    if eps >= min(1.0, system.roof.min) / 4.0:
         raise ValueError("above expansivity scale")
     rng = np.random.default_rng(seed)
     from .suspension import _BW_MAX_SHIFT

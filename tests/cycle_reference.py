@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 
-from thermoflow import WeakStarConfig, orbit_measure
+from thermoflow import WeakStarConfig
 from thermoflow.sft import Sft, _min_rotation, _primitive_root
+
+from stats_reference import orbit_measure
 
 
 def enumerate_primitive_cycles(sft: Sft, max_len: int):
@@ -79,7 +81,7 @@ def reference_weighted_measure(system, phi, t: float,
                                cfg: WeakStarConfig = WeakStarConfig()):
     """(freqs, C(t), number of orbits) of the weighted orbit measure
     (1/C) sum_{gamma in Per(t)} e^{Phi(gamma)} mu_gamma, one orbit at a
-    time."""
+    time, each orbit's windows counted by `stats_reference`."""
     orbits = primitive_orbits(system, t)
     wgts = [math.exp(cycle_integral(system, phi, c)) for c in orbits]
     C = sum(wgts)

@@ -129,6 +129,20 @@ def test_pressure_reads_exact_roof_strings(capsys, tmp_path):
         assert json.load(f)["gurevic"]["diagnostics"]["lattice"] == 3
 
 
+def test_graph_lengths_and_roof_values_read_alike():
+    """Graph lengths and roof entries follow one rule: a JSON number is the
+    binary fraction it stores, a string is parsed exactly."""
+    from fractions import Fraction
+    from thermoflow import io as tfio
+    for q, want in ((0.1, Fraction(0.1)), ("1/10", Fraction(1, 10))):
+        edge = {"from": 0, "to": 0, "length": q}
+        length = tfio.load_graph({"vertices": 1,
+                                  "edges": [edge, edge]}).length[0]
+        value = tfio.load_roof({"roof": [q]}).values[0]
+        assert Fraction(length) == Fraction(value) == want
+    assert isinstance(length, Fraction) and isinstance(value, Fraction)
+
+
 # --- flag validation ----------------------------------------------------------
 
 def test_seed_mandatory_for_sampling(capsys):

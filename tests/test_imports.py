@@ -1,6 +1,7 @@
-"""Every name a library module imports is read in that module.  A name
-listed in the module's __all__ counts as read; __future__ imports are
-skipped."""
+"""Every name a library module imports is read in that module, and every
+module-level private function of the library is read somewhere outside its
+own body.  A name listed in the module's __all__ counts as read;
+__future__ imports are skipped."""
 
 import ast
 import pathlib
@@ -43,3 +44,35 @@ def test_unused_imports_examples():
                          ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_functions(sources: dict) -> list:
+    """Module-level functions named _x in `sources` ({module: text}) whose
+    name no top-level statement but their own definition reads."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    reads = [(top, {n.id for n in ast.walk(top) if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+              | {n.attr for n in ast.walk(top)
+                 if isinstance(n, ast.Attribute)})
+             for tree in trees.values() for top in tree.body]
+    return sorted(
+        f"{mod}:{top.name}" for mod, tree in trees.items()
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef) and top.name.startswith("_")
+        and not top.name.startswith("__")
+        and not any(top.name in names for other, names in reads
+                    if other is not top))
+
+
+def test_unreferenced_private_functions_examples():
+    srcs = {"a": "def _f():\n    return _f()\n\ndef _g():\n    pass\n",
+            "b": "from a import _g\n_g()\n\nclass C:\n    def _h(self):\n"
+                 "        pass\n"}
+    assert unreferenced_private_functions(srcs) == ["a:_f"]
+    assert unreferenced_private_functions(
+        {"a": "import m\nm._k()\ndef _k():\n    pass\n"}) == []
+
+
+def test_every_private_function_is_read():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_functions(sources) == []

@@ -126,6 +126,71 @@ def test_weak_star_bernoulli_closed_form(full2_unit):
     assert abs(d - 0.5 * (0.1 + 0.1)) < 1e-12
 
 
+@pytest.mark.parametrize("depth", [1, 6])
+@pytest.mark.parametrize("name", ["full2", "golden12", "rose2", "theta"])
+def test_statistics_match_dict_reference(name, depth, full2_unit, golden12,
+                                         rose2, theta):
+    """Every statistics producer gives the word tables of the dict-based
+    reference (same words, frequencies within 1e-12), and so does every
+    weak* distance between them, on seeded inputs."""
+    import stats_reference as ref
+    from cycle_reference import reference_weighted_measure
+    from thermoflow import (ApproxTarget, SuspendedMeasure, chain_statistics,
+                            mixture_statistics, random_markov_measure)
+    from thermoflow.entropy_density import _build_block_chain
+    from thermoflow.sft import _close_word
+    system = {"full2": full2_unit, "golden12": golden12,
+              "rose2": graph_suspension(rose2),
+              "theta": graph_suspension(theta)}[name]
+    cfg = WeakStarConfig(depth=depth)
+    sft = system.sft
+    rng = np.random.default_rng(depth)
+    hist = np.full(cfg.height_bins, 1.0 / cfg.height_bins)
+
+    def closed_word(length):
+        word = [int(rng.integers(sft.n_symbols))]
+        while len(word) < length:
+            word.append(int(rng.choice(sft.successors(word[-1]))))
+        return _close_word(sft, word)
+
+    target = ApproxTarget(((random_markov_measure(sft, rng), 0.3),
+                           (random_markov_measure(sft, rng), 0.7)), 0.1)
+    chain, _, roofs = _build_block_chain(system, target, 12)
+    mu = SuspendedMeasure(target.components[0][0], system.roof)
+    pairs = [(measure_statistics(mu, cfg), ref.measure_statistics(mu, cfg)),
+             (mixture_statistics(target, system.roof, cfg),
+              ref.mixture_statistics(target, system.roof, cfg)),
+             (chain_statistics(chain, roofs, cfg),
+              ref.chain_statistics(chain, roofs, cfg))]
+    for length in (1, 3, 7):
+        w = closed_word(length)
+        pairs.append((orbit_measure(system, w, cfg),
+                      ref.orbit_measure(system, w, cfg)))
+        x = system.point(BiWord.periodic(closed_word(length + 5)),
+                         float(rng.uniform(0.0, system.roof.min)))
+        t = float(rng.uniform(0.5, 15.0))
+        pairs.append((empirical_measure(system, x, t, cfg),
+                      ref.empirical_measure(system, x, t, cfg)))
+    freqs, _, _ = reference_weighted_measure(system, zero_potential(), 5.0,
+                                             cfg)
+    pairs.append((weighted_orbit_measure(system, zero_potential(), 5.0,
+                                         cfg)[0],
+                  ref.EmpiricalMeasure(freqs, hist, sft.n_symbols)))
+    for new, old in pairs:
+        assert set(new.freqs) == set(old.freqs)
+        for k, table in old.freqs.items():
+            assert set(new.freqs[k]) == set(table), k
+            for w, f in table.items():
+                assert abs(new.freqs[k][w] - f) <= 1e-12, (k, w)
+        assert np.allclose(new.heights, old.heights, rtol=0, atol=1e-12)
+    for new_a, old_a in pairs:
+        for new_b, old_b in pairs:
+            assert abs(weak_star_distance(new_a, new_b, cfg)
+                       - ref.weak_star_distance(old_a, old_b, cfg)) <= 1e-12
+    assert abs(weak_star_distance(mu, pairs[3][0], cfg)
+               - ref.weak_star_distance(mu, pairs[3][1], cfg)) <= 1e-12
+
+
 # --- equidistribution ----------------------------------------------------------
 
 def test_equidistribution_rose2_both_potentials(rose2, theta):

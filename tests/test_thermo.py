@@ -274,6 +274,26 @@ def test_entropy_and_mean_examples(full2_unit):
     assert abs(h - math.log(2) / 1.5) < 1e-12
 
 
+def test_mean_of_wider_potential_sums_over_continuations(golden12, rose2):
+    """A width-3 psi under a width-1 Markov measure: int psi is the sum of
+    nu(w) psi(w) r(w_0) over the admissible 3-words w, over the mean
+    roof."""
+    rng = np.random.default_rng(5)
+    for system in (golden12, graph_suspension(rose2)):
+        sft, r = system.sft, system.roof.array
+        mu = SuspendedMeasure(random_markov_measure(sft, rng), system.roof)
+        P, pi = mu.base.transition, mu.base.stationary
+        words = [(a, b, c) for a in range(sft.n_symbols)
+                 for b in range(sft.n_symbols)
+                 for c in range(sft.n_symbols)
+                 if sft.allowed(a, b) and sft.allowed(b, c)]
+        psi = CylinderPotential(3, {w: float(rng.uniform(-1.0, 1.0))
+                                    for w in words})
+        want = sum(pi[a] * P[a, b] * P[b, c] * psi.table[(a, b, c)] * r[a]
+                   for a, b, c in words) / mu.mean_roof
+        assert abs(entropy_and_mean(mu, psi)[1] - want) <= 1e-12
+
+
 def test_variational_principle(full2_unit, golden12):
     rng = np.random.default_rng(41)
     for system in (full2_unit, golden12):
