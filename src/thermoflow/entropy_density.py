@@ -222,8 +222,7 @@ def mixture_statistics(target: ApproxTarget, roof: Roof,
     return EmpiricalMeasure(np.concatenate([st.words for _, st in stats]),
                             np.concatenate([a * st.weights
                                             for a, st in stats]),
-                            sum(a * st.heights for a, st in stats),
-                            stats[0][1].n_symbols)
+                            sum(a * st.heights for a, st in stats))
 
 
 def mixture_entropy(target: ApproxTarget, roof: Roof) -> float:

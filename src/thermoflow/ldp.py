@@ -6,9 +6,9 @@ shorter table a prefix marginal) plus a normalized-height histogram; the
 weak* distance is the weighted sum of total-variation discrepancies over
 all depths.  The rate function q(eps) = P(phi) - sup{h + int phi :
 |int psi - mean| >= eps} is computed both by a Legendre transform of the
-pressure curve beta -> P(phi + beta psi) and by direct constrained
-maximization over Markov kernels (grid scan + polish), and compared to
-Monte Carlo deviation frequencies of Birkhoff averages.
+pressure curve beta -> P(phi + beta psi) and by direct maximization over
+Markov kernels (a simplex grid scored as one kernel stack, then a polish),
+and compared to Monte Carlo deviation frequencies on step-major paths.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class EmpiricalMeasure:
     prefix marginal of that table; `freqs` holds them all as a read-only
     view, {k: {word tuple: frequency}}, built on first read."""
 
-    def __init__(self, words, weights, heights, n_symbols: int):
+    def __init__(self, words, weights, heights):
         words = np.asarray(words)
         order = np.lexsort(words.T[::-1])
         _, words, weights = next(_marginals(
@@ -79,7 +79,6 @@ class EmpiricalMeasure:
             raise ValueError(f"frequencies sum to {tot}")
         h = np.asarray(heights, dtype=float)
         self.heights = h / h.sum() if h.sum() > 0 else h
-        self.n_symbols = n_symbols
 
     @cached_property
     def freqs(self):
@@ -135,8 +134,7 @@ def orbit_measure(system: Suspension, cycle_word,
     ext = np.tile(w, 1 + (cfg.depth + len(w) - 1) // len(w))
     hist = np.full(cfg.height_bins, 1.0 / cfg.height_bins)
     return EmpiricalMeasure(sliding_window_view(ext, cfg.depth)[:len(w)],
-                            weights / weights.sum(), hist,
-                            system.sft.n_symbols)
+                            weights / weights.sum(), hist)
 
 
 def empirical_measure(system: Suspension, x: SuspPoint, t: float,
@@ -165,8 +163,7 @@ def empirical_measure(system: Suspension, x: SuspPoint, t: float,
     word = np.array(x.base.window(0, len(weights) + cfg.depth - 1))
     weights = np.array(weights, dtype=float)
     return EmpiricalMeasure(sliding_window_view(word, cfg.depth),
-                            weights / weights.sum(), hist,
-                            system.sft.n_symbols)
+                            weights / weights.sum(), hist)
 
 
 def weighted_orbit_measure(system: Suspension, phi, t: float,
@@ -182,8 +179,8 @@ def weighted_orbit_measure(system: Suspension, phi, t: float,
         raise ValueError("no closed orbits yet")
     C = float(weights.sum())
     hist = np.full(cfg.height_bins, 1.0 / cfg.height_bins)
-    return (EmpiricalMeasure(words[:, :cfg.depth], weights / C, hist,
-                             system.sft.n_symbols), C, int(counts.sum()))
+    return (EmpiricalMeasure(words[:, :cfg.depth], weights / C, hist), C,
+            int(counts.sum()))
 
 
 def _markov_statistics(chain: MarkovMeasure, roofs: np.ndarray,
@@ -201,7 +198,7 @@ def _markov_statistics(chain: MarkovMeasure, roofs: np.ndarray,
     emit = np.array([w[-1] for w in chain.words])
     hist = np.full(cfg.height_bins, 1.0 / cfg.height_bins)
     return EmpiricalMeasure(emit[paths], prob * roofs[paths[:, 0]] / mean_roof,
-                            hist, int(emit.max()) + 1)
+                            hist)
 
 
 def measure_statistics(mu: SuspendedMeasure,
@@ -340,117 +337,122 @@ def _rate_legendre(system, phi, psi, eps_grid, P0, mbar) -> dict:
     return out
 
 
-def _kernel_family(sft):
-    """Free parameterization of Markov kernels on the SFT transitions:
-    list of (state, successor list); rows with one successor are forced."""
-    rows = []
-    for i in range(sft.n_symbols):
-        rows.append((i, sft.successors(i)))
-    return rows
-
-
-def _kernel_from_params(rows, n, params):
-    P = np.zeros((n, n))
+def _kernel_stack(rows, params: np.ndarray) -> np.ndarray:
+    """(K, n, n) Markov kernels from (K, dims) parameters: a state with m
+    successors gives the next m - 1 parameters to its first m - 1 and the
+    rest to its last successor (one successor: forced)."""
+    P = np.zeros((len(params), len(rows), len(rows)))
     k = 0
     for i, succ in rows:
-        m = len(succ)
-        if m == 1:
-            P[i, succ[0]] = 1.0
-            continue
-        probs = params[k: k + m - 1]
-        k += m - 1
-        last = 1.0 - sum(probs)
-        for s, p in zip(succ[:-1], probs):
-            P[i, s] = p
-        P[i, succ[-1]] = last
+        probs = params[:, k: k + len(succ) - 1]
+        k += len(succ) - 1
+        P[:, i, succ[:-1]] = probs
+        P[:, i, succ[-1]] = 1.0 - probs.sum(axis=1)
     return P
 
 
-def _measure_objective(system, P, phi, psi):
-    """(h + int phi, int psi) for the suspended Markov measure of P."""
-    eps = 1e-12
+def _product(blocks) -> np.ndarray:
+    """Rows of the Cartesian product of the row sets in blocks, the first
+    block varying slowest (the order of itertools.product)."""
+    out = np.zeros((1, 0))
+    for B in blocks:
+        out = np.hstack([np.repeat(out, len(B), axis=0),
+                         np.tile(B, (len(out), 1))])
+    return out
+
+
+def _kernel_grid(free, step: float):
+    """(params, n_grid): parameter rows of the simplex grid over the free
+    kernel rows `free` (successor lists), then of the vertex kernels."""
+    def simplex_grid(m):
+        ticks = np.arange(step, 1.0, step)[:, None]
+        if m == 1:
+            return ticks
+        pts = _product([ticks, simplex_grid(m - 1)])
+        return pts[pts[:, 0] + pts[:, 1:].sum(axis=1) < 1.0 - step / 2]
+
+    grid = _product([simplex_grid(len(s) - 1) for s in free])
+    # deterministic kernels reach the boundary of the psi-range, which the
+    # open grid misses; picking a row's last successor sets its params 0
+    vertices = _product([np.eye(len(s))[:, :-1] for s in free])
+    return np.vstack([grid, vertices]), len(grid)
+
+
+def _objective(P: np.ndarray, roofs, phi_v, psi_v):
+    """(h + int phi, int psi, ok) for the suspended Markov measures of a
+    (K, n, n) kernel stack; phi and psi are width-1 with values phi_v,
+    psi_v.  Each kernel is clipped at 0 and renormalized, and again after
+    entries below 1e-12 are zeroed.  pi is the min-norm least-squares
+    solution of pi (P - I) = 0, sum pi = 1, so (1/2, 1/2) on the identity
+    kernel.  ok: rows sum to 1 and pi P = pi, both within 1e-9."""
     P = np.maximum(P, 0.0)
-    P = P / P.sum(axis=1, keepdims=True)
-    try:
-        nu = MarkovMeasure(np.where(P < eps, 0.0, P) /
-                           np.where(P < eps, 0.0, P).sum(
-                               axis=1, keepdims=True))
-    except Exception:
-        return None
-    mu = SuspendedMeasure(nu, system.roof)
-    h, ip = entropy_and_mean(mu, phi)
-    _, ips = entropy_and_mean(mu, psi)
-    return h + ip, ips
+    P = P / P.sum(axis=2, keepdims=True)
+    P = np.where(P < 1e-12, 0.0, P)
+    P = P / P.sum(axis=2, keepdims=True)
+    rs = P.sum(axis=2)
+    P = P / rs[..., None]
+    n = P.shape[1]
+    A = np.concatenate([P.transpose(0, 2, 1) - np.eye(n),
+                        np.ones_like(P[:, :1])], axis=1)
+    pi = np.linalg.pinv(A, rcond=np.finfo(float).eps * (n + 1))[:, :, -1]
+    pi = np.maximum(pi, 0.0)
+    pi = pi / pi.sum(axis=1, keepdims=True)
+    pi = pi / pi.sum(axis=1, keepdims=True)
+    err = np.abs((pi[:, None] @ P)[:, 0] - pi).max(axis=1)
+    ok = (np.abs(rs - 1.0) <= 1e-9).all(axis=1) & (err <= 1e-9)
+    H = -(pi[:, :, None] * P * np.log(np.where(P > 0, P, 1.0))).sum(
+        axis=(1, 2))
+    mean_roof, mphi, mpsi = (pi @ np.stack(
+        [roofs, phi_v * roofs, psi_v * roofs], axis=1)).T
+    return H / mean_roof + mphi / mean_roof, mpsi / mean_roof, ok
 
 
 def _rate_direct(system, phi, psi, eps_grid, P0, mbar,
                  step: float = 0.02) -> dict:
     """Brute maximization of h + int phi over Markov kernels on a simplex
     grid, subject to |int psi - mbar| >= eps, then a constrained polish
-    on the active boundary."""
+    on the active boundary.  The grid and the deterministic vertex kernels
+    are scored as one kernel stack."""
     if phi.width != 1 or psi.width != 1:
         raise ValueError("direct method supports width-1 potentials")
-    sft = system.sft
-    n = sft.n_symbols
-    rows = _kernel_family(sft)
-    free = [(i, succ) for i, succ in rows if len(succ) > 1]
-    dims = sum(len(s) - 1 for _, s in free)
+    n = system.sft.n_symbols
+    rows = [(i, system.sft.successors(i)) for i in range(n)]
+    free = [succ for _, succ in rows if len(succ) > 1]
+    dims = sum(len(s) - 1 for s in free)
     if dims > 3:
         raise ValueError("direct method limited to <= 3 free kernel "
                          "parameters")
-
-    def simplex_grid(m):
-        if m == 1:
-            ticks = np.arange(step, 1.0, step)
-            return [(t,) for t in ticks]
-        pts = []
-        for t in np.arange(step, 1.0, step):
-            for rest in simplex_grid(m - 1):
-                if t + sum(rest) < 1.0 - step / 2:
-                    pts.append((t,) + rest)
-        return pts
-
-    grids = [simplex_grid(len(succ) - 1) for _, succ in free]
-    import itertools
-    candidates = []
-    for combo in itertools.product(*grids):
-        params = [p for tup in combo for p in tup]
-        P = _kernel_from_params(rows, n, params)
-        res = _measure_objective(system, P, phi, psi)
-        if res is not None:
-            candidates.append((params, res))
-    # deterministic vertex kernels reach the boundary of the achievable
-    # psi-range (pinned frequencies), which the open grid misses
-    for combo in itertools.product(*[range(len(s)) for _, s in free]):
-        P = np.zeros((n, n))
-        ptr = 0
-        for i, succ in rows:
-            if len(succ) == 1:
-                P[i, succ[0]] = 1.0
-            else:
-                P[i, succ[combo[ptr]]] = 1.0
-                ptr += 1
-        res = _measure_objective(system, P, phi, psi)
-        if res is not None:
-            candidates.append((None, res))
+    roofs = system.roof.array
+    phi_v, psi_v = (np.array([f.value((s,)) for s in range(n)])
+                    for f in (phi, psi))
+    params, n_grid = _kernel_grid(free, step)
+    obj, mpsi, ok = _objective(_kernel_stack(rows, params), roofs, phi_v,
+                               psi_v)
 
     from scipy.optimize import minimize
 
     def polish(eps, sign, start):
         """maximize h + int phi subject to int psi = mbar + sign*eps."""
         target = mbar + sign * eps
+        last = {}  # SLSQP asks neg and con at the same points
 
-        def neg(params):
-            P = _kernel_from_params(rows, n, np.clip(params, 1e-9, 1-1e-9))
-            r = _measure_objective(system, P, phi, psi)
-            return math.inf if r is None else -r[0]
+        def evaluate(x):
+            if x.tobytes() not in last:
+                P = _kernel_stack(rows, np.clip(x, 1e-9, 1 - 1e-9)[None])
+                (o,), (m,), (good,) = _objective(P, roofs, phi_v, psi_v)
+                last.clear()
+                last[x.tobytes()] = float(o), float(m), bool(good)
+            return last[x.tobytes()]
 
-        def con(params):
-            P = _kernel_from_params(rows, n, np.clip(params, 1e-9, 1-1e-9))
-            r = _measure_objective(system, P, phi, psi)
+        def neg(x):
+            o, _, good = evaluate(x)
+            return -o if good else math.inf
+
+        def con(x):
+            _, m, good = evaluate(x)
             # one-sided: push int psi at least eps beyond the mean; the
             # concave objective makes the optimum sit on this boundary
-            return -1.0 if r is None else sign * (r[1] - target)
+            return sign * (m - target) if good else -1.0
 
         try:
             res = minimize(neg, np.array(start), method="SLSQP",
@@ -469,11 +471,9 @@ def _rate_direct(system, phi, psi, eps_grid, P0, mbar,
         if eps == 0:
             out[eps] = 0.0
             continue
-        best = -math.inf
-        best_params = None
-        for params, (obj, mpsi) in candidates:
-            if abs(mpsi - mbar) >= eps - 1e-12 and obj > best:
-                best, best_params = obj, params
+        feasible = ok & (np.abs(mpsi - mbar) >= eps - 1e-12)
+        i = int(np.argmax(np.where(feasible, obj, -math.inf)))
+        best = float(obj[i]) if feasible[i] else -math.inf
         # polish on each boundary from the best grid point (the optimum
         # of a concave objective over the two-sided constraint set lies
         # on one of the boundaries unless it is a vertex)
@@ -481,8 +481,8 @@ def _rate_direct(system, phi, psi, eps_grid, P0, mbar,
             tgt = mbar + sign * eps
             if tgt < lo_u - 1e-9 or tgt > hi_u + 1e-9:
                 continue
-            start = best_params if best_params is not None \
-                else [1.0 / len(s) for _, s in free for _ in s[:-1]]
+            start = params[i] if feasible[i] and i < n_grid \
+                else [1.0 / len(s) for s in free for _ in s[:-1]]
             best = max(best, polish(eps, sign, start))
         out[eps] = math.inf if best == -math.inf else max(0.0, P0 - best)
     return out
@@ -509,9 +509,9 @@ def _sample_integrals(m: SuspendedMeasure, psi_v: np.ndarray, t: float,
     """int_0^t psi along n_samples stationary orbits of m, each started at
     a uniform height of its first fiber; width-1 psi with values psi_v.
 
-    One pass over the fibers keeps running sums of the roof (cum) and of
-    psi times the roof (psic); k counts the fibers that end before time t,
-    and prev_cum, full hold cum and psic through the last of them."""
+    One pass over the fibers (the step rows of the words) keeps running
+    sums of the roof (cum) and of psi times the roof (psic); k counts the
+    fibers ending before time t, and prev_cum, full hold cum and psic then."""
     roofs = m.roof.array
     start_w = m.base.stationary * roofs
     words = m.base.sample_words(n_samples, length, rng,
@@ -524,12 +524,12 @@ def _sample_integrals(m: SuspendedMeasure, psi_v: np.ndarray, t: float,
     full = np.zeros(n_samples)
     k = np.zeros(n_samples, dtype=np.int64)
     for col in words.T:
-        r = roofs[col]
-        cum = cum + r
-        psic = psic + psi_v[col] * r
+        r = roofs.take(col)
+        cum += r
+        psic += psi_v.take(col) * r
         before = cum < total
-        prev_cum = np.where(before, cum, prev_cum)
-        full = np.where(before, psic, full)
+        np.copyto(prev_cum, cum, where=before)
+        np.copyto(full, psic, where=before)
         k += before
     first_partial = h0 * psi_v[words[:, 0]]
     last_partial = (total - prev_cum) * psi_v[words[np.arange(n_samples), k]]

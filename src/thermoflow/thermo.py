@@ -170,18 +170,19 @@ class MarkovMeasure:
 
     def sample_words(self, n: int, length: int, rng,
                      start_weights=None) -> np.ndarray:
-        """n independent stationary sample paths (vectorized)."""
-        P = self.transition
-        k = self.n_states
-        cum = np.cumsum(P, axis=1)
+        """n independent stationary sample paths, the (n, length) view of
+        a step-major array: a step fills one row, each next state being
+        the number of its predecessor's cumulative thresholds below u."""
+        thresholds = np.cumsum(self.transition, axis=1).T
         w0 = self.stationary if start_weights is None else \
             np.asarray(start_weights, float) / np.sum(start_weights)
-        out = np.empty((n, length), dtype=np.int64)
-        out[:, 0] = rng.choice(k, size=n, p=w0)
-        for j in range(1, length):
+        out = np.zeros((length, n), dtype=np.int64)
+        out[0] = rng.choice(self.n_states, size=n, p=w0)
+        for prev, row in zip(out[:-1], out[1:]):
             u = rng.random(n)
-            out[:, j] = (u[:, None] > cum[out[:, j - 1]]).sum(axis=1)
-        return out
+            for column in thresholds:
+                row += u > column.take(prev)
+        return out.T
 
 
 def _stationary_vector(P: np.ndarray) -> np.ndarray:

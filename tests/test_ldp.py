@@ -9,14 +9,17 @@ import pytest
 from thermoflow import (
     BiWord,
     CylinderPotential,
+    MarkovMeasure,
     OrbitSegment,
     Roof,
     Sft,
     Suspension,
+    SuspendedMeasure,
     WeakStarConfig,
     birkhoff,
     deviation_frequency,
     empirical_measure,
+    entropy_and_mean,
     enumerate_closed_geodesics,
     equilibrium_state,
     graph_suspension,
@@ -315,6 +318,55 @@ def test_rate_golden_mean_methods_agree():
         assert abs(ql[e] - qd[e]) < 0.04
 
 
+def _scalar_objective(system, P, phi, psi):
+    """One kernel at a time through the measure classes: (h + int phi,
+    int psi) of the suspended Markov measure of P, None when it fails."""
+    P = np.maximum(P, 0.0)
+    P = P / P.sum(axis=1, keepdims=True)
+    P = np.where(P < 1e-12, 0.0, P)
+    try:
+        nu = MarkovMeasure(P / P.sum(axis=1, keepdims=True))
+    except ValueError:
+        return None
+    mu = SuspendedMeasure(nu, system.roof)
+    h, int_phi = entropy_and_mean(mu, phi)
+    return h + int_phi, entropy_and_mean(mu, psi)[1]
+
+
+@pytest.mark.parametrize("name", ["full2/zero", "full2/phi", "golden12/zero",
+                                  "golden12/phi", "sft3/phi"])
+def test_batched_objective_matches_scalar_path(name, full2_unit, golden12):
+    """The direct rate method's one-stack objective agrees with the measure
+    classes on every grid and vertex kernel (full2, golden (1, 2)) and on
+    every vertex and every 50th grid kernel of a 3-symbol SFT with three
+    free parameters, the reducible identity kernel of full2 included."""
+    from thermoflow.ldp import _kernel_grid, _kernel_stack, _objective
+    model, pot = name.split("/")
+    sft3 = Suspension(Sft([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+                      Roof([1.0, 1.5, 0.5]))
+    system = {"full2": full2_unit, "golden12": golden12, "sft3": sft3}[model]
+    n = system.sft.n_symbols
+    rows = [(i, system.sft.successors(i)) for i in range(n)]
+    params, n_grid = _kernel_grid([s for _, s in rows if len(s) > 1], 0.02)
+    if model == "sft3":
+        assert params.shape[1] == 3
+        params = np.vstack([params[:n_grid:50], params[n_grid:]])
+    P = _kernel_stack(rows, params)
+    if model == "full2":
+        assert any(np.array_equal(k, np.eye(2)) for k in P)
+    phi = CylinderPotential(1, {(s,): v for s, v in
+                                enumerate([0.1, -0.2, 0.3][:n])}) \
+        if pot == "phi" else zero_potential()
+    psi = CylinderPotential(1, {(s,): float(s == 1) for s in range(n)})
+    obj, mpsi, ok = _objective(P, system.roof.array,
+                               np.array([phi.value((s,)) for s in range(n)]),
+                               np.array([psi.value((s,)) for s in range(n)]))
+    for k, o, m, good in zip(P, obj, mpsi, ok):
+        ref = _scalar_objective(system, k, phi, psi)
+        assert good == (ref is not None)
+        assert abs(o - ref[0]) <= 1e-14 and abs(m - ref[1]) <= 1e-14, k
+
+
 # --- Monte Carlo deviations -----------------------------------------------------
 
 def test_deviation_frequency_eps_zero(full2_unit):
@@ -359,3 +411,31 @@ def test_deviation_counts_boundary_atoms(full2_unit):
     dev = deviation_frequency(full2_unit, mu, ind1(), 0.1, 30.0, n, 7)
     p = float(exact_deviation_probability(30, "0.1"))
     assert abs(dev.frequency - p) <= 4 * math.sqrt(p * (1 - p) / n)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_sampler_matches_reference(k):
+    """The step-major sampler draws the same words as the sample-major
+    reference loop, with and without start weights, on full and sparse
+    kernels."""
+    from sampler_reference import sample_words
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        P = rng.random((k, k)) + 0.05
+        if seed % 2:
+            P[k - 1, k - 1] = 0.0  # golden-mean shape when k = 2
+        mu = MarkovMeasure(P / P.sum(axis=1, keepdims=True))
+        for start in (None, rng.random(k) + 0.1):
+            got = mu.sample_words(300, 25, np.random.default_rng(seed),
+                                  start_weights=start)
+            want = sample_words(mu.transition, mu.stationary, 300, 25,
+                                np.random.default_rng(seed), start)
+            assert np.array_equal(got, want), (seed, start)
+
+
+def test_deviation_hits_pinned(full2_unit):
+    """Criterion 9's Monte Carlo run draws the same paths as before the
+    step-major sampler: the hit count is the pinned one."""
+    mu = equilibrium_state(full2_unit, zero_potential())
+    dev = deviation_frequency(full2_unit, mu, ind1(), 0.1, 50.0, 100_000, 42)
+    assert dev.hits == 17724
