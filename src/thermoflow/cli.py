@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=12.0)
     p.add_argument("--eta", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--samples", type=int, help="gibbs: 400, ldp: 20000")
     p.add_argument("--out", help="output directory for artifacts")
     return p
 
@@ -234,7 +234,6 @@ def _cmd_glue(run: _Run) -> int:
     print(f"glued {len(segs)} segments at delta = {delta}")
     print(f"transition-time bound: {bound:.6f}")
     ok_all = True
-    t0 = 0.0
     for j, seg in enumerate(segs):
         y = run.system.flow(res.point,
                             res.block_starts[j] - seg.duration)
@@ -312,7 +311,8 @@ def _cmd_gibbs(run: _Run) -> int:
     t_grid = args.t_grid or [10.0, 20.0, 30.0]
     mu = equilibrium_state(run.system, phi)
     stats = gibbs_ratio_stats(run.system, mu, phi, rho, t_grid,
-                              samples=min(args.samples, 400),
+                              samples=400 if args.samples is None
+                              else args.samples,
                               seed=run.need_seed())
     print(run.header())
     print(f"Gibbs ratio table  rho = {rho}")
@@ -354,6 +354,7 @@ def _cmd_ldp(run: _Run) -> int:
     psi = tfio.load_potential(tfio.read_json(args.psi), graph=run.graph)
     eps_grid = args.epsilon or [0.05, 0.1, 0.15, 0.2]
     seed = run.need_seed()
+    n = 20000 if args.samples is None else args.samples
     q_leg = rate_function(run.system, phi, psi, eps_grid, method="legendre")
     q_dir = rate_function(run.system, phi, psi, eps_grid, method="direct")
     print(run.header())
@@ -369,10 +370,10 @@ def _cmd_ldp(run: _Run) -> int:
     mu = equilibrium_state(run.system, phi)
     mc_rows = [("eps", "t", "frequency", "log_rate", "ci_low", "ci_high")]
     print(f"Monte Carlo deviation frequencies at t = {t}, "
-          f"n = {args.samples}")
+          f"n = {n}")
     for e in eps_grid:
         dev = deviation_frequency(run.system, mu, psi, e, t,
-                                  args.samples, seed)
+                                  n, seed)
         note = f"  [{dev.note}]" if dev.note else ""
         print(f"  eps = {e:<6g} freq = {dev.frequency:.6g} "
               f"log-rate = {dev.log_rate:.6f} "

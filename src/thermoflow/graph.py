@@ -130,7 +130,7 @@ class MetricGraph:
             pq = [(self.length[e0], e0)]
             while pq:
                 d, e = heapq.heappop(pq)
-                if d > dist.get(e, None if e not in dist else dist[e]):
+                if d > dist[e]:
                     continue
                 if best is not None and d >= best:
                     continue

@@ -22,9 +22,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .sft import _words
-from .suspension import SuspPoint, Suspension, _residences
+from .suspension import SuspPoint, Suspension, _residences, _row_integrals
 from .thermo import (CylinderPotential, MarkovMeasure, SuspendedMeasure,
-                     _orbit_sums, _prepare, combine_cylinder,
+                     _orbit_sums, _prepare, _sample_orbits, combine_cylinder,
                      entropy_and_mean, equilibrium_state, pressure,
                      zero_potential)
 
@@ -504,38 +504,6 @@ class DeviationResult:
     note: str = ""
 
 
-def _sample_integrals(m: SuspendedMeasure, psi_v: np.ndarray, t: float,
-                      length: int, n_samples: int, rng) -> np.ndarray:
-    """int_0^t psi along n_samples stationary orbits of m, each started at
-    a uniform height of its first fiber; width-1 psi with values psi_v.
-
-    One pass over the fibers (the step rows of the words) keeps running
-    sums of the roof (cum) and of psi times the roof (psic); k counts the
-    fibers ending before time t, and prev_cum, full hold cum and psic then."""
-    roofs = m.roof.array
-    start_w = m.base.stationary * roofs
-    words = m.base.sample_words(n_samples, length, rng,
-                                start_weights=start_w)
-    h0 = rng.random(n_samples) * roofs[words[:, 0]]
-    total = h0 + t
-    cum = np.zeros(n_samples)
-    psic = np.zeros(n_samples)
-    prev_cum = np.zeros(n_samples)
-    full = np.zeros(n_samples)
-    k = np.zeros(n_samples, dtype=np.int64)
-    for col in words.T:
-        r = roofs.take(col)
-        cum += r
-        psic += psi_v.take(col) * r
-        before = cum < total
-        np.copyto(prev_cum, cum, where=before)
-        np.copyto(full, psic, where=before)
-        k += before
-    first_partial = h0 * psi_v[words[:, 0]]
-    last_partial = (total - prev_cum) * psi_v[words[np.arange(n_samples), k]]
-    return full - first_partial + last_partial
-
-
 def deviation_frequency(system: Suspension, m: SuspendedMeasure,
                         psi: CylinderPotential, eps: float, t: float,
                         n_samples: int, seed: int) -> DeviationResult:
@@ -555,9 +523,10 @@ def deviation_frequency(system: Suspension, m: SuspendedMeasure,
         raise ValueError("width-1 base measure required")
     rng = np.random.default_rng(seed)
     mbar = entropy_and_mean(m, psi)[1]
-    psi_v = np.array([psi.value((s,)) for s in range(m.base.n_states)])
+    psi_v = np.array([psi.value(w) for w in m.base.words])
     length = int(math.ceil(t / system.roof.min)) + 2
-    integral = _sample_integrals(m, psi_v, t, length, n_samples, rng)
+    words, h0 = _sample_orbits(m, n_samples, length, rng)
+    integral, _ = _row_integrals(words, psi_v, m.roof.array, h0, t)
     tol = 1e-9 * t * max(1.0, float(np.max(np.abs(psi_v))))
     hits = int(np.sum(np.abs(integral - t * mbar) >= t * eps - tol))
     from scipy.special import betaincinv  # the beta quantile

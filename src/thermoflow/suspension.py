@@ -8,12 +8,15 @@ Fiber convention
 Fiber k is the set of heights [0, r(x_k)) over coordinate k.  A height
 equal to the roof belongs to the next fiber, at height 0; an orbit segment
 is cut into pieces of positive length, one per fiber it meets.  Every
-conversion between a time and a (fiber, height) coordinate, here and in the
-graph, thermodynamic, large-deviation and entropy-density modules, goes
-through one walk: `_locate` (time -> fiber, either direction),
-`_residences` (the pieces of a segment) and `_fiber_times` (fiber -> time).
-The walk only adds and subtracts roof values, so it is exact when heights
-and roofs are Fractions.
+conversion between a time and a (fiber, height) coordinate goes through
+one of two walks.  The scalar walk, `_locate` (time -> fiber, either
+direction), `_residences` (the pieces of a segment) and `_fiber_times`
+(fiber -> time), only adds and subtracts roof values, so it is exact on
+Fraction heights and roofs; the flows, the gluing times,
+`empirical_measure` and the graph geodesics use it.  The array walk
+`_row_integrals` integrates a fiber-constant function along many rows of
+states at once, in floats on the view `Roof.array`; `birkhoff` (cylinder
+potentials), `gibbs_ratio_stats` and `deviation_frequency` use it.
 
 Metric convention
 -----------------
@@ -273,6 +276,30 @@ def _fiber_times(symbol_at, lengths, lo, hi):
     return times
 
 
+def _row_integrals(rows, values, lengths, h0, t):
+    """The array walk: for each row of states started at height h0 of its
+    first fiber, int_0^t of the fiber-constant `values` and the index of the
+    fiber occupied at h0 + t (a height equal to a fiber's length belongs to
+    the next fiber).  State s lasts lengths[s]; the rows must reach past
+    h0 + t.  One pass over the columns keeps running sums acc of the lengths
+    and of the fiber integrals, holds them at the last fiber ending by
+    h0 + t, and counts those fibers (k)."""
+    n = len(rows)
+    total = h0 + t
+    table = np.stack([lengths, values * lengths])
+    acc, held = np.zeros((2, n)), np.zeros((2, n))
+    k = np.zeros(n, dtype=np.int64)
+    for col in rows.T:
+        acc += table.take(col, axis=1)
+        done = acc[0] <= total
+        np.copyto(held, acc, where=done)
+        k += done
+    end, full = held
+    first = h0 * values.take(rows[:, 0])
+    last = (total - end) * values.take(rows[np.arange(n), k])
+    return full - first + last, k
+
+
 class Suspension:
     """A suspension flow over an irreducible SFT with locally-constant roof."""
 
@@ -431,7 +458,6 @@ class Suspension:
             lt[:(-back - first.core_start) % nlt]
 
         core = list(left_prefix)
-        pos0 = len(left_prefix)  # index in `core` of the first window symbol
         gap_words = []
         block_core_starts = []  # index in `core` where each window begins
         for j, w in enumerate(windows):

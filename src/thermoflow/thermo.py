@@ -34,7 +34,7 @@ import numpy as np
 
 from .sft import BiWord, Sft, _close_word, _words
 from .suspension import (OrbitSegment, Roof, SuspPoint, Suspension,
-                         _residences)
+                         _locate, _row_integrals)
 
 __all__ = [
     "NonConvergenceError",
@@ -209,6 +209,16 @@ class SuspendedMeasure:
             np.dot(self.base.stationary, self.roof.array)))
 
 
+def _sample_orbits(mu: SuspendedMeasure, n: int, length: int, rng):
+    """n orbits sampled from mu: state paths (the rows of an (n, length)
+    array) whose first state i is drawn with weight pi_i r_i, and a start
+    height uniform in the first fiber."""
+    roofs = mu.roof.array
+    paths = mu.base.sample_words(n, length, rng,
+                                 start_weights=mu.base.stationary * roofs)
+    return paths, rng.random(n) * roofs[paths[:, 0]]
+
+
 # ----------------------------------------------------------------------
 # block recoding and fiber rates
 # ----------------------------------------------------------------------
@@ -245,14 +255,18 @@ def _prepare(system: Suspension, phi: CylinderPotential):
 
 
 def birkhoff(system: Suspension, phi, seg: OrbitSegment) -> float:
-    """Phi(x, t) = int_0^t phi(f_s x) ds."""
+    """Phi(x, t) = int_0^t phi(f_s x) ds; for a cylinder potential, the
+    array walk on one row whose states are the positions of x's window."""
     if isinstance(phi, CylinderPotential):
-        base = seg.start.base
-        total = 0.0
-        for k, lo, hi in _residences(base.symbol_at, system.roof.values,
-                                     seg.start.height, seg.duration):
-            total += (hi - lo) * phi.value(base.window(k, k + phi.width))
-        return total
+        x = seg.start.base
+        k, h = _locate(x.symbol_at, system.roof.values, seg.start.height)
+        n = int(math.ceil(seg.duration / system.roof.min)) + 2
+        syms = x.window(k, k + n + phi.width - 1)
+        values = [phi.value(syms[j:j + phi.width]) for j in range(n)]
+        integral, _ = _row_integrals(
+            np.arange(n)[None], np.array(values),
+            system.roof.array.take(syms[:n]), float(h), seg.duration)
+        return float(integral[0])
     if isinstance(phi, DistancePotential):
         from scipy.integrate import quad
         from .graph import Geodesic
@@ -707,53 +721,40 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
     The Bowen ball B_t(x, rho) is evaluated as the cylinder of the symbols
     forced through index c(t) + k(rho) crossed with the normalized-height
     window of radius rho, whose flow measure is
-    nu(cylinder) * window_length / mean_roof.
-    """
+    nu(cylinder) * window_length / mean_roof.  The base measure of mu and
+    the cylinder potential phi must have width 1: the array walk reads
+    Phi(x, t) and the occupied fiber c(t) off the sampled state paths."""
     if rho >= min(1.0, system.roof.min) / 4.0:
         raise ValueError("above expansivity scale")
     if len(mu.base.words[0]) != 1:
         raise ValueError("gibbs_ratio_stats needs a width-1 base measure")
-    if isinstance(phi, CylinderPotential):
-        P_val = pressure(system, phi, "spectral").value
-    else:
+    if not isinstance(phi, CylinderPotential):
         raise TypeError("cylinder potential required")
+    if phi.width != 1:
+        raise ValueError("gibbs_ratio_stats needs a width-1 potential")
+    P_val = pressure(system, phi, "spectral").value
     rng = np.random.default_rng(seed)
     k_rho = _forced_depth(rho)
-    tmax = max(t_grid)
-    length = int(math.ceil(tmax / system.roof.min)) + k_rho + 3
+    length = int(math.ceil(max(t_grid) / system.roof.min)) + k_rho + 3
+    paths, heights = _sample_orbits(mu, samples, length, rng)
     roofs = mu.roof.array
-    start_w = mu.base.stationary * roofs
-    paths = mu.base.sample_words(samples, length, rng,
-                                 start_weights=start_w)
-    heights = rng.random(samples) * roofs[paths[:, 0]]
-    ratios = {t: [] for t in t_grid}
-    logpi = np.log(mu.base.stationary)
-    with np.errstate(divide="ignore"):
-        logP = np.where(mu.base.transition > 0,
-                        np.log(np.where(mu.base.transition > 0,
-                                        mu.base.transition, 1.0)),
-                        -np.inf)
-    for s in range(samples):
-        word = paths[s]
-        h = heights[s]
-        r0 = roofs[word[0]]
-        u = h / r0
-        cum = np.cumsum(roofs[word])
-        start = SuspPoint(
-            BiWord.periodic(_close_word(system.sft, word.tolist())), float(h))
-        for t in t_grid:
-            # c(t): index of the fiber occupied at time t
-            c = int(np.searchsorted(cum, h + t, side="right"))
-            depth = c + k_rho
-            lw = logpi[word[0]] + logP[word[:depth], word[1:depth + 1]].sum()
-            win = (min(1.0, u + rho) - max(0.0, u - rho)) * r0
-            ball = math.exp(lw) * win / mu.mean_roof
-            Phi = birkhoff(system, phi, OrbitSegment(start, float(t)))
-            ratios[t].append(ball / math.exp(-t * P_val + Phi))
-    table = {t: (min(v), max(v)) for t, v in ratios.items()}
-    allv = [x for v in ratios.values() for x in v]
-    return {"min_ratio": min(allv), "max_ratio": max(allv),
-            "per_t": table}
+    r0 = roofs[paths[:, 0]]
+    u = heights / r0
+    win = (np.minimum(1.0, u + rho) - np.maximum(0.0, u - rho)) * r0
+    # log_nu[:, d - 1]: log nu of the cylinder of the first d + 1 states;
+    # the ball depth d = c + k_rho is at least 2, as rho < 1/4
+    log_nu = np.log(mu.base.stationary[paths[:, :1]]) + np.cumsum(
+        np.log(mu.base.transition[paths[:, :-1], paths[:, 1:]]), axis=1)
+    phi_v = np.array([phi.value(w) for w in mu.base.words])
+    per_t = {}
+    for t in t_grid:
+        Phi, c = _row_integrals(paths, phi_v, roofs, heights, t)
+        ball = np.exp(log_nu[np.arange(samples), c + k_rho - 1]) * win \
+            / mu.mean_roof
+        ratios = ball / np.exp(-t * P_val + Phi)
+        per_t[t] = (float(ratios.min()), float(ratios.max()))
+    lo, hi = zip(*per_t.values())
+    return {"min_ratio": min(lo), "max_ratio": max(hi), "per_t": per_t}
 
 
 def bowen_constant_estimate(system: Suspension, phi, eps: float,
@@ -766,7 +767,6 @@ def bowen_constant_estimate(system: Suspension, phi, eps: float,
     rng = np.random.default_rng(seed)
     from .suspension import _BW_MAX_SHIFT
     k_eps = _forced_depth(eps)
-    Smax = max(S_grid)
     n_sym = system.sft.n_symbols
     out = {}
     for S in S_grid:

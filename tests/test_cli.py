@@ -1,12 +1,16 @@
 """Command-line front door: exit codes, report fragments, artifact
 determinism, logging control, and flag validation."""
 
+import csv
 import filecmp
 import json
 import os
 
 import pytest
 
+from thermoflow import (Roof, Sft, Suspension, equilibrium_state,
+                        gibbs_ratio_stats)
+from thermoflow import io as tfio
 from thermoflow.cli import main
 
 from conftest import data_path
@@ -193,6 +197,23 @@ def test_artifacts_bitwise_deterministic(capsys, tmp_path):
         assert code == 0
     assert filecmp.cmp(dirs[0] / "gibbs.csv", dirs[1] / "gibbs.csv",
                        shallow=False)
+
+
+def test_gibbs_honours_samples(capsys, tmp_path):
+    """An explicit --samples reaches gibbs_ratio_stats, uncapped."""
+    code, _, _ = run_cli(capsys, "gibbs", "--sft", data_path("full2.json"),
+                         "--potential", data_path("phi_small.json"),
+                         "--t-grid", "5,10", "--samples", "1000", "--seed",
+                         "11", "--out", str(tmp_path))
+    assert code == 0
+    with open(tmp_path / "gibbs.csv") as f:
+        rows = list(csv.reader(f))[2:]
+    system = Suspension(Sft([[1, 1], [1, 1]]), Roof([1.0, 1.0]))
+    phi = tfio.load_potential(tfio.read_json(data_path("phi_small.json")))
+    stats = gibbs_ratio_stats(system, equilibrium_state(system, phi), phi,
+                              0.05, [5.0, 10.0], 1000, 11)
+    assert [(float(lo), float(hi)) for _, lo, hi, _ in rows] == \
+        [stats["per_t"][5.0], stats["per_t"][10.0]]
 
 
 def test_artifact_embeds_config_hash_and_version(capsys, tmp_path):

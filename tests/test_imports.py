@@ -1,6 +1,7 @@
-"""Every name a library module imports is read in that module, and every
+"""Every name a library module imports is read in that module, every
 module-level private function of the library is read somewhere outside its
-own body.  A name listed in the module's __all__ counts as read;
+own body, and every name a library function assigns is read in that
+function.  A name listed in the module's __all__ counts as read;
 __future__ imports are skipped."""
 
 import ast
@@ -76,3 +77,53 @@ def test_unreferenced_private_functions_examples():
 def test_every_private_function_is_read():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_functions(sources) == []
+
+
+def unused_locals(source: str) -> list:
+    """function:name for each name a function in `source` assigns with a
+    plain `name = ...` and never reads, nested functions included.
+    Tuple-unpacking targets and _-prefixed names are skipped; an augmented
+    assignment reads its target."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {n.target.id for n in ast.walk(fn)
+                 if isinstance(n, ast.AugAssign)
+                 and isinstance(n.target, ast.Name)}
+        assigned = set()
+        todo = list(fn.body)
+        while todo:  # the function's own statements, not nested scopes
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef, ast.Lambda)):
+                continue
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                read |= set(node.names)
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            assigned |= {t.id for t in targets if isinstance(t, ast.Name)}
+            todo.extend(ast.iter_child_nodes(node))
+        out += [f"{fn.name}:{name}" for name in sorted(assigned - read)
+                if not name.startswith("_")]
+    return sorted(out)
+
+
+def test_unused_locals_examples():
+    assert unused_locals("def f():\n    a = 1\n    b = 2\n    return b\n"
+                         ) == ["f:a"]
+    assert unused_locals("def f():\n    a, b = g()\n    _c = 1\n") == []
+    assert unused_locals("def f(x):\n    x += 1\n") == []
+    assert unused_locals("def f():\n    a = 1\n    def g():\n"
+                         "        return a\n    return g\n") == []
+    assert unused_locals("def f():\n    def g():\n        a = 1\n"
+                         "    return g\n") == ["g:a"]
+    assert unused_locals("x = 1\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_local_is_read(path):
+    assert unused_locals(path.read_text()) == []

@@ -369,6 +369,20 @@ def test_batched_objective_matches_scalar_path(name, full2_unit, golden12):
 
 # --- Monte Carlo deviations -----------------------------------------------------
 
+def test_deviation_frequency_reads_state_words(full2_unit):
+    """psi is read on the symbol a state shows, not on its index: a chain
+    whose state 0 shows symbol 1 deviates under the indicator of 1 exactly
+    as the same chain with plain names does under the indicator of 0."""
+    P = [[0.8, 0.2], [0.5, 0.5]]
+    named = SuspendedMeasure(MarkovMeasure(P, words=((1,), (0,))),
+                             full2_unit.roof)
+    plain = SuspendedMeasure(MarkovMeasure(P), full2_unit.roof)
+    ind0 = CylinderPotential(1, {(0,): 1.0, (1,): 0.0})
+    a = deviation_frequency(full2_unit, named, ind1(), 0.1, 30.0, 2000, 1)
+    b = deviation_frequency(full2_unit, plain, ind0, 0.1, 30.0, 2000, 1)
+    assert a == b and a.hits > 0
+
+
 def test_deviation_frequency_eps_zero(full2_unit):
     mu = equilibrium_state(full2_unit, zero_potential())
     dev = deviation_frequency(full2_unit, mu, ind1(), 0.0, 20.0, 2000, 7)

@@ -18,6 +18,8 @@ from thermoflow import (
     min_gap_bound,
 )
 
+from thermoflow.suspension import _row_integrals
+
 from test_sft import random_irreducible_sft, _random_word
 
 
@@ -94,6 +96,15 @@ def test_flow_to_roof_lands_on_next_floor(golden12, theta):
 
 
 # --- bw_distance ------------------------------------------------------------
+
+def test_row_walk_ending_on_a_roof_occupies_the_next_fiber(golden12):
+    """golden (1,2) from height 0 for t = 3 ends on the floor of fiber 2,
+    which it then occupies; phi = (1, 10) integrates to 1 + 2 * 10."""
+    integral, k = _row_integrals(np.array([[0, 1, 0, 0, 1]]),
+                                 np.array([1.0, 10.0]), golden12.roof.array,
+                                 0.0, 3.0)
+    assert k.tolist() == [2] and integral.tolist() == [21.0]
+
 
 def test_bw_identity_and_vertical(full2_unit):
     x = BiWord.periodic((0, 1), phase=0)

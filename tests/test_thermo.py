@@ -2,6 +2,7 @@
 equilibrium states, variational principle, Gibbs bands, Bowen constants."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from thermoflow import (
     OrbitSegment,
     Roof,
     Sft,
+    SuspPoint,
     Suspension,
     SuspendedMeasure,
     birkhoff,
@@ -31,8 +33,10 @@ from thermoflow import (
     zero_potential,
 )
 from thermoflow import io as tfio
+from thermoflow.sft import _close_word, _words
 from thermoflow.thermo import _perron
 
+import birkhoff_reference
 from conftest import data_path
 from cycle_reference import primitive_orbits
 
@@ -71,6 +75,41 @@ def test_birkhoff_cocycle(golden12):
         rhs = birkhoff(golden12, phi, OrbitSegment(p, t)) + \
             birkhoff(golden12, phi, OrbitSegment(golden12.flow(p, t), s))
         assert abs(lhs - rhs) < 1e-9
+
+
+@pytest.mark.parametrize("model", ["full2_unit", "golden12", "rose2",
+                                   "theta"])
+def test_birkhoff_matches_reference(model, request):
+    """The array walk agrees with the scalar residence loop on random
+    periodic points for widths 1-3; on theta also from exact Fraction
+    heights over Fraction durations."""
+    system = request.getfixturevalue(model)
+    if not isinstance(system, Suspension):
+        system = graph_suspension(system)
+    sft = system.sft
+    rng = np.random.default_rng(11)
+    for width in (1, 2, 3):
+        phi = CylinderPotential(width, {
+            tuple(w): float(rng.normal())
+            for w in _words(sft.transitions, width).tolist()})
+        for i in range(20):
+            word, n = [int(rng.integers(sft.n_symbols))], rng.integers(1, 9)
+            while len(word) < n:
+                word.append(int(rng.choice(sft.successors(word[-1]))))
+            x = BiWord.periodic(_close_word(sft, word),
+                                phase=int(rng.integers(3)))
+            r0 = system.roof[x.symbol_at(0)]
+            if model == "theta" and i % 2:
+                h = Fraction(int(rng.integers(100)), 100) * r0
+                t = Fraction(int(rng.integers(2000)), 100)
+            else:
+                h = float(rng.random()) * float(r0)
+                t = float(rng.uniform(0, 20))
+            seg = OrbitSegment(SuspPoint(x, h), t)
+            want = birkhoff_reference.birkhoff(system, phi, seg)
+            got = birkhoff(system, phi, seg)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), \
+                (width, i, got, want)
 
 
 # --- pressure: golden values vs independent oracles --------------------------
@@ -348,6 +387,34 @@ def test_gibbs_negative_control(full2_unit):
     band10 = stats["per_t"][10.0][1] / stats["per_t"][10.0][0]
     band20 = stats["per_t"][20.0][1] / stats["per_t"][20.0][0]
     assert band20 > 1.2 * band10
+
+
+@pytest.mark.parametrize("model", ["full2_unit", "golden12"])
+@pytest.mark.parametrize("values", [(0.0, 0.0), (0.1, -0.2)])
+def test_gibbs_ratio_stats_matches_reference(model, values, request):
+    """The batched walk gives the per-sample loop's table from the same
+    draws, up to summation order."""
+    system = request.getfixturevalue(model)
+    phi = phi1(system.sft, values)
+    mu = equilibrium_state(system, phi)
+
+    def flat(stats):
+        return [stats["min_ratio"], stats["max_ratio"],
+                *(x for t in (10.0, 30.0) for x in stats["per_t"][t])]
+
+    for seed in (1, 2, 3):
+        args = (system, mu, phi, 0.05, [10.0, 30.0], 200, seed)
+        want = birkhoff_reference.gibbs_ratio_stats(*args)
+        np.testing.assert_allclose(flat(gibbs_ratio_stats(*args)),
+                                   flat(want), rtol=1e-12, atol=0)
+
+
+def test_gibbs_rejects_wide_potential(golden12):
+    phi = CylinderPotential(2, {(0, 0): 0.1, (0, 1): -0.2, (1, 0): 0.3})
+    mu = equilibrium_state(golden12, zero_potential())
+    with pytest.raises(ValueError, match="width-1 potential"):
+        gibbs_ratio_stats(golden12, mu, phi, rho=0.05, t_grid=[5.0],
+                          samples=10, seed=1)
 
 
 def test_gibbs_rho_validation(full2_unit):
