@@ -23,12 +23,10 @@ from .graph import (
     GraphModelError,
     MetricGraph,
     Geodesic,
-    ClosedGeodesic,
     build_edge_sft,
     graph_suspension,
     lift_distance,
     d_GX,
-    enumerate_closed_geodesics,
 )
 from .thermo import (
     NonConvergenceError,
@@ -56,6 +54,7 @@ from .ldp import (
     empirical_measure,
     weighted_orbit_measure,
     measure_statistics,
+    chain_statistics,
     weak_star_distance,
     rate_function,
     deviation_frequency,
@@ -71,7 +70,6 @@ from .entropy_density import (
     glue_countable,
     mixture_statistics,
     mixture_entropy,
-    chain_statistics,
     ApproximationReport,
     EPS_SEP,
 )
@@ -84,9 +82,8 @@ __all__ = [
     "glue_words", "BiWord", "is_admissible_word",
     "Roof", "SuspPoint", "OrbitSegment", "GluingResult", "ClosedOrbit",
     "Suspension",
-    "GraphModelError", "MetricGraph", "Geodesic", "ClosedGeodesic",
-    "build_edge_sft", "graph_suspension", "lift_distance", "d_GX",
-    "enumerate_closed_geodesics",
+    "GraphModelError", "MetricGraph", "Geodesic", "build_edge_sft",
+    "graph_suspension", "lift_distance", "d_GX",
     "NonConvergenceError", "CylinderPotential", "DistancePotential",
     "MarkovMeasure", "SuspendedMeasure", "PressureResult", "birkhoff",
     "pressure", "equilibrium_state", "entropy_and_mean",
@@ -95,12 +92,12 @@ __all__ = [
     "zero_potential",
     "WeakStarConfig", "EmpiricalMeasure", "orbit_measure",
     "empirical_measure", "weighted_orbit_measure", "measure_statistics",
-    "weak_star_distance", "rate_function", "deviation_frequency",
-    "DeviationResult",
+    "chain_statistics", "weak_star_distance", "rate_function",
+    "deviation_frequency", "DeviationResult",
     "ApproxTarget", "SeparatedSet", "GluedFamily", "separated_generic_set",
     "glue_generic_family", "ergodic_approximation", "glue_countable",
-    "mixture_statistics", "mixture_entropy", "chain_statistics",
-    "ApproximationReport", "EPS_SEP",
+    "mixture_statistics", "mixture_entropy", "ApproximationReport",
+    "EPS_SEP",
     "io",
     "__version__",
 ]

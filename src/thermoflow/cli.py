@@ -58,7 +58,8 @@ _USAGE = (
     "--potential FILE, --psi FILE,\n"
     "              --delta X, --epsilon X[,X...], --t-grid X[,X...], "
     "--max-period X,\n"
-    "              --eta X, --seed N, --out DIR\n"
+    "              --eta X, --seed N, --samples N, --out DIR,\n"
+    "              --method spectral|separated|gurevic|all\n"
 )
 
 
@@ -147,6 +148,12 @@ class _Run:
 
     def header(self) -> str:
         return f"# thermoflow {__version__}  config={self.hash}"
+
+    def samples(self, default: int) -> int:
+        n = default if self.args.samples is None else self.args.samples
+        if n < 1:
+            raise UsageError(f"--samples must be at least 1, got {n}")
+        return n
 
     def need_seed(self):
         if self.args.seed is None:
@@ -311,8 +318,7 @@ def _cmd_gibbs(run: _Run) -> int:
     t_grid = args.t_grid or [10.0, 20.0, 30.0]
     mu = equilibrium_state(run.system, phi)
     stats = gibbs_ratio_stats(run.system, mu, phi, rho, t_grid,
-                              samples=400 if args.samples is None
-                              else args.samples,
+                              samples=run.samples(400),
                               seed=run.need_seed())
     print(run.header())
     print(f"Gibbs ratio table  rho = {rho}")
@@ -354,7 +360,7 @@ def _cmd_ldp(run: _Run) -> int:
     psi = tfio.load_potential(tfio.read_json(args.psi), graph=run.graph)
     eps_grid = args.epsilon or [0.05, 0.1, 0.15, 0.2]
     seed = run.need_seed()
-    n = 20000 if args.samples is None else args.samples
+    n = run.samples(20000)
     q_leg = rate_function(run.system, phi, psi, eps_grid, method="legendre")
     q_dir = rate_function(run.system, phi, psi, eps_grid, method="direct")
     print(run.header())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ldp import (EmpiricalMeasure, WeakStarConfig, _markov_statistics,
+from .ldp import (EmpiricalMeasure, WeakStarConfig, chain_statistics,
                   empirical_measure, measure_statistics, weak_star_distance)
 from .sft import (BiWord, Sft, WeakSpecificationError, _close_word,
                   glue_words, is_irreducible, min_gap_bound)
@@ -435,15 +435,6 @@ def _build_block_chain(system: Suspension, target: ApproxTarget, L: int):
     pi = pi / pi.sum()
     chain = MarkovMeasure(P, pi, words=[(int(e),) for e in emit])
     return chain, emit, roofs
-
-
-def chain_statistics(chain: MarkovMeasure, roofs: np.ndarray,
-                     cfg: WeakStarConfig = WeakStarConfig()
-                     ) -> EmpiricalMeasure:
-    """Residence-weighted symbol-word frequencies of a hidden-Markov
-    emission chain: exact sums over the chain's state paths, each state
-    showing the last symbol of its word."""
-    return _markov_statistics(chain, roofs, cfg)
 
 
 @dataclass(frozen=True)

@@ -27,19 +27,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .sft import Sft, _min_rotation, _primitive_root
+from .sft import Sft
 from .suspension import Roof, SuspPoint, Suspension, _locate
 
 __all__ = [
     "GraphModelError",
     "MetricGraph",
     "Geodesic",
-    "ClosedGeodesic",
     "build_edge_sft",
     "graph_suspension",
     "lift_distance",
     "d_GX",
-    "enumerate_closed_geodesics",
 ]
 
 
@@ -252,43 +250,6 @@ class Geodesic:
         k, h = _locate(base.symbol_at, self.graph.length,
                        self.susp.height + t)
         return base.symbol_at(k), h
-
-
-@dataclass(frozen=True)
-class ClosedGeodesic:
-    graph: MetricGraph
-    word: tuple  # primitive cyclically non-backtracking edge word
-    period: Fraction
-
-
-def enumerate_closed_geodesics(g: MetricGraph, max_period):
-    """All primitive cyclically non-backtracking cycles of total length
-    <= max_period, one representative per rotation (orientation kept)."""
-    max_period = Fraction(max_period)
-    out = []
-    n = g.n_dir
-
-    def dfs(start, path, plen):
-        cur = path[-1]
-        if g.head[cur] == g.tail[start] and cur != g.reversal(start) \
-                and start != g.reversal(cur):
-            word = tuple(path)
-            if word == _min_rotation(word) and _primitive_root(word) == word:
-                out.append(ClosedGeodesic(g, word, plen))
-        for e in range(start, n):
-            if g.head[cur] != g.tail[e] or e == g.reversal(cur):
-                continue
-            nl = plen + g.length[e]
-            if nl <= max_period:
-                path.append(e)
-                dfs(start, path, nl)
-                path.pop()
-
-    for start in range(n):
-        if g.length[start] <= max_period:
-            dfs(start, [start], g.length[start])
-    out.sort(key=lambda c: (c.period, c.word))
-    return out
 
 
 # ----------------------------------------------------------------------

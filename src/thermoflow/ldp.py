@@ -35,6 +35,7 @@ __all__ = [
     "empirical_measure",
     "weighted_orbit_measure",
     "measure_statistics",
+    "chain_statistics",
     "weak_star_distance",
     "rate_function",
     "deviation_frequency",
@@ -89,22 +90,6 @@ class EmpiricalMeasure:
 
     def frequency(self, word) -> float:
         return self.freqs.get(len(word), {}).get(tuple(word), 0.0)
-
-    def check_marginalization(self) -> float:
-        """Max discrepancy between each depth-k table and the left
-        marginal of the depth-(k+1) table."""
-        worst = 0.0
-        for k in sorted(self.freqs):
-            if k + 1 not in self.freqs:
-                continue
-            marg = {}
-            for w, f in self.freqs[k + 1].items():
-                marg[w[:-1]] = marg.get(w[:-1], 0.0) + f
-            keys = set(marg) | set(self.freqs[k])
-            for w in keys:
-                worst = max(worst, abs(marg.get(w, 0.0)
-                                       - self.freqs[k].get(w, 0.0)))
-        return worst
 
 
 def _marginals(words: np.ndarray, weights: np.ndarray):
@@ -183,10 +168,11 @@ def weighted_orbit_measure(system: Suspension, phi, t: float,
             int(counts.sum()))
 
 
-def _markov_statistics(chain: MarkovMeasure, roofs: np.ndarray,
-                       cfg: WeakStarConfig) -> EmpiricalMeasure:
-    """Exact residence statistics of a Markov chain whose state i lasts
-    roofs[i] and shows the symbol chain.words[i][-1]: a state path p
+def chain_statistics(chain: MarkovMeasure, roofs: np.ndarray,
+                     cfg: WeakStarConfig = WeakStarConfig()
+                     ) -> EmpiricalMeasure:
+    """Exact residence statistics of a (hidden) Markov chain whose state i
+    lasts roofs[i] and shows the symbol chain.words[i][-1]: a state path p
     carries nu(p) r(p_0) / mean roof, nu(p) = pi(p_0) P(p_0, p_1) ...,
     summed over the paths that show the same word."""
     P = chain.transition
@@ -210,7 +196,7 @@ def measure_statistics(mu: SuspendedMeasure,
     Requires a width-1 base (states = symbols)."""
     if any(len(w) != 1 for w in mu.base.words):
         raise ValueError("measure_statistics needs a width-1 base measure")
-    return _markov_statistics(mu.base, mu.roof.array, cfg)
+    return chain_statistics(mu.base, mu.roof.array, cfg)
 
 
 def weak_star_distance(a, b, cfg: WeakStarConfig = WeakStarConfig()

@@ -207,18 +207,6 @@ def _primitive_root(word: tuple) -> tuple:
     return word
 
 
-def _min_rotation(word: tuple) -> tuple:
-    return min(word[i:] + word[:i] for i in range(len(word)))
-
-
-def _rot_left(w: tuple) -> tuple:
-    return w[1:] + w[:1]
-
-
-def _rot_right(w: tuple) -> tuple:
-    return w[-1:] + w[:-1]
-
-
 def _rotate(w: tuple, r: int) -> tuple:
     r %= len(w)
     return w[r:] + w[:r]
@@ -242,11 +230,11 @@ class BiWord:
         # absorb core symbols into the tails
         while co and co[0] == lt[0]:
             co = co[1:]
-            lt = _rot_left(lt)
+            lt = _rotate(lt, 1)
             cs += 1
         while co and co[-1] == rt[-1]:
             co = co[:-1]
-            rt = _rot_right(rt)
+            rt = _rotate(rt, -1)
         if not co:
             # boundary between the two tail regions sits at cs; slide it
             # left while the two regions agree on the boundary symbol.
@@ -255,8 +243,8 @@ class BiWord:
                 steps = 0
                 while rt[-1] == lt[-1] and steps < guard:
                     cs -= 1
-                    lt = _rot_right(lt)
-                    rt = _rot_right(rt)
+                    lt = _rotate(lt, -1)
+                    rt = _rotate(rt, -1)
                     steps += 1
             if lt == rt:
                 # fully periodic sequence: x_k = w[(k - cs) mod n]; pick the

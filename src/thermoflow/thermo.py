@@ -213,6 +213,8 @@ def _sample_orbits(mu: SuspendedMeasure, n: int, length: int, rng):
     """n orbits sampled from mu: state paths (the rows of an (n, length)
     array) whose first state i is drawn with weight pi_i r_i, and a start
     height uniform in the first fiber."""
+    if n < 1:
+        raise ValueError(f"the sample count must be at least 1, got {n}")
     roofs = mu.roof.array
     paths = mu.base.sample_words(n, length, rng,
                                  start_weights=mu.base.stationary * roofs)
@@ -676,8 +678,6 @@ def _phihat_on_states(mu: SuspendedMeasure, phi: CylinderPotential):
     shows the last symbol of its word."""
     words = mu.base.words
     more = phi.width - min(map(len, words))
-    if more <= 0:
-        return np.array([phi.value(u) for u in words]) * mu.roof.array
     P = mu.base.transition
     paths = _words(P > 0, more + 1)
     prob = np.prod(P[paths[:, :-1], paths[:, 1:]], axis=1)
@@ -761,9 +761,19 @@ def bowen_constant_estimate(system: Suspension, phi, eps: float,
                             S_grid, samples: int, seed: int) -> dict:
     """V(eps, S) = sup over sampled eps-shadowing pairs of
     |Phi(x, S) - Phi(y, S)|; the Bowen property predicts a table bounded
-    in S."""
+    in S.
+
+    y agrees with x on the window forced by eps-shadowing along [0, S],
+    continues differently past it, and starts at a height up to eps (in
+    normalized units) away.  A cylinder potential reads no symbol past
+    that window, so for it the pair differs only in start height and
+    V(eps, S) <= 2 eps max(r) max|phi|; a distance potential also sees
+    the continuation."""
     if eps >= min(1.0, system.roof.min) / 4.0:
         raise ValueError("above expansivity scale")
+    if samples < 1:
+        raise ValueError(
+            f"the sample count must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     from .suspension import _BW_MAX_SHIFT
     k_eps = _forced_depth(eps)
@@ -779,8 +789,6 @@ def bowen_constant_estimate(system: Suspension, phi, eps: float,
                 word.append(int(rng.choice(system.sft.successors(word[-1]))))
             word = tuple(word)
             x = BiWord.periodic(_close_word(system.sft, word))
-            # y agrees with x on the window forced by eps-shadowing along
-            # [0, S] and takes a different admissible continuation beyond
             core = x.window(-_BW_MAX_SHIFT, length)
             tails = [s for s in range(n_sym)
                      if system.sft.allowed(core[-1], s)

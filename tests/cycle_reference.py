@@ -7,9 +7,14 @@ import math
 import numpy as np
 
 from thermoflow import WeakStarConfig
-from thermoflow.sft import Sft, _min_rotation, _primitive_root
+from thermoflow.sft import Sft, _primitive_root
 
 from stats_reference import orbit_measure
+
+
+def _min_rotation(word: tuple) -> tuple:
+    """The lexicographically least rotation of `word`."""
+    return min(word[i:] + word[:i] for i in range(len(word)))
 
 
 def enumerate_primitive_cycles(sft: Sft, max_len: int):

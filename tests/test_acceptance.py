@@ -6,7 +6,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import brentq
 
 from thermoflow import (
@@ -15,7 +14,6 @@ from thermoflow import (
     CylinderPotential,
     Geodesic,
     MarkovMeasure,
-    MetricGraph,
     OrbitSegment,
     Roof,
     Sft,

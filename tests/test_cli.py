@@ -4,7 +4,6 @@ determinism, logging control, and flag validation."""
 import csv
 import filecmp
 import json
-import os
 
 import pytest
 
@@ -161,6 +160,18 @@ def test_ldp_requires_psi(capsys):
                            "--seed", "1")
     assert code == 64
     assert "--psi is required" in err
+
+
+@pytest.mark.parametrize("subcommand", ["gibbs", "ldp"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_samples_below_one_is_a_usage_error(capsys, subcommand, samples):
+    code, _, err = run_cli(capsys, subcommand, "--sft",
+                           data_path("full2.json"), "--potential",
+                           data_path("phi_small.json"), "--psi",
+                           data_path("psi_ind1.json"), "--t-grid", "5",
+                           "--samples", samples, "--seed", "1")
+    assert code == 64
+    assert f"--samples must be at least 1, got {samples}" in err
 
 
 def test_entropy_dense_requires_eta(capsys):

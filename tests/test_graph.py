@@ -17,12 +17,14 @@ from thermoflow import (
     SuspPoint,
     build_edge_sft,
     d_GX,
-    enumerate_closed_geodesics,
     graph_suspension,
     lift_distance,
+    zero_potential,
 )
+from thermoflow.thermo import _orbit_sums
 
 import dgx_reference
+from cycle_reference import primitive_orbits
 
 
 def random_geodesic(g, rng, word_len=8):
@@ -119,26 +121,17 @@ def test_systole_and_scales(rose2, theta):
 
 # --- closed geodesics -------------------------------------------------------
 
-def test_enumerate_closed_geodesics_counts(rose2, theta):
-    assert len(enumerate_closed_geodesics(rose2, 1)) == 4
-    assert len(enumerate_closed_geodesics(rose2, 2)) == 8
+def test_closed_geodesic_counts(rose2, theta):
+    """Primitive closed geodesics of length <= t = 1..4 (one per
+    orientation), counted by the lattice engine and by the cycle oracle."""
     theta_unit = MetricGraph(2, [(0, 1, 1)] * 3)
-    assert len(enumerate_closed_geodesics(theta_unit, 1)) == 0
-    assert len(enumerate_closed_geodesics(theta_unit, 2)) == 6
-    del theta
-
-
-def test_closed_geodesics_primitive_distinct_rotations(rose2):
-    orbits = enumerate_closed_geodesics(rose2, 3)
-    words = [c.word for c in orbits]
-    assert len(set(words)) == len(words)
-    for c in orbits:
-        # primitive
-        w = c.word
-        for d in range(1, len(w)):
-            if len(w) % d == 0:
-                assert w != w[:d] * (len(w) // d) or d == len(w)
-        assert float(c.period) == sum(float(rose2.length[e]) for e in w)
+    for g, counts in ((rose2, [4, 8, 16, 34]), (theta, [0, 0, 4, 6]),
+                      (theta_unit, [0, 6, 6, 12])):
+        system = graph_suspension(g)
+        engine = [_orbit_sums(system, zero_potential(), t)[1].sum()
+                  for t in (1, 2, 3, 4)]
+        oracle = [len(primitive_orbits(system, t)) for t in (1, 2, 3, 4)]
+        assert engine == oracle == counts
 
 
 # --- lifts ------------------------------------------------------------------

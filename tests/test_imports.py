@@ -1,15 +1,16 @@
-"""Every name a library module imports is read in that module, every
-module-level private function of the library is read somewhere outside its
-own body, and every name a library function assigns is read in that
-function.  A name listed in the module's __all__ counts as read;
-__future__ imports are skipped."""
+"""Every name a library module, test module or script imports is read in
+that module, every module-level private function of the library is read
+somewhere outside its own body, and every name a library function assigns
+is read in that function.  A name listed in the module's __all__ counts as
+read; __future__ imports are skipped."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "thermoflow"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "thermoflow"
 
 
 def unused_imports(source: str) -> list:
@@ -41,8 +42,10 @@ def test_unused_imports_examples():
     assert unused_imports("def f():\n    from a import b\n") == ["b"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    + sorted((ROOT / "scripts").glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
 

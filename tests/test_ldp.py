@@ -20,7 +20,6 @@ from thermoflow import (
     deviation_frequency,
     empirical_measure,
     entropy_and_mean,
-    enumerate_closed_geodesics,
     equilibrium_state,
     graph_suspension,
     measure_statistics,
@@ -81,21 +80,6 @@ def test_empirical_additivity(full2_unit):
         for w in ea.freqs[depth]:
             avg = 0.5 * ea.frequency(w) + 0.5 * eb.frequency(w)
             assert abs(e2t.frequency(w) - avg) < 1e-9
-
-
-def test_marginalization_consistency(full2_unit, golden12, rose2, theta):
-    """Each depth-k table is the left marginal of the depth-(k+1) table,
-    for residence statistics, weighted orbit measures and the exact
-    statistics of an equilibrium state."""
-    x = full2_unit.point(BiWord.periodic((0, 1, 1, 0)), 0.2)
-    stats = [empirical_measure(full2_unit, x, 7.3, CFG)]
-    for g in (rose2, theta):
-        stats.append(weighted_orbit_measure(graph_suspension(g),
-                                            zero_potential(), 8.0, CFG)[0])
-    stats.append(measure_statistics(
-        equilibrium_state(golden12, zero_potential()), CFG))
-    for e in stats:
-        assert e.check_marginalization() <= 1e-12
 
 
 # --- weak* metric -------------------------------------------------------------
@@ -226,13 +210,11 @@ def test_weighted_measure_single_orbit(rose2):
 
 
 def test_weighted_measure_no_orbits(rose2):
-    from fractions import Fraction
     from thermoflow import MetricGraph
     theta_unit = MetricGraph(2, [(0, 1, 1)] * 3)
     system = graph_suspension(theta_unit)
     with pytest.raises(ValueError, match="no closed orbits yet"):
         weighted_orbit_measure(system, zero_potential(), 1.0, CFG)
-    del Fraction
 
 
 def test_gurevic_periodic_consistency(rose2):
@@ -408,6 +390,13 @@ def test_deviation_insufficient_resolution_note(full2_unit):
     zero = deviation_frequency(full2_unit, mu, ind1(), 0.45, 50.0, 200, 7)
     assert zero.hits == 0
     assert "upper confidence bound only" in zero.note
+
+
+def test_deviation_rejects_samples_below_one(full2_unit):
+    mu = equilibrium_state(full2_unit, zero_potential())
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            deviation_frequency(full2_unit, mu, ind1(), 0.1, 30.0, n, 1)
 
 
 def test_deviation_reproducible(full2_unit):

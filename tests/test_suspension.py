@@ -1,7 +1,6 @@
 """Suspension flows: evolution, the chain metric on the mapping torus,
 shadowing, gluing, and periodic closing."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
