@@ -10,7 +10,10 @@ counted exactly in closed form over pair statistics (irreducible 2-symbol
 base shifts: a word is fixed by its runs, so each (#1, #11) cell is a sum
 of products of two binomials), giving integer-arithmetic #Gamma >= e^{t h}
 certificates; members are sampled uniformly from the same cells, and
-weak* closeness of members is verified on seeded samples.
+weak* closeness of members is verified on seeded samples: the closed
+sample words go straight to the array walk of `ldp` as gathered windows,
+with no BiWord per member, and all members meet the target in one signed
+weak* pass.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ldp import (EmpiricalMeasure, WeakStarConfig, chain_statistics,
-                  empirical_measure, measure_statistics, weak_star_distance)
+from .ldp import (EmpiricalMeasure, WeakStarConfig, _segment_distances,
+                  chain_statistics, empirical_measure, measure_statistics,
+                  weak_star_distance)
 from .sft import (BiWord, Sft, WeakSpecificationError, _close_word,
                   glue_words, is_irreducible, min_gap_bound)
 from .suspension import Roof, SuspPoint, Suspension, _fiber_times, _locate
@@ -138,11 +142,13 @@ def _randrange_big(rng, total: int) -> int:
 
 
 def _random_composition(rng, m: int, k: int) -> list:
-    """Uniform composition of m into k positive parts (uniform cut points)."""
+    """Uniform composition of m into k positive parts (uniform cut points);
+    the parts are the gaps of the sorted cuts, in plain Python."""
     if k == 0:
         return []
-    cuts = np.sort(rng.choice(m - 1, k - 1, replace=False)) + 1
-    return np.diff(cuts, prepend=0, append=m).tolist()
+    cuts = sorted(rng.choice(m - 1, k - 1, replace=False).tolist())
+    bounds = [0, *(c + 1 for c in cuts), m]
+    return [b - a for a, b in zip(bounds, bounds[1:])]
 
 
 def _sample_from_box(cells, n: int, rng, k: int):
@@ -199,13 +205,11 @@ def separated_generic_set(system: Suspension, mu: MarkovMeasure,
     log_count = math.log(count)  # math.log takes ints of any size
     rng = np.random.default_rng(seed)
     sample = _sample_from_box(cells, n, rng, k=min(20, count))
-    dists = []
-    target = measure_statistics(flow_mu, cfg)
-    for w in sample:
-        x = SuspPoint(BiWord.periodic(_close_word(system.sft, w)), 0.0)
-        e = empirical_measure(system, x, float(t), cfg)
-        dists.append(weak_star_distance(e, target, cfg))
-    return SeparatedSet(n, count, log_count, h, t, box, tuple(dists))
+    dists = _segment_distances(
+        system, [_close_word(system.sft, w) for w in sample],
+        [0] * len(sample), float(t), measure_statistics(flow_mu, cfg), cfg)
+    return SeparatedSet(n, count, log_count, h, t, box,
+                        tuple(dists.tolist()))
 
 
 def _flow_entropy(mu: MarkovMeasure, roof: Roof) -> float:
@@ -305,24 +309,22 @@ def glue_generic_family(system: Suspension, target: ApproxTarget,
                              len(word))
         return word, starts, times
 
-    lam_stats = mixture_statistics(target, system.roof, cfg)
-    block_D = []
-    members = []
-    for _ in range(3):
-        word, starts, times = sample_member()
-        members.append((word, starts, times))
-        x = SuspPoint(BiWord.periodic(_close_word(system.sft, word)), 0.0)
-        # c: duration of one glued round (all p blocks and gaps)
-        round_end = starts[p - 1] + gammas[p - 1].length \
-            if p > 1 else len(word)
-        c_time = times[round_end]
+    members = [sample_member() for _ in range(3)]
+    closed = [_close_word(system.sft, w) for w, _, _ in members]
+    # D(E_c(f_{b_k} y), lambda) on the first two rounds of each member:
+    # the walk starts at the floor of the round's first block and lasts c,
+    # the duration of one glued round (all p blocks and gaps)
+    blocks, c_times = [], []
+    for (_, starts, times), w in zip(members, closed):
         for kk in range(min(m, 2)):
-            b_time = times[starts[kk * p]]
-            e = empirical_measure(system, system.flow(x, b_time),
-                                  c_time, cfg)
-            block_D.append(weak_star_distance(e, lam_stats, cfg))
+            blocks.append((w, starts[kk * p]))
+            c_times.append(times[starts[p - 1] + gammas[p - 1].length])
+    block_D = _segment_distances(
+        system, *zip(*blocks), c_times,
+        mixture_statistics(target, system.roof, cfg), cfg)
     # sampled separation: distinct members differ somewhere; verify the
     # BW distance at the divergence time exceeds eps/2
+    points = [SuspPoint(BiWord.periodic(w), 0.0) for w in closed]
     seps = []
     for a in range(len(members)):
         for b in range(a + 1, len(members)):
@@ -332,17 +334,14 @@ def glue_generic_family(system: Suspension, target: ApproxTarget,
                       if wa[i] != wb[i]), None)
             if j is None:
                 continue
-            xa = SuspPoint(BiWord.periodic(_close_word(system.sft, wa)), 0.0)
-            xb = SuspPoint(BiWord.periodic(_close_word(system.sft, wb)), 0.0)
-            d = system.bw_distance(system.flow(xa, ta[j]),
-                                   system.flow(xb, tb[j]))
+            d = system.bw_distance(system.flow(points[a], ta[j]),
+                                   system.flow(points[b], tb[j]))
             seps.append(d)
     _, starts0, times0 = members[0]
     b_times = [times0[starts0[kk * p]] for kk in range(m)]
-    c_time = times0[starts0[p - 1] + gammas[p - 1].length]
     return GluedFamily(t, m, tuple(lengths), tuple(gammas), k_part, C,
-                       log_Em, tuple(b_times), c_time,
-                       tuple(block_D), tuple(seps), EPS_SEP / 2.0)
+                       log_Em, tuple(b_times), c_times[0],
+                       tuple(block_D.tolist()), tuple(seps), EPS_SEP / 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -529,11 +528,11 @@ def glue_countable(system: Suspension, segs, delta: float, depth: int):
     # start time (s_{d-1} - t_{d-1}), then add its window length
     m = system.margin(delta)
     last = head[-1]
-    roof = system.roof.values
+    roof, floats = system.roof.values, system.roof.array.tolist()
     c, _ = _locate(last.start.base.symbol_at, roof,
-                   last.start.height + last.duration)
+                   last.start.height + last.duration, floats=floats)
     start_time = res.block_starts[-1] - last.duration
     shift, _ = _locate(point.base.symbol_at, roof,
-                       point.height + start_time)
+                       point.height + start_time, floats=floats)
     emitted_end = shift + c + m + 1
     return point, emitted_end

@@ -241,14 +241,16 @@ class Geodesic:
     def shift_time(self, t) -> "Geodesic":
         base = self.susp.base
         k, h = _locate(base.symbol_at, self.graph.length,
-                       self.susp.height + t)
+                       self.susp.height + t,
+                       floats=self.graph.length_array.tolist())
         return Geodesic(self.graph, SuspPoint(base.shift(k) if k else base, h))
 
     def position(self, t):
         """(directed edge, offset along it) occupied at time t."""
         base = self.susp.base
         k, h = _locate(base.symbol_at, self.graph.length,
-                       self.susp.height + t)
+                       self.susp.height + t,
+                       floats=self.graph.length_array.tolist())
         return base.symbol_at(k), h
 
 

@@ -4,7 +4,9 @@ An empirical measure is one table of residence-time cylinder frequencies
 (the words of a fixed depth as sorted int rows with their weights, every
 shorter table a prefix marginal) plus a normalized-height histogram; the
 weak* distance is the weighted sum of total-variation discrepancies over
-all depths.  The rate function q(eps) = P(phi) - sup{h + int phi :
+all depths.  Orbit segments are cut into fiber pieces by one array walk
+over rows of gathered window symbols, and the distances of K measures to
+one target come from one signed pass with the member id as first column.  The rate function q(eps) = P(phi) - sup{h + int phi :
 |int psi - mean| >= eps} is computed both by a Legendre transform of the
 pressure curve beta -> P(phi + beta psi) and by direct maximization over
 Markov kernels (a simplex grid scored as one kernel stack, then a polish),
@@ -22,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .sft import _words
-from .suspension import SuspPoint, Suspension, _residences, _row_integrals
+from .suspension import Roof, SuspPoint, Suspension, _row_integrals
 from .thermo import (CylinderPotential, MarkovMeasure, SuspendedMeasure,
                      _orbit_sums, _prepare, _sample_orbits, combine_cylinder,
                      entropy_and_mean, equilibrium_state, pressure,
@@ -92,18 +94,22 @@ class EmpiricalMeasure:
         return self.freqs.get(len(word), {}).get(tuple(word), 0.0)
 
 
+def _first_difference(words: np.ndarray) -> np.ndarray:
+    """first[i]: the first column where row i of a sorted table differs
+    from row i - 1, the width when the two are equal, and 0 for row 0; the
+    groups of rows with equal k-prefixes start where first < k."""
+    d = np.ones((len(words), words.shape[1] + 1), dtype=bool)
+    np.not_equal(words[1:], words[:-1], out=d[1:, :-1])
+    return d.argmax(axis=1)
+
+
 def _marginals(words: np.ndarray, weights: np.ndarray):
     """(k, k-words, summed weights) for k = depth, ..., 1 of a table whose
     rows are sorted (repeats allowed): each table reduced from the one
     before it by summing the rows with equal k-prefixes, which are
-    adjacent.  first[i] is the first column where row i differs from row
-    i - 1 (depth when equal), computed once."""
-    depth = words.shape[1]
-    diff = words[1:] != words[:-1]
-    first = np.empty(len(words), dtype=np.int64)
-    first[0] = -1
-    first[1:] = np.where(diff.any(axis=1), diff.argmax(axis=1), depth)
-    for k in range(depth, 0, -1):
+    adjacent."""
+    first = _first_difference(words)
+    for k in range(words.shape[1], 0, -1):
         starts = np.flatnonzero(first < k)
         words, weights = words[starts, :k], np.add.reduceat(weights, starts)
         first = first[starts]
@@ -122,33 +128,81 @@ def orbit_measure(system: Suspension, cycle_word,
                             weights / weights.sum(), hist)
 
 
+def _walk(fibers: np.ndarray, roof: Roof, h, t, bins: int):
+    """The array fiber walk: row i of `fibers` holds the symbols of the
+    fibers that a segment from height h of fiber 0 meets in time t (one t,
+    or one per row), reaching past h + t.  Returns the piece durations
+    (K, n), zero past the last piece, and the height histograms (K, bins).
+
+    The residues h + t - r_0 - ... - r_{j-1} are one subtract.accumulate,
+    the float subtractions of `suspension._locate` in its order.  Fiber j
+    is whole when its residue is at least r_j: compared on `Roof.array`,
+    and with the exact `Roof.values` where the two floats are equal; an
+    exact h + t walks the exact values.  Only the first and the last piece
+    are partial fibers, so the histogram is the whole time spread evenly
+    plus the overlaps of those two with the bins."""
+    K, n = fibers.shape
+    total = [h + s for s in t] if np.ndim(t) else [h + t] * K
+    exact = not all(isinstance(v, float) for v in total)
+    table = np.array(roof.values, dtype=object) if exact else roof.array
+    lengths = table.take(fibers)
+    res = np.subtract.accumulate(np.concatenate(
+        [np.array(total, dtype=table.dtype)[:, None], lengths], axis=1),
+        axis=1)[:, :-1]
+    whole = np.asarray(res >= lengths, dtype=bool)
+    i, j = np.nonzero(res == lengths)
+    if len(i):
+        whole[i, j] = [r >= roof.values[s] for r, s in
+                       zip(res[i, j].tolist(), fibers[i, j].tolist())]
+    k = whole.sum(axis=1)
+    rows = np.arange(K)
+    end = res[rows, k].astype(float)
+    lengths = roof.array.take(fibers)
+    pieces = lengths * (np.arange(n) < k[:, None])
+    whole_time = pieces[:, 1:].sum(axis=1)
+    pieces[rows, k] = end
+    pieces[:, 0] -= float(h)
+    # time spent below each bin edge in the first and the last piece
+    edges = np.arange(bins + 1) / bins
+    below = np.minimum(np.maximum(edges * lengths[:, :1] - float(h), 0.0),
+                       pieces[:, :1]) \
+        + np.minimum(edges * lengths[rows, k][:, None],
+                     (end * (k > 0))[:, None])
+    return pieces, below[:, 1:] - below[:, :-1] + whole_time[:, None] / bins
+
+
 def empirical_measure(system: Suspension, x: SuspPoint, t: float,
                       cfg: WeakStarConfig = WeakStarConfig()
                       ) -> EmpiricalMeasure:
     """E_t(x): exact residence statistics of the orbit segment (x, t)."""
     if t <= 0:
         raise ValueError("t > 0 required")
-    symbol_at = x.base.symbol_at
-    roof = system.roof.values
-    bins = cfg.height_bins
-    weights = []
-    hist = np.zeros(bins)
-    whole = 0.0  # time spent in whole fibers, spread evenly over the bins
-    for k, lo, hi in _residences(symbol_at, roof, x.height, t):
-        weights.append(hi - lo)
-        r = roof[symbol_at(k)]
-        if lo == 0 and hi == r:
-            whole += r
-            continue
-        # normalized height sweeps [lo/r, hi/r)
-        for b in range(bins):
-            blo, bhi = b / bins, (b + 1) / bins
-            hist[b] += max(0.0, min(hi / r, bhi) - max(lo / r, blo)) * r
-    hist += whole / bins
-    word = np.array(x.base.window(0, len(weights) + cfg.depth - 1))
-    weights = np.array(weights, dtype=float)
-    return EmpiricalMeasure(sliding_window_view(word, cfg.depth),
-                            weights / weights.sum(), hist)
+    n = int(float(x.height + t) / system.roof.min) + 2  # fibers it meets
+    word = np.array(x.base.window(0, n + cfg.depth - 1))
+    pieces, hist = _walk(word[None, :n], system.roof, x.height, t,
+                         cfg.height_bins)
+    weights = pieces[0, :np.count_nonzero(pieces[0])]
+    return EmpiricalMeasure(
+        sliding_window_view(word, cfg.depth)[:len(weights)],
+        weights / weights.sum(), hist[0])
+
+
+def _segment_distances(system: Suspension, words, starts, t,
+                       b: EmpiricalMeasure, cfg: WeakStarConfig
+                       ) -> np.ndarray:
+    """D(E_t(x_i), b) for the periodic points x_i of the cyclic words[i]
+    flowed to the floor of fiber starts[i], for time t (one t, or one per
+    row): windows gathered by np.take(..., mode="wrap"), one walk from
+    height 0, one signed pass."""
+    n = int(max(np.atleast_1d(t)) / system.roof.min) + 2
+    cols = np.arange(n + cfg.depth - 1)
+    windows = np.stack([np.take(w, s + cols, mode="wrap")
+                        for w, s in zip(words, starts)])
+    pieces, hist = _walk(windows[:, :n], system.roof, 0.0, t,
+                         cfg.height_bins)
+    return _distances(sliding_window_view(windows, cfg.depth, axis=1),
+                      pieces / pieces.sum(axis=1, keepdims=True),
+                      hist / hist.sum(axis=1, keepdims=True), b, cfg)
 
 
 def weighted_orbit_measure(system: Suspension, phi, t: float,
@@ -202,11 +256,7 @@ def measure_statistics(mu: SuspendedMeasure,
 def weak_star_distance(a, b, cfg: WeakStarConfig = WeakStarConfig()
                        ) -> float:
     """D(a, b) = sum_k 2^-k sum_{|w|=k} |freq_a(w) - freq_b(w)|
-    + 2^-(depth+1) * sum_bins |height histogram difference|.
-
-    One pass over the two tables merged with signs + and -: at full depth
-    each word's rows sum to freq_a - freq_b, and every prefix marginal of
-    that signed table is the difference of the marginals."""
+    + 2^-(depth+1) * sum_bins |height histogram difference|."""
     if isinstance(a, SuspendedMeasure):
         a = measure_statistics(a, cfg)
     if isinstance(b, SuspendedMeasure):
@@ -215,14 +265,39 @@ def weak_star_distance(a, b, cfg: WeakStarConfig = WeakStarConfig()
         raise ValueError("depth mismatch between empirical measures")
     if len(a.heights) != len(b.heights):
         raise ValueError("height-bin mismatch")
-    words = np.concatenate([a.words, b.words])
-    signed = np.concatenate([a.weights, -b.weights])
-    order = np.lexsort(words.T[::-1])
-    total = 0.0
-    for k, _, diff in _marginals(words[order], signed[order]):
-        total += cfg.depth_weight(k) * float(np.abs(diff).sum())
-    total += cfg.height_weight * float(np.abs(a.heights - b.heights).sum())
-    return total
+    return float(_distances(a.words[None], a.weights[None],
+                            a.heights[None], b, cfg)[0])
+
+
+def _distances(words, weights, heights, b: EmpiricalMeasure,
+               cfg: WeakStarConfig) -> np.ndarray:
+    """D(a_i, b) for K measures a_i given as word rows words[i] (n, depth),
+    frequencies weights[i] (zero on unused rows) and histograms
+    heights[i].  One signed pass over a table whose first column is the
+    member id: the rows of each a_i with sign +, those of b tiled once per
+    member with sign -.  Sorted, the rows with equal (id, k-word) sum to
+    freq_a_i - freq_b; one reduceat gives them for every k, and
+    np.bincount sums each member's weighted |differences|."""
+    K, n, depth = words.shape
+    table = np.empty((K, n + len(b.words), depth + 1), dtype=np.int64)
+    table[..., 0] = np.arange(K)[:, None]
+    table[:, :n, 1:] = words
+    table[:, n:, 1:] = b.words
+    signed = np.concatenate(
+        [weights, np.broadcast_to(-b.weights, (K, len(b.words)))], axis=1)
+    table, signed = table.reshape(-1, depth + 1), signed.ravel()
+    order = np.lexsort(table.T[::-1])
+    table, signed = table[order], signed[order]
+    # row i of depth k starts a group when first[i] < k + 1; every depth
+    # starts at row 0, so no group runs across two depths
+    starts = np.flatnonzero(_first_difference(table)
+                            <= np.arange(1, depth + 1)[:, None])
+    level, row = np.divmod(starts, len(table))
+    diff = np.add.reduceat(np.tile(signed, depth), starts)
+    wk = np.array([cfg.depth_weight(k) for k in range(1, depth + 1)])
+    return np.bincount(table[row, 0], wk[level] * np.abs(diff),
+                       minlength=K) \
+        + cfg.height_weight * np.abs(heights - b.heights).sum(axis=1)
 
 
 # ----------------------------------------------------------------------

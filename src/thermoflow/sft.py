@@ -212,6 +212,28 @@ def _rotate(w: tuple, r: int) -> tuple:
     return w[r:] + w[:r]
 
 
+def _least_rotation(w: tuple) -> int:
+    """Booth's algorithm: the least r with _rotate(w, r) lexicographically
+    least, in O(len(w)); f is the failure function of s = w + w from k."""
+    s = w + w
+    f = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c = s[j]
+        i = f[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if c != s[k + i + 1]:  # here i == -1
+            if c < s[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return k
+
+
 class BiWord:
     """Canonical finite representation of an eventually-periodic bi-infinite
     sequence.  See module docstring for the layout."""
@@ -251,7 +273,7 @@ class BiWord:
                 # lexicographically minimal rotation and fold the phase.
                 w = lt
                 n = len(w)
-                best_r = min(range(n), key=lambda r: _rotate(w, r))
+                best_r = _least_rotation(w)
                 w2 = _rotate(w, best_r)
                 cs2 = (cs + best_r) % n
                 lt = rt = w2

@@ -9,14 +9,16 @@ Fiber k is the set of heights [0, r(x_k)) over coordinate k.  A height
 equal to the roof belongs to the next fiber, at height 0; an orbit segment
 is cut into pieces of positive length, one per fiber it meets.  Every
 conversion between a time and a (fiber, height) coordinate goes through
-one of two walks.  The scalar walk, `_locate` (time -> fiber, either
-direction), `_residences` (the pieces of a segment) and `_fiber_times`
-(fiber -> time), only adds and subtracts roof values, so it is exact on
-Fraction heights and roofs; the flows, the gluing times,
-`empirical_measure` and the graph geodesics use it.  The array walk
-`_row_integrals` integrates a fiber-constant function along many rows of
-states at once, in floats on the view `Roof.array`; `birkhoff` (cylinder
-potentials), `gibbs_ratio_stats` and `deviation_frequency` use it.
+a walk.  The scalar walk, `_locate` (time -> fiber, either direction) and
+`_fiber_times` (fiber -> time), only adds and subtracts roof values, so it
+is exact on Fraction heights and roofs; a float height walks the float
+view `Roof.array` and compares with the exact value only where the floats
+are equal.  The flows, the gluing times and the graph geodesics use it.
+Two array walks take many rows at once: `_row_integrals` integrates a
+fiber-constant function in floats (`birkhoff` on cylinder potentials,
+`gibbs_ratio_stats`, `deviation_frequency`), and `ldp._walk` cuts
+segments into pieces with the compares of `_locate` (`empirical_measure`
+and the sampled members of separated sets and glued families).
 
 Metric convention
 -----------------
@@ -236,33 +238,27 @@ def _bw_from_words(xs, ys, u: float, v: float, horizon: int) -> float:
     return best
 
 
-def _locate(symbol_at, lengths, h, k=0):
+def _locate(symbol_at, lengths, h, k=0, floats=None):
     """The fiber walk: (k', h') with 0 <= h' < lengths[symbol_at(k')] for
     the point at height h (of either sign, any size) above the floor of
     fiber k.  symbol_at maps a coordinate to a symbol, lengths a symbol to
     its roof value; a height equal to a fiber's length belongs to the next
-    fiber."""
+    fiber.
+
+    floats, the float view of lengths, is what a float height walks (float
+    - Fraction is float(h) - float(r) anyway) and is compared with first:
+    h > float(r) implies h > r, so only equal floats compare exactly."""
+    if floats is None or not isinstance(h, float):
+        floats = lengths
     while h < 0:
         k -= 1
-        h += lengths[symbol_at(k)]
-    r = lengths[symbol_at(k)]
-    while h >= r:
-        h -= r
+        h += floats[symbol_at(k)]
+    s = symbol_at(k)
+    while h > floats[s] or h == floats[s] and h >= lengths[s]:
+        h -= floats[s]
         k += 1
-        r = lengths[symbol_at(k)]
+        s = symbol_at(k)
     return k, h
-
-
-def _residences(symbol_at, lengths, h, t, k=0):
-    """The positive-length pieces (k, lo, hi) of the orbit segment of
-    duration t >= 0 from height h of fiber k: fiber k is occupied at
-    heights [lo, hi), for hi - lo time units."""
-    k_end, h_end = _locate(symbol_at, lengths, h + t, k)
-    for j in range(k, k_end):
-        yield j, h, lengths[symbol_at(j)]
-        h = 0
-    if h_end > h:
-        yield k_end, h, h_end
 
 
 def _fiber_times(symbol_at, lengths, lo, hi):
@@ -331,7 +327,8 @@ class Suspension:
 
     def flow(self, p: SuspPoint, t) -> SuspPoint:
         """phi_t; exact arithmetic when height and roof values are exact."""
-        k, h = _locate(p.base.symbol_at, self.roof.values, p.height + t)
+        k, h = _locate(p.base.symbol_at, self.roof.values, p.height + t,
+                       floats=self.roof.array.tolist())
         return SuspPoint(p.base.shift(k) if k else p.base, h)
 
     # ------------------------------------------------------------------
@@ -436,13 +433,14 @@ class Suspension:
         if not segs:
             raise ValueError("need at least one segment")
         m = self.margin(delta)
+        floats = self.roof.array.tolist()
         windows = []
         heights = []
         for seg in segs:
             x = seg.start.base
             # the segment visits symbols 0..c
             c, _ = _locate(x.symbol_at, self.roof.values,
-                           seg.start.height + seg.duration)
+                           seg.start.height + seg.duration, floats=floats)
             windows.append(x.window(0, c + m + 1))
             heights.append(seg.start.height)
 
@@ -516,7 +514,8 @@ class Suspension:
         m = self.margin(delta)
         x = seg.start.base
         c, _ = _locate(x.symbol_at, self.roof.values,
-                       seg.start.height + seg.duration)
+                       seg.start.height + seg.duration,
+                       floats=self.roof.array.tolist())
         cyc = _primitive_root(_close_word(self.sft, x.window(0, c + m + 1)))
         base = BiWord.periodic(cyc, phase=0)
         period = sum(self.roof[s] for s in cyc)

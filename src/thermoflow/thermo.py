@@ -256,19 +256,33 @@ def _prepare(system: Suspension, phi: CylinderPotential):
 # ----------------------------------------------------------------------
 
 
+def _cylinder_integrals(system: Suspension, phi: CylinderPotential,
+                        segs) -> np.ndarray:
+    """Phi over each segment for a cylinder potential: one array walk whose
+    row i holds the positions of segment i's window, as states."""
+    n = int(math.ceil(max(s.duration for s in segs) / system.roof.min)) + 2
+    floats = system.roof.array.tolist()
+    values, syms, heights = [], [], []
+    for seg in segs:
+        x = seg.start.base
+        k, h = _locate(x.symbol_at, system.roof.values, seg.start.height,
+                       floats=floats)
+        w = x.window(k, k + n + phi.width - 1)
+        values += [phi.value(w[j:j + phi.width]) for j in range(n)]
+        syms += w[:n]
+        heights.append(float(h))
+    integral, _ = _row_integrals(
+        np.arange(len(syms)).reshape(len(segs), n), np.array(values),
+        system.roof.array.take(syms), np.array(heights),
+        np.array([s.duration for s in segs], dtype=float))
+    return integral
+
+
 def birkhoff(system: Suspension, phi, seg: OrbitSegment) -> float:
     """Phi(x, t) = int_0^t phi(f_s x) ds; for a cylinder potential, the
     array walk on one row whose states are the positions of x's window."""
     if isinstance(phi, CylinderPotential):
-        x = seg.start.base
-        k, h = _locate(x.symbol_at, system.roof.values, seg.start.height)
-        n = int(math.ceil(seg.duration / system.roof.min)) + 2
-        syms = x.window(k, k + n + phi.width - 1)
-        values = [phi.value(syms[j:j + phi.width]) for j in range(n)]
-        integral, _ = _row_integrals(
-            np.arange(n)[None], np.array(values),
-            system.roof.array.take(syms[:n]), float(h), seg.duration)
-        return float(integral[0])
+        return float(_cylinder_integrals(system, phi, [seg])[0])
     if isinstance(phi, DistancePotential):
         from scipy.integrate import quad
         from .graph import Geodesic
@@ -780,9 +794,9 @@ def bowen_constant_estimate(system: Suspension, phi, eps: float,
     n_sym = system.sft.n_symbols
     out = {}
     for S in S_grid:
-        worst = 0.0
         length = int(math.ceil(S / system.roof.min)) + k_eps + \
             _BW_MAX_SHIFT + 4
+        segs = []
         for _ in range(samples):
             word = [int(rng.integers(n_sym))]
             for _ in range(length + 2 * _BW_MAX_SHIFT):
@@ -805,10 +819,11 @@ def bowen_constant_estimate(system: Suspension, phi, eps: float,
             # mismatch of up to eps in normalized units
             h2 = min(max(h + float(rng.uniform(-eps, eps)) * r0, 0.0),
                      r0 * 0.999)
-            sx = OrbitSegment(SuspPoint(x, h), float(S))
-            sy = OrbitSegment(SuspPoint(y, h2), float(S))
-            diff = abs(birkhoff(system, phi, sx) -
-                       birkhoff(system, phi, sy))
-            worst = max(worst, diff)
-        out[S] = worst
+            segs += [OrbitSegment(SuspPoint(x, h), float(S)),
+                     OrbitSegment(SuspPoint(y, h2), float(S))]
+        if isinstance(phi, CylinderPotential):
+            Phi = _cylinder_integrals(system, phi, segs)
+        else:
+            Phi = np.array([birkhoff(system, phi, s) for s in segs])
+        out[S] = float(np.abs(Phi[0::2] - Phi[1::2]).max())
     return out

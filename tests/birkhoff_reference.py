@@ -2,19 +2,20 @@
 `thermo.gibbs_ratio_stats`.
 
 Scalar and written one fiber at a time: a cylinder potential is integrated
-piece by piece over the exact fiber walk `_residences`, and the Gibbs
-ratios rebuild a periodic point for every sampled path and integrate it on
-its own.  The library runs one array walk over all rows in float
-arithmetic and sums the log-transitions cumulatively, so the tests compare
-the two within a tolerance.
+piece by piece over the exact fiber walk `stats_reference.residences`, and
+the Gibbs ratios rebuild a periodic point for every sampled path and
+integrate it on its own.  The library runs one array walk over all rows
+in float arithmetic and sums the log-transitions cumulatively, so the
+tests compare the two within a tolerance.
 """
 
 import math
 
 import numpy as np
 
+from stats_reference import residences
 from thermoflow.sft import BiWord, _close_word
-from thermoflow.suspension import OrbitSegment, SuspPoint, _residences
+from thermoflow.suspension import OrbitSegment, SuspPoint
 from thermoflow.thermo import _forced_depth, pressure
 
 
@@ -22,8 +23,8 @@ def birkhoff(system, phi, seg) -> float:
     """Phi(x, t) for a cylinder potential, one residence piece at a time."""
     base = seg.start.base
     total = 0.0
-    for k, lo, hi in _residences(base.symbol_at, system.roof.values,
-                                 seg.start.height, seg.duration):
+    for k, lo, hi in residences(base.symbol_at, system.roof.values,
+                                seg.start.height, seg.duration):
         total += (hi - lo) * phi.value(base.window(k, k + phi.width))
     return total
 

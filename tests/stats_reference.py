@@ -16,7 +16,36 @@ from __future__ import annotations
 import numpy as np
 
 from thermoflow import SuspendedMeasure, WeakStarConfig
-from thermoflow.suspension import _residences
+
+
+def locate(symbol_at, lengths, h, k=0):
+    """The scalar fiber walk with exact compares: (k', h') with
+    0 <= h' < lengths[symbol_at(k')] for the point at height h above the
+    floor of fiber k; a height equal to a fiber's length belongs to the
+    next fiber.  The oracle of `suspension._locate`, which compares floats
+    first."""
+    while h < 0:
+        k -= 1
+        h += lengths[symbol_at(k)]
+    r = lengths[symbol_at(k)]
+    while h >= r:
+        h -= r
+        k += 1
+        r = lengths[symbol_at(k)]
+    return k, h
+
+
+def residences(symbol_at, lengths, h, t, k=0):
+    """The positive-length pieces (k, lo, hi) of the orbit segment of
+    duration t >= 0 from height h of fiber k: fiber k is occupied at
+    heights [lo, hi), for hi - lo time units.  The oracle of the array
+    walk `ldp._walk`."""
+    k_end, h_end = locate(symbol_at, lengths, h + t, k)
+    for j in range(k, k_end):
+        yield j, h, lengths[symbol_at(j)]
+        h = 0
+    if h_end > h:
+        yield k_end, h, h_end
 
 
 class EmpiricalMeasure:
@@ -78,7 +107,7 @@ def empirical_measure(system, x, t: float,
     weights = []
     hist = np.zeros(bins)
     whole = 0.0  # time spent in whole fibers, spread evenly over the bins
-    for k, lo, hi in _residences(symbol_at, roof, x.height, t):
+    for k, lo, hi in residences(symbol_at, roof, x.height, t):
         weights.append(hi - lo)
         r = roof[symbol_at(k)]
         if lo == 0 and hi == r:

@@ -4,6 +4,7 @@ ergodic approximation, and stable countable gluing."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,10 +20,13 @@ from thermoflow import (
     OrbitSegment,
     Roof,
     Sft,
+    SuspPoint,
+    SuspendedMeasure,
     Suspension,
     WeakSpecificationError,
     WeakStarConfig,
     chain_statistics,
+    entropy_and_mean,
     ergodic_approximation,
     glue_countable,
     glue_generic_family,
@@ -33,7 +37,7 @@ from thermoflow import (
     weak_star_distance,
 )
 from thermoflow.entropy_density import _box_cells, _sample_from_box
-from thermoflow.sft import is_admissible_word
+from thermoflow.sft import _close_word, is_admissible_word
 
 CFG = WeakStarConfig()
 
@@ -159,6 +163,98 @@ def test_separated_set_increase_t_error():
     with pytest.raises(ValueError, match="increase t"):
         separated_generic_set(system, MarkovMeasure([[0.6, 0.4], [1, 0]]),
                               h=0.2, t=5.0, eta=0.1, seed=0)
+
+
+# the four models on which sampled weak* distances are pinned to the scalar
+# path: (SFT, roof, Markov kernel, t) and the frozen (count, length,
+# log_count) of the separated set at eta = 0.17, seed 1
+PINNED = {
+    "full2": ([[1, 1], [1, 1]], (1.0, 1.0), [[0.1, 0.9], [0.1, 0.9]], 40.0,
+              (85085, 40, 11.351406035805537)),
+    "golden11": ([[1, 1], [1, 0]], (1.0, 1.0), [[0.6, 0.4], [1.0, 0.0]],
+                 50.0, (11674989360, 50, 23.18071472915192)),
+    "golden12": ([[1, 1], [1, 0]], (1.0, 2.0), [[0.6, 0.4], [1.0, 0.0]],
+                 60.0, (1746792960, 46, 21.28104734934086)),
+    "thirds": ([[1, 1], [1, 1]], (1, Fraction(1, 3)),
+               [[0.3, 0.7], [0.45, 0.55]], 30.0,
+               (25348044788550, 50, 30.86372271433437)),
+}
+
+
+def _pinned(name):
+    A, roof, P, t, frozen = PINNED[name]
+    return Suspension(Sft(A), Roof(roof)), MarkovMeasure(P), t, frozen
+
+
+def _scalar_D(system, word, t, target):
+    """D(E_t(x), target) for the periodic point x of the closed word at
+    height 0.0, by the dict oracle and its scalar fiber walk."""
+    import stats_reference as ref
+    x = SuspPoint(BiWord.periodic(_close_word(system.sft, word)), 0.0)
+    return ref.weak_star_distance(ref.empirical_measure(system, x, t, CFG),
+                                  target, CFG)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_sampled_D_matches_scalar_path(name):
+    """Every sampled member's weak* distance equals the one-member scalar
+    path within 1e-12; counts, lengths and certificates stay frozen."""
+    import stats_reference as ref
+    system, mu, t, frozen = _pinned(name)
+    eta, seed = 0.17, 1
+    h = entropy_and_mean(SuspendedMeasure(mu, system.roof), None)[0] \
+        - eta / 2
+    g = separated_generic_set(system, mu, h, t, eta, seed)
+    assert (g.count, g.length, g.log_count) == frozen
+    assert g.certificate_ok == (g.log_count >= t * h)
+    cells = _box_cells(system.sft, g.length, g.box)
+    sample = _sample_from_box(cells, g.length, np.random.default_rng(seed),
+                              len(g.sampled_D))
+    target = ref.measure_statistics(SuspendedMeasure(mu, system.roof), CFG)
+    assert len(g.sampled_D) == 20
+    for d, w in zip(g.sampled_D, sample):
+        assert abs(d - _scalar_D(system, w, t, target)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_sample_block_D_matches_scalar_path(name):
+    """Each sampled glued block's weak* distance to the mixture equals the
+    scalar path, from the flowed periodic point of the member, within
+    1e-12."""
+    import stats_reference as ref
+    system, mu, _, _ = _pinned(name)
+    A = PINNED[name][0]
+    other = MarkovMeasure([[0.5, 0.5], [1.0, 0.0]] if A[1][1] == 0
+                          else [[0.7, 0.3], [0.6, 0.4]])
+    target = ApproxTarget(((mu, 0.5), (other, 0.5)), 0.1)
+    m, seed = 3, 2
+    fam = glue_generic_family(system, target, 240.0, m, seed)
+    # the members, drawn as the family draws them
+    rng = np.random.default_rng(seed)
+    cells = [_box_cells(system.sft, g.length, g.box) for g in fam.gammas]
+    lam = ref.mixture_statistics(target, system.roof, CFG)
+    want = []
+    for _ in range(3):
+        word, starts = [], []
+        for _ in range(m):
+            for g, c in zip(fam.gammas, cells):
+                w = _sample_from_box(c, g.length, rng, 1)[0]
+                if word:
+                    word.extend(glue_words(system.sft, (word[-1],), (w[0],)))
+                starts.append(len(word))
+                word.extend(w)
+        x = SuspPoint(BiWord.periodic(_close_word(system.sft, word)), 0.0)
+        times = [0]
+        for s in word:
+            times.append(times[-1] + system.roof[s])
+        c_time = times[starts[1] + fam.gammas[1].length]
+        for kk in range(2):
+            e = ref.empirical_measure(
+                system, system.flow(x, times[starts[2 * kk]]), c_time, CFG)
+            want.append(ref.weak_star_distance(e, lam, CFG))
+    assert len(fam.sample_block_D) == len(want) == 6
+    for got, d in zip(fam.sample_block_D, want):
+        assert abs(got - d) <= 1e-12
 
 
 # --- mixtures -------------------------------------------------------------------

@@ -2,6 +2,7 @@
 rate functions by two methods, and Monte Carlo deviation frequencies."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from thermoflow import (
     OrbitSegment,
     Roof,
     Sft,
+    SuspPoint,
     Suspension,
     SuspendedMeasure,
     WeakStarConfig,
@@ -30,6 +32,8 @@ from thermoflow import (
     weighted_orbit_measure,
     zero_potential,
 )
+
+from thermoflow.sft import _close_word
 
 from exact_deviation import exact_deviation_probability
 
@@ -113,6 +117,17 @@ def test_weak_star_bernoulli_closed_form(full2_unit):
     assert abs(d - 0.5 * (0.1 + 0.1)) < 1e-12
 
 
+def _assert_tables_match(new, old):
+    """The same words at every depth, frequencies and heights within
+    1e-12."""
+    assert set(new.freqs) == set(old.freqs)
+    for k, table in old.freqs.items():
+        assert set(new.freqs[k]) == set(table), k
+        for w, f in table.items():
+            assert abs(new.freqs[k][w] - f) <= 1e-12, (k, w)
+    assert np.allclose(new.heights, old.heights, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("depth", [1, 6])
 @pytest.mark.parametrize("name", ["full2", "golden12", "rose2", "theta"])
 def test_statistics_match_dict_reference(name, depth, full2_unit, golden12,
@@ -164,18 +179,55 @@ def test_statistics_match_dict_reference(name, depth, full2_unit, golden12,
                                          cfg)[0],
                   ref.EmpiricalMeasure(freqs, hist, sft.n_symbols)))
     for new, old in pairs:
-        assert set(new.freqs) == set(old.freqs)
-        for k, table in old.freqs.items():
-            assert set(new.freqs[k]) == set(table), k
-            for w, f in table.items():
-                assert abs(new.freqs[k][w] - f) <= 1e-12, (k, w)
-        assert np.allclose(new.heights, old.heights, rtol=0, atol=1e-12)
+        _assert_tables_match(new, old)
     for new_a, old_a in pairs:
         for new_b, old_b in pairs:
             assert abs(weak_star_distance(new_a, new_b, cfg)
                        - ref.weak_star_distance(old_a, old_b, cfg)) <= 1e-12
     assert abs(weak_star_distance(mu, pairs[3][0], cfg)
                - ref.weak_star_distance(mu, pairs[3][1], cfg)) <= 1e-12
+
+
+# on this periodic word with roof (1, 1/3) the fiber floors sit at 0, 1/3,
+# 4/3, 5/3, 2, 3, 10/3, 13/3, ...; summed in floats, 5/3 and 10/3 overshoot
+# by about 1.7e-16, which would leave a spurious piece on the next fiber
+THIRDS_WORD = (1, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0)
+
+
+@pytest.mark.parametrize("h, t", [
+    (Fraction(1, 6), Fraction(7, 6)),  # exact: ends on the floor 4/3
+    (0, Fraction(5, 3)),  # exact: ends on the floor 5/3
+    (Fraction(1, 18), Fraction(59, 18)),  # exact: ends on the floor 10/3
+    (Fraction(1, 3) - Fraction(1, 10 ** 9), Fraction(3)),  # exact, near 1/3
+    (0.0, float(Fraction(1, 3))),  # h + t ties float(1/3), below 1/3
+    (0.0, 3.0),  # float: 3 = 1/3 + 1 + 1/3 + 1/3 + 1 in float sums
+    (Fraction(1, 6), 2.5),  # Fraction start, float end
+    (Fraction(1, 12), 0.25),  # Fraction start, float end on one fiber
+])
+def test_empirical_measure_on_fraction_boundaries(h, t, theta):
+    """Segments that end exactly on a Fraction fiber floor, or start at a
+    Fraction height, have the pieces of the exact scalar walk: the same
+    words, frequencies and heights within 1e-12, on a Fraction roof and on
+    a graph with Fraction edge lengths."""
+    import stats_reference as ref
+    system = Suspension(Sft([[1, 1], [1, 1]]), Roof([1, Fraction(1, 3)]))
+    graph = graph_suspension(theta)
+    cases = [(system, BiWord.periodic(THIRDS_WORD))]
+    word = [0]
+    while len(word) < 7:
+        word.append(int(graph.sft.successors(word[-1])[0]))
+    cases.append((graph, BiWord.periodic(_close_word(graph.sft, word))))
+    for sys_, base in cases:
+        x = SuspPoint(base, h)
+        new = empirical_measure(sys_, x, t, CFG)
+        old = ref.empirical_measure(sys_, x, t, CFG)
+        _assert_tables_match(new, old)
+        cycle = base.left_tail
+        assert abs(weak_star_distance(new, orbit_measure(sys_, cycle, CFG),
+                                      CFG)
+                   - ref.weak_star_distance(
+                       old, ref.orbit_measure(sys_, cycle, CFG), CFG)) \
+            <= 1e-12
 
 
 # --- equidistribution ----------------------------------------------------------

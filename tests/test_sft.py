@@ -152,6 +152,48 @@ def test_biword_canonicalization():
     assert hash(a) == hash(b)
 
 
+def _least_rotation_reference(w: tuple) -> int:
+    """The rule Booth's algorithm replaced: the least r whose rotation
+    w[r:] + w[:r] is lexicographically least, by comparing all rotations
+    (O(n^2))."""
+    return min(range(len(w)), key=lambda r: w[r:] + w[:r])
+
+
+def test_biword_canonical_forms_match_reference_rotation(monkeypatch):
+    """Booth's least rotation picks the rotation of the all-rotations rule
+    and leaves every canonical form as it was, on 3000 periodic words
+    (primitive or powers, any phase) and 600 eventually periodic ones."""
+    from thermoflow import sft as sft_mod
+    rng = np.random.default_rng(13)
+    inputs = []
+    for _ in range(3000):
+        n_sym = int(rng.integers(1, 5))
+        w = tuple(rng.integers(n_sym, size=int(rng.integers(1, 40))).tolist())
+        inputs.append(((w * int(rng.integers(1, 4)),), {
+            "phase": int(rng.integers(-50, 50))}))
+    for _ in range(600):
+        lt, mid, other = (
+            tuple(rng.integers(2, size=int(rng.integers(1, 6))).tolist())
+            for _ in range(3))
+        core = mid if rng.random() < 0.5 else ()
+        rt = lt if rng.random() < 0.5 else other
+        inputs.append(((lt, core, rt, int(rng.integers(-9, 9))), {}))
+
+    def forms():
+        out = []
+        for args, kw in inputs:
+            x = BiWord.periodic(*args, **kw) if kw else BiWord(*args)
+            out.append((x.left_tail, x.core, x.right_tail, x.core_start))
+        return out
+
+    words = [args[0] for args, kw in inputs if kw]
+    assert [sft_mod._least_rotation(w) for w in words] == \
+        [_least_rotation_reference(w) for w in words]
+    booth = forms()
+    monkeypatch.setattr(sft_mod, "_least_rotation", _least_rotation_reference)
+    assert forms() == booth
+
+
 def test_biword_symbol_at_phases():
     w = BiWord.periodic((0, 1, 1), phase=0)
     got = [w.symbol_at(k) for k in range(-3, 6)]

@@ -17,7 +17,7 @@ from thermoflow import (
     min_gap_bound,
 )
 
-from thermoflow.suspension import _row_integrals
+from thermoflow.suspension import _locate, _row_integrals
 
 from test_sft import random_irreducible_sft, _random_word
 
@@ -32,6 +32,40 @@ def _random_point(system, rng):
 
 
 # --- flow -------------------------------------------------------------------
+
+def test_locate_compares_floats_first_with_exact_ties(theta):
+    """The fiber walk on the float view with exact compares at float ties
+    returns what the walk with exact compares returns (same k, same height
+    and type), on Fraction roofs, for float heights at and next to the
+    float fiber floors and for Fraction heights."""
+    from stats_reference import locate
+    thirds = (1, Fraction(1, 3))
+    cases = [(thirds, BiWord.periodic((1, 0, 1, 1, 0)).symbol_at),
+             (tuple(theta.length), BiWord.periodic((0, 2, 5, 1)).symbol_at)]
+    rng = np.random.default_rng(5)
+    for lengths, symbol_at in cases:
+        floats = [float(v) for v in lengths]
+        # the fiber floors summed in floats, both directions from 0
+        floors, acc = [], 0.0
+        for k in range(12):
+            acc += floats[symbol_at(k)]
+            floors.append(acc)
+        acc = 0.0
+        for k in range(-1, -12, -1):
+            acc -= floats[symbol_at(k)]
+            floors.append(acc)
+        heights = [f + d for f in floors for d in (0.0, -1e-12, 1e-12)]
+        heights += [float(np.nextafter(f, s)) for f in floors
+                    for s in (-np.inf, np.inf)]
+        heights += [Fraction(int(rng.integers(-40, 40)), 3)
+                    for _ in range(40)]
+        heights += rng.uniform(-6.0, 6.0, 40).tolist()
+        for h in heights:
+            for k in (0, 3):
+                got = _locate(symbol_at, lengths, h, k, floats=floats)
+                want = locate(symbol_at, lengths, h, k)
+                assert got == want and type(got[1]) is type(want[1]), h
+
 
 def test_flow_examples(full2_unit, golden12):
     x = BiWord.periodic((0, 1), phase=0)
