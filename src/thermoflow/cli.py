@@ -212,12 +212,12 @@ def _cmd_spec_tau(run: _Run) -> int:
     return 0
 
 
-def _random_segments(system: Suspension, rng, count=3, max_len=6):
+def _random_segments(system: Suspension, rng):
     segs = []
     n = system.sft.n_symbols
-    for _ in range(count):
+    for _ in range(3):
         word = [int(rng.integers(n))]
-        for _ in range(int(rng.integers(1, max_len))):
+        for _ in range(int(rng.integers(1, 6))):
             succ = system.sft.successors(word[-1])
             word.append(int(succ[rng.integers(len(succ))]))
         # close the word into a cycle so the segment lies on a genuine orbit

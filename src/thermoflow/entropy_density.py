@@ -11,7 +11,7 @@ base shifts: a word is fixed by its runs, so each (#1, #11) cell is a sum
 of products of two binomials), giving integer-arithmetic #Gamma >= e^{t h}
 certificates; members are sampled uniformly from the same cells, and
 weak* closeness of members is verified on seeded samples: the closed
-sample words go straight to the array walk of `ldp` as gathered windows,
+sample words go straight to the array walk `_pieces` as gathered windows,
 with no BiWord per member, and all members meet the target in one signed
 weak* pass.
 """
@@ -305,8 +305,7 @@ def glue_generic_family(system: Suspension, target: ApproxTarget,
                 starts.append(len(word))
                 word.extend(w)
         word = tuple(word)
-        times = _fiber_times(word.__getitem__, system.roof.values, 0,
-                             len(word))
+        times = _fiber_times(word.__getitem__, system.roof, 0, len(word))
         return word, starts, times
 
     members = [sample_member() for _ in range(3)]
@@ -528,11 +527,10 @@ def glue_countable(system: Suspension, segs, delta: float, depth: int):
     # start time (s_{d-1} - t_{d-1}), then add its window length
     m = system.margin(delta)
     last = head[-1]
-    roof, floats = system.roof.values, system.roof.array.tolist()
-    c, _ = _locate(last.start.base.symbol_at, roof,
-                   last.start.height + last.duration, floats=floats)
+    c, _ = _locate(last.start.base.symbol_at, system.roof,
+                   last.start.height + last.duration)
     start_time = res.block_starts[-1] - last.duration
-    shift, _ = _locate(point.base.symbol_at, roof,
-                       point.height + start_time, floats=floats)
+    shift, _ = _locate(point.base.symbol_at, system.roof,
+                       point.height + start_time)
     emitted_end = shift + c + m + 1
     return point, emitted_end

@@ -72,9 +72,8 @@ class MetricGraph:
             self.head += [b, a]
             self.length += [l, l]
         self.n_dir = 2 * m
-        # the one float64 view of the exact lengths, for numeric kernels
-        self.length_array = np.array(self.length, dtype=float)
-        self.length_array.setflags(write=False)
+        # the lengths as the roof of the directed-edge suspension
+        self.roof = Roof(self.length)
 
         deg = [0] * self.n_vertices
         for (a, b, _) in und:
@@ -219,7 +218,7 @@ def build_edge_sft(g: MetricGraph):
     A = np.equal.outer(g.head, g.tail)
     e = np.arange(g.n_dir)
     A[e, g.reversal(e)] = False
-    return Sft(A), Roof(g.length)
+    return Sft(A), g.roof
 
 
 def graph_suspension(g: MetricGraph) -> Suspension:
@@ -240,17 +239,13 @@ class Geodesic:
 
     def shift_time(self, t) -> "Geodesic":
         base = self.susp.base
-        k, h = _locate(base.symbol_at, self.graph.length,
-                       self.susp.height + t,
-                       floats=self.graph.length_array.tolist())
+        k, h = _locate(base.symbol_at, self.graph.roof, self.susp.height + t)
         return Geodesic(self.graph, SuspPoint(base.shift(k) if k else base, h))
 
     def position(self, t):
         """(directed edge, offset along it) occupied at time t."""
         base = self.susp.base
-        k, h = _locate(base.symbol_at, self.graph.length,
-                       self.susp.height + t,
-                       floats=self.graph.length_array.tolist())
+        k, h = _locate(base.symbol_at, self.graph.roof, self.susp.height + t)
         return base.symbol_at(k), h
 
 
@@ -279,9 +274,9 @@ def _agreement_run(w1, w2, i, j, lo, hi):
 def _window(geo: Geodesic, nwin: int):
     """The edges on coordinates -nwin..nwin, as an int array, and the times
     from the floor of fiber 0 to the floors of fibers -nwin..nwin + 1, as
-    float running sums of the graph's float lengths both ways from 0."""
+    float running sums of `g.roof.array` both ways from 0."""
     w = np.array(geo.susp.base.window(-nwin, nwin + 1))
-    lens = geo.graph.length_array[w]
+    lens = geo.graph.roof.array[w]
     up = np.cumsum(lens[nwin:])
     down = np.cumsum(lens[nwin - 1::-1])
     return w, np.concatenate((-down[::-1], [0.0], up))
@@ -342,8 +337,7 @@ def d_GX(g1: Geodesic, g2: Geodesic, tail_horizon: float = 8.0):
     T = float(tail_horizon)
     if T < 1:
         raise ValueError("tail_horizon >= 1 required")
-    lengths = g.length_array
-    nwin = math.ceil((T + lengths.max()) / lengths.min()) + 2
+    nwin = math.ceil((T + g.roof.max) / g.roof.min) + 2
     n = 2 * nwin + 1
     w1, cum1 = _window(g1, nwin)
     w2, cum2 = _window(g2, nwin)
@@ -411,9 +405,9 @@ def lift_distance(g1: Geodesic, g2: Geodesic, t, window: int = 64):
     h2 = float(g2.susp.height)
     t = float(t)
     # position coverage check
-    lengths = g.length_array
-    need = max(abs(h1 + t), abs(h2 + t)) + float(lengths.max())
-    if window * float(lengths.min()) < need:
+    lengths = g.roof.floats
+    need = max(abs(h1 + t), abs(h2 + t)) + g.roof.max
+    if window * g.roof.min < need:
         raise ValueError("insufficient unwinding")
     if w1(0) == w2(0):
         km, kp, hit_lo, hit_hi = _agreement_run(w1, w2, 0, 0,

@@ -4,9 +4,10 @@ An empirical measure is one table of residence-time cylinder frequencies
 (the words of a fixed depth as sorted int rows with their weights, every
 shorter table a prefix marginal) plus a normalized-height histogram; the
 weak* distance is the weighted sum of total-variation discrepancies over
-all depths.  Orbit segments are cut into fiber pieces by one array walk
-over rows of gathered window symbols, and the distances of K measures to
-one target come from one signed pass with the member id as first column.  The rate function q(eps) = P(phi) - sup{h + int phi :
+all depths.  Orbit segments are cut into fiber pieces by the array walk
+of `suspension` over rows of gathered window symbols, and the distances
+of K measures to one target come from one signed pass with the member id
+as first column.  The rate function q(eps) = P(phi) - sup{h + int phi :
 |int psi - mean| >= eps} is computed both by a Legendre transform of the
 pressure curve beta -> P(phi + beta psi) and by direct maximization over
 Markov kernels (a simplex grid scored as one kernel stack, then a polish),
@@ -24,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .sft import _words
-from .suspension import Roof, SuspPoint, Suspension, _row_integrals
+from .suspension import Roof, SuspPoint, Suspension, _pieces, _row_integrals
 from .thermo import (CylinderPotential, MarkovMeasure, SuspendedMeasure,
                      _orbit_sums, _prepare, _sample_orbits, combine_cylinder,
                      entropy_and_mean, equilibrium_state, pressure,
@@ -121,53 +122,30 @@ def orbit_measure(system: Suspension, cycle_word,
     """mu_gamma: exact residence-time statistics of a closed orbit; within
     each fiber the normalized height is uniform."""
     w = np.array(cycle_word)
-    weights = np.array([system.roof[s] for s in w.tolist()], dtype=float)
+    weights = system.roof.array[w]
     ext = np.tile(w, 1 + (cfg.depth + len(w) - 1) // len(w))
     hist = np.full(cfg.height_bins, 1.0 / cfg.height_bins)
     return EmpiricalMeasure(sliding_window_view(ext, cfg.depth)[:len(w)],
                             weights / weights.sum(), hist)
 
 
-def _walk(fibers: np.ndarray, roof: Roof, h, t, bins: int):
-    """The array fiber walk: row i of `fibers` holds the symbols of the
-    fibers that a segment from height h of fiber 0 meets in time t (one t,
-    or one per row), reaching past h + t.  Returns the piece durations
-    (K, n), zero past the last piece, and the height histograms (K, bins).
-
-    The residues h + t - r_0 - ... - r_{j-1} are one subtract.accumulate,
-    the float subtractions of `suspension._locate` in its order.  Fiber j
-    is whole when its residue is at least r_j: compared on `Roof.array`,
-    and with the exact `Roof.values` where the two floats are equal; an
-    exact h + t walks the exact values.  Only the first and the last piece
-    are partial fibers, so the histogram is the whole time spread evenly
-    plus the overlaps of those two with the bins."""
-    K, n = fibers.shape
-    total = [h + s for s in t] if np.ndim(t) else [h + t] * K
-    exact = not all(isinstance(v, float) for v in total)
-    table = np.array(roof.values, dtype=object) if exact else roof.array
-    lengths = table.take(fibers)
-    res = np.subtract.accumulate(np.concatenate(
-        [np.array(total, dtype=table.dtype)[:, None], lengths], axis=1),
-        axis=1)[:, :-1]
-    whole = np.asarray(res >= lengths, dtype=bool)
-    i, j = np.nonzero(res == lengths)
-    if len(i):
-        whole[i, j] = [r >= roof.values[s] for r, s in
-                       zip(res[i, j].tolist(), fibers[i, j].tolist())]
-    k = whole.sum(axis=1)
-    rows = np.arange(K)
-    end = res[rows, k].astype(float)
+def _histograms(fibers: np.ndarray, roof: Roof, h, t, bins: int):
+    """The fiber pieces (K, n) of `suspension._pieces` and the height
+    histograms (K, bins) of K segments from height h of fiber 0.  Only the
+    first and the last piece are partial fibers, so a histogram is the
+    whole time spread evenly plus the overlaps of those two with the
+    bins."""
+    pieces, k = _pieces(fibers, roof, h, t)
+    rows = np.arange(len(k))
     lengths = roof.array.take(fibers)
-    pieces = lengths * (np.arange(n) < k[:, None])
-    whole_time = pieces[:, 1:].sum(axis=1)
-    pieces[rows, k] = end
-    pieces[:, 0] -= float(h)
+    whole_time = np.where(np.arange(1, fibers.shape[1]) < k[:, None],
+                          pieces[:, 1:], 0.0).sum(axis=1)
     # time spent below each bin edge in the first and the last piece
     edges = np.arange(bins + 1) / bins
     below = np.minimum(np.maximum(edges * lengths[:, :1] - float(h), 0.0),
                        pieces[:, :1]) \
         + np.minimum(edges * lengths[rows, k][:, None],
-                     (end * (k > 0))[:, None])
+                     (pieces[rows, k] * (k > 0))[:, None])
     return pieces, below[:, 1:] - below[:, :-1] + whole_time[:, None] / bins
 
 
@@ -179,8 +157,8 @@ def empirical_measure(system: Suspension, x: SuspPoint, t: float,
         raise ValueError("t > 0 required")
     n = int(float(x.height + t) / system.roof.min) + 2  # fibers it meets
     word = np.array(x.base.window(0, n + cfg.depth - 1))
-    pieces, hist = _walk(word[None, :n], system.roof, x.height, t,
-                         cfg.height_bins)
+    pieces, hist = _histograms(word[None, :n], system.roof, x.height, t,
+                               cfg.height_bins)
     weights = pieces[0, :np.count_nonzero(pieces[0])]
     return EmpiricalMeasure(
         sliding_window_view(word, cfg.depth)[:len(weights)],
@@ -198,8 +176,8 @@ def _segment_distances(system: Suspension, words, starts, t,
     cols = np.arange(n + cfg.depth - 1)
     windows = np.stack([np.take(w, s + cols, mode="wrap")
                         for w, s in zip(words, starts)])
-    pieces, hist = _walk(windows[:, :n], system.roof, 0.0, t,
-                         cfg.height_bins)
+    pieces, hist = _histograms(windows[:, :n], system.roof, 0.0, t,
+                               cfg.height_bins)
     return _distances(sliding_window_view(windows, cfg.depth, axis=1),
                       pieces / pieces.sum(axis=1, keepdims=True),
                       hist / hist.sum(axis=1, keepdims=True), b, cfg)
@@ -422,6 +400,10 @@ def _product(blocks) -> np.ndarray:
     return out
 
 
+# spacing of the simplex grid that the direct rate method scores
+_GRID_STEP = 0.02
+
+
 def _kernel_grid(free, step: float):
     """(params, n_grid): parameter rows of the simplex grid over the free
     kernel rows `free` (successor lists), then of the vertex kernels."""
@@ -468,8 +450,7 @@ def _objective(P: np.ndarray, roofs, phi_v, psi_v):
     return H / mean_roof + mphi / mean_roof, mpsi / mean_roof, ok
 
 
-def _rate_direct(system, phi, psi, eps_grid, P0, mbar,
-                 step: float = 0.02) -> dict:
+def _rate_direct(system, phi, psi, eps_grid, P0, mbar) -> dict:
     """Brute maximization of h + int phi over Markov kernels on a simplex
     grid, subject to |int psi - mbar| >= eps, then a constrained polish
     on the active boundary.  The grid and the deterministic vertex kernels
@@ -486,7 +467,7 @@ def _rate_direct(system, phi, psi, eps_grid, P0, mbar,
     roofs = system.roof.array
     phi_v, psi_v = (np.array([f.value((s,)) for s in range(n)])
                     for f in (phi, psi))
-    params, n_grid = _kernel_grid(free, step)
+    params, n_grid = _kernel_grid(free, _GRID_STEP)
     obj, mpsi, ok = _objective(_kernel_stack(rows, params), roofs, phi_v,
                                psi_v)
 
@@ -587,7 +568,7 @@ def deviation_frequency(system: Suspension, m: SuspendedMeasure,
     psi_v = np.array([psi.value(w) for w in m.base.words])
     length = int(math.ceil(t / system.roof.min)) + 2
     words, h0 = _sample_orbits(m, n_samples, length, rng)
-    integral, _ = _row_integrals(words, psi_v, m.roof.array, h0, t)
+    integral, _ = _row_integrals(words, psi_v, m.roof, h0, t)
     tol = 1e-9 * t * max(1.0, float(np.max(np.abs(psi_v))))
     hits = int(np.sum(np.abs(integral - t * mbar) >= t * eps - tol))
     from scipy.special import betaincinv  # the beta quantile

@@ -34,7 +34,7 @@ import numpy as np
 
 from .sft import BiWord, Sft, _close_word, _words
 from .suspension import (OrbitSegment, Roof, SuspPoint, Suspension,
-                         _locate, _row_integrals)
+                         _forced_depth, _locate, _pieces, _row_integrals)
 
 __all__ = [
     "NonConvergenceError",
@@ -258,29 +258,26 @@ def _prepare(system: Suspension, phi: CylinderPotential):
 
 def _cylinder_integrals(system: Suspension, phi: CylinderPotential,
                         segs) -> np.ndarray:
-    """Phi over each segment for a cylinder potential: one array walk whose
-    row i holds the positions of segment i's window, as states."""
+    """Phi over each segment for a cylinder potential: the fiber pieces of
+    each segment's window (`_pieces`, one row per segment) weighted by phi
+    on the window's positions."""
     n = int(math.ceil(max(s.duration for s in segs) / system.roof.min)) + 2
-    floats = system.roof.array.tolist()
-    values, syms, heights = [], [], []
+    values, fibers, heights = [], [], []
     for seg in segs:
         x = seg.start.base
-        k, h = _locate(x.symbol_at, system.roof.values, seg.start.height,
-                       floats=floats)
+        k, h = _locate(x.symbol_at, system.roof, seg.start.height)
         w = x.window(k, k + n + phi.width - 1)
-        values += [phi.value(w[j:j + phi.width]) for j in range(n)]
-        syms += w[:n]
-        heights.append(float(h))
-    integral, _ = _row_integrals(
-        np.arange(len(syms)).reshape(len(segs), n), np.array(values),
-        system.roof.array.take(syms), np.array(heights),
-        np.array([s.duration for s in segs], dtype=float))
-    return integral
+        values.append([phi.value(w[j:j + phi.width]) for j in range(n)])
+        fibers.append(w[:n])
+        heights.append(h)
+    pieces, _ = _pieces(np.array(fibers), system.roof, heights,
+                        [s.duration for s in segs])
+    return (pieces * np.array(values)).sum(axis=1)
 
 
 def birkhoff(system: Suspension, phi, seg: OrbitSegment) -> float:
     """Phi(x, t) = int_0^t phi(f_s x) ds; for a cylinder potential, the
-    array walk on one row whose states are the positions of x's window."""
+    fiber pieces of x's window weighted by phi."""
     if isinstance(phi, CylinderPotential):
         return float(_cylinder_integrals(system, phi, [seg])[0])
     if isinstance(phi, DistancePotential):
@@ -701,7 +698,7 @@ def _phihat_on_states(mu: SuspendedMeasure, phi: CylinderPotential):
                        len(words)) * mu.roof.array
 
 
-def random_markov_measure(sft: Sft, rng, words=None) -> MarkovMeasure:
+def random_markov_measure(sft: Sft, rng) -> MarkovMeasure:
     """A random fully-supported Markov measure on the SFT transitions."""
     n = sft.n_symbols
     P = np.zeros((n, n))
@@ -711,21 +708,12 @@ def random_markov_measure(sft: Sft, rng, words=None) -> MarkovMeasure:
         row = row / row.sum()
         for s, p in zip(succ, row):
             P[i, s] = p
-    return MarkovMeasure(P, words=words)
+    return MarkovMeasure(P)
 
 
 # ----------------------------------------------------------------------
 # Gibbs property and Bowen constants
 # ----------------------------------------------------------------------
-
-
-def _forced_depth(rho: float) -> int:
-    """Least n with 2^-(n+1) < rho: agreement depth forced by a
-    rho-ball under the forward-window base metric."""
-    n = 0
-    while 2.0 ** (-(n + 1)) >= rho:
-        n += 1
-    return n
 
 
 def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
@@ -751,8 +739,7 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
     k_rho = _forced_depth(rho)
     length = int(math.ceil(max(t_grid) / system.roof.min)) + k_rho + 3
     paths, heights = _sample_orbits(mu, samples, length, rng)
-    roofs = mu.roof.array
-    r0 = roofs[paths[:, 0]]
+    r0 = mu.roof.array[paths[:, 0]]
     u = heights / r0
     win = (np.minimum(1.0, u + rho) - np.maximum(0.0, u - rho)) * r0
     # log_nu[:, d - 1]: log nu of the cylinder of the first d + 1 states;
@@ -762,7 +749,7 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
     phi_v = np.array([phi.value(w) for w in mu.base.words])
     per_t = {}
     for t in t_grid:
-        Phi, c = _row_integrals(paths, phi_v, roofs, heights, t)
+        Phi, c = _row_integrals(paths, phi_v, mu.roof, heights, t)
         ball = np.exp(log_nu[np.arange(samples), c + k_rho - 1]) * win \
             / mu.mean_roof
         ratios = ball / np.exp(-t * P_val + Phi)

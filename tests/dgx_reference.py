@@ -93,8 +93,8 @@ def d_GX(g1: Geodesic, g2: Geodesic, tail_horizon: float = 8.0):
     w2 = g2.susp.base.symbol_at
 
     # arclength from the tail of edge 0 to the tail of edge i
-    cum1 = _fiber_times(w1, g.length, -nwin, nwin + 1)
-    cum2 = _fiber_times(w2, g.length, -nwin, nwin + 1)
+    cum1 = _fiber_times(w1, g.roof, -nwin, nwin + 1)
+    cum2 = _fiber_times(w2, g.roof, -nwin, nwin + 1)
 
     vd = g.vertex_distances()
     best = math.inf
@@ -191,7 +191,7 @@ def lift_distance(g1: Geodesic, g2: Geodesic, t, window: int = 64):
     if w1(0) == w2(0):
         km, kp, hit_lo, hit_hi = _agreement_run(w1, w2, 0, 0,
                                                 -window, window)
-        cum = _fiber_times(w1, g.length, -km, kp + 1)
+        cum = _fiber_times(w1, g.roof, -km, kp + 1)
         Lp = math.inf if hit_hi else float(cum[kp + 1])
         Lm = math.inf if hit_lo else -float(cum[-km])
         x = h1 + t

@@ -39,7 +39,7 @@ def residences(symbol_at, lengths, h, t, k=0):
     """The positive-length pieces (k, lo, hi) of the orbit segment of
     duration t >= 0 from height h of fiber k: fiber k is occupied at
     heights [lo, hi), for hi - lo time units.  The oracle of the array
-    walk `ldp._walk`."""
+    walk `suspension._pieces`."""
     k_end, h_end = locate(symbol_at, lengths, h + t, k)
     for j in range(k, k_end):
         yield j, h, lengths[symbol_at(j)]

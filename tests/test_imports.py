@@ -1,8 +1,10 @@
 """Every name a library module, test module or script imports is read in
 that module, every module-level private function of the library is read
-somewhere outside its own body, and every name a library function assigns
-is read in that function.  A name listed in the module's __all__ counts as
-read; __future__ imports are skipped."""
+somewhere outside its own body, every name a library function assigns is
+read in that function, and every defaulted parameter of a library function
+is set by some call in the library, tests, scripts or benchmark.  A name
+listed in the module's __all__ counts as read; __future__ imports are
+skipped."""
 
 import ast
 import pathlib
@@ -130,3 +132,94 @@ def test_unused_locals_examples():
                          ids=lambda p: p.name)
 def test_every_local_is_read(path):
     assert unused_locals(path.read_text()) == []
+
+
+def unset_parameters(library: dict, callers: list) -> list:
+    """function.param (Class.method.param for a method) for each defaulted
+    parameter of a module-level function or method in `library` ({module:
+    text}) that no call in `callers` (texts) sets.  A call is matched by
+    the called name (a class name calls its __init__), and a function
+    passed as an argument is called with the arguments after it, as in
+    `tracer.call(label, f, x, key=v)`.  A positional or keyword argument
+    sets a parameter unless it is a constant equal to the default; a
+    starred argument sets every parameter from its position on, and a
+    double-starred one sets every parameter."""
+    params = {}  # called name -> [(label, positional names, defaults)]
+    for text in library.values():
+        for top in ast.parse(text).body:
+            defs = [(None, top)] if isinstance(top, ast.FunctionDef) else \
+                [(top.name, f) for f in top.body
+                 if isinstance(f, ast.FunctionDef)] \
+                if isinstance(top, ast.ClassDef) else []
+            for cls, fn in defs:
+                a = fn.args
+                pos = [p.arg for p in a.posonlyargs + a.args]
+                if cls and not any(isinstance(d, ast.Name)
+                                   and d.id == "staticmethod"
+                                   for d in fn.decorator_list):
+                    pos = pos[1:]
+                defaults = dict(zip(pos[len(pos) - len(a.defaults):],
+                                    a.defaults))
+                defaults.update((p.arg, d) for p, d in
+                                zip(a.kwonlyargs, a.kw_defaults) if d)
+                if not defaults:
+                    continue
+                name = cls if fn.name == "__init__" else fn.name
+                label = f"{cls}.{fn.name}" if cls else fn.name
+                params.setdefault(name, []).append((label, pos, defaults))
+    unset = {(label, p): d for entries in params.values()
+             for label, _, defaults in entries for p, d in defaults.items()}
+
+    def called(node):
+        return node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else None
+
+    def mark(name, args, keywords):
+        for label, pos, defaults in params.get(name, ()):
+            given = list(zip(pos, args)) + [(k.arg, k.value)
+                                            for k in keywords if k.arg]
+            for i, arg in enumerate(args):
+                if isinstance(arg, ast.Starred):
+                    given += [(p, arg) for p in pos[i:]]
+            if any(k.arg is None for k in keywords):
+                given += [(p, None) for p in defaults]
+            for p, value in given:
+                d = defaults.get(p)
+                if d is not None and not (
+                        isinstance(value, ast.Constant)
+                        and isinstance(d, ast.Constant)
+                        and value.value == d.value):
+                    unset.pop((label, p), None)
+
+    for text in callers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                mark(called(node.func), node.args, node.keywords)
+                for i, arg in enumerate(node.args):
+                    if called(arg) in params:
+                        mark(called(arg), node.args[i + 1:], node.keywords)
+    return sorted(f"{label}.{p}" for label, p in unset)
+
+
+def test_unset_parameters_examples():
+    lib = {"m": "def f(a, b=1, *, c=None):\n    pass\n\n"
+                "class K:\n    def __init__(self, x=0):\n        pass\n\n"
+                "    def g(self, y=2):\n        pass\n\n"
+                "    @staticmethod\n    def h(z=3):\n        pass\n"}
+    assert unset_parameters(lib, []) == ["K.__init__.x", "K.g.y", "K.h.z",
+                                         "f.b", "f.c"]
+    assert unset_parameters(lib, ["f(0, 1)\nk.g(y=2)\nK.h(3)\n"]) == [
+        "K.__init__.x", "K.g.y", "K.h.z", "f.b", "f.c"]
+    assert unset_parameters(lib, ["f(0, 5, c=x)\nK(1).g(4)\nK.h(z)\n"]) \
+        == []
+    assert unset_parameters(lib, ["t.call('f', m.f, 0, 5)\n"
+                                  "K(*a)\nk.g(**kw)\n"]) == ["K.h.z", "f.c"]
+
+
+def test_every_parameter_is_set_by_some_call():
+    """A defaulted parameter that no call sets is a knob nobody turns."""
+    library = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    callers = [p.read_text() for d in ("src/thermoflow", "tests", "scripts",
+                                       "bench")
+               for p in sorted((ROOT / d).glob("*.py"))]
+    assert unset_parameters(library, callers) == []

@@ -17,7 +17,7 @@ from thermoflow import (
     min_gap_bound,
 )
 
-from thermoflow.suspension import _locate, _row_integrals
+from thermoflow.suspension import _locate, _pieces, _row_integrals
 
 from test_sft import random_irreducible_sft, _random_word
 
@@ -37,7 +37,9 @@ def test_locate_compares_floats_first_with_exact_ties(theta):
     """The fiber walk on the float view with exact compares at float ties
     returns what the walk with exact compares returns (same k, same height
     and type), on Fraction roofs, for float heights at and next to the
-    float fiber floors and for Fraction heights."""
+    float fiber floors and for Fraction heights.  The array walk from the
+    floor of fiber 0 to a height h >= 0 ends in the same fiber, its last
+    piece the same height."""
     from stats_reference import locate
     thirds = (1, Fraction(1, 3))
     cases = [(thirds, BiWord.periodic((1, 0, 1, 1, 0)).symbol_at),
@@ -60,11 +62,18 @@ def test_locate_compares_floats_first_with_exact_ties(theta):
         heights += [Fraction(int(rng.integers(-40, 40)), 3)
                     for _ in range(40)]
         heights += rng.uniform(-6.0, 6.0, 40).tolist()
+        roof = Roof(lengths)
+        fibers = np.array([[symbol_at(j) for j in range(40)]])
         for h in heights:
             for k in (0, 3):
-                got = _locate(symbol_at, lengths, h, k, floats=floats)
+                got = _locate(symbol_at, roof, h, k)
                 want = locate(symbol_at, lengths, h, k)
                 assert got == want and type(got[1]) is type(want[1]), h
+            if h >= 0:
+                pieces, k = _pieces(fibers, roof, 0, h)
+                k_end, h_end = _locate(symbol_at, roof, h)
+                assert k.tolist() == [k_end], h
+                assert pieces[0, k_end] == float(h_end), h
 
 
 def test_flow_examples(full2_unit, golden12):
@@ -134,7 +143,7 @@ def test_row_walk_ending_on_a_roof_occupies_the_next_fiber(golden12):
     """golden (1,2) from height 0 for t = 3 ends on the floor of fiber 2,
     which it then occupies; phi = (1, 10) integrates to 1 + 2 * 10."""
     integral, k = _row_integrals(np.array([[0, 1, 0, 0, 1]]),
-                                 np.array([1.0, 10.0]), golden12.roof.array,
+                                 np.array([1.0, 10.0]), golden12.roof,
                                  0.0, 3.0)
     assert k.tolist() == [2] and integral.tolist() == [21.0]
 
