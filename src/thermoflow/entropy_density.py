@@ -27,7 +27,7 @@ from .ldp import (EmpiricalMeasure, WeakStarConfig, _segment_distances,
                   chain_statistics, empirical_measure, measure_statistics,
                   weak_star_distance)
 from .sft import (BiWord, Sft, WeakSpecificationError, _close_word,
-                  glue_words, is_irreducible, min_gap_bound)
+                  _glue_blocks, glue_words, is_irreducible, min_gap_bound)
 from .suspension import Roof, SuspPoint, Suspension, _fiber_times, _locate
 from .thermo import MarkovMeasure, SuspendedMeasure, entropy_and_mean
 
@@ -294,17 +294,9 @@ def glue_generic_family(system: Suspension, target: ApproxTarget,
     cells = [_box_cells(system.sft, g.length, g.box) for g in gammas]
 
     def sample_member():
-        word = []
-        starts = []
-        for _ in range(m):
-            for g, c in zip(gammas, cells):
-                w = _sample_from_box(c, g.length, rng, 1)[0]
-                if word:
-                    gap = glue_words(system.sft, (word[-1],), (w[0],))
-                    word.extend(gap)
-                starts.append(len(word))
-                word.extend(w)
-        word = tuple(word)
+        word, starts = _glue_blocks(
+            system.sft, [_sample_from_box(c, g.length, rng, 1)[0]
+                         for _ in range(m) for g, c in zip(gammas, cells)])
         times = _fiber_times(word.__getitem__, system.roof, 0, len(word))
         return word, starts, times
 
@@ -399,19 +391,12 @@ def _build_block_chain(system: Suspension, target: ApproxTarget, L: int):
                 else:
                     # deterministic glue to the next component's start
                     tgt = starts[nxt]
-                    if sft.allowed(s, tgt):
-                        gap = ()
-                    else:
-                        gap = glue_words(sft, (s,), (tgt,))
-                    if gap:
-                        prev = st
-                        for gpos, gs in enumerate(gap):
-                            gst = (1, i, (j, gpos, s), gs)
-                            set_p(prev, gst, 1.0)
-                            prev = gst
-                        set_p(prev, (0, nxt, 0, tgt), 1.0)
-                    else:
-                        set_p(st, (0, nxt, 0, tgt), 1.0)
+                    prev = st
+                    for gpos, gs in enumerate(glue_words(sft, (s,), (tgt,))):
+                        gst = (1, i, (j, gpos, s), gs)
+                        set_p(prev, gst, 1.0)
+                        prev = gst
+                    set_p(prev, (0, nxt, 0, tgt), 1.0)
     n = len(states)
     P = np.zeros((n, n))
     for ia, row in trans.items():

@@ -66,14 +66,12 @@ class MetricGraph:
         # directed edges: 2i forward (a->b), 2i+1 reverse (b->a)
         self.tail = []
         self.head = []
-        self.length = []
-        for (a, b, l) in und:
+        for (a, b, _) in und:
             self.tail += [a, b]
             self.head += [b, a]
-            self.length += [l, l]
         self.n_dir = 2 * m
-        # the lengths as the roof of the directed-edge suspension
-        self.roof = Roof(self.length)
+        # the exact lengths, as the roof of the directed-edge suspension
+        self.roof = Roof(l for (_, _, l) in und for _ in range(2))
 
         deg = [0] * self.n_vertices
         for (a, b, _) in und:
@@ -123,8 +121,8 @@ class MetricGraph:
             # Dijkstra over directed edges, states = directed edge just
             # traversed, forbidding immediate backtracking; close when a
             # successor returns to e0.
-            dist = {e0: self.length[e0]}
-            pq = [(self.length[e0], e0)]
+            dist = {e0: self.roof[e0]}
+            pq = [(self.roof[e0], e0)]
             while pq:
                 d, e = heapq.heappop(pq)
                 if d > dist[e]:
@@ -145,7 +143,7 @@ class MetricGraph:
                             if best is None or total < best:
                                 best = total
                         continue
-                    nd = d + self.length[e2]
+                    nd = d + self.roof[e2]
                     if e2 not in dist or nd < dist[e2]:
                         dist[e2] = nd
                         heapq.heappush(pq, (nd, e2))
@@ -165,7 +163,7 @@ class MetricGraph:
     @property
     def delta0(self) -> Fraction:
         """Expansivity-scale surrogate used to validate Gibbs-ball radii."""
-        return min(self.eps0, min(self.length)) / 4
+        return min(self.eps0, min(self.roof.values)) / 4
 
     # --- vertex distances ----------------------------------------------
 
@@ -185,7 +183,7 @@ class MetricGraph:
                     continue
                 for e in self._adj[v]:
                     w = self.head[e]
-                    nd = d + self.length[e]
+                    nd = d + self.roof[e]
                     if dist[w] is None or nd < dist[w]:
                         dist[w] = nd
                         heapq.heappush(pq, (nd, w))
@@ -197,7 +195,7 @@ class MetricGraph:
         """Distance in the graph between positions (edge, offset)."""
         e1, s1 = p1
         e2, s2 = p2
-        l1, l2 = self.length[e1], self.length[e2]
+        l1, l2 = self.roof[e1], self.roof[e2]
         if not (0 <= s1 <= l1 and 0 <= s2 <= l2):
             raise ValueError("offset outside edge")
         vd = self.vertex_distances()

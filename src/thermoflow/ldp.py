@@ -204,7 +204,7 @@ def chain_statistics(chain: MarkovMeasure, roofs: np.ndarray,
                      cfg: WeakStarConfig = WeakStarConfig()
                      ) -> EmpiricalMeasure:
     """Exact residence statistics of a (hidden) Markov chain whose state i
-    lasts roofs[i] and shows the symbol chain.words[i][-1]: a state path p
+    lasts roofs[i] and shows the symbol chain.words[i][0]: a state path p
     carries nu(p) r(p_0) / mean roof, nu(p) = pi(p_0) P(p_0, p_1) ...,
     summed over the paths that show the same word."""
     P = chain.transition
@@ -213,7 +213,7 @@ def chain_statistics(chain: MarkovMeasure, roofs: np.ndarray,
     for a, b in zip(paths.T[:-1], paths.T[1:]):
         prob = prob * P[a, b]
     mean_roof = float(np.dot(chain.stationary, roofs))
-    emit = np.array([w[-1] for w in chain.words])
+    emit = np.array([w[0] for w in chain.words])
     hist = np.full(cfg.height_bins, 1.0 / cfg.height_bins)
     return EmpiricalMeasure(emit[paths], prob * roofs[paths[:, 0]] / mean_roof,
                             hist)
@@ -225,9 +225,8 @@ def measure_statistics(mu: SuspendedMeasure,
     """Exact cylinder statistics of a suspended Markov measure: the
     residence frequency of a word w is nu(w) r(w_0) / mean_roof.
 
-    Requires a width-1 base (states = symbols)."""
-    if any(len(w) != 1 for w in mu.base.words):
-        raise ValueError("measure_statistics needs a width-1 base measure")
+    The base may be a w-block measure (`thermo.block_recode`): its state
+    x_k ... x_{k+w-1} sits over fiber k, so it shows x_k and lasts r(x_k)."""
     return chain_statistics(mu.base, mu.roof.array, cfg)
 
 

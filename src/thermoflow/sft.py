@@ -2,6 +2,11 @@
 gluing words, and a finite representation of eventually-periodic
 bi-infinite sequences (BiWord).
 
+Irreducibility, the gap bound tau and every gap word read one cached table
+per Sft, `Sft._distances`, of the least number of transitions between two
+symbols.  `_glue_blocks` is the one loop that joins a sequence of blocks
+with gap words.
+
 Conventions
 -----------
 Symbols are integers 0..n-1.  A word is a tuple of symbols; word ``w`` is
@@ -21,6 +26,7 @@ the same sequence compare equal.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -84,18 +90,22 @@ class Sft:
     def __repr__(self):
         return f"Sft(n={self.n_symbols})"
 
-    # --- path existence by exact length -------------------------------
-
-    def _bool_powers(self, max_k: int):
-        """List [A^0, A^1, ..., A^max_k] over the boolean semiring.
-        (A^k)[i, j] iff a path i -> j with exactly k transitions exists."""
-        cached = getattr(self, "_pow_cache", None)
-        if cached is None:
-            cached = [np.eye(self.n_symbols, dtype=bool)]
-            self._pow_cache = cached
-        while len(cached) <= max_k:
-            cached.append((cached[-1] @ self._A).astype(bool))
-        return cached[: max_k + 1]
+    @functools.cached_property
+    def _distances(self) -> np.ndarray:
+        """d[s, b]: the least number of transitions s -> b; 0 on the
+        diagonal, n_symbols where b cannot be reached from s.  Paths with
+        at most n_symbols - 1 transitions reach every reachable b."""
+        n = self.n_symbols
+        d = np.where(np.eye(n, dtype=bool), 0, n)
+        reach = np.eye(n, dtype=bool)
+        for k in range(1, n):
+            reach = reach | (self._A @ reach)
+            fresh = reach & (d == n)
+            if not fresh.any():
+                break
+            d[fresh] = k
+        d.setflags(write=False)
+        return d
 
 
 def is_admissible_word(sft: Sft, word) -> bool:
@@ -117,42 +127,19 @@ def _words(A, w: int) -> np.ndarray:
 
 def is_irreducible(sft: Sft) -> bool:
     """True iff for every ordered pair (i, j) some admissible path i -> j
-    (of length >= 1) exists."""
-    A = sft.transitions
-    n = sft.n_symbols
-    reach = A.copy()
-    frontier = A.copy()
-    for _ in range(n):
-        frontier = (frontier @ A) & ~reach
-        if not frontier.any():
-            break
-        reach |= frontier
-    return bool(reach.all())
-
-
-def _pair_gap_length(sft: Sft, a: int, b: int) -> int:
-    """Length of the shortest gap word u with a u b admissible (u may be
-    empty).  Returns -1 when no such u exists."""
-    # a u b with |u| = k is a path a -> b with exactly k + 1 transitions.
-    n = sft.n_symbols
-    powers = sft._bool_powers(2 * n + 1)
-    for k in range(2 * n):
-        if powers[k + 1][a, b]:
-            return k
-    return -1
+    (of length >= 1) exists.  Every symbol has a successor, so paths of
+    length >= 0 to every symbol suffice."""
+    return bool((sft._distances < sft.n_symbols).all())
 
 
 def min_gap_bound(sft: Sft) -> int:
     """Least tau such that every ordered pair of admissible words can be
-    joined by a gap word of length <= tau."""
+    joined by a gap word of length <= tau.  The shortest gap word u with
+    a u b admissible has length min d[s, b] over the successors s of a."""
     if not is_irreducible(sft):
         raise WeakSpecificationError("weak specification fails")
-    gaps = [
-        _pair_gap_length(sft, a, b)
-        for a in range(sft.n_symbols)
-        for b in range(sft.n_symbols)
-    ]
-    return max(gaps)
+    d = sft._distances
+    return max(int(d[row].min(axis=0).max()) for row in sft.transitions)
 
 
 def glue_words(sft: Sft, v, w) -> tuple:
@@ -166,32 +153,34 @@ def glue_words(sft: Sft, v, w) -> tuple:
         raise ValueError("v and w must be admissible")
     if not is_irreducible(sft):
         raise WeakSpecificationError("weak specification fails")
-    a, b = v[-1], w[0]
-    L = _pair_gap_length(sft, a, b)
-    if L == 0:
-        return ()
-    powers = sft._bool_powers(L + 1)
-    # Greedy lexicographic construction: at each position pick the smallest
-    # admissible symbol from which b is reachable in exactly the remaining
-    # number of transitions.
+    cur, b = v[-1], w[0]
+    A, to_b = sft.transitions, sft._distances[:, b]
+    # Each next symbol is the least successor from which b lies exactly
+    # the remaining number of transitions away; none lies closer, or a
+    # shorter gap would exist.
     u = []
-    cur = a
-    for pos in range(L):
-        rem = L - pos  # transitions still needed from the next symbol to b
-        for s in range(sft.n_symbols):
-            if sft.allowed(cur, s) and powers[rem][s, b]:
-                u.append(s)
-                cur = s
-                break
-        else:  # pragma: no cover - cannot happen when L is consistent
-            raise RuntimeError("gap construction failed")
+    for rem in range(int(to_b[A[cur]].min()), 0, -1):
+        cur = int(np.flatnonzero(A[cur] & (to_b == rem))[0])
+        u.append(cur)
     return tuple(u)
+
+
+def _glue_blocks(sft: Sft, blocks):
+    """(word, starts): the blocks in order, consecutive ones joined by
+    their glue_words gap; block j begins at word[starts[j]]."""
+    word, starts = [], []
+    for block in blocks:
+        if word:
+            word.extend(glue_words(sft, (word[-1],), (block[0],)))
+        starts.append(len(word))
+        word.extend(block)
+    return tuple(word), starts
 
 
 def _close_word(sft: Sft, w) -> tuple:
     """w followed by the glue_words gap that closes it into a cycle; w
-    itself when w[-1] -> w[0] is allowed (glue_words would re-check
-    irreducibility to return the empty gap)."""
+    itself when w[-1] -> w[0] is allowed, also on a reducible shift, where
+    glue_words raises."""
     w = tuple(w)
     if sft.allowed(w[-1], w[0]):
         return w

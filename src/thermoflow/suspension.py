@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sft import (BiWord, Sft, _close_word, _primitive_root, glue_words,
+from .sft import (BiWord, Sft, _close_word, _glue_blocks, _primitive_root,
                   min_gap_bound)
 
 __all__ = [
@@ -494,16 +494,8 @@ class Suspension:
         lt_rot = lt[(-back - first.core_start) % nlt:] + \
             lt[:(-back - first.core_start) % nlt]
 
-        core = list(left_prefix)
-        gap_words = []
-        block_core_starts = []  # index in `core` where each window begins
-        for j, w in enumerate(windows):
-            if j > 0:
-                u = glue_words(self.sft, (core[-1],), (w[0],))
-                gap_words.append(u)
-                core.extend(u)
-            block_core_starts.append(len(core))
-            core.extend(w)
+        # window j starts at base coordinate coords[j]
+        glued, coords = _glue_blocks(self.sft, windows)
 
         # right tail: continue the last segment's own future beyond its
         # window
@@ -513,19 +505,15 @@ class Suspension:
         last_end = wlen  # first coordinate of `last` beyond the window
         rt_region_start = max(last_end, last.core_start + len(last.core))
         right_suffix = last.window(last_end, rt_region_start)
-        core.extend(right_suffix)
         rshift = (rt_region_start - last.core_start - len(last.core)) % nrt
         rt_rot = rt[rshift:] + rt[:rshift]
 
-        base = BiWord(lt_rot, tuple(core), rt_rot,
+        base = BiWord(lt_rot, left_prefix + glued + right_suffix, rt_rot,
                       core_start=-len(left_prefix))
-        # coordinates: window j starts at base coordinate
-        # block_core_starts[j] - len(left_prefix)
         h0 = segs[0].start.height
         y0 = SuspPoint(base, h0)
 
         # exact block start times along the glued orbit
-        coords = [c - len(left_prefix) for c in block_core_starts]
         times = _fiber_times(base.symbol_at, self.roof, 0, coords[-1])
         starts = [times[c] + seg.start.height - h0
                   for c, seg in zip(coords, segs)]

@@ -85,10 +85,10 @@ def d_GX(g1: Geodesic, g2: Geodesic, tail_horizon: float = 8.0):
     T = float(tail_horizon)
     if T < 1:
         raise ValueError("tail_horizon >= 1 required")
-    minlen = float(min(g.length))
+    minlen = float(min(g.roof.values))
     h1 = float(g1.susp.height)
     h2 = float(g2.susp.height)
-    nwin = math.ceil((T + float(max(g.length))) / minlen) + 2
+    nwin = math.ceil((T + float(max(g.roof.values))) / minlen) + 2
     w1 = g1.susp.base.symbol_at
     w2 = g2.susp.base.symbol_at
 
@@ -184,8 +184,8 @@ def lift_distance(g1: Geodesic, g2: Geodesic, t, window: int = 64):
     h2 = float(g2.susp.height)
     t = float(t)
     # position coverage check
-    minlen = float(min(g.length))
-    need = max(abs(h1 + t), abs(h2 + t)) + float(max(g.length))
+    minlen = float(min(g.roof.values))
+    need = max(abs(h1 + t), abs(h2 + t)) + float(max(g.roof.values))
     if window * minlen < need:
         raise ValueError("insufficient unwinding")
     if w1(0) == w2(0):

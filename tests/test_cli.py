@@ -97,6 +97,16 @@ def test_equilibrium_report(capsys):
     assert "variational identity" in out
 
 
+def test_equidistribute_width2_potential(capsys, tmp_path):
+    phi = tmp_path / "phi2.json"
+    phi.write_text(json.dumps({"type": "cylinder", "width": 2, "table": {
+        "00": 0.1, "01": -0.2, "10": 0.3, "11": 0.0}}))
+    code, out, _ = run_cli(capsys, "equidistribute", "--sft",
+                           data_path("full2.json"), "--potential", str(phi))
+    assert code == 0
+    assert "D(nu_t, mu) vs t" in out
+
+
 def test_glue_verifies_shadowing(capsys):
     code, out, _ = run_cli(capsys, "glue", "--sft",
                            data_path("golden.json"), "--delta", "0.3",
@@ -140,7 +150,7 @@ def test_graph_lengths_and_roof_values_read_alike():
     for q, want in ((0.1, Fraction(0.1)), ("1/10", Fraction(1, 10))):
         edge = {"from": 0, "to": 0, "length": q}
         length = tfio.load_graph({"vertices": 1,
-                                  "edges": [edge, edge]}).length[0]
+                                  "edges": [edge, edge]}).roof[0]
         value = tfio.load_roof({"roof": [q]}).values[0]
         assert Fraction(length) == Fraction(value) == want
     assert isinstance(length, Fraction) and isinstance(value, Fraction)

@@ -258,7 +258,7 @@ def test_shift_time_and_position_exact_on_fractions(theta):
     rng = np.random.default_rng(17)
     for _ in range(60):
         geo = random_geodesic(theta, rng)
-        h = Fraction(int(rng.integers(4)), 4) * theta.length[geo.edge_at(0)]
+        h = Fraction(int(rng.integers(4)), 4) * theta.roof[geo.edge_at(0)]
         geo = Geodesic(theta, SuspPoint(geo.susp.base, h))
         t = Fraction(int(rng.integers(-60, 60)), 3)
         assert geo.shift_time(t).position(0) == geo.position(t)
@@ -272,7 +272,7 @@ def test_suspension_flow_matches_shift_time_on_thirds():
     also next to an edge of length 1/3, which no float stores."""
     g = THIRDS
     system = graph_suspension(g)
-    assert system.roof.values == tuple(g.length)
+    assert system.roof.values == (Fraction(1, 3),) * 2 + (1, 1, 2, 2)
     third = float(Fraction(1, 3))  # just below 1/3
     p = SuspPoint(BiWord.periodic((0, 3)), 0.0)
     assert system.flow(p, third) == Geodesic(g, p).shift_time(third).susp \

@@ -254,6 +254,18 @@ def test_equidistribution_rose2_both_potentials(rose2, theta):
             assert Ds[-1] < 0.05, Ds
 
 
+def test_equidistribution_width2_potential(golden):
+    """A width-2 potential recodes the base to 2-blocks; the statistics of
+    its equilibrium state show each block's first symbol, the one its fiber
+    lies over, and the weighted orbit measures converge to them."""
+    system = Suspension(golden, Roof([1, 2]))
+    phi = CylinderPotential(2, {(0, 0): 0.1, (0, 1): -0.2, (1, 0): 0.3,
+                                (1, 1): 0.0})
+    target = measure_statistics(equilibrium_state(system, phi), CFG)
+    emp, _, _ = weighted_orbit_measure(system, phi, 24.0, CFG)
+    assert weak_star_distance(emp, target, CFG) < 1e-3
+
+
 def test_weighted_measure_single_orbit(rose2):
     system = graph_suspension(rose2)
     emp, C, n = weighted_orbit_measure(system, zero_potential(), 1.0, CFG)

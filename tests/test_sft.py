@@ -142,6 +142,46 @@ def _random_word(sft, rng, max_len=4):
     return tuple(word)
 
 
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except WeakSpecificationError as err:
+        return WeakSpecificationError, str(err)
+
+
+def test_gap_table_matches_boolean_powers(rose2, theta):
+    """is_irreducible, min_gap_bound and glue_words read one shortest-path
+    table; they equal the boolean-power reference on 400 seeded SFTs of
+    1-8 symbols (reducible ones included) and the edge shifts: the same
+    value or the same error, every ordered symbol pair, random words."""
+    import gap_reference as ref
+    from thermoflow import build_edge_sft
+    rng = np.random.default_rng(15)
+    corpus = [build_edge_sft(g)[0] for g in (rose2, theta)]
+    while len(corpus) < 402:
+        n = int(rng.integers(1, 9))
+        m = rng.random((n, n)) < rng.uniform(0.15, 0.7)
+        try:
+            corpus.append(Sft(m.astype(int).tolist()))
+        except ValueError:
+            continue
+    reducible = 0
+    for sft in corpus:
+        irreducible = ref.is_irreducible(sft)
+        reducible += not irreducible
+        assert is_irreducible(sft) == irreducible
+        assert _outcome(min_gap_bound, sft) == _outcome(ref.min_gap_bound,
+                                                         sft)
+        n = sft.n_symbols
+        pairs = [((a,), (b,)) for a in range(n) for b in range(n)]
+        pairs += [(_random_word(sft, rng), _random_word(sft, rng))
+                  for _ in range(5)]
+        for v, w in pairs:
+            assert _outcome(glue_words, sft, v, w) == \
+                _outcome(ref.glue_words, sft, v, w)
+    assert 50 < reducible < 350
+
+
 # --- BiWord canonical form --------------------------------------------------
 
 def test_biword_canonicalization():

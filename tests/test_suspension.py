@@ -43,7 +43,7 @@ def test_locate_compares_floats_first_with_exact_ties(theta):
     from stats_reference import locate
     thirds = (1, Fraction(1, 3))
     cases = [(thirds, BiWord.periodic((1, 0, 1, 1, 0)).symbol_at),
-             (tuple(theta.length), BiWord.periodic((0, 2, 5, 1)).symbol_at)]
+             (theta.roof.values, BiWord.periodic((0, 2, 5, 1)).symbol_at)]
     rng = np.random.default_rng(5)
     for lengths, symbol_at in cases:
         floats = [float(v) for v in lengths]
@@ -222,7 +222,7 @@ def test_max_orbit_distance_exact_roof_matches_float_roof(theta):
     """The shadowing grid walks the roof's float view, so an exact roof
     (1, 3/2, 2) and the same roof given as floats give the same sup."""
     exact = graph_suspension(theta)
-    floats = Suspension(exact.sft, Roof([float(r) for r in theta.length]))
+    floats = Suspension(exact.sft, Roof([float(r) for r in theta.roof.values]))
     rng = np.random.default_rng(9)
     for _ in range(20):
         y, x = _random_point(exact, rng), _random_point(exact, rng)
