@@ -42,7 +42,6 @@ from .thermo import (
     gibbs_ratio_stats,
     bowen_constant_estimate,
     block_recode,
-    combine_cylinder,
     cylinder_approximation,
     random_markov_measure,
     zero_potential,
@@ -88,7 +87,7 @@ __all__ = [
     "MarkovMeasure", "SuspendedMeasure", "PressureResult", "birkhoff",
     "pressure", "equilibrium_state", "entropy_and_mean",
     "gibbs_ratio_stats", "bowen_constant_estimate", "block_recode",
-    "combine_cylinder", "cylinder_approximation", "random_markov_measure",
+    "cylinder_approximation", "random_markov_measure",
     "zero_potential",
     "WeakStarConfig", "EmpiricalMeasure", "orbit_measure",
     "empirical_measure", "weighted_orbit_measure", "measure_statistics",

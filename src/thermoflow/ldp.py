@@ -10,8 +10,10 @@ of K measures to one target come from one signed pass with the member id
 as first column.  The rate function q(eps) = P(phi) - sup{h + int phi :
 |int psi - mean| >= eps} is computed both by a Legendre transform of the
 pressure curve beta -> P(phi + beta psi) and by direct maximization over
-Markov kernels (a simplex grid scored as one kernel stack, then a polish),
-and compared to Monte Carlo deviation frequencies on step-major paths.
+edge measures (one Newton solve of a concave program), and compared to
+Monte Carlo deviation frequencies on step-major paths, whose
+Clopper-Pearson bounds come from an in-house incomplete beta function.
+The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .sft import _words
 from .suspension import Roof, SuspPoint, Suspension, _pieces, _row_integrals
-from .thermo import (CylinderPotential, MarkovMeasure, SuspendedMeasure,
-                     _orbit_sums, _prepare, _sample_orbits, combine_cylinder,
+from .thermo import (CylinderPotential, MarkovMeasure, NonConvergenceError,
+                     SuspendedMeasure, _bracketed_root, _gibbs_data,
+                     _orbit_sums, _prepare, _sample_orbits,
+                     _stationary_vector, block_recode,
                      entropy_and_mean, equilibrium_state, pressure,
                      zero_potential)
 
@@ -286,34 +290,41 @@ def rate_function(system: Suspension, phi, psi: CylinderPotential,
                   eps_grid, method: str = "legendre") -> dict:
     """q(eps) = P(phi) - sup{h_nu + int phi dnu : |int psi dnu - m| >= eps},
     m the equilibrium mean of psi; math.inf when the constraint set is
-    empty."""
+    empty.
+
+    The sup over int psi >= m + eps is attained at int psi = m + eps (the
+    sup is concave in int psi, largest at m), so q(eps) is the lesser of
+    qtilde(m + eps) and qtilde(m - eps), qtilde(u) = P(phi) - sup{h + int
+    phi : int psi = u}.  Both methods work on the SFT recoded to the wider
+    potential's width: "legendre" as the Legendre transform of the
+    pressure curve, "direct" as a concave program over edge measures."""
     if not isinstance(psi, CylinderPotential):
         raise ValueError("psi must be fiber-representable "
                          "(cylinder potential)")
+    if method not in ("legendre", "direct"):
+        raise ValueError(f"unknown rate method {method!r}")
     if phi is None:
         phi = zero_potential()
     P0 = pressure(system, phi, "spectral", tol=1e-12).value
     m_eq = equilibrium_state(system, phi)
     mbar = entropy_and_mean(m_eq, psi)[1]
+    sft_w, roof_w, words = block_recode(system.sft, system.roof,
+                                        max(phi.width, psi.width))
+    A, r = sft_w.transitions, roof_w.array
+    phihat, psihat = (np.array([f.value(u) for u in words]) * r
+                      for f in (phi, psi))
+    lo_u, hi_u = _psi_range(system, psi)
+    tol = 1e-12 * max(1.0, abs(lo_u), abs(hi_u))
     if method == "legendre":
-        return _rate_legendre(system, phi, psi, eps_grid, P0, mbar)
-    if method == "direct":
-        return _rate_direct(system, phi, psi, eps_grid, P0, mbar)
-    raise ValueError(f"unknown rate method {method!r}")
-
-
-def _lambda_curve(system: Suspension, phi, psi, P0):
-    """beta -> P(phi + beta psi) - P(phi)."""
-    cache = {}
-
-    def Lam(beta):
-        if beta not in cache:
-            comb = combine_cylinder(phi, psi, system.sft, cb=beta)
-            cache[beta] = pressure(system, comb, "spectral",
-                                   tol=1e-12).value - P0
-        return cache[beta]
-
-    return Lam
+        qtilde = _legendre(A.astype(float), r, phihat, psihat, P0, mbar)
+    else:
+        qtilde = _direct(A, r, phihat, psihat, P0, lo_u, hi_u, tol)
+    out = {}
+    for eps in eps_grid:
+        out[eps] = 0.0 if eps == 0 else min(
+            math.inf if u < lo_u - tol or u > hi_u + tol else qtilde(u)
+            for u in (mbar + eps, mbar - eps))
+    return out
 
 
 def _psi_range(system: Suspension, psi: CylinderPotential):
@@ -351,182 +362,197 @@ def _max_cycle_ratio(A: np.ndarray, num: np.ndarray,
         lam = ratio
 
 
-def _rate_legendre(system, phi, psi, eps_grid, P0, mbar) -> dict:
-    from scipy.optimize import minimize_scalar
-    Lam = _lambda_curve(system, phi, psi, P0)
-    norm = max(abs(v) for v in psi.table.values()) or 1.0
-    B = 20.0 / norm
-    lo_u, hi_u = _psi_range(system, psi)
+def _legendre(A, r, phihat, psihat, P0, mbar):
+    """qtilde(u) = sup over beta in [-B, B] of beta u - Lambda(beta),
+    Lambda(beta) = P(phi + beta psi) - P(phi), B = 40 / max|psi|.
+    Lambda'(beta) is the psi mean of the equilibrium state of phi + beta
+    psi, increasing from Lambda'(0) = m.  From beta = 0, the bracket
+    doubles towards the side of u until Lambda' - u changes sign, and the
+    one bracketed root (`thermo._bracketed_root`) solves Lambda'(beta) = u
+    in it.  When u is not bracketed, the sup is at the nearer bound.
+    Every evaluated beta gives a lower bound beta u - Lambda(beta) on the
+    sup, and the largest one, within 2 tol of the maximizer, is its value
+    to second order in tol."""
+    norm = float(np.max(np.abs(psihat / r))) or 1.0
+    tol = 1e-7 / norm
+    curve = {0.0: 0.0}  # beta -> Lambda(beta)
+
+    def slope(beta):
+        P, _, _, v, w = _gibbs_data(A, phihat + beta * psihat, r)
+        curve[beta] = P - P0
+        pi = v * w
+        return float(pi @ psihat / (pi @ r))
 
     def qtilde(u):
-        if u < lo_u - 1e-12 or u > hi_u + 1e-12:
-            return math.inf
-        res = minimize_scalar(lambda b: -(b * u - Lam(b)),
-                              bounds=(-B, B), method="bounded",
-                              options={"xatol": 1e-10})
-        return max(0.0, -res.fun)
+        side = 1.0 if u > mbar else -1.0
+        inner, f_inner = 0.0, mbar - u
+        for size in (1, 2, 4, 8, 16, 32, 40):
+            outer = side * size / norm
+            f_outer = slope(outer) - u
+            if side * f_outer >= 0:
+                (lo, flo), (hi, fhi) = sorted([(inner, f_inner),
+                                               (outer, f_outer)])
+                _bracketed_root(lambda b: slope(b) - u, lo, hi, flo, fhi,
+                                tol)
+                break
+            inner, f_inner = outer, f_outer
+        return max(0.0, max(b * u - lam for b, lam in curve.items()))
 
-    out = {}
-    for eps in eps_grid:
-        if eps == 0:
-            out[eps] = 0.0
-            continue
-        out[eps] = min(qtilde(mbar + eps), qtilde(mbar - eps))
-    return out
-
-
-def _kernel_stack(rows, params: np.ndarray) -> np.ndarray:
-    """(K, n, n) Markov kernels from (K, dims) parameters: a state with m
-    successors gives the next m - 1 parameters to its first m - 1 and the
-    rest to its last successor (one successor: forced)."""
-    P = np.zeros((len(params), len(rows), len(rows)))
-    k = 0
-    for i, succ in rows:
-        probs = params[:, k: k + len(succ) - 1]
-        k += len(succ) - 1
-        P[:, i, succ[:-1]] = probs
-        P[:, i, succ[-1]] = 1.0 - probs.sum(axis=1)
-    return P
+    return qtilde
 
 
-def _product(blocks) -> np.ndarray:
-    """Rows of the Cartesian product of the row sets in blocks, the first
-    block varying slowest (the order of itertools.product)."""
-    out = np.zeros((1, 0))
-    for B in blocks:
-        out = np.hstack([np.repeat(out, len(B), axis=0),
-                         np.tile(B, (len(out), 1))])
-    return out
+def _direct(A, r, phihat, psihat, P0, lo_u, hi_u, tol):
+    """qtilde(u) = P(phi) - F(u), F(u) = sup (h_nu + <nu, phihat>) /
+    <nu, r> over shift-invariant nu with <nu, psihat> / <nu, r> = u
+    (Abramov and the variational principle).  Potentials of width w read
+    the states of the w-block recoding, so Markov measures on it attain
+    the sup: nu is an edge measure on its transitions, and the
+    Charnes-Cooper scaling y = nu / <nu, r> turns the ratio into the
+    concave program of `_max_entropy`.
+
+    Inside the psi range the optimum is interior.  The Newton solve starts
+    from the uniform-walk circulation z (`_circulation`) mixed with a
+    circulation on the face of the range end beyond u, in the proportion
+    that gives <y, psihat> = u.  At an end of the range the measures lie
+    on that face, and F is the best of the program on its pieces."""
+    src, dst = np.nonzero(A)
+    r, phihat, psihat = r[src], phihat[src], psihat[src]
+    z = _circulation(src, dst, r)
+    u_z = float(psihat @ z)
+    faces = {hi_u: _face(src, dst, psihat - hi_u * r),
+             lo_u: _face(src, dst, lo_u * r - psihat)}
+
+    def qtilde(u):
+        end = min(faces, key=lambda e: abs(u - e))
+        if abs(u - end) <= tol:
+            best = max(_max_entropy(s, d, phihat[e], r[e][None], [1.0],
+                                    _circulation(s, d, r[e]))
+                       for e, s, d in faces[end])
+        else:
+            end = hi_u if u > u_z else lo_u
+            e, s, d = faces[end][0]
+            y = np.zeros(len(src))
+            y[e] = _circulation(s, d, r[e])
+            theta = (u - u_z) / (end - u_z)
+            best = _max_entropy(src, dst, phihat, np.stack([r, psihat]),
+                                [1.0, u], (1 - theta) * z + theta * y)
+        return max(0.0, P0 - best)
+
+    return qtilde
 
 
-# spacing of the simplex grid that the direct rate method scores
-_GRID_STEP = 0.02
+def _face(src, dst, weight) -> list:
+    """The strongly connected pieces of the critical graph of an edge
+    weight whose every cycle sum is <= 0, each as (edge indices, sources,
+    targets) with its states renumbered 0..m-1.  The critical graph is the
+    edges on cycles of weight 0.  D[i, j], the largest weight of a path
+    i -> j (0 for the empty path), comes from Floyd-Warshall in max-plus;
+    edge a -> b is critical when weight + D[b, a] = 0, and two critical
+    states lie in one piece when D[i, j] + D[j, i] = 0.  Every cycle of a
+    piece has weight 0, so its circulations keep <y, psihat> = u at the
+    range end u once <y, r> = 1."""
+    n = int(src.max()) + 1
+    D = np.full((n, n), -np.inf)
+    np.maximum.at(D, (src, dst), weight)
+    np.fill_diagonal(D, 0.0)
+    for k in range(n):
+        np.maximum(D, D[:, k, None] + D[k], out=D)
+    tol = 1e-9 * (1.0 + float(np.max(np.abs(weight))))
+    critical = np.flatnonzero(weight + D[dst, src] >= -tol)
+    states = np.unique(src[critical])
+    pieces = []
+    while states.size:
+        piece = states[D[states[0], states] + D[states, states[0]] >= -tol]
+        states = np.setdiff1d(states, piece)
+        e = critical[np.isin(src[critical], piece)]
+        pieces.append((e, np.searchsorted(piece, src[e]),
+                       np.searchsorted(piece, dst[e])))
+    return pieces
 
 
-def _kernel_grid(free, step: float):
-    """(params, n_grid): parameter rows of the simplex grid over the free
-    kernel rows `free` (successor lists), then of the vertex kernels."""
-    def simplex_grid(m):
-        ticks = np.arange(step, 1.0, step)[:, None]
-        if m == 1:
-            return ticks
-        pts = _product([ticks, simplex_grid(m - 1)])
-        return pts[pts[:, 0] + pts[:, 1:].sum(axis=1) < 1.0 - step / 2]
-
-    grid = _product([simplex_grid(len(s) - 1) for s in free])
-    # deterministic kernels reach the boundary of the psi-range, which the
-    # open grid misses; picking a row's last successor sets its params 0
-    vertices = _product([np.eye(len(s))[:, :-1] for s in free])
-    return np.vstack([grid, vertices]), len(grid)
+def _circulation(src, dst, r) -> np.ndarray:
+    """The stationary edge measure of the uniform random walk on a
+    strongly connected graph on states 0..m-1, scaled to <r, y> = 1: a
+    positive circulation."""
+    m = int(src.max()) + 1
+    deg = np.bincount(src, minlength=m)
+    P = np.zeros((m, m))
+    P[src, dst] = 1.0 / deg[src]
+    y = _stationary_vector(P)[src] / deg[src]
+    return y / (r @ y)
 
 
-def _objective(P: np.ndarray, roofs, phi_v, psi_v):
-    """(h + int phi, int psi, ok) for the suspended Markov measures of a
-    (K, n, n) kernel stack; phi and psi are width-1 with values phi_v,
-    psi_v.  Each kernel is clipped at 0 and renormalized, and again after
-    entries below 1e-12 are zeroed.  pi is the min-norm least-squares
-    solution of pi (P - I) = 0, sum pi = 1, so (1/2, 1/2) on the identity
-    kernel.  ok: rows sum to 1 and pi P = pi, both within 1e-9."""
-    P = np.maximum(P, 0.0)
-    P = P / P.sum(axis=2, keepdims=True)
-    P = np.where(P < 1e-12, 0.0, P)
-    P = P / P.sum(axis=2, keepdims=True)
-    rs = P.sum(axis=2)
-    P = P / rs[..., None]
-    n = P.shape[1]
-    A = np.concatenate([P.transpose(0, 2, 1) - np.eye(n),
-                        np.ones_like(P[:, :1])], axis=1)
-    pi = np.linalg.pinv(A, rcond=np.finfo(float).eps * (n + 1))[:, :, -1]
-    pi = np.maximum(pi, 0.0)
-    pi = pi / pi.sum(axis=1, keepdims=True)
-    pi = pi / pi.sum(axis=1, keepdims=True)
-    err = np.abs((pi[:, None] @ P)[:, 0] - pi).max(axis=1)
-    ok = (np.abs(rs - 1.0) <= 1e-9).all(axis=1) & (err <= 1e-9)
-    H = -(pi[:, :, None] * P * np.log(np.where(P > 0, P, 1.0))).sum(
-        axis=(1, 2))
-    mean_roof, mphi, mpsi = (pi @ np.stack(
-        [roofs, phi_v * roofs, psi_v * roofs], axis=1)).T
-    return H / mean_roof + mphi / mean_roof, mpsi / mean_roof, ok
+# barrier weights of the central path, and the Newton decrement that ends
+# the centring at each (the last one to round-off)
+_BARRIER = 10.0 ** -np.arange(15)
+_CENTRED, _NEWTON_TOL = 1e-8, 1e-14
+_NEWTON_MAX_ITER = 300
 
 
-def _rate_direct(system, phi, psi, eps_grid, P0, mbar) -> dict:
-    """Brute maximization of h + int phi over Markov kernels on a simplex
-    grid, subject to |int psi - mbar| >= eps, then a constrained polish
-    on the active boundary.  The grid and the deterministic vertex kernels
-    are scored as one kernel stack."""
-    if phi.width != 1 or psi.width != 1:
-        raise ValueError("direct method supports width-1 potentials")
-    n = system.sft.n_symbols
-    rows = [(i, system.sft.successors(i)) for i in range(n)]
-    free = [succ for _, succ in rows if len(succ) > 1]
-    dims = sum(len(s) - 1 for s in free)
-    if dims > 3:
-        raise ValueError("direct method limited to <= 3 free kernel "
-                         "parameters")
-    roofs = system.roof.array
-    phi_v, psi_v = (np.array([f.value((s,)) for s in range(n)])
-                    for f in (phi, psi))
-    params, n_grid = _kernel_grid(free, _GRID_STEP)
-    obj, mpsi, ok = _objective(_kernel_stack(rows, params), roofs, phi_v,
-                               psi_v)
+def _max_entropy(src, dst, c, K, b, y, max_iter=_NEWTON_MAX_ITER) -> float:
+    """max H(y) + <c, y> over positive weights y on the edges src[e] ->
+    dst[e] of a strongly connected graph on states 0..m-1, subject to
+    circulation (inflow = outflow at every state) and K y = b, with K[0]
+    positive and b[0] = 1, from a strictly feasible y.  H(y) = -sum_e y_e
+    log(y_e / y_src(e)), y_a the outflow of a, is concave and
+    1-homogeneous.
 
-    from scipy.optimize import minimize
+    Newton on the KKT system (Boyd & Vandenberghe, Convex Optimization,
+    10.2 and 11.3) along the central path: g = -(H + <c, y>) - mu sum_e
+    log y_e for mu = 1, 0.1, ..., 1e-14, each centred from the last.  C
+    holds the circulation rows but the first (the rows sum to zero) over
+    K; a step solves [[g'', C^T], [C, 0]] [dy, w] = [-g', 0] and is
+    halved until y stays positive and, while the Newton decrement
+    -<g', dy> exceeds 1e-12, until g falls by a hundredth of it (Armijo).
+    The Hessian of -H is block-diagonal per source state a, diag(1 / y_e)
+    - 1 / y_a on a's out-edges, and singular along per-state scalings of
+    y; the only circulation among them is y itself, which <K[0], y> = 1
+    excludes, so the KKT matrix is nonsingular.  Without the barrier,
+    Newton crawls where the optimum has edges near 0 (u near an end of
+    the range): -H is linear in each state's mass, and the steps push
+    masses to the boundary.  The last barrier weight moves the value by
+    at most 1e-14 per edge (the duality gap)."""
+    m, E = int(src.max()) + 1, len(src)
+    states = np.arange(1, m)[:, None]
+    C = np.vstack([(src == states).astype(float) - (dst == states), K])
+    block = src[:, None] == src[None, :]
+    kkt = np.zeros((E + len(C), E + len(C)))
+    kkt[:E, E:], kkt[E:, :E] = C.T, C
+    rhs = np.zeros(E + len(C))
 
-    def polish(eps, sign, start):
-        """maximize h + int phi subject to int psi = mbar + sign*eps."""
-        target = mbar + sign * eps
-        last = {}  # SLSQP asks neg and con at the same points
+    def g(y, mu):
+        out = np.bincount(src, y, m)[src]
+        return float(y @ np.log(y / out) - c @ y - mu * np.log(y).sum())
 
-        def evaluate(x):
-            if x.tobytes() not in last:
-                P = _kernel_stack(rows, np.clip(x, 1e-9, 1 - 1e-9)[None])
-                (o,), (m,), (good,) = _objective(P, roofs, phi_v, psi_v)
-                last.clear()
-                last[x.tobytes()] = float(o), float(m), bool(good)
-            return last[x.tobytes()]
-
-        def neg(x):
-            o, _, good = evaluate(x)
-            return -o if good else math.inf
-
-        def con(x):
-            _, m, good = evaluate(x)
-            # one-sided: push int psi at least eps beyond the mean; the
-            # concave objective makes the optimum sit on this boundary
-            return sign * (m - target) if good else -1.0
-
-        try:
-            res = minimize(neg, np.array(start), method="SLSQP",
-                           constraints=[{"type": "ineq", "fun": con}],
-                           bounds=[(1e-9, 1 - 1e-9)] * dims,
-                           options={"maxiter": 300, "ftol": 1e-12})
-            if res.success:
-                return -res.fun
-        except Exception:
-            pass
-        return -math.inf
-
-    lo_u, hi_u = _psi_range(system, psi)
-    out = {}
-    for eps in eps_grid:
-        if eps == 0:
-            out[eps] = 0.0
-            continue
-        feasible = ok & (np.abs(mpsi - mbar) >= eps - 1e-12)
-        i = int(np.argmax(np.where(feasible, obj, -math.inf)))
-        best = float(obj[i]) if feasible[i] else -math.inf
-        # polish on each boundary from the best grid point (the optimum
-        # of a concave objective over the two-sided constraint set lies
-        # on one of the boundaries unless it is a vertex)
-        for sign in (+1, -1):
-            tgt = mbar + sign * eps
-            if tgt < lo_u - 1e-9 or tgt > hi_u + 1e-9:
-                continue
-            start = params[i] if feasible[i] and i < n_grid \
-                else [1.0 / len(s) for s in free for _ in s[:-1]]
-            best = max(best, polish(eps, sign, start))
-        out[eps] = math.inf if best == -math.inf else max(0.0, P0 - best)
-    return out
+    it = 0
+    for mu in _BARRIER:
+        tol = _NEWTON_TOL if mu == _BARRIER[-1] else _CENTRED
+        while True:
+            out = np.bincount(src, y, m)[src]
+            rhs[:E] = c - np.log(y / out) + mu / y
+            kkt[:E, :E] = np.diag(1.0 / y + mu / y ** 2) \
+                - block / out[:, None]
+            step = np.linalg.solve(kkt, rhs)
+            dy = step[:E]
+            decrement = float(rhs[:E] @ dy)
+            if decrement <= tol:
+                break
+            if it == max_iter:
+                raise NonConvergenceError(
+                    f"Newton solve of the rate program on {E} edges "
+                    f"stopped after {it} iterations with KKT residual "
+                    f"{np.linalg.norm(rhs[:E] - C.T @ step[E:]):.3e}")
+            it += 1
+            t = 1.0
+            while np.any(y + t * dy <= 0):
+                t *= 0.5
+            if decrement > 1e-12:
+                g0 = g(y, mu)
+                while g(y + t * dy, mu) > g0 - 0.01 * t * decrement \
+                        and t > 1e-12:
+                    t *= 0.5
+            y = y + t * dy
+    return -g(y, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -570,7 +596,6 @@ def deviation_frequency(system: Suspension, m: SuspendedMeasure,
     integral, _ = _row_integrals(words, psi_v, m.roof, h0, t)
     tol = 1e-9 * t * max(1.0, float(np.max(np.abs(psi_v))))
     hits = int(np.sum(np.abs(integral - t * mbar) >= t * eps - tol))
-    from scipy.special import betaincinv  # the beta quantile
     alpha = 0.05
     if hits == 0:
         ci_hi_p = 1.0 - (alpha / 2) ** (1.0 / n_samples)
@@ -578,10 +603,115 @@ def deviation_frequency(system: Suspension, m: SuspendedMeasure,
                                math.log(ci_hi_p) / t, 0, n_samples,
                                "zero hits: upper confidence bound only")
     freq = hits / n_samples
-    lo_p = betaincinv(hits, n_samples - hits + 1, alpha / 2)
-    hi_p = betaincinv(hits + 1, n_samples - hits, 1 - alpha / 2) \
+    lo_p = _beta_quantile(hits, n_samples - hits + 1, alpha / 2)
+    hi_p = _beta_quantile(hits + 1, n_samples - hits, 1 - alpha / 2) \
         if hits < n_samples else 1.0
     note = "" if hits >= 10 else "insufficient resolution"
     return DeviationResult(freq, math.log(freq) / t,
                            math.log(lo_p) / t, math.log(hi_p) / t,
                            hits, n_samples, note)
+
+
+_CF_MAX_ITER = 10_000
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """The regularized incomplete beta function I_x(a, b), from its
+    continued fraction (Numerical Recipes, 3rd ed., 6.4) by the modified
+    Lentz method, on the side of (a + 1) / (a + b + 2) where the fraction
+    converges fast, I_x(a, b) = 1 - I_{1-x}(b, a) on the other.  The
+    prefactor x^a (1 - x)^b / B(a, b) is taken in logs with math.lgamma."""
+    if x <= 0.0 or x >= 1.0:
+        return float(x >= 1.0)
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, 1.0 - x)
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, _CF_MAX_ITER + 1):
+        for num in (m * (b - m) * x / ((a - 1.0 + 2 * m) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x
+                    / ((a + 2 * m) * (a + 1.0 + 2 * m))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            break
+    else:
+        raise NonConvergenceError(
+            f"incomplete beta continued fraction at a = {a}, b = {b}, "
+            f"x = {x} did not converge in {_CF_MAX_ITER} terms")
+    return math.exp(a * math.log(x) + b * math.log1p(-x)
+                    - _log_beta(a, b)) * h / a
+
+
+def _stirling_tail(x: float) -> float:
+    """lgamma(x) - ((x - 1/2) log x - x + log sqrt(2 pi)) for x >= 10, by
+    the Stirling series to within 1e-16."""
+    z = 1.0 / (x * x)
+    return (1 / 12 - z * (1 / 360 - z * (1 / 1260 - z * (
+        1 / 1680 - z * (1 / 1188 - z * (691 / 360360 - z / 156)))))) / x
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b).  lgamma(a) + lgamma(b) - lgamma(a + b) cancels to
+    about 1e-16 (a + b) log(a + b); above 10 the arguments go through the
+    Stirling tails instead (the split of R's lbeta, after TOMS 708)."""
+    p, q = min(a, b), max(a, b)
+    if q < 10:
+        return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+    r = -math.log1p(q / p) if p else 0.0  # log(p / (p + q))
+    if p < 10:
+        return math.lgamma(p) + _stirling_tail(q) - _stirling_tail(p + q) \
+            + p - p * math.log(p + q) + (q - 0.5) * math.log1p(-p / (p + q))
+    return -0.5 * math.log(q) + 0.5 * math.log(2 * math.pi) + (p - 0.5) * r \
+        + _stirling_tail(p) + _stirling_tail(q) - _stirling_tail(p + q) \
+        + q * math.log1p(-p / (p + q))
+
+
+def _beta_quantile(a: float, b: float, p: float) -> float:
+    """x with I_x(a, b) = p, for a, b >= 1: Halley steps from the initial
+    guess of Numerical Recipes (3rd ed., 6.4, invbetai), each kept inside
+    the bracket that the signs of I_x - p give so far, or else replaced by
+    its midpoint, until a step or the bracket is at most 1e-12 x (I_x
+    carries round-off of about 1e-14).  When the mean
+    a / (a + b) is above 1/2 it returns 1 - the quantile of 1 - p under
+    (b, a), so that the variable solved for is the smaller of x and 1 - x
+    and keeps its relative accuracy."""
+    if a > b:
+        return 1.0 - _beta_quantile(b, a, 1.0 - p)
+    t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+    z = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
+    z = z if p < 0.5 else -z
+    al = (z * z - 3.0) / 6.0
+    h = 2.0 / (1.0 / (2 * a - 1) + 1.0 / (2 * b - 1))
+    w = z * math.sqrt(al + h) / h \
+        - (1.0 / (2 * b - 1) - 1.0 / (2 * a - 1)) * (al + 5 / 6 - 2 / (3 * h))
+    x = a / (a + b * math.exp(2.0 * w))
+    lbeta = _log_beta(a, b)
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        err = _betainc(a, b, x) - p
+        if err < 0:
+            lo = x
+        else:
+            hi = x
+        if hi - lo <= 1e-12 * x:
+            return x
+        density = math.exp((a - 1) * math.log(x) + (b - 1) * math.log1p(-x)
+                           - lbeta)
+        if density > 0:  # else it underflowed far out in a tail
+            u = err / density
+            step = u / (1.0 - 0.5 * min(1.0, u * ((a - 1) / x
+                                                   - (b - 1) / (1 - x))))
+            if abs(step) <= 1e-12 * x:
+                return x - step
+            if lo < x - step < hi:
+                x -= step
+                continue
+        x = 0.5 * (lo + hi)
+    raise NonConvergenceError(
+        f"beta quantile at a = {a}, b = {b}, p = {p} did not converge")

@@ -50,7 +50,6 @@ __all__ = [
     "gibbs_ratio_stats",
     "bowen_constant_estimate",
     "block_recode",
-    "combine_cylinder",
     "cylinder_approximation",
     "random_markov_measure",
     "zero_potential",
@@ -114,16 +113,6 @@ class DistancePotential:
         from .graph import d_GX
         v, _ = d_GX(geo, self.reference)
         return self.scale * v
-
-
-def combine_cylinder(a: CylinderPotential, b: CylinderPotential,
-                     sft: Sft, cb: float = 1.0) -> CylinderPotential:
-    """a + cb * b as a cylinder potential of width max(widths)."""
-    w = max(a.width, b.width)
-    table = {}
-    for word in map(tuple, _words(sft.transitions, w).tolist()):
-        table[word] = a.value(word) + cb * b.value(word)
-    return CylinderPotential(w, table)
 
 
 # ----------------------------------------------------------------------
@@ -339,10 +328,37 @@ class PressureResult:
         return iter((self.value, self.error))
 
 
+def _bracketed_root(f, lo: float, hi: float, flo: float, fhi: float,
+                    tol: float) -> tuple:
+    """(root, half-width of the final bracket, evaluations of f) of a
+    continuous f on [lo, hi] by the Illinois method, given flo = f(lo)
+    != 0 and fhi = f(hi) of the other sign or zero."""
+    evals, moved = 0, 0  # moved: the end replaced last, +1 lo, -1 hi
+    while hi - lo > 2 * tol:
+        # regula falsi point, kept tol inside the bracket so that the end
+        # beyond the root moves too
+        s = hi - fhi * (hi - lo) / (fhi - flo)
+        s = min(max(s, lo + tol), hi - tol)
+        fs = f(s)
+        evals += 1
+        # Illinois: halve the value at an end kept twice in a row
+        if (fs > 0) == (flo > 0):
+            lo, flo = s, fs
+            if moved > 0:
+                fhi *= 0.5
+            moved = 1
+        else:
+            hi, fhi = s, fs
+            if moved < 0:
+                flo *= 0.5
+            moved = -1
+    return 0.5 * (lo + hi), 0.5 * (hi - lo), evals
+
+
 def _spectral_root(A: np.ndarray, phihat: np.ndarray, roofs: np.ndarray,
                    tol: float) -> tuple:
     """(root, half-width of the final bracket, Perron solves) of the
-    decreasing s -> log Perron root of M(s), by the Illinois method."""
+    decreasing s -> log Perron root of M(s)."""
     v = None
 
     def log_perron(s):
@@ -355,27 +371,21 @@ def _spectral_root(A: np.ndarray, phihat: np.ndarray, roofs: np.ndarray,
     lo = float(np.min(phihat / roofs)) - 1e-12
     hi = float(np.max(phihat / roofs)) \
         + math.log(A.sum(axis=1).max()) / roofs.min() + 1e-12
-    flo, fhi = log_perron(lo), log_perron(hi)
-    solves, moved = 2, 0  # moved: the end replaced last, +1 lo, -1 hi
-    while hi - lo > 2 * tol:
-        # regula falsi point, kept tol inside the bracket so that the end
-        # beyond the root moves too
-        s = hi - fhi * (hi - lo) / (fhi - flo)
-        s = min(max(s, lo + tol), hi - tol)
-        fs = log_perron(s)
-        solves += 1
-        # Illinois: halve the value at an end kept twice in a row
-        if fs > 0:
-            lo, flo = s, fs
-            if moved > 0:
-                fhi *= 0.5
-            moved = 1
-        else:
-            hi, fhi = s, fs
-            if moved < 0:
-                flo *= 0.5
-            moved = -1
-    return 0.5 * (lo + hi), 0.5 * (hi - lo), solves
+    root, half, solves = _bracketed_root(log_perron, lo, hi, log_perron(lo),
+                                         log_perron(hi), tol)
+    return root, half, solves + 2
+
+
+def _gibbs_data(A: np.ndarray, phihat: np.ndarray, roofs: np.ndarray):
+    """(P, M, lam, v, u): the pressure P of the fiber integrals phihat,
+    M = M(P), and the Perron root and the right and left Perron vectors of
+    M.  The equilibrium state is the Markov chain M_ab v_b / (lam v_a)
+    with stationary vector u v."""
+    P_val, _, _ = _spectral_root(A, phihat, roofs, 1e-12)
+    M = A * np.exp(phihat - P_val * roofs)[None, :]
+    lam, v = _perron(M)
+    _, u = _perron(M.T)
+    return P_val, M, lam, v, u
 
 
 def pressure(system: Suspension, phi, method: str = "spectral",
@@ -655,11 +665,7 @@ def equilibrium_state(system: Suspension, phi) -> SuspendedMeasure:
         phi = cylinder_approximation(system, phi, 4)
     sft_w, roof_w, words, phihat = _prepare(system, phi)
     A = np.array(sft_w.transitions, dtype=float)
-    roofs = roof_w.array
-    P_val, _, _ = _spectral_root(A, phihat, roofs, 1e-12)
-    M = A * np.exp(phihat - P_val * roofs)[None, :]
-    lam, v = _perron(M)
-    _, u = _perron(M.T)
+    _, M, lam, v, u = _gibbs_data(A, phihat, roof_w.array)
     kernel = M * v[None, :] / (lam * v[:, None])
     kernel = kernel / kernel.sum(axis=1)[:, None]
     pi = u * v

@@ -281,7 +281,7 @@ def test_criterion_9_rate_function(full2_unit):
     expected = math.log(2) - H06  # ~ 0.02014
     for method in ("legendre", "direct"):
         q = rate_function(full2_unit, zero_potential(), psi, [0.1], method)
-        assert abs(q[0.1] - expected) < 1e-3, method
+        assert abs(q[0.1] - expected) < 1e-9, method
 
 
 def test_criterion_9_monte_carlo_band(full2_unit):

@@ -33,7 +33,9 @@ from thermoflow import (
     zero_potential,
 )
 
+from thermoflow.ldp import _beta_quantile, _psi_range
 from thermoflow.sft import _close_word
+from thermoflow.thermo import NonConvergenceError
 
 from exact_deviation import exact_deviation_probability
 
@@ -311,7 +313,7 @@ def test_legendre_range_reaches_long_cycles():
     q = {m: rate_function(system, zero_potential(), psi, [0.02], m)[0.02]
          for m in ("legendre", "direct")}
     assert math.isfinite(q["legendre"])
-    assert abs(q["legendre"] - q["direct"]) < 1e-3, q
+    assert abs(q["legendre"] - q["direct"]) < 1e-9, q
 
 
 def test_rate_function_bernoulli_golden(full2_unit):
@@ -319,7 +321,7 @@ def test_rate_function_bernoulli_golden(full2_unit):
     expected = math.log(2) - (-(0.6 * math.log(0.6) + 0.4 * math.log(0.4)))
     for method in ("legendre", "direct"):
         q = rate_function(full2_unit, zero_potential(), psi, [0.1], method)
-        assert abs(q[0.1] - expected) < 1e-3, method
+        assert abs(q[0.1] - expected) < 1e-9, method
 
 
 def test_rate_function_endpoints(full2_unit):
@@ -328,7 +330,7 @@ def test_rate_function_endpoints(full2_unit):
         q = rate_function(full2_unit, zero_potential(), psi,
                           [0.0, 0.5, 0.6], method)
         assert abs(q[0.0]) < 1e-9
-        assert abs(q[0.5] - math.log(2)) < 1e-6
+        assert abs(q[0.5] - math.log(2)) < 1e-9
         assert q[0.6] == math.inf
 
 
@@ -344,16 +346,19 @@ def test_rate_function_monotone_convex(full2_unit):
 
 
 def test_rate_methods_agree(full2_unit):
+    """Both methods give the full2 closed form q(eps) = log 2 - H(1/2 +
+    eps) for psi = 1_[1]."""
     psi = ind1()
     eps = [0.05, 0.1, 0.2]
     ql = rate_function(full2_unit, zero_potential(), psi, eps, "legendre")
     qd = rate_function(full2_unit, zero_potential(), psi, eps, "direct")
     for e in eps:
-        assert abs(ql[e] - qd[e]) < 0.04  # 2x the declared grid step
+        p = 0.5 + e
+        exact = math.log(2) + p * math.log(p) + (1 - p) * math.log(1 - p)
+        assert abs(ql[e] - exact) < 1e-9 and abs(qd[e] - exact) < 1e-9
 
 
 def test_rate_golden_mean_methods_agree():
-    from thermoflow import Roof, Sft, Suspension
     system = Suspension(Sft([[1, 1], [1, 0]]), Roof([1.0, 1.0]))
     psi = ind1()
     ql = rate_function(system, zero_potential(), psi, [0.05, 0.1],
@@ -361,7 +366,94 @@ def test_rate_golden_mean_methods_agree():
     qd = rate_function(system, zero_potential(), psi, [0.05, 0.1],
                        "direct")
     for e in (0.05, 0.1):
-        assert abs(ql[e] - qd[e]) < 0.04
+        assert abs(ql[e] - qd[e]) < 1e-9
+
+
+def test_direct_matches_oracle(full2_unit, golden12):
+    """The Newton solve equals the grid-and-SLSQP oracle of
+    `rate_reference.py` on a seeded corpus: full2 and golden (1, 2), phi
+    zero, fixed and seeded, four seeded eps inside the psi range, both
+    ends of the range and one eps beyond it (42 values)."""
+    from rate_reference import rate_direct
+    psi, rng = ind1(), np.random.default_rng(2016)
+    fixed = CylinderPotential(1, {(0,): 0.1, (1,): -0.2})
+    for system in (full2_unit, golden12):
+        lo, hi = _psi_range(system, psi)
+        for phi in (zero_potential(), fixed, CylinderPotential(
+                1, {(s,): float(rng.normal(0, 0.5)) for s in (0, 1)})):
+            m = entropy_and_mean(equilibrium_state(system, phi), psi)[1]
+            reach = max(hi - m, m - lo)
+            eps = rng.uniform(0, reach, 4).tolist() \
+                + [hi - m, m - lo, reach + 0.05]
+            got = rate_function(system, phi, psi, eps, "direct")
+            want = rate_direct(system, phi, psi, eps)
+            assert got[eps[-1]] == want[eps[-1]] == math.inf
+            for e in eps[:-1]:
+                assert abs(got[e] - want[e]) < 1e-9, (system, phi, e)
+
+
+def _random_table(rng, sft, width, scale):
+    from thermoflow.sft import _words
+    return CylinderPotential(width, {
+        tuple(w): float(rng.normal(0, scale))
+        for w in _words(sft.transitions, width).tolist()})
+
+
+def _methods_agree(system, phi, psi, fractions):
+    """Legendre and direct agree within 1e-9 at eps = f times the distance
+    from the mean to the nearer end of the psi range, for each f."""
+    lo, hi = _psi_range(system, psi)
+    m = entropy_and_mean(equilibrium_state(system, phi), psi)[1]
+    eps = [f * min(hi - m, m - lo) for f in fractions]
+    ql = rate_function(system, phi, psi, eps, "legendre")
+    qd = rate_function(system, phi, psi, eps, "direct")
+    for e in eps:
+        assert math.isfinite(qd[e]) and abs(ql[e] - qd[e]) < 1e-9, e
+
+
+@pytest.mark.parametrize("name", ["theta", "rose2"])
+def test_direct_matches_legendre_on_graphs(name, request):
+    """The direct method runs on the graph models, which have more than 3
+    free kernel parameters, and agrees with Legendre."""
+    system = graph_suspension(request.getfixturevalue(name))
+    rng = np.random.default_rng(7)
+    for phi in (zero_potential(), _random_table(rng, system.sft, 1, 0.3)):
+        _methods_agree(system, phi, _random_table(rng, system.sft, 1, 1.0),
+                       [0.2, 0.6, 0.9])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_direct_matches_legendre_width2(seed):
+    """Width-2 phi and psi on seeded irreducible SFTs of 3-5 symbols with
+    roofs drawn from [0.5, 2].  At 0.999 of the way to the range end the
+    optimum has edges near 0, where Newton without the barrier path
+    crawls."""
+    from thermoflow.sft import is_irreducible
+    rng = np.random.default_rng(100 + seed)
+    k = int(rng.integers(3, 6))
+    while True:
+        A = (rng.random((k, k)) < 0.6).astype(int)
+        if A.any(axis=0).all() and A.any(axis=1).all() \
+                and is_irreducible(Sft(A)):
+            break
+    system = Suspension(Sft(A), Roof(rng.uniform(0.5, 2.0, k).tolist()))
+    phi = _random_table(rng, system.sft, 2, 0.3)
+    _methods_agree(system, phi, _random_table(rng, system.sft, 2, 1.0),
+                   [0.3, 0.8, 0.999])
+
+
+def test_direct_newton_failure_names_iterations_and_residual(golden12):
+    """A Newton solve that does not converge raises, naming its iteration
+    count and KKT residual (an iteration cap of 2 through the private
+    solver)."""
+    from thermoflow.ldp import _circulation, _max_entropy
+    src, dst = np.nonzero(golden12.sft.transitions)
+    r = golden12.roof.array[src]
+    with pytest.raises(NonConvergenceError,
+                       match=r"3 edges .* after 2 iterations .* KKT "
+                             r"residual \d"):
+        _max_entropy(src, dst, np.array([0.1, 0.1, -0.2]), r[None], [1.0],
+                     _circulation(src, dst, r), max_iter=2)
 
 
 def _scalar_objective(system, P, phi, psi):
@@ -382,31 +474,32 @@ def _scalar_objective(system, P, phi, psi):
 @pytest.mark.parametrize("name", ["full2/zero", "full2/phi", "golden12/zero",
                                   "golden12/phi", "sft3/phi"])
 def test_batched_objective_matches_scalar_path(name, full2_unit, golden12):
-    """The direct rate method's one-stack objective agrees with the measure
-    classes on every grid and vertex kernel (full2, golden (1, 2)) and on
-    every vertex and every 50th grid kernel of a 3-symbol SFT with three
-    free parameters, the reducible identity kernel of full2 included."""
-    from thermoflow.ldp import _kernel_grid, _kernel_stack, _objective
+    """The oracle direct method's one-stack objective agrees with the
+    measure classes on every grid and vertex kernel (full2, golden (1, 2))
+    and on every vertex and every 50th grid kernel of a 3-symbol SFT with
+    three free parameters, the reducible identity kernel of full2
+    included."""
+    from rate_reference import kernel_grid, kernel_stack, objective
     model, pot = name.split("/")
     sft3 = Suspension(Sft([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
                       Roof([1.0, 1.5, 0.5]))
     system = {"full2": full2_unit, "golden12": golden12, "sft3": sft3}[model]
     n = system.sft.n_symbols
     rows = [(i, system.sft.successors(i)) for i in range(n)]
-    params, n_grid = _kernel_grid([s for _, s in rows if len(s) > 1], 0.02)
+    params, n_grid = kernel_grid([s for _, s in rows if len(s) > 1], 0.02)
     if model == "sft3":
         assert params.shape[1] == 3
         params = np.vstack([params[:n_grid:50], params[n_grid:]])
-    P = _kernel_stack(rows, params)
+    P = kernel_stack(rows, params)
     if model == "full2":
         assert any(np.array_equal(k, np.eye(2)) for k in P)
     phi = CylinderPotential(1, {(s,): v for s, v in
                                 enumerate([0.1, -0.2, 0.3][:n])}) \
         if pot == "phi" else zero_potential()
     psi = CylinderPotential(1, {(s,): float(s == 1) for s in range(n)})
-    obj, mpsi, ok = _objective(P, system.roof.array,
-                               np.array([phi.value((s,)) for s in range(n)]),
-                               np.array([psi.value((s,)) for s in range(n)]))
+    obj, mpsi, ok = objective(P, system.roof.array,
+                              np.array([phi.value((s,)) for s in range(n)]),
+                              np.array([psi.value((s,)) for s in range(n)]))
     for k, o, m, good in zip(P, obj, mpsi, ok):
         ref = _scalar_objective(system, k, phi, psi)
         assert good == (ref is not None)
@@ -506,3 +599,22 @@ def test_deviation_hits_pinned(full2_unit):
     mu = equilibrium_state(full2_unit, zero_potential())
     dev = deviation_frequency(full2_unit, mu, ind1(), 0.1, 50.0, 100_000, 42)
     assert dev.hits == 17724
+
+
+def test_beta_quantile_matches_scipy():
+    """The Clopper-Pearson quantiles of `deviation_frequency` equal
+    scipy.special.betaincinv within 1e-9 in log, on 287 (hits, n) pairs
+    with n from 10 to 10^6 (40 log-spaced n; hits = 1, 2, 3, n/100, n/10,
+    n/3, n/2, n - 2, n - 1 and n), both ends of each interval."""
+    from scipy.special import betaincinv
+    pairs = {(h, int(n)) for n in np.round(np.logspace(1, 6, 40))
+             for h in (1, 2, 3, n // 100, n // 10, n // 3, n // 2, n - 2,
+                       n - 1, n) if 1 <= h <= n}
+    assert len(pairs) >= 283
+    for hits, n in pairs:
+        ends = [(hits, n - hits + 1, 0.025)]
+        if hits < n:
+            ends.append((hits + 1, n - hits, 0.975))
+        for a, b, p in ends:
+            got, want = _beta_quantile(a, b, p), betaincinv(a, b, p)
+            assert abs(math.log(got) - math.log(want)) < 1e-9, (a, b, p)

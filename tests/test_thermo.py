@@ -265,7 +265,7 @@ def test_rate_legendre_golden12_matches_direct(golden12):
     leg = rate_function(golden12, None, psi, [0.1], "legendre")[0.1]
     direct = rate_function(golden12, None, psi, [0.1], "direct")[0.1]
     assert math.isfinite(leg)
-    assert abs(leg - direct) <= 1e-3
+    assert abs(leg - direct) <= 1e-9
 
 
 # --- equilibrium states ------------------------------------------------------
