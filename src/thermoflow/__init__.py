@@ -31,7 +31,6 @@ from .graph import (
 from .thermo import (
     NonConvergenceError,
     CylinderPotential,
-    DistancePotential,
     MarkovMeasure,
     SuspendedMeasure,
     PressureResult,
@@ -42,7 +41,6 @@ from .thermo import (
     gibbs_ratio_stats,
     bowen_constant_estimate,
     block_recode,
-    cylinder_approximation,
     random_markov_measure,
     zero_potential,
 )
@@ -83,11 +81,10 @@ __all__ = [
     "Suspension",
     "GraphModelError", "MetricGraph", "Geodesic", "build_edge_sft",
     "graph_suspension", "lift_distance", "d_GX",
-    "NonConvergenceError", "CylinderPotential", "DistancePotential",
-    "MarkovMeasure", "SuspendedMeasure", "PressureResult", "birkhoff",
-    "pressure", "equilibrium_state", "entropy_and_mean",
-    "gibbs_ratio_stats", "bowen_constant_estimate", "block_recode",
-    "cylinder_approximation", "random_markov_measure",
+    "NonConvergenceError", "CylinderPotential", "MarkovMeasure",
+    "SuspendedMeasure", "PressureResult", "birkhoff", "pressure",
+    "equilibrium_state", "entropy_and_mean", "gibbs_ratio_stats",
+    "bowen_constant_estimate", "block_recode", "random_markov_measure",
     "zero_potential",
     "WeakStarConfig", "EmpiricalMeasure", "orbit_measure",
     "empirical_measure", "weighted_orbit_measure", "measure_statistics",

@@ -115,11 +115,10 @@ class _Run:
     def __init__(self, args):
         self.args = args
         self.hash = _config_hash(args)
-        self.graph = None
         self.names = None
         if args.graph:
-            self.graph = tfio.load_graph(tfio.read_json(args.graph))
-            self.system = graph_suspension(self.graph)
+            self.system = graph_suspension(
+                tfio.load_graph(tfio.read_json(args.graph)))
             self.sft = self.system.sft
         elif args.sft:
             obj = tfio.read_json(args.sft)
@@ -144,7 +143,7 @@ class _Run:
                 raise UsageError("--potential is required")
             from .thermo import zero_potential
             return zero_potential()
-        return tfio.load_potential(tfio.read_json(path), graph=self.graph)
+        return tfio.load_potential(tfio.read_json(path))
 
     def header(self) -> str:
         return f"# thermoflow {__version__}  config={self.hash}"
@@ -357,7 +356,7 @@ def _cmd_ldp(run: _Run) -> int:
     phi = run.potential(args.potential, required=False)
     if args.psi is None:
         raise UsageError("--psi is required for ldp")
-    psi = tfio.load_potential(tfio.read_json(args.psi), graph=run.graph)
+    psi = tfio.load_potential(tfio.read_json(args.psi))
     eps_grid = args.epsilon or [0.05, 0.1, 0.15, 0.2]
     seed = run.need_seed()
     n = run.samples(20000)

@@ -12,8 +12,6 @@ Graph:     { "vertices": n, "edges": [{"from": i, "to": j, "length": q}] }
            value that is not a binary fraction must be a string for
            closed-orbit sums
 Potential: { "type": "cylinder", "width": w, "table": {"word": value} }
-           or { "type": "distance", "reference": <point>, "scale": s }
-Point:     { "left_tail", "core", "right_tail", "origin", "height" }
 """
 
 from __future__ import annotations
@@ -21,16 +19,15 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .sft import BiWord, Sft
-from .suspension import Roof, SuspPoint
-from .thermo import CylinderPotential, DistancePotential, zero_potential
+from .sft import Sft
+from .suspension import Roof
+from .thermo import CylinderPotential, zero_potential
 
 __all__ = [
     "load_sft",
     "load_roof",
     "load_graph",
     "load_potential",
-    "load_point",
     "parse_length",
 ]
 
@@ -62,12 +59,7 @@ def load_graph(obj):
     return MetricGraph(int(obj["vertices"]), edges)
 
 
-def load_point(obj) -> SuspPoint:
-    base = BiWord.from_json(obj)
-    return SuspPoint(base, float(obj.get("height", 0.0)))
-
-
-def load_potential(obj, graph=None):
+def load_potential(obj):
     kind = obj.get("type", "cylinder")
     if kind == "cylinder":
         table = {}
@@ -78,12 +70,6 @@ def load_potential(obj, graph=None):
         if not table and int(obj.get("width", 1)) == 1:
             return zero_potential()
         return CylinderPotential(int(obj["width"]), table)
-    if kind == "distance":
-        if graph is None:
-            raise ValueError("distance potential needs a graph model")
-        from .graph import Geodesic
-        ref = Geodesic(graph, load_point(obj["reference"]))
-        return DistancePotential(ref, float(obj["scale"]))
     if kind == "zero":
         return zero_potential()
     raise ValueError(f"unknown potential type {kind!r}")

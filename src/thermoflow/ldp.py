@@ -30,7 +30,7 @@ from .sft import _words
 from .suspension import Roof, SuspPoint, Suspension, _pieces, _row_integrals
 from .thermo import (CylinderPotential, MarkovMeasure, NonConvergenceError,
                      SuspendedMeasure, _bracketed_root, _gibbs_data,
-                     _orbit_sums, _prepare, _sample_orbits,
+                     _orbit_sums, _prepare, _sample_orbits, _spectral_root,
                      _stationary_vector, block_recode,
                      entropy_and_mean, equilibrium_state, pressure,
                      zero_potential)
@@ -315,16 +315,28 @@ def rate_function(system: Suspension, phi, psi: CylinderPotential,
                       for f in (phi, psi))
     lo_u, hi_u = _psi_range(system, psi)
     tol = 1e-12 * max(1.0, abs(lo_u), abs(hi_u))
+    src, dst = np.nonzero(A)
+    faces = {hi_u: _face(src, dst, (psihat - hi_u * r)[src]),
+             lo_u: _face(src, dst, (lo_u * r - psihat)[src])}
     if method == "legendre":
         qtilde = _legendre(A.astype(float), r, phihat, psihat, P0, mbar)
     else:
-        qtilde = _direct(A, r, phihat, psihat, P0, lo_u, hi_u, tol)
-    out = {}
-    for eps in eps_grid:
-        out[eps] = 0.0 if eps == 0 else min(
-            math.inf if u < lo_u - tol or u > hi_u + tol else qtilde(u)
-            for u in (mbar + eps, mbar - eps))
-    return out
+        qtilde = _direct(src, dst, r[src], phihat[src], psihat[src], P0,
+                         faces)
+
+    def q(u):
+        if u < lo_u - tol or u > hi_u + tol:
+            return math.inf
+        end = min(faces, key=lambda e: abs(u - e))
+        if abs(u - end) > tol:
+            return qtilde(u)
+        # at an end the measures lie on its face; its best piece wins
+        return max(0.0, P0 - max(_face_pressure(s, d, phihat[src[e]],
+                                                r[src[e]], method)
+                                 for e, s, d in faces[end]))
+
+    return {eps: 0.0 if eps == 0 else min(q(mbar + eps), q(mbar - eps))
+            for eps in eps_grid}
 
 
 def _psi_range(system: Suspension, psi: CylinderPotential):
@@ -339,24 +351,33 @@ def _psi_range(system: Suspension, psi: CylinderPotential):
 def _max_cycle_ratio(A: np.ndarray, num: np.ndarray,
                      den: np.ndarray) -> float:
     """max over cycles c of num(c) / den(c), den > 0, by Dinkelbach's
-    parametric search: while some cycle has sum(num - lam den) > 0, the
-    ratio of the cycle of best mean weight is the next lam.  Best-mean
-    cycles come from max-plus powers (walks of up to n edges) of the
-    entering-edge weights, with argmax predecessors kept."""
+    parametric search: while some cycle c has w(c) > 0, w = num - lam den,
+    its ratio is the next lam.  Bellman-Ford longest walks d on the
+    entering-edge weights w from a virtual source find one: a d that grows
+    by more than tol in round n ends a predecessor chain that closes such
+    a cycle.  Growth that stops leaves w(c) <= len(c) tol on every cycle,
+    so lam is within tol / min(den) of the max."""
+    n = len(num)
     lam = float(np.min(num / den))  # no cycle ratio lies below it
     while True:
-        w = np.where(A, (num - lam * den)[None, :], -np.inf)
-        walks, preds = [w], []
-        for _ in range(len(num) - 1):
-            cand = walks[-1][:, :, None] + w[None]
-            preds.append(cand.argmax(axis=1))
-            walks.append(cand.max(axis=1))
-        means = [np.diag(Pk) / (k + 1) for k, Pk in enumerate(walks)]
-        k, i = np.unravel_index(np.argmax(means), (len(means), len(num)))
-        walk = [i]
-        for pred in reversed(preds[:k]):
-            walk.append(pred[i, walk[-1]])
-        ratio = float(num[walk].sum() / den[walk].sum())
+        w = num - lam * den
+        tol = 1e-12 * (1.0 + float(np.max(np.abs(w))))
+        W = np.where(A, w[None, :], -np.inf)
+        best, pred = np.zeros(n), np.zeros(n, dtype=np.int64)
+        for _ in range(n):
+            cand = best[:, None] + W
+            top = cand.max(axis=0)
+            grew = top > best + tol
+            if not grew.any():
+                return lam
+            best[grew], pred[grew] = top[grew], cand.argmax(axis=0)[grew]
+        v = int(np.argmax(grew))
+        for _ in range(n):  # back onto the cycle that the chain closes
+            v = pred[v]
+        cycle = [v]
+        while pred[cycle[-1]] != v:
+            cycle.append(pred[cycle[-1]])
+        ratio = float(num[cycle].sum() / den[cycle].sum())
         if not ratio > lam:
             return lam
         lam = ratio
@@ -401,44 +422,50 @@ def _legendre(A, r, phihat, psihat, P0, mbar):
     return qtilde
 
 
-def _direct(A, r, phihat, psihat, P0, lo_u, hi_u, tol):
+def _direct(src, dst, r, phihat, psihat, P0, faces):
     """qtilde(u) = P(phi) - F(u), F(u) = sup (h_nu + <nu, phihat>) /
     <nu, r> over shift-invariant nu with <nu, psihat> / <nu, r> = u
     (Abramov and the variational principle).  Potentials of width w read
     the states of the w-block recoding, so Markov measures on it attain
-    the sup: nu is an edge measure on its transitions, and the
+    the sup: nu is an edge measure on its transitions src -> dst, and the
     Charnes-Cooper scaling y = nu / <nu, r> turns the ratio into the
     concave program of `_max_entropy`.
 
     Inside the psi range the optimum is interior.  The Newton solve starts
     from the uniform-walk circulation z (`_circulation`) mixed with a
     circulation on the face of the range end beyond u, in the proportion
-    that gives <y, psihat> = u.  At an end of the range the measures lie
-    on that face, and F is the best of the program on its pieces."""
-    src, dst = np.nonzero(A)
-    r, phihat, psihat = r[src], phihat[src], psihat[src]
+    that gives <y, psihat> = u."""
     z = _circulation(src, dst, r)
     u_z = float(psihat @ z)
-    faces = {hi_u: _face(src, dst, psihat - hi_u * r),
-             lo_u: _face(src, dst, lo_u * r - psihat)}
 
     def qtilde(u):
-        end = min(faces, key=lambda e: abs(u - e))
-        if abs(u - end) <= tol:
-            best = max(_max_entropy(s, d, phihat[e], r[e][None], [1.0],
-                                    _circulation(s, d, r[e]))
-                       for e, s, d in faces[end])
-        else:
-            end = hi_u if u > u_z else lo_u
-            e, s, d = faces[end][0]
-            y = np.zeros(len(src))
-            y[e] = _circulation(s, d, r[e])
-            theta = (u - u_z) / (end - u_z)
-            best = _max_entropy(src, dst, phihat, np.stack([r, psihat]),
-                                [1.0, u], (1 - theta) * z + theta * y)
+        end = max(faces) if u > u_z else min(faces)
+        e, s, d = faces[end][0]
+        y = np.zeros(len(src))
+        y[e] = _circulation(s, d, r[e])
+        theta = (u - u_z) / (end - u_z)
+        best = _max_entropy(src, dst, phihat, np.stack([r, psihat]),
+                            [1.0, u], (1 - theta) * z + theta * y)
         return max(0.0, P0 - best)
 
     return qtilde
+
+
+def _face_pressure(src, dst, phihat, r, method) -> float:
+    """The pressure sup (h_nu + <nu, phihat>) / <nu, r> of the subshift of
+    a strongly connected graph on states 0..m-1, edges src -> dst carrying
+    the weights of their sources: by `_max_entropy` with the one
+    constraint <y, r> = 1 for "direct", as the spectral root of its
+    transition matrix for "legendre"."""
+    if method == "direct":
+        return _max_entropy(src, dst, phihat, r[None], [1.0],
+                            _circulation(src, dst, r))
+    m = int(src.max()) + 1
+    A = np.zeros((m, m))
+    A[src, dst] = 1.0
+    phi_m, r_m = np.zeros(m), np.ones(m)
+    phi_m[src], r_m[src] = phihat, r
+    return _spectral_root(A, phi_m, r_m, 1e-12)[0]
 
 
 def _face(src, dst, weight) -> list:

@@ -32,14 +32,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .sft import BiWord, Sft, _close_word, _words
+from .sft import BiWord, Sft, _close_word, _words, is_irreducible
 from .suspension import (OrbitSegment, Roof, SuspPoint, Suspension,
                          _forced_depth, _locate, _pieces, _row_integrals)
 
 __all__ = [
     "NonConvergenceError",
     "CylinderPotential",
-    "DistancePotential",
     "MarkovMeasure",
     "SuspendedMeasure",
     "PressureResult",
@@ -50,7 +49,6 @@ __all__ = [
     "gibbs_ratio_stats",
     "bowen_constant_estimate",
     "block_recode",
-    "cylinder_approximation",
     "random_markov_measure",
     "zero_potential",
 ]
@@ -96,23 +94,6 @@ def zero_potential() -> CylinderPotential:
     p = CylinderPotential(1, {})
     object.__setattr__(p, "table", _ZeroTable())
     return p
-
-
-@dataclass(frozen=True)
-class DistancePotential:
-    """gamma -> scale * d_GX(gamma, reference)."""
-
-    reference: object  # Geodesic
-    scale: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.scale):
-            raise ValueError("scale must be finite")
-
-    def at_geodesic(self, geo) -> float:
-        from .graph import d_GX
-        v, _ = d_GX(geo, self.reference)
-        return self.scale * v
 
 
 # ----------------------------------------------------------------------
@@ -265,23 +246,11 @@ def _cylinder_integrals(system: Suspension, phi: CylinderPotential,
 
 
 def birkhoff(system: Suspension, phi, seg: OrbitSegment) -> float:
-    """Phi(x, t) = int_0^t phi(f_s x) ds; for a cylinder potential, the
+    """Phi(x, t) = int_0^t phi(f_s x) ds for a cylinder potential: the
     fiber pieces of x's window weighted by phi."""
-    if isinstance(phi, CylinderPotential):
-        return float(_cylinder_integrals(system, phi, [seg])[0])
-    if isinstance(phi, DistancePotential):
-        from scipy.integrate import quad
-        from .graph import Geodesic
-        g = phi.reference.graph
-
-        def f(s):
-            return phi.at_geodesic(
-                Geodesic(g, system.flow(seg.start, s)))
-
-        t = seg.duration
-        val, _ = quad(f, 0.0, t, epsabs=1e-8 * max(t, 1.0), limit=200)
-        return val
-    raise TypeError(f"unsupported potential {type(phi).__name__}")
+    if not isinstance(phi, CylinderPotential):
+        raise TypeError(f"unsupported potential {type(phi).__name__}")
+    return float(_cylinder_integrals(system, phi, [seg])[0])
 
 
 # ----------------------------------------------------------------------
@@ -392,14 +361,8 @@ def pressure(system: Suspension, phi, method: str = "spectral",
              t_grid=None, max_period: float = 12.0,
              tol: float = 1e-10) -> PressureResult:
     """Topological pressure of the suspension flow for the potential phi."""
-    if isinstance(phi, DistancePotential):
-        if method != "spectral":
-            raise ValueError("distance potentials support only the "
-                             "spectral pressure method")
-        return _distance_potential_pressure(system, phi)
     if not isinstance(phi, CylinderPotential):
-        raise TypeError("potential must be cylinder or distance")
-    from .sft import is_irreducible
+        raise TypeError(f"unsupported potential {type(phi).__name__}")
     if not is_irreducible(system.sft):
         raise ValueError("system is not irreducible")
     sft_w, roof_w, words, phihat = _prepare(system, phi)
@@ -625,34 +588,6 @@ def _orbit_sums(system: Suspension, phi: CylinderPotential, t: float,
     return L, counts, traces, words[seen], weights[seen]
 
 
-def _distance_potential_pressure(system: Suspension,
-                                 phi: DistancePotential) -> PressureResult:
-    """Approximate by cylinder potentials of widths 2, 4, 6; report the
-    width-6 value with the width-4 -> 6 difference as the error."""
-    vals = {}
-    for w in (2, 4, 6):
-        cyl = cylinder_approximation(system, phi, w)
-        vals[w] = pressure(system, cyl, method="spectral").value
-    err = abs(vals[6] - vals[4])
-    return PressureResult(vals[6], err + 1e-9, "spectral",
-                          {"widths": vals})
-
-
-def cylinder_approximation(system: Suspension, phi: DistancePotential,
-                           width: int) -> CylinderPotential:
-    """Cylinder potential matching phi on the periodic extension of each
-    admissible width-w word."""
-    from .graph import Geodesic
-    g = phi.reference.graph
-    table = {}
-    for u in map(tuple, _words(system.sft.transitions, width).tolist()):
-        # extend to an admissible cycle for evaluation
-        cyc = _close_word(system.sft, u)
-        geo = Geodesic(g, SuspPoint(BiWord.periodic(cyc), 0.0))
-        table[u] = phi.at_geodesic(geo)
-    return CylinderPotential(width, table)
-
-
 # ----------------------------------------------------------------------
 # equilibrium states
 # ----------------------------------------------------------------------
@@ -661,8 +596,6 @@ def cylinder_approximation(system: Suspension, phi: DistancePotential,
 def equilibrium_state(system: Suspension, phi) -> SuspendedMeasure:
     """The Gibbs/equilibrium measure of phi via Perron eigendata of
     M(P(phi))."""
-    if isinstance(phi, DistancePotential):
-        phi = cylinder_approximation(system, phi, 4)
     sft_w, roof_w, words, phihat = _prepare(system, phi)
     A = np.array(sft_w.transitions, dtype=float)
     _, M, lam, v, u = _gibbs_data(A, phihat, roof_w.array)
@@ -774,8 +707,9 @@ def bowen_constant_estimate(system: Suspension, phi, eps: float,
     continues differently past it, and starts at a height up to eps (in
     normalized units) away.  A cylinder potential reads no symbol past
     that window, so for it the pair differs only in start height and
-    V(eps, S) <= 2 eps max(r) max|phi|; a distance potential also sees
-    the continuation."""
+    V(eps, S) <= 2 eps max(r) max|phi|."""
+    if not isinstance(phi, CylinderPotential):
+        raise TypeError(f"unsupported potential {type(phi).__name__}")
     if eps >= min(1.0, system.roof.min) / 4.0:
         raise ValueError("above expansivity scale")
     if samples < 1:
@@ -814,9 +748,6 @@ def bowen_constant_estimate(system: Suspension, phi, eps: float,
                      r0 * 0.999)
             segs += [OrbitSegment(SuspPoint(x, h), float(S)),
                      OrbitSegment(SuspPoint(y, h2), float(S))]
-        if isinstance(phi, CylinderPotential):
-            Phi = _cylinder_integrals(system, phi, segs)
-        else:
-            Phi = np.array([birkhoff(system, phi, s) for s in segs])
+        Phi = _cylinder_integrals(system, phi, segs)
         out[S] = float(np.abs(Phi[0::2] - Phi[1::2]).max())
     return out

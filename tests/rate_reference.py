@@ -8,6 +8,11 @@ best feasible one starts an SLSQP polish on each side of the constraint
 |int psi - mbar| >= eps.  It handles at most 3 free kernel parameters
 (full2, golden (1, 2)), and the vertex kernels make the ends of the psi
 range exact.
+
+`max_cycle_ratio` is the psi range's Dinkelbach search before the
+Bellman-Ford cycle search: the best-mean cycle of each round comes from
+max-plus powers of the entering-edge weights, an (n, n, n) table per
+step.
 """
 
 from __future__ import annotations
@@ -173,3 +178,29 @@ def rate_direct(system, phi, psi, eps_grid) -> dict:
             best = max(best, polish(eps, sign, start))
         out[eps] = math.inf if best == -math.inf else max(0.0, P0 - best)
     return out
+
+
+def max_cycle_ratio(A: np.ndarray, num: np.ndarray,
+                    den: np.ndarray) -> float:
+    """max over cycles c of num(c) / den(c), den > 0, by Dinkelbach's
+    parametric search: while some cycle has sum(num - lam den) > 0, the
+    ratio of the cycle of best mean weight is the next lam.  Best-mean
+    cycles come from max-plus powers (walks of up to n edges) of the
+    entering-edge weights, with argmax predecessors kept."""
+    lam = float(np.min(num / den))  # no cycle ratio lies below it
+    while True:
+        w = np.where(A, (num - lam * den)[None, :], -np.inf)
+        walks, preds = [w], []
+        for _ in range(len(num) - 1):
+            cand = walks[-1][:, :, None] + w[None]
+            preds.append(cand.argmax(axis=1))
+            walks.append(cand.max(axis=1))
+        means = [np.diag(Pk) / (k + 1) for k, Pk in enumerate(walks)]
+        k, i = np.unravel_index(np.argmax(means), (len(means), len(num)))
+        walk = [i]
+        for pred in reversed(preds[:k]):
+            walk.append(pred[i, walk[-1]])
+        ratio = float(num[walk].sum() / den[walk].sum())
+        if not ratio > lam:
+            return lam
+        lam = ratio

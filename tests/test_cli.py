@@ -142,6 +142,17 @@ def test_pressure_reads_exact_roof_strings(capsys, tmp_path):
         assert json.load(f)["gurevic"]["diagnostics"]["lattice"] == 3
 
 
+def test_distance_potential_is_an_unknown_type(capsys, tmp_path):
+    """Only cylinder (and zero) potentials load: a file of the removed
+    "distance" type exits 2 and the message names the type."""
+    phi = tmp_path / "distance.json"
+    phi.write_text(json.dumps({"type": "distance", "scale": 1.0}))
+    code, _, err = run_cli(capsys, "pressure", "--graph",
+                           data_path("rose2.json"), "--potential", str(phi))
+    assert code == 2
+    assert "unknown potential type 'distance'" in err
+
+
 def test_graph_lengths_and_roof_values_read_alike():
     """Graph lengths and roof entries follow one rule: a JSON number is the
     binary fraction it stores, a string is parsed exactly."""

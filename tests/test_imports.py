@@ -4,8 +4,8 @@ somewhere outside its own body, every name a library function assigns is
 read in that function, and every defaulted parameter of a library function
 is set by some call in the library, tests, scripts or benchmark.  A name
 listed in the module's __all__ counts as read; __future__ imports are
-skipped.  The library imports scipy in one named place only, and a cold
-CLI `ldp` run loads no scipy module."""
+skipped.  The library imports no scipy, and every CLI subcommand runs in
+a fresh interpreter where importing scipy fails."""
 
 import ast
 import os
@@ -252,32 +252,58 @@ def test_scipy_imports_examples():
                          "from . import scipy\n") == []
 
 
-# The Birkhoff integral of a DistancePotential is the one use of scipy left
-# in the library; it waits on ROADMAP item 4 (fix DistancePotential or
-# delete it).
-SCIPY_ALLOWED = {"thermo.py": [("birkhoff", "scipy.integrate")]}
-
-
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_library_does_not_import_scipy(path):
-    assert scipy_imports(path.read_text()) \
-        == SCIPY_ALLOWED.get(path.name, [])
+    assert scipy_imports(path.read_text()) == []
 
 
-def test_cold_cli_ldp_imports_no_scipy(tmp_path):
-    """A fresh interpreter runs `ldp` on full2 (eps = 0.1, 2000 samples)
-    through the CLI and ends with no scipy module loaded."""
+# one run of each subcommand on the tests/data models
+CLI_RUNS = {
+    "spec-tau": ["--sft", "golden.json"],
+    "glue": ["--sft", "golden.json", "--delta", "0.3", "--seed", "7"],
+    "pressure": ["--sft", "full2.json", "--potential", "zero.json",
+                 "--method", "all"],
+    "equilibrium": ["--graph", "rose2.json", "--potential", "zero4.json"],
+    "gibbs": ["--sft", "full2.json", "--potential", "phi_small.json",
+              "--t-grid", "5,10", "--samples", "50", "--seed", "11"],
+    "equidistribute": ["--sft", "full2.json", "--potential",
+                       "phi_small.json", "--t-grid", "4,8"],
+    "ldp": ["--sft", "full2.json", "--psi", "psi_ind1.json", "--epsilon",
+            "0.1", "--samples", "2000", "--seed", "1"],
+    "entropy-dense": ["--sft", "full2.json", "--eta", "0.05", "--seed",
+                      "0"],
+}
+
+# a meta path finder, first in line, that fails every import of scipy
+NO_SCIPY = """\
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+def test_cli_runs_cover_every_subcommand():
+    from thermoflow.cli import SUBCOMMANDS
+    assert sorted(CLI_RUNS) == sorted(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("subcommand", sorted(CLI_RUNS))
+def test_cold_cli_runs_without_scipy(subcommand, tmp_path):
+    """A fresh interpreter in which `import scipy*` raises ImportError runs
+    the subcommand through the CLI and exits 0."""
     data = ROOT / "tests" / "data"
-    argv = ["ldp", "--sft", str(data / "full2.json"), "--psi",
-            str(data / "psi_ind1.json"), "--epsilon", "0.1", "--samples",
-            "2000", "--seed", "1", "--out", str(tmp_path)]
-    code = ("import sys\nfrom thermoflow.cli import main\n"
-            f"assert main({argv!r}) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
-            "'scipy'))\n")
+    argv = [subcommand] + [str(data / a) if a.endswith(".json") else a
+                           for a in CLI_RUNS[subcommand]] \
+        + ["--out", str(tmp_path)]
+    code = NO_SCIPY + ("from thermoflow.cli import main\n"
+                       f"sys.exit(main({argv!r}))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"

@@ -401,10 +401,11 @@ def _random_table(rng, sft, width, scale):
 
 def _methods_agree(system, phi, psi, fractions):
     """Legendre and direct agree within 1e-9 at eps = f times the distance
-    from the mean to the nearer end of the psi range, for each f."""
+    from the mean to the nearer end of the psi range, for each f, and at
+    the distances to both ends."""
     lo, hi = _psi_range(system, psi)
     m = entropy_and_mean(equilibrium_state(system, phi), psi)[1]
-    eps = [f * min(hi - m, m - lo) for f in fractions]
+    eps = [f * min(hi - m, m - lo) for f in fractions] + [hi - m, m - lo]
     ql = rate_function(system, phi, psi, eps, "legendre")
     qd = rate_function(system, phi, psi, eps, "direct")
     for e in eps:
@@ -427,7 +428,8 @@ def test_direct_matches_legendre_width2(seed):
     """Width-2 phi and psi on seeded irreducible SFTs of 3-5 symbols with
     roofs drawn from [0.5, 2].  At 0.999 of the way to the range end the
     optimum has edges near 0, where Newton without the barrier path
-    crawls."""
+    crawls.  At the range ends Legendre reads the pressure of the face,
+    which the pressure curve reaches only as beta -> +-inf."""
     from thermoflow.sft import is_irreducible
     rng = np.random.default_rng(100 + seed)
     k = int(rng.integers(3, 6))
@@ -440,6 +442,47 @@ def test_direct_matches_legendre_width2(seed):
     phi = _random_table(rng, system.sft, 2, 0.3)
     _methods_agree(system, phi, _random_table(rng, system.sft, 2, 1.0),
                    [0.3, 0.8, 0.999])
+
+
+@pytest.mark.parametrize("name", ["theta", "rose2", "sft"])
+def test_psi_range_matches_max_plus_oracle(name, request):
+    """The Bellman-Ford cycle search of `_max_cycle_ratio` gives both ends
+    of the psi range of the max-plus-power oracle in `rate_reference.py`
+    within 1e-14: seeded potentials of widths 1-3 on the graph models and
+    on three seeded irreducible SFTs of 3-4 symbols with roofs in
+    [0.5, 2]."""
+    from rate_reference import max_cycle_ratio
+    from thermoflow.ldp import _max_cycle_ratio
+    from thermoflow.sft import is_irreducible
+    from thermoflow.thermo import _prepare
+    rng = np.random.default_rng(17)
+    if name == "sft":
+        systems = []
+        while len(systems) < 3:
+            k = int(rng.integers(3, 5))
+            A = (rng.random((k, k)) < 0.6).astype(int)
+            if A.any(axis=0).all() and A.any(axis=1).all() \
+                    and is_irreducible(Sft(A)):
+                systems.append(Suspension(Sft(A), Roof(
+                    rng.uniform(0.5, 2.0, k).tolist())))
+    else:
+        systems = [graph_suspension(request.getfixturevalue(name))]
+    for system in systems:
+        for width in (1, 2, 3):
+            sft_w, roof_w, _, psihat = _prepare(
+                system, _random_table(rng, system.sft, width, 1.0))
+            A, r = sft_w.transitions, roof_w.array
+            for num in (psihat, -psihat):
+                assert abs(_max_cycle_ratio(A, num, r)
+                           - max_cycle_ratio(A, num, r)) < 1e-14, width
+
+
+def test_psi_range_separates_near_ties(full2_unit):
+    """Two loops whose psi averages differ by 1e-9 give the two ends of the
+    range exactly: the growth tolerance of the cycle search sits far
+    below the gap."""
+    psi = CylinderPotential(1, {(0,): 1.0, (1,): 1.0 - 1e-9})
+    assert _psi_range(full2_unit, psi) == (1.0 - 1e-9, 1.0)
 
 
 def test_direct_newton_failure_names_iterations_and_residual(golden12):

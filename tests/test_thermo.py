@@ -11,8 +11,6 @@ from scipy.optimize import brentq
 from thermoflow import (
     BiWord,
     CylinderPotential,
-    DistancePotential,
-    Geodesic,
     MarkovMeasure,
     NonConvergenceError,
     OrbitSegment,
@@ -198,15 +196,6 @@ def test_closed_orbit_diagnostics(theta):
     assert g.diagnostics["n_orbits"] == len(primitive_orbits(system, 12.0))
     s = pressure(system, zero_potential(), "separated", max_period=12.0)
     assert (s.diagnostics["lattice"], s.diagnostics["ticks"]) == (2, 25)
-
-
-def test_distance_potential_pressure_is_spectral_only(rose2):
-    system = graph_suspension(rose2)
-    ref = Geodesic(rose2, system.point(BiWord.periodic((0,)), 0.0))
-    phi = DistancePotential(ref, 0.5)
-    for method in ("separated", "gurevic"):
-        with pytest.raises(ValueError, match="spectral"):
-            pressure(system, phi, method)
 
 
 # --- Perron solver on periodic and stiff matrices ----------------------------
