@@ -29,9 +29,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .sft import _words
 from .suspension import Roof, SuspPoint, Suspension, _pieces, _row_integrals
 from .thermo import (CylinderPotential, MarkovMeasure, NonConvergenceError,
-                     SuspendedMeasure, _bracketed_root, _gibbs_data,
-                     _orbit_sums, _prepare, _sample_orbits, _spectral_root,
-                     _stationary_vector, block_recode,
+                     SuspendedMeasure, _Transitions, _bracketed_root,
+                     _gibbs_data, _orbit_sums, _prepare, _sample_orbits,
+                     _spectral_root, _stationary_vector, block_recode,
                      entropy_and_mean, equilibrium_state, pressure,
                      zero_potential)
 
@@ -310,16 +310,17 @@ def rate_function(system: Suspension, phi, psi: CylinderPotential,
     mbar = entropy_and_mean(m_eq, psi)[1]
     sft_w, roof_w, words = block_recode(system.sft, system.roof,
                                         max(phi.width, psi.width))
-    A, r = sft_w.transitions, roof_w.array
+    r = roof_w.array
     phihat, psihat = (np.array([f.value(u) for u in words]) * r
                       for f in (phi, psi))
     lo_u, hi_u = _psi_range(system, psi)
     tol = 1e-12 * max(1.0, abs(lo_u), abs(hi_u))
-    src, dst = np.nonzero(A)
+    src, dst = sft_w._edges
     faces = {hi_u: _face(src, dst, (psihat - hi_u * r)[src]),
              lo_u: _face(src, dst, (lo_u * r - psihat)[src])}
     if method == "legendre":
-        qtilde = _legendre(A.astype(float), r, phihat, psihat, P0, mbar)
+        qtilde = _legendre(_Transitions.of(sft_w), r, phihat, psihat, P0,
+                           mbar)
     else:
         qtilde = _direct(src, dst, r[src], phihat[src], psihat[src], P0,
                          faces)
@@ -461,11 +462,9 @@ def _face_pressure(src, dst, phihat, r, method) -> float:
         return _max_entropy(src, dst, phihat, r[None], [1.0],
                             _circulation(src, dst, r))
     m = int(src.max()) + 1
-    A = np.zeros((m, m))
-    A[src, dst] = 1.0
     phi_m, r_m = np.zeros(m), np.ones(m)
     phi_m[src], r_m[src] = phihat, r
-    return _spectral_root(A, phi_m, r_m, 1e-12)[0]
+    return _spectral_root(_Transitions(m, src, dst), phi_m, r_m, 1e-12)[0]
 
 
 def _face(src, dst, weight) -> list:
@@ -559,7 +558,17 @@ def _max_entropy(src, dst, c, K, b, y, max_iter=_NEWTON_MAX_ITER) -> float:
             rhs[:E] = c - np.log(y / out) + mu / y
             kkt[:E, :E] = np.diag(1.0 / y + mu / y ** 2) \
                 - block / out[:, None]
-            step = np.linalg.solve(kkt, rhs)
+            try:
+                step = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:
+                # numerically singular near an end of the psi range: the
+                # residual is that of the best multipliers
+                dual = np.linalg.lstsq(C.T, rhs[:E], rcond=None)[0]
+                raise NonConvergenceError(
+                    f"Newton solve of the rate program on {E} edges met a "
+                    f"singular KKT matrix after {it} iterations with KKT "
+                    f"residual {np.linalg.norm(rhs[:E] - C.T @ dual):.3e}"
+                ) from None
             dy = step[:E]
             decrement = float(rhs[:E] @ dy)
             if decrement <= tol:

@@ -91,6 +91,11 @@ class Sft:
         return f"Sft(n={self.n_symbols})"
 
     @functools.cached_property
+    def _edges(self) -> tuple:
+        """(src, dst): the allowed transitions in row-major order."""
+        return np.nonzero(self._A)
+
+    @functools.cached_property
     def _distances(self) -> np.ndarray:
         """d[s, b]: the least number of transitions s -> b; 0 on the
         diagonal, n_symbols where b cannot be reached from s.  Paths with

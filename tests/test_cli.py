@@ -142,6 +142,29 @@ def test_pressure_reads_exact_roof_strings(capsys, tmp_path):
         assert json.load(f)["gurevic"]["diagnostics"]["lattice"] == 3
 
 
+def test_ldp_singular_kkt_exits_3(capsys, tmp_path):
+    """A direct rate solve that meets a singular KKT matrix near an end of
+    the psi range is a non-convergence (exit 3), not a rejected model."""
+    code, _, err = run_cli(capsys, "ldp", "--sft", data_path("full2.json"),
+                           "--psi", data_path("psi_ind1.json"),
+                           "--epsilon", repr(0.5 - 1e-10), "--samples",
+                           "100", "--seed", "1", "--out", str(tmp_path))
+    assert code == 3
+    assert "non-convergence: Newton solve" in err
+    assert "singular KKT matrix" in err
+
+
+def test_pressure_json_reports_perron_iterations(capsys, tmp_path):
+    """pressure.json carries the Perron solves and their products M v."""
+    code, _, _ = run_cli(capsys, "pressure", "--sft",
+                         data_path("golden.json"), "--potential",
+                         data_path("phi_small.json"), "--out", str(tmp_path))
+    assert code == 0
+    with open(tmp_path / "pressure.json") as f:
+        d = json.load(f)["spectral"]["diagnostics"]
+    assert d["perron_iterations"] >= d["perron_solves"] > 0
+
+
 def test_distance_potential_is_an_unknown_type(capsys, tmp_path):
     """Only cylinder (and zero) potentials load: a file of the removed
     "distance" type exits 2 and the message names the type."""

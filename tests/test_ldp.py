@@ -485,6 +485,18 @@ def test_psi_range_separates_near_ties(full2_unit):
     assert _psi_range(full2_unit, psi) == (1.0 - 1e-9, 1.0)
 
 
+def test_direct_singular_kkt_near_range_end_is_nonconvergence(full2_unit):
+    """At u = 1 - 1e-10 for psi = 1_[1] on full2, inside the psi range but
+    beyond the reach of its face, the KKT matrix of the first Newton step
+    is numerically singular: a NonConvergenceError that names the edges,
+    the iteration and the KKT residual, not numpy's LinAlgError."""
+    psi = CylinderPotential(1, {(0,): 0.0, (1,): 1.0})
+    with pytest.raises(NonConvergenceError,
+                       match=r"4 edges met a singular KKT matrix after 0 "
+                             r"iterations with KKT residual \d"):
+        rate_function(full2_unit, None, psi, [0.5 - 1e-10], "direct")
+
+
 def test_direct_newton_failure_names_iterations_and_residual(golden12):
     """A Newton solve that does not converge raises, naming its iteration
     count and KKT residual (an iteration cap of 2 through the private

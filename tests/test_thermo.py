@@ -12,6 +12,7 @@ from thermoflow import (
     BiWord,
     CylinderPotential,
     MarkovMeasure,
+    MetricGraph,
     NonConvergenceError,
     OrbitSegment,
     Roof,
@@ -32,9 +33,11 @@ from thermoflow import (
 )
 from thermoflow import io as tfio
 from thermoflow.sft import _close_word, _words
-from thermoflow.thermo import _perron
+from thermoflow.thermo import (_EIG_MAX_N, _Transitions, _gibbs_data,
+                                _perron, _prepare)
 
 import birkhoff_reference
+import perron_reference
 from conftest import data_path
 from cycle_reference import primitive_orbits
 
@@ -247,6 +250,98 @@ def test_perron_failure_names_size_iterations_residual():
     with pytest.raises(NonConvergenceError,
                        match=r"2x2 matrix .* 1 iterations .* residual nan"):
         _perron(M)
+
+
+def test_perron_seed_with_a_zero_entry_falls_back():
+    """Two nearly decoupled states: eig gives (1, 0) for the Perron root
+    1, where the certificate divides by zero, so the solve starts
+    uniform, which is exact."""
+    lam, v = _perron(np.array([[1.0, 1e-200], [1e-200, 1.0]]))
+    assert lam == 1.0
+    assert np.array_equal(v, [0.5, 0.5])
+
+
+def _assert_matches_reference(A, x, lam, v, u):
+    """lam and the right and left Perron vectors v, u of M = A diag(x)
+    match the dense power iteration of `perron_reference` within 1e-12
+    relative, entry by entry."""
+    M = np.zeros((A.n, A.n))
+    M[A.src, A.dst] = x[A.dst]
+    lam_ref, v_ref = perron_reference.perron(M)
+    _, u_ref = perron_reference.perron(M.T)
+    assert abs(lam - lam_ref) <= 1e-12 * lam_ref
+    for vec, ref in ((v, v_ref), (u / u.sum(), u_ref)):
+        assert np.all(np.abs(vec - ref) <= 1e-12 * ref)
+
+
+def _kernel_data(A, x):
+    """(lam, v, u) of M = A diag(x) from cold `_perron` calls, the left
+    vector through the transposed edges."""
+    lam, v = _perron(A.times(x))
+    _, y = _perron(A.T.times(x))
+    return lam, v, x * y
+
+
+def _perron_corpus(request, cases):
+    """(transitions, weights x at the pressure, lam, v, u) from
+    `_gibbs_data` for a seeded potential of each (model fixture, width)."""
+    rng = np.random.default_rng(18)
+    for model, width in cases:
+        system = request.getfixturevalue(model)
+        if isinstance(system, MetricGraph):
+            system = graph_suspension(system)
+        words = _words(system.sft.transitions, width)
+        phi = CylinderPotential(width, dict(zip(
+            map(tuple, words.tolist()), rng.uniform(-1.0, 1.0, len(words)))))
+        sft_w, roof_w, _, phihat = _prepare(system, phi)
+        A = _Transitions.of(sft_w)
+        yield (A,) + _gibbs_data(A, phihat, roof_w.array)[1:]
+
+
+@pytest.fixture(scope="session")
+def cycle2():
+    return Suspension(Sft([[0, 1], [1, 0]]), Roof([1.0, 1.0]))
+
+
+def test_perron_eig_regime_matches_dense_reference(request):
+    """Up to _EIG_MAX_N states (eig seed), in `_gibbs_data` and cold:
+    full2, golden (1, 2), theta and the periodic two-cycle with seeded
+    potentials of widths 1 and 2, rose2 recoded to widths 2 and 3 (12 and
+    36 states), and the stiff 2 x 2 of `test_perron_stiff_two_by_two`."""
+    cases = [(m, w) for m in ("full2_unit", "golden12", "theta", "cycle2")
+             for w in (1, 2)] + [("rose2", 2), ("rose2", 3)]
+    for A, x, lam, v, u in _perron_corpus(request, cases):
+        assert A.n <= _EIG_MAX_N
+        _assert_matches_reference(A, x, lam, v, u)
+        _assert_matches_reference(A, x, *_kernel_data(A, x))
+    stiff = _Transitions(2, np.array([0, 0, 1]), np.array([0, 1, 0]))
+    x = np.array([1.0, 1.48e9])
+    _assert_matches_reference(stiff, x, *_kernel_data(stiff, x))
+
+
+def test_perron_edge_regime_matches_dense_reference(request):
+    """Above _EIG_MAX_N states (power steps over the edge list), in
+    `_gibbs_data` (right solve warm-started) and cold: rose2 recoded to
+    widths 4 and 5 (108 and 324 states) and the periodic theta recoded
+    to width 5 (96 states), with seeded potentials."""
+    cases = [("rose2", 4), ("rose2", 5), ("theta", 5)]
+    for A, x, lam, v, u in _perron_corpus(request, cases):
+        assert A.n > _EIG_MAX_N
+        _assert_matches_reference(A, x, lam, v, u)
+        _assert_matches_reference(A, x, *_kernel_data(A, x))
+
+
+def test_pressure_counts_perron_products(full2_unit, rose2):
+    """`perron_iterations` counts the products M v of all the solves: one
+    each where the eig seed passes the certificate at once, more on a
+    block recode above _EIG_MAX_N states."""
+    d = pressure(full2_unit, phi1(full2_unit.sft, [0.3, -0.1])).diagnostics
+    assert d["perron_iterations"] == d["perron_solves"] > 0
+    system = graph_suspension(rose2)
+    words = _words(system.sft.transitions, 4)
+    phi = CylinderPotential(4, {tuple(w): 0.1 * w[0] for w in words.tolist()})
+    d = pressure(system, phi).diagnostics
+    assert d["perron_iterations"] > 2 * d["perron_solves"] > 0
 
 
 def test_rate_legendre_golden12_matches_direct(golden12):
