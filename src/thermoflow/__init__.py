@@ -39,7 +39,6 @@ from .thermo import (
     equilibrium_state,
     entropy_and_mean,
     gibbs_ratio_stats,
-    bowen_constant_estimate,
     block_recode,
     random_markov_measure,
     zero_potential,
@@ -84,8 +83,7 @@ __all__ = [
     "NonConvergenceError", "CylinderPotential", "MarkovMeasure",
     "SuspendedMeasure", "PressureResult", "birkhoff", "pressure",
     "equilibrium_state", "entropy_and_mean", "gibbs_ratio_stats",
-    "bowen_constant_estimate", "block_recode", "random_markov_measure",
-    "zero_potential",
+    "block_recode", "random_markov_measure", "zero_potential",
     "WeakStarConfig", "EmpiricalMeasure", "orbit_measure",
     "empirical_measure", "weighted_orbit_measure", "measure_statistics",
     "chain_statistics", "weak_star_distance", "rate_function",

@@ -16,18 +16,23 @@ error zero; only the tail truncation contributes to the error bound).
 yields every common run, every run's integral is evaluated at once, and
 bridged alignments separate into per-vertex minima, so a call costs
 O(n_win^2) array work plus O(n_win + V^2) for the bridges.
+
+Every path length comes from the one (min, +) kernel `sft._shortest_paths`
+on exact lengths: the vertex distances that bridge the lifts, built once
+per graph, which also decide connectivity, and the systole, a least cycle
+of the edge SFT.
 """
 
 from __future__ import annotations
 
-import heapq
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .sft import Sft
+from .sft import Sft, _shortest_paths
 from .suspension import Roof, SuspPoint, Suspension, _locate
 
 __all__ = [
@@ -82,20 +87,10 @@ class MetricGraph:
                 "vertex of degree <= 1: no bi-infinite non-backtracking "
                 "geodesic passes through it"
             )
-        # connectivity
-        adj = [[] for _ in range(self.n_vertices)]
-        for e in range(self.n_dir):
-            adj[self.tail[e]].append(e)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for e in adj[v]:
-                w = self.head[e]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != self.n_vertices:
+        self._vdist = _shortest_paths(self.n_vertices, self.tail, self.head,
+                                      np.array(self.roof.values, dtype=object))
+        self._vdist.setflags(write=False)
+        if (self._vdist == math.inf).any():
             raise GraphModelError("graph not connected")
         betti = m - self.n_vertices + 1
         if betti < 2:
@@ -105,7 +100,6 @@ class MetricGraph:
                    else "")
             )
         self.betti = betti
-        self._adj = adj
 
     @staticmethod
     def reversal(e: int) -> int:
@@ -115,50 +109,20 @@ class MetricGraph:
 
     def systole(self) -> Fraction:
         """Length of the shortest closed geodesic (cyclically
-        non-backtracking cycle)."""
-        best = None
-        for e0 in range(self.n_dir):
-            # Dijkstra over directed edges, states = directed edge just
-            # traversed, forbidding immediate backtracking; close when a
-            # successor returns to e0.
-            dist = {e0: self.roof[e0]}
-            pq = [(self.roof[e0], e0)]
-            while pq:
-                d, e = heapq.heappop(pq)
-                if d > dist[e]:
-                    continue
-                if best is not None and d >= best:
-                    continue
-                v = self.head[e]
-                for e2 in self._adj[v]:
-                    if e2 == self.reversal(e):
-                        continue
-                    if e2 == e0:
-                        total = d
-                        # cycle closes; check cyclic non-backtracking at
-                        # the seam: predecessor of e0 is e, need
-                        # e != reversal(e0), guaranteed by the loop filter
-                        # only for the step e -> e2; check explicitly:
-                        if e != self.reversal(e0):
-                            if best is None or total < best:
-                                best = total
-                        continue
-                    nd = d + self.roof[e2]
-                    if e2 not in dist or nd < dist[e2]:
-                        dist[e2] = nd
-                        heapq.heappush(pq, (nd, e2))
-        if best is None:  # pragma: no cover - impossible for betti >= 2
-            raise GraphModelError("no closed geodesic found")
-        return best
+        non-backtracking cycle): the least cycle of the edge SFT, each
+        transition weighing the length of the edge it enters.  A cycle
+        through e -> e' is the transition and a path e' -> e, so its least
+        length is D[e', e] + r(e')."""
+        sft, roof = build_edge_sft(self)
+        src, dst = sft._edges
+        r = np.array(roof.values, dtype=object)
+        D = _shortest_paths(self.n_dir, src, dst, r[dst])
+        return min(D[dst, src] + r[dst])
 
-    @property
+    @functools.cached_property
     def eps0(self) -> Fraction:
         """Half the systole."""
-        cached = getattr(self, "_eps0", None)
-        if cached is None:
-            cached = self.systole() / 2
-            self._eps0 = cached
-        return cached
+        return self.systole() / 2
 
     @property
     def delta0(self) -> Fraction:
@@ -167,29 +131,10 @@ class MetricGraph:
 
     # --- vertex distances ----------------------------------------------
 
-    def vertex_distances(self):
-        cached = getattr(self, "_vdist", None)
-        if cached is not None:
-            return cached
-        n = self.n_vertices
-        out = []
-        for s in range(n):
-            dist = [None] * n
-            dist[s] = Fraction(0)
-            pq = [(Fraction(0), s)]
-            while pq:
-                d, v = heapq.heappop(pq)
-                if dist[v] is not None and d > dist[v]:
-                    continue
-                for e in self._adj[v]:
-                    w = self.head[e]
-                    nd = d + self.roof[e]
-                    if dist[w] is None or nd < dist[w]:
-                        dist[w] = nd
-                        heapq.heappush(pq, (nd, w))
-            out.append(dist)
-        self._vdist = out
-        return out
+    def vertex_distances(self) -> np.ndarray:
+        """D[v, w]: the exact length of the shortest path v -> w, a
+        read-only object array."""
+        return self._vdist
 
     def point_distance(self, p1, p2):
         """Distance in the graph between positions (edge, offset)."""

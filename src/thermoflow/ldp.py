@@ -26,14 +26,13 @@ from types import MappingProxyType
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .sft import _words
+from .sft import _shortest_paths, _words
 from .suspension import Roof, SuspPoint, Suspension, _pieces, _row_integrals
 from .thermo import (CylinderPotential, MarkovMeasure, NonConvergenceError,
                      SuspendedMeasure, _Transitions, _bracketed_root,
-                     _gibbs_data, _orbit_sums, _prepare, _sample_orbits,
-                     _spectral_root, _stationary_vector, block_recode,
-                     entropy_and_mean, equilibrium_state, pressure,
-                     zero_potential)
+                     _check_spectral, _gibbs_data, _orbit_sums, _prepare,
+                     _sample_orbits, _spectral_root, _stationary_vector,
+                     block_recode, entropy_and_mean, zero_potential)
 
 __all__ = [
     "WeakStarConfig",
@@ -296,8 +295,9 @@ def rate_function(system: Suspension, phi, psi: CylinderPotential,
     sup is concave in int psi, largest at m), so q(eps) is the lesser of
     qtilde(m + eps) and qtilde(m - eps), qtilde(u) = P(phi) - sup{h + int
     phi : int psi = u}.  Both methods work on the SFT recoded to the wider
-    potential's width: "legendre" as the Legendre transform of the
-    pressure curve, "direct" as a concave program over edge measures."""
+    potential's width, where one Gibbs solve gives P(phi) and m:
+    "legendre" as the Legendre transform of the pressure curve, "direct"
+    as a concave program over edge measures."""
     if not isinstance(psi, CylinderPotential):
         raise ValueError("psi must be fiber-representable "
                          "(cylinder potential)")
@@ -305,22 +305,21 @@ def rate_function(system: Suspension, phi, psi: CylinderPotential,
         raise ValueError(f"unknown rate method {method!r}")
     if phi is None:
         phi = zero_potential()
-    P0 = pressure(system, phi, "spectral", tol=1e-12).value
-    m_eq = equilibrium_state(system, phi)
-    mbar = entropy_and_mean(m_eq, psi)[1]
+    _check_spectral(system, phi)
     sft_w, roof_w, words = block_recode(system.sft, system.roof,
                                         max(phi.width, psi.width))
     r = roof_w.array
     phihat, psihat = (np.array([f.value(u) for u in words]) * r
                       for f in (phi, psi))
+    A = _Transitions.of(sft_w)
+    P0, mbar = _pressure_and_mean(A, phihat, psihat, r)
     lo_u, hi_u = _psi_range(system, psi)
     tol = 1e-12 * max(1.0, abs(lo_u), abs(hi_u))
     src, dst = sft_w._edges
     faces = {hi_u: _face(src, dst, (psihat - hi_u * r)[src]),
              lo_u: _face(src, dst, (lo_u * r - psihat)[src])}
     if method == "legendre":
-        qtilde = _legendre(_Transitions.of(sft_w), r, phihat, psihat, P0,
-                           mbar)
+        qtilde = _legendre(A, r, phihat, psihat, P0, mbar)
     else:
         qtilde = _direct(src, dst, r[src], phihat[src], psihat[src], P0,
                          faces)
@@ -384,6 +383,15 @@ def _max_cycle_ratio(A: np.ndarray, num: np.ndarray,
         lam = ratio
 
 
+def _pressure_and_mean(A, phihat, psihat, r):
+    """(P, m): the pressure of the fiber integrals phihat on the
+    transitions A and the psi mean <pi, psihat> / <pi, r> of its
+    equilibrium state, pi = v u from one `_gibbs_data` solve."""
+    P, _, _, v, u = _gibbs_data(A, phihat, r)
+    pi = v * u
+    return P, float(pi @ psihat / (pi @ r))
+
+
 def _legendre(A, r, phihat, psihat, P0, mbar):
     """qtilde(u) = sup over beta in [-B, B] of beta u - Lambda(beta),
     Lambda(beta) = P(phi + beta psi) - P(phi), B = 40 / max|psi|.
@@ -400,10 +408,9 @@ def _legendre(A, r, phihat, psihat, P0, mbar):
     curve = {0.0: 0.0}  # beta -> Lambda(beta)
 
     def slope(beta):
-        P, _, _, v, w = _gibbs_data(A, phihat + beta * psihat, r)
+        P, mean = _pressure_and_mean(A, phihat + beta * psihat, psihat, r)
         curve[beta] = P - P0
-        pi = v * w
-        return float(pi @ psihat / (pi @ r))
+        return mean
 
     def qtilde(u):
         side = 1.0 if u > mbar else -1.0
@@ -472,17 +479,13 @@ def _face(src, dst, weight) -> list:
     weight whose every cycle sum is <= 0, each as (edge indices, sources,
     targets) with its states renumbered 0..m-1.  The critical graph is the
     edges on cycles of weight 0.  D[i, j], the largest weight of a path
-    i -> j (0 for the empty path), comes from Floyd-Warshall in max-plus;
-    edge a -> b is critical when weight + D[b, a] = 0, and two critical
-    states lie in one piece when D[i, j] + D[j, i] = 0.  Every cycle of a
+    i -> j (0 for the empty path), is minus the least path weight for
+    -weight (`sft._shortest_paths`; float negation is exact); edge a -> b
+    is critical when weight + D[b, a] = 0, and two critical states lie in
+    one piece when D[i, j] + D[j, i] = 0.  Every cycle of a
     piece has weight 0, so its circulations keep <y, psihat> = u at the
     range end u once <y, r> = 1."""
-    n = int(src.max()) + 1
-    D = np.full((n, n), -np.inf)
-    np.maximum.at(D, (src, dst), weight)
-    np.fill_diagonal(D, 0.0)
-    for k in range(n):
-        np.maximum(D, D[:, k, None] + D[k], out=D)
+    D = -_shortest_paths(int(src.max()) + 1, src, dst, -weight)
     tol = 1e-9 * (1.0 + float(np.max(np.abs(weight))))
     critical = np.flatnonzero(weight + D[dst, src] >= -tol)
     states = np.unique(src[critical])

@@ -2,10 +2,14 @@
 gluing words, and a finite representation of eventually-periodic
 bi-infinite sequences (BiWord).
 
-Irreducibility, the gap bound tau and every gap word read one cached table
-per Sft, `Sft._distances`, of the least number of transitions between two
-symbols.  `_glue_blocks` is the one loop that joins a sequence of blocks
-with gap words.
+`_shortest_paths` is the library's one path search: Floyd-Warshall in
+(min, +) over an edge list, exact on ints and on Fractions.  Irreducibility,
+the gap bound tau and every gap word read one cached table per Sft,
+`Sft._distances`, of the least number of transitions between two symbols;
+`graph` reads vertex distances, connectivity and the systole, and `ldp`
+the critical graph at an end of the psi-range, from the same kernel.
+`_glue_blocks` is the one loop that joins a sequence of blocks with gap
+words.
 
 Conventions
 -----------
@@ -98,19 +102,28 @@ class Sft:
     @functools.cached_property
     def _distances(self) -> np.ndarray:
         """d[s, b]: the least number of transitions s -> b; 0 on the
-        diagonal, n_symbols where b cannot be reached from s.  Paths with
-        at most n_symbols - 1 transitions reach every reachable b."""
+        diagonal, n_symbols where b cannot be reached from s."""
         n = self.n_symbols
-        d = np.where(np.eye(n, dtype=bool), 0, n)
-        reach = np.eye(n, dtype=bool)
-        for k in range(1, n):
-            reach = reach | (self._A @ reach)
-            fresh = reach & (d == n)
-            if not fresh.any():
-                break
-            d[fresh] = k
+        src, dst = self._edges
+        d = _shortest_paths(n, src, dst, np.ones(len(src), dtype=int))
+        d = np.where(d < math.inf, d, n).astype(int)
         d.setflags(write=False)
         return d
+
+
+def _shortest_paths(n: int, src, dst, weight) -> np.ndarray:
+    """D[i, j]: the least weight of a path i -> j over the edges src[e] ->
+    dst[e] of the array weight[e] on states 0..n-1; 0 on the diagonal (the empty
+    path), inf where j cannot be reached from i.  Floyd-Warshall in (min,
+    +), so a negative cycle only drives its entries down.  Int weights give
+    exact float sums below 2^53, and Fractions in an object array stay
+    exact, as np.minimum and + act on the objects themselves."""
+    D = np.full((n, n), math.inf, dtype=np.result_type(weight, float))
+    np.minimum.at(D, (src, dst), weight)
+    np.fill_diagonal(D, 0)
+    for k in range(n):
+        np.minimum(D, D[:, k, None] + D[k], out=D)
+    return D
 
 
 def is_admissible_word(sft: Sft, word) -> bool:

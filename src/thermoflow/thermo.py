@@ -38,9 +38,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .sft import BiWord, Sft, _close_word, _words, is_irreducible
-from .suspension import (OrbitSegment, Roof, SuspPoint, Suspension,
-                         _forced_depth, _locate, _pieces, _row_integrals)
+from .sft import Sft, _words, is_irreducible
+from .suspension import (OrbitSegment, Roof, Suspension, _forced_depth,
+                         _locate, _pieces, _row_integrals)
 
 __all__ = [
     "NonConvergenceError",
@@ -53,7 +53,6 @@ __all__ = [
     "equilibrium_state",
     "entropy_and_mean",
     "gibbs_ratio_stats",
-    "bowen_constant_estimate",
     "block_recode",
     "random_markov_measure",
     "zero_potential",
@@ -235,31 +234,19 @@ def _prepare(system: Suspension, phi: CylinderPotential):
 # ----------------------------------------------------------------------
 
 
-def _cylinder_integrals(system: Suspension, phi: CylinderPotential,
-                        segs) -> np.ndarray:
-    """Phi over each segment for a cylinder potential: the fiber pieces of
-    each segment's window (`_pieces`, one row per segment) weighted by phi
-    on the window's positions."""
-    n = int(math.ceil(max(s.duration for s in segs) / system.roof.min)) + 2
-    values, fibers, heights = [], [], []
-    for seg in segs:
-        x = seg.start.base
-        k, h = _locate(x.symbol_at, system.roof, seg.start.height)
-        w = x.window(k, k + n + phi.width - 1)
-        values.append([phi.value(w[j:j + phi.width]) for j in range(n)])
-        fibers.append(w[:n])
-        heights.append(h)
-    pieces, _ = _pieces(np.array(fibers), system.roof, heights,
-                        [s.duration for s in segs])
-    return (pieces * np.array(values)).sum(axis=1)
-
-
 def birkhoff(system: Suspension, phi, seg: OrbitSegment) -> float:
     """Phi(x, t) = int_0^t phi(f_s x) ds for a cylinder potential: the
-    fiber pieces of x's window weighted by phi."""
+    fiber pieces of x's window (`_pieces`) weighted by phi on the window's
+    positions."""
     if not isinstance(phi, CylinderPotential):
         raise TypeError(f"unsupported potential {type(phi).__name__}")
-    return float(_cylinder_integrals(system, phi, [seg])[0])
+    n = int(math.ceil(seg.duration / system.roof.min)) + 2
+    x = seg.start.base
+    k, h = _locate(x.symbol_at, system.roof, seg.start.height)
+    w = x.window(k, k + n + phi.width - 1)
+    values = [phi.value(w[j:j + phi.width]) for j in range(n)]
+    pieces, _ = _pieces(np.array([w[:n]]), system.roof, [h], [seg.duration])
+    return float((pieces[0] * values).sum())
 
 
 # ----------------------------------------------------------------------
@@ -459,14 +446,20 @@ def _gibbs_data(A: _Transitions, phihat: np.ndarray, roofs: np.ndarray):
     return P_val, x, lam, v, x * y
 
 
-def pressure(system: Suspension, phi, method: str = "spectral",
-             t_grid=None, max_period: float = 12.0,
-             tol: float = 1e-10) -> PressureResult:
-    """Topological pressure of the suspension flow for the potential phi."""
+def _check_spectral(system: Suspension, phi) -> None:
+    """Reject what no Perron solve takes: a potential that is not a
+    cylinder potential (TypeError) and a reducible shift (ValueError)."""
     if not isinstance(phi, CylinderPotential):
         raise TypeError(f"unsupported potential {type(phi).__name__}")
     if not is_irreducible(system.sft):
         raise ValueError("system is not irreducible")
+
+
+def pressure(system: Suspension, phi, method: str = "spectral",
+             t_grid=None, max_period: float = 12.0,
+             tol: float = 1e-10) -> PressureResult:
+    """Topological pressure of the suspension flow for the potential phi."""
+    _check_spectral(system, phi)
     sft_w, roof_w, words, phihat = _prepare(system, phi)
 
     if method == "spectral":
@@ -797,59 +790,3 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
         per_t[t] = (float(ratios.min()), float(ratios.max()))
     lo, hi = zip(*per_t.values())
     return {"min_ratio": min(lo), "max_ratio": max(hi), "per_t": per_t}
-
-
-def bowen_constant_estimate(system: Suspension, phi, eps: float,
-                            S_grid, samples: int, seed: int) -> dict:
-    """V(eps, S) = sup over sampled eps-shadowing pairs of
-    |Phi(x, S) - Phi(y, S)|; the Bowen property predicts a table bounded
-    in S.
-
-    y agrees with x on the window forced by eps-shadowing along [0, S],
-    continues differently past it, and starts at a height up to eps (in
-    normalized units) away.  A cylinder potential reads no symbol past
-    that window, so for it the pair differs only in start height and
-    V(eps, S) <= 2 eps max(r) max|phi|."""
-    if not isinstance(phi, CylinderPotential):
-        raise TypeError(f"unsupported potential {type(phi).__name__}")
-    if eps >= min(1.0, system.roof.min) / 4.0:
-        raise ValueError("above expansivity scale")
-    if samples < 1:
-        raise ValueError(
-            f"the sample count must be at least 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    from .suspension import _BW_MAX_SHIFT
-    k_eps = _forced_depth(eps)
-    n_sym = system.sft.n_symbols
-    out = {}
-    for S in S_grid:
-        length = int(math.ceil(S / system.roof.min)) + k_eps + \
-            _BW_MAX_SHIFT + 4
-        segs = []
-        for _ in range(samples):
-            word = [int(rng.integers(n_sym))]
-            for _ in range(length + 2 * _BW_MAX_SHIFT):
-                word.append(int(rng.choice(system.sft.successors(word[-1]))))
-            word = tuple(word)
-            x = BiWord.periodic(_close_word(system.sft, word))
-            core = x.window(-_BW_MAX_SHIFT, length)
-            tails = [s for s in range(n_sym)
-                     if system.sft.allowed(core[-1], s)
-                     and system.sft.allowed(s, s)]
-            if tails:
-                rt = (tails[int(rng.integers(len(tails)))],)
-            else:
-                rt = x.right_tail
-            y = BiWord(x.left_tail, core, rt,
-                       core_start=-_BW_MAX_SHIFT)
-            r0 = system.roof[word[0]]
-            h = float(rng.random()) * r0 * 0.999
-            # the vertical component of an eps-ball allows a height
-            # mismatch of up to eps in normalized units
-            h2 = min(max(h + float(rng.uniform(-eps, eps)) * r0, 0.0),
-                     r0 * 0.999)
-            segs += [OrbitSegment(SuspPoint(x, h), float(S)),
-                     OrbitSegment(SuspPoint(y, h2), float(S))]
-        Phi = _cylinder_integrals(system, phi, segs)
-        out[S] = float(np.abs(Phi[0::2] - Phi[1::2]).max())
-    return out

@@ -119,6 +119,59 @@ def test_systole_and_scales(rose2, theta):
     assert theta.eps0 == Fraction(5, 4)
 
 
+def _random_graphs(seed, count):
+    """`count` seeded random MetricGraphs of 1-5 vertices and up to 9
+    edges (loops and parallel edges included) with rational lengths; draws
+    that MetricGraph rejects are skipped."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    while len(graphs) < count:
+        n = int(rng.integers(1, 6))
+        edges = [(int(rng.integers(n)), int(rng.integers(n)),
+                  Fraction(int(rng.integers(1, 13)), int(rng.integers(1, 5))))
+                 for _ in range(int(rng.integers(2, 10)))]
+        try:
+            graphs.append(MetricGraph(n, edges))
+        except GraphModelError:
+            continue
+    return graphs
+
+
+def test_paths_match_dijkstra_reference(rose2, theta):
+    """systole, eps0, delta0 and every vertex distance read the (min, +)
+    table, and equal the Dijkstra searches of `tests/path_reference.py`
+    exactly as Fractions, on rose2, theta, THIRDS and 60 random graphs."""
+    import path_reference as ref
+    for g in [rose2, theta, THIRDS] + _random_graphs(19, 60):
+        systole = ref.systole(g)
+        assert type(g.systole()) is Fraction
+        assert g.systole() == systole
+        assert g.eps0 == systole / 2
+        assert g.delta0 == min(systole / 2, min(g.roof.values)) / 4
+        vd = g.vertex_distances()
+        assert vd.shape == (g.n_vertices, g.n_vertices)
+        assert [list(row) for row in vd] == ref.vertex_distances(g)
+
+
+def test_shortest_paths_match_scipy():
+    """The (min, +) kernel on float weights matches scipy's shortest paths
+    within 1e-12 on seeded random digraphs, unreachable pairs (inf)
+    included."""
+    from scipy.sparse.csgraph import shortest_path
+    from thermoflow.sft import _shortest_paths
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        n = int(rng.integers(1, 12))
+        W = np.where(rng.random((n, n)) < rng.uniform(0.05, 0.6),
+                     rng.uniform(0.01, 5.0, (n, n)), 0.0)
+        src, dst = np.nonzero(W)
+        D = _shortest_paths(n, src, dst, W[src, dst])
+        expect = shortest_path(W, directed=True)
+        assert np.array_equal(np.isinf(D), np.isinf(expect))
+        finite = np.isfinite(expect)
+        assert np.allclose(D[finite], expect[finite], rtol=0, atol=1e-12)
+
+
 # --- closed geodesics -------------------------------------------------------
 
 def test_closed_geodesic_counts(rose2, theta):

@@ -511,6 +511,34 @@ def test_direct_newton_failure_names_iterations_and_residual(golden12):
                      _circulation(src, dst, r), max_iter=2)
 
 
+def test_rate_function_solves_the_spectral_root_once(golden12,
+                                                     monkeypatch):
+    """P(phi) and the psi mean come from one Gibbs solve on the recoded
+    shift: one `direct` call on golden (1,2) makes one spectral root."""
+    import thermoflow.thermo as thermo
+    calls = []
+    root = thermo._spectral_root
+
+    def counted(*args):
+        calls.append(args)
+        return root(*args)
+
+    monkeypatch.setattr(thermo, "_spectral_root", counted)
+    phi = CylinderPotential(1, {(0,): 0.1, (1,): -0.2})
+    rate_function(golden12, phi, ind1(), [0.05, 0.1], "direct")
+    assert len(calls) == 1
+
+
+def test_rate_function_rejects_what_pressure_rejects(full2_unit):
+    """A potential that is not a cylinder potential is a TypeError and a
+    reducible shift a ValueError, as in `pressure`."""
+    with pytest.raises(TypeError, match="unsupported potential"):
+        rate_function(full2_unit, {(0,): 0.0}, ind1(), [0.1])
+    reducible = Suspension(Sft([[1, 0], [0, 1]]), Roof([1.0, 1.0]))
+    with pytest.raises(ValueError, match="not irreducible"):
+        rate_function(reducible, None, ind1(), [0.1])
+
+
 def _scalar_objective(system, P, phi, psi):
     """One kernel at a time through the measure classes: (h + int phi,
     int psi) of the suspended Markov measure of P, None when it fails."""

@@ -153,7 +153,8 @@ def test_gap_table_matches_boolean_powers(rose2, theta):
     """is_irreducible, min_gap_bound and glue_words read one shortest-path
     table; they equal the boolean-power reference on 400 seeded SFTs of
     1-8 symbols (reducible ones included) and the edge shifts: the same
-    value or the same error, every ordered symbol pair, random words."""
+    value or the same error, every ordered symbol pair, random words.  The
+    table itself is the least k with (A^k)[s, b], n where there is none."""
     import gap_reference as ref
     from thermoflow import build_edge_sft
     rng = np.random.default_rng(15)
@@ -170,9 +171,13 @@ def test_gap_table_matches_boolean_powers(rose2, theta):
         irreducible = ref.is_irreducible(sft)
         reducible += not irreducible
         assert is_irreducible(sft) == irreducible
+        n = sft.n_symbols
+        table = np.full((n, n), n)
+        for k, power in reversed(list(enumerate(ref.bool_powers(sft)[:n]))):
+            table[power] = k
+        assert np.array_equal(sft._distances, table)
         assert _outcome(min_gap_bound, sft) == _outcome(ref.min_gap_bound,
                                                          sft)
-        n = sft.n_symbols
         pairs = [((a,), (b,)) for a in range(n) for b in range(n)]
         pairs += [(_random_word(sft, rng), _random_word(sft, rng))
                   for _ in range(5)]

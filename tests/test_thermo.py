@@ -21,7 +21,6 @@ from thermoflow import (
     Suspension,
     SuspendedMeasure,
     birkhoff,
-    bowen_constant_estimate,
     entropy_and_mean,
     equilibrium_state,
     gibbs_ratio_stats,
@@ -514,52 +513,3 @@ def test_gibbs_rejects_samples_below_one(full2_unit):
         with pytest.raises(ValueError, match="at least 1"):
             gibbs_ratio_stats(full2_unit, mu, zero_potential(), rho=0.05,
                               t_grid=[5.0], samples=samples, seed=1)
-
-
-# --- Bowen property -----------------------------------------------------------
-
-def test_bowen_constant_for_constant_potential(full2_unit):
-    phi = phi1(full2_unit.sft, [0.7, 0.7])
-    table = bowen_constant_estimate(full2_unit, phi, eps=0.1,
-                                    S_grid=[5.0, 10.0, 20.0],
-                                    samples=60, seed=9)
-    assert all(v < 1e-9 for v in table.values())
-
-
-def test_bowen_table_bounded_in_S(full2_unit):
-    phi = phi1(full2_unit.sft, [0.4, -0.6])
-    table = bowen_constant_estimate(full2_unit, phi, eps=0.1,
-                                    S_grid=[5.0, 10.0, 20.0, 40.0],
-                                    samples=100, seed=9)
-    values = [table[s] for s in (5.0, 10.0, 20.0, 40.0)]
-    # bounded in S: the largest S does not exceed a fixed multiple of the
-    # saturation level set by the shorter windows
-    assert values[-1] <= 1.5 * max(values[:-1]) + 1e-9
-    assert max(values) < 2.0  # a fixed a-priori bound for this potential
-
-
-@pytest.mark.parametrize("model", ["full2_unit", "golden12"])
-@pytest.mark.parametrize("width", [1, 2])
-def test_bowen_cylinder_pairs_differ_in_height_only(model, width, request):
-    """A cylinder potential reads no symbol past the shadowed window, so a
-    pair differs only in its start heights, at most eps r0 apart:
-    V(eps, S) <= 2 eps max(r) max|phi|."""
-    system = request.getfixturevalue(model)
-    rng = np.random.default_rng(width)
-    words = map(tuple, _words(system.sft.transitions, width).tolist())
-    phi = CylinderPotential(width, {w: rng.uniform(-1.0, 1.0)
-                                    for w in words})
-    eps = 0.1
-    table = bowen_constant_estimate(system, phi, eps=eps,
-                                    S_grid=[5.0, 10.0, 20.0], samples=40,
-                                    seed=3)
-    bound = 2 * eps * max(system.roof.array) * max(
-        map(abs, phi.table.values()))
-    assert 0 < max(table.values()) <= bound + 1e-12
-
-
-def test_bowen_rejects_samples_below_one(full2_unit):
-    for samples in (0, -3):
-        with pytest.raises(ValueError, match="at least 1"):
-            bowen_constant_estimate(full2_unit, zero_potential(), eps=0.1,
-                                    S_grid=[5.0], samples=samples, seed=1)
