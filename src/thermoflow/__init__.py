@@ -50,7 +50,6 @@ from .ldp import (
     empirical_measure,
     weighted_orbit_measure,
     measure_statistics,
-    chain_statistics,
     weak_star_distance,
     rate_function,
     deviation_frequency,
@@ -86,8 +85,8 @@ __all__ = [
     "block_recode", "random_markov_measure", "zero_potential",
     "WeakStarConfig", "EmpiricalMeasure", "orbit_measure",
     "empirical_measure", "weighted_orbit_measure", "measure_statistics",
-    "chain_statistics", "weak_star_distance", "rate_function",
-    "deviation_frequency", "DeviationResult",
+    "weak_star_distance", "rate_function", "deviation_frequency",
+    "DeviationResult",
     "ApproxTarget", "SeparatedSet", "GluedFamily", "separated_generic_set",
     "glue_generic_family", "ergodic_approximation", "glue_countable",
     "mixture_statistics", "mixture_entropy", "ApproximationReport",

@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 
@@ -101,6 +102,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, help="gibbs: 400, ldp: 20000")
     p.add_argument("--out", help="output directory for artifacts")
     return p
+
+
+def _check_numbers(args: argparse.Namespace) -> None:
+    """--delta, --eta, --max-period and each --t-grid value must be finite
+    and positive, each --epsilon finite and >= 0."""
+    positive = [("--delta", args.delta), ("--eta", args.eta),
+                ("--max-period", args.max_period)]
+    positive += [("--t-grid", t) for t in args.t_grid or ()]
+    for flag, x in positive:
+        if x is not None and not 0 < x < math.inf:
+            raise UsageError(f"{flag} must be finite and positive, got {x}")
+    for x in args.epsilon or ():
+        if not 0 <= x < math.inf:
+            raise UsageError(f"--epsilon must be finite and >= 0, got {x}")
 
 
 def _config_hash(args: argparse.Namespace) -> str:
@@ -452,6 +467,7 @@ def main(argv=None) -> int:
     except SystemExit:
         return 64
     try:
+        _check_numbers(args)
         run = _Run(args)
         return _DISPATCH[args.subcommand](run)
     except UsageError as e:

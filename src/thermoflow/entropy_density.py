@@ -4,16 +4,17 @@ approximation of a finite convex combination of Markov measures.
 
 The approximating ergodic measure is realized as an explicit finite-state
 block Markov chain (states = (component, position-in-block, symbol), plus
-deterministic glue states), so its ergodicity and entropy are exactly
-computable rather than abstract limits.  Separated generic sets are
-counted exactly in closed form over pair statistics (irreducible 2-symbol
-base shifts: a word is fixed by its runs, so each (#1, #11) cell is a sum
-of products of two binomials), giving integer-arithmetic #Gamma >= e^{t h}
-certificates; members are sampled uniformly from the same cells, and
-weak* closeness of members is verified on seeded samples: the closed
-sample words go straight to the array walk `_pieces` as gathered windows,
-with no BiWord per member, and all members meet the target in one signed
-weak* pass.
+deterministic glue states), held as a `SuspendedMeasure` like every other
+Markov measure of the library, so its statistics and entropy come exactly
+from the one state-path table of `thermo` rather than as abstract limits.
+Separated generic sets are counted exactly in closed form over pair
+statistics (irreducible 2-symbol base shifts: a word is fixed by its runs,
+so each (#1, #11) cell is a sum of products of two binomials), giving
+integer-arithmetic #Gamma >= e^{t h} certificates; members are sampled
+uniformly from the same cells, and weak* closeness of members is verified
+on seeded samples: the closed sample words go straight to the array walk
+`_pieces` as gathered windows, with no BiWord per member, and all members
+meet the target in one signed weak* pass.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ldp import (EmpiricalMeasure, WeakStarConfig, _segment_distances,
-                  chain_statistics, empirical_measure, measure_statistics,
-                  weak_star_distance)
+                  measure_statistics, weak_star_distance)
 from .sft import (BiWord, Sft, WeakSpecificationError, _close_word,
                   _glue_blocks, glue_words, is_irreducible, min_gap_bound)
 from .suspension import Roof, SuspPoint, Suspension, _fiber_times, _locate
@@ -35,13 +35,13 @@ __all__ = [
     "ApproxTarget",
     "SeparatedSet",
     "GluedFamily",
-    "empirical_measure",
+    "ApproximationReport",
     "separated_generic_set",
     "glue_generic_family",
     "ergodic_approximation",
     "glue_countable",
     "mixture_statistics",
-    "chain_statistics",
+    "mixture_entropy",
 ]
 
 # separation scale: two orbits are 3*eps-separated when their words differ
@@ -174,6 +174,11 @@ def _sample_from_box(cells, n: int, rng, k: int):
     return words
 
 
+def _min_block_length(eta: float) -> int:
+    """The fewest symbols a separated generic set's words may have."""
+    return max(16, int(4.0 / eta))
+
+
 def separated_generic_set(system: Suspension, mu: MarkovMeasure,
                           h: float, t: float, eta: float, seed: int,
                           cfg: WeakStarConfig = WeakStarConfig()
@@ -193,7 +198,7 @@ def separated_generic_set(system: Suspension, mu: MarkovMeasure,
     if not (h < entropy_and_mean(flow_mu, None)[0]):
         raise ValueError("h must be strictly below the measure's entropy")
     n = int(math.floor(t / flow_mu.mean_roof + 1e-9))
-    if n < max(16, int(4.0 / eta)):
+    if n < _min_block_length(eta):
         raise ValueError("increase t")
     pi1 = float(mu.stationary[1])
     box = {"pi1": pi1, "p11": float(pi1 * mu.transition[1, 1]),
@@ -340,90 +345,50 @@ def glue_generic_family(system: Suspension, target: ApproxTarget,
 # ----------------------------------------------------------------------
 
 
-def _build_block_chain(system: Suspension, target: ApproxTarget, L: int):
-    """Block Markov chain: component i runs ceil(a_i L) positions of its
-    kernel, then a deterministic glue path leads to the next component's
-    fixed start symbol.  Returns (MarkovMeasure on chain states,
-    emission array, roof array)."""
-    sft = system.sft
-    comps = target.components
-    p = len(comps)
-    starts = []
-    for mu, _ in comps:
-        starts.append(int(np.argmax(mu.stationary)))
-    states = []  # (kind, i, pos, symbol) kind 0 = block, 1 = glue
-    index = {}
-
-    def add(st):
-        if st not in index:
-            index[st] = len(states)
-            states.append(st)
-        return index[st]
-
-    n_sym = sft.n_symbols
+def _build_block_chain(system: Suspension, target: ApproxTarget,
+                       L: int) -> SuspendedMeasure:
+    """Block chain: component i runs L_i = max(2, round(a_i L)) positions
+    of its kernel from its likeliest symbol, then a glue word leads on to
+    the next component's.  Block state (i, j, s) sits at
+    first[i] + (j and 1 + (j-1) n + s), the glue states after all of them;
+    each state shows and lasts one symbol."""
+    n, comps = system.sft.n_symbols, target.components
+    starts = [int(np.argmax(mu.stationary)) for mu, _ in comps]
     lengths = [max(2, int(round(a * L))) for _, a in comps]
-    for i, (mu, a) in enumerate(comps):
-        for j in range(lengths[i]):
-            for s in range(n_sym):
-                if j == 0 and s != starts[i]:
-                    continue
-                add((0, i, j, s))
-    # transitions
-    trans = {}
-
-    def set_p(a_st, b_st, pr):
-        ia, ib = add(a_st), add(b_st)
-        trans.setdefault(ia, {})[ib] = trans.get(ia, {}).get(ib, 0.0) + pr
-
-    for i, (mu, a) in enumerate(comps):
-        Li = lengths[i]
-        nxt = (i + 1) % p
-        for j in range(Li):
-            for s in range(n_sym):
-                st = (0, i, j, s)
-                if st not in index:
-                    continue
-                if j < Li - 1:
-                    for s2 in range(n_sym):
-                        pr = mu.transition[s, s2]
-                        if pr > 0:
-                            set_p(st, (0, i, j + 1, s2), pr)
-                else:
-                    # deterministic glue to the next component's start
-                    tgt = starts[nxt]
-                    prev = st
-                    for gpos, gs in enumerate(glue_words(sft, (s,), (tgt,))):
-                        gst = (1, i, (j, gpos, s), gs)
-                        set_p(prev, gst, 1.0)
-                        prev = gst
-                    set_p(prev, (0, nxt, 0, tgt), 1.0)
-    n = len(states)
-    P = np.zeros((n, n))
-    for ia, row in trans.items():
-        for ib, pr in row.items():
-            P[ia, ib] = pr
-    emit = np.array([st[3] for st in states])
-    roofs = system.roof.array[emit]
-    # the chain is periodic (deterministic position cycling), so the
-    # stationary vector comes from a direct linear solve, not iteration
-    A = P.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:  # pragma: no cover
-        pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    pi = np.maximum(pi, 0.0)
-    pi = pi / pi.sum()
-    chain = MarkovMeasure(P, pi, words=[(int(e),) for e in emit])
-    return chain, emit, roofs
+    first = np.cumsum([0] + [1 + (Li - 1) * n for Li in lengths]).tolist()
+    emit = [s for st, Li in zip(starts, lengths)
+            for s in [st] + list(range(n)) * (Li - 1)]
+    src, dst, prob = [], [], []
+    for i, ((mu, _), Li) in enumerate(zip(comps, lengths)):
+        # kernel steps (j, a) -> (j + 1, b) for j < L_i - 1
+        a, b = np.nonzero(mu.transition > 0)
+        j = np.repeat(np.arange(Li - 1), len(a))
+        a, b = np.tile(a, Li - 1), np.tile(b, Li - 1)
+        keep = (j > 0) | (a == starts[i])
+        j, a, b = j[keep], a[keep], b[keep]
+        src.append(first[i] + np.where(j > 0, 1 + (j - 1) * n + a, 0))
+        dst.append(first[i] + 1 + j * n + b)
+        prob.append(mu.transition[a, b])
+        # from each last symbol along its glue word to the next start
+        nxt = (i + 1) % len(comps)
+        for last in range(n):
+            path = [first[i] + 1 + (Li - 2) * n + last]
+            for g in glue_words(system.sft, (last,), (starts[nxt],)):
+                path.append(len(emit))
+                emit.append(g)
+            path.append(first[nxt])
+            src.append(path[:-1])
+            dst.append(path[1:])
+            prob.append(np.ones(len(path) - 1))
+    P = np.zeros((len(emit), len(emit)))
+    P[np.concatenate(src), np.concatenate(dst)] = np.concatenate(prob)
+    return SuspendedMeasure(MarkovMeasure(P, words=[(s,) for s in emit]),
+                            Roof([system.roof[s] for s in emit]))
 
 
 @dataclass(frozen=True)
 class ApproximationReport:
-    nu: MarkovMeasure
-    roofs: np.ndarray
+    nu: SuspendedMeasure
     eta: float
     D: float
     h_mu: float
@@ -446,39 +411,41 @@ class ApproximationReport:
 def ergodic_approximation(system: Suspension, target: ApproxTarget,
                           cfg: WeakStarConfig = WeakStarConfig(),
                           seed: int = 0) -> ApproximationReport:
-    """An ergodic Markov measure nu (block chain) with D(lambda, nu) < eta
+    """An ergodic flow measure nu (the block chain) with D(lambda, nu) < eta
     and |h_nu - h_lambda| < eta, plus the gluing count certificate."""
     eta = target.eta
     comps = target.components
     lam_stats = mixture_statistics(target, system.roof, cfg)
     h_mu = mixture_entropy(target, system.roof)
     if len(comps) == 1:
-        mu = comps[0][0]
         return ApproximationReport(
-            mu, system.roof.array, eta, 0.0, h_mu, h_mu, 0,
-            {"log_Em_rate": h_mu, "bound": h_mu, "note": "single ergodic "
-             "component: target returned unchanged"}, ())
+            SuspendedMeasure(comps[0][0], system.roof), eta, 0.0, h_mu,
+            h_mu, 0, {"log_Em_rate": h_mu, "bound": h_mu, "note": "single "
+                      "ergodic component: target returned unchanged"}, ())
     tau = min_gap_bound(system.sft)
     overhead = len(comps) * (tau + 1) * system.roof.max
     best = None
     for L in (100, 200, 400, 800):
-        chain, emit, roofs = _build_block_chain(system, target, L)
-        stats = chain_statistics(chain, roofs, cfg)
-        D = weak_star_distance(stats, lam_stats, cfg)
-        h_nu = chain.entropy() / float(np.dot(chain.stationary, roofs))
+        nu = _build_block_chain(system, target, L)
+        D = weak_star_distance(measure_statistics(nu, cfg), lam_stats, cfg)
+        h_nu = entropy_and_mean(nu, None)[0]
         if best is None or D < best[1]:
-            best = (L, D, h_nu, chain, roofs)
+            best = (L, D, h_nu, nu)
         if D < eta and abs(h_nu - h_mu) < eta:
             break
-    L, D, h_nu, chain, roofs = best
+    L, D, h_nu, nu = best
     if not (D < eta and abs(h_nu - h_mu) < eta):
         min_eta = max(D, abs(h_nu - h_mu)) * 1.05
         raise ValueError(
             f"infeasible eta: switching overhead {overhead}/L limits the "
             f"achievable tolerance; minimal achievable eta ~ {min_eta:.4f}")
-    # counting certificate from the glued family at a t in the valid regime
+    # counting certificate from the glued family at a t in the valid regime,
+    # long enough that each component's share holds _min_block_length words
     M_diam = _weak_star_diameter(cfg)
-    t_glue = max(400.0, 2.0 * overhead * M_diam / eta)
+    t_glue = max(400.0, 2.0 * overhead * M_diam / eta,
+                 *(_min_block_length(eta)
+                   * SuspendedMeasure(m_, system.roof).mean_roof / a
+                   for m_, a in comps))
     fam = glue_generic_family(system, target, t_glue, m=3, seed=seed,
                               cfg=cfg)
     rate = fam.log_Em / (fam.t * fam.m)
@@ -486,7 +453,7 @@ def ergodic_approximation(system: Suspension, target: ApproxTarget,
                               for m_, _ in comps)
                           + math.log(fam.C)) / fam.t
     return ApproximationReport(
-        chain, roofs, eta, D, h_mu, h_nu, L,
+        nu, eta, D, h_mu, h_nu, L,
         {"log_Em_rate": rate, "bound": bound, "k": fam.k_partition,
          "C": fam.C, "t": fam.t, "m": fam.m},
         tuple(fam.sample_block_D))

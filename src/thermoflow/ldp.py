@@ -26,12 +26,12 @@ from types import MappingProxyType
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .sft import _shortest_paths, _words
+from .sft import _shortest_paths
 from .suspension import Roof, SuspPoint, Suspension, _pieces, _row_integrals
-from .thermo import (CylinderPotential, MarkovMeasure, NonConvergenceError,
-                     SuspendedMeasure, _Transitions, _bracketed_root,
-                     _check_spectral, _gibbs_data, _orbit_sums, _prepare,
-                     _sample_orbits, _spectral_root, _stationary_vector,
+from .thermo import (CylinderPotential, NonConvergenceError, SuspendedMeasure,
+                     _Transitions, _bracketed_root, _check_spectral,
+                     _gibbs_data, _orbit_sums, _prepare, _sample_orbits,
+                     _spectral_root, _state_paths, _stationary_vector,
                      block_recode, entropy_and_mean, zero_potential)
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "empirical_measure",
     "weighted_orbit_measure",
     "measure_statistics",
-    "chain_statistics",
     "weak_star_distance",
     "rate_function",
     "deviation_frequency",
@@ -203,34 +202,21 @@ def weighted_orbit_measure(system: Suspension, phi, t: float,
             int(counts.sum()))
 
 
-def chain_statistics(chain: MarkovMeasure, roofs: np.ndarray,
-                     cfg: WeakStarConfig = WeakStarConfig()
-                     ) -> EmpiricalMeasure:
-    """Exact residence statistics of a (hidden) Markov chain whose state i
-    lasts roofs[i] and shows the symbol chain.words[i][0]: a state path p
-    carries nu(p) r(p_0) / mean roof, nu(p) = pi(p_0) P(p_0, p_1) ...,
-    summed over the paths that show the same word."""
-    P = chain.transition
-    paths = _words(P > 0, cfg.depth)
-    prob = chain.stationary[paths[:, 0]]
-    for a, b in zip(paths.T[:-1], paths.T[1:]):
-        prob = prob * P[a, b]
-    mean_roof = float(np.dot(chain.stationary, roofs))
-    emit = np.array([w[0] for w in chain.words])
-    hist = np.full(cfg.height_bins, 1.0 / cfg.height_bins)
-    return EmpiricalMeasure(emit[paths], prob * roofs[paths[:, 0]] / mean_roof,
-                            hist)
-
-
 def measure_statistics(mu: SuspendedMeasure,
                        cfg: WeakStarConfig = WeakStarConfig()
                        ) -> EmpiricalMeasure:
-    """Exact cylinder statistics of a suspended Markov measure: the
-    residence frequency of a word w is nu(w) r(w_0) / mean_roof.
+    """Exact cylinder statistics of a suspended Markov measure: a state
+    path p (`thermo._state_paths`) shows the first symbol of each state's
+    word and carries nu(p) r(p_0) / mean_roof; paths showing one word add.
 
     The base may be a w-block measure (`thermo.block_recode`): its state
     x_k ... x_{k+w-1} sits over fiber k, so it shows x_k and lasts r(x_k)."""
-    return chain_statistics(mu.base, mu.roof.array, cfg)
+    paths, nu = _state_paths(mu.base, cfg.depth)
+    emit = np.array([w[0] for w in mu.base.words])
+    hist = np.full(cfg.height_bins, 1.0 / cfg.height_bins)
+    return EmpiricalMeasure(emit[paths],
+                            nu * mu.roof.array[paths[:, 0]] / mu.mean_roof,
+                            hist)
 
 
 def weak_star_distance(a, b, cfg: WeakStarConfig = WeakStarConfig()
@@ -623,6 +609,10 @@ def deviation_frequency(system: Suspension, m: SuspendedMeasure,
     the test is made in integral units with an explicit tolerance,
     |I - t mean| >= t eps - tol with tol = 1e-9 t max(1, max|psi|), and
     round-off in the cumulative sums cannot drop the boundary atoms."""
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     if psi.width != 1:
         raise ValueError("deviation_frequency supports width-1 psi")
     if any(len(w) != 1 for w in m.base.words):

@@ -239,7 +239,9 @@ def _bw_from_words(xs, ys, u: float, v: float, horizon: int) -> float:
 
 def _forced_depth(rho: float) -> int:
     """Least n with 2^-(n+1) < rho: agreement depth forced by a
-    rho-ball under the forward-window base metric."""
+    rho-ball under the forward-window base metric; 0 < rho < inf."""
+    if not 0 < rho < math.inf:
+        raise ValueError(f"the scale must be positive and finite, got {rho}")
     n = 0
     while 2.0 ** (-(n + 1)) >= rho:
         n += 1

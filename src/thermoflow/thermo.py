@@ -25,8 +25,9 @@ closed-orbit sums from one lattice engine (`_orbit_sums`), which needs
 rational roof values and L t <= _MAX_TICKS ticks on the lattice 1/L.
 
 Equilibrium states are built from Perron eigendata (Parry/Gibbs kernel),
-on the w-block recoding when the potential has width w > 1.  Flow entropy
-uses the Abramov quotient h_base / mean roof.
+on the w-block recoding when the potential has width w > 1.  Statistics,
+flow means and entropy of a Markov measure read one table of its state
+paths (`_state_paths`); flow entropy is the Abramov quotient.
 """
 
 from __future__ import annotations
@@ -137,11 +138,10 @@ class MarkovMeasure:
         return self.transition.shape[0]
 
     def entropy(self) -> float:
-        P = self.transition
-        pi = self.stationary
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lp = np.where(P > 0, np.log(np.where(P > 0, P, 1.0)), 0.0)
-        return float(-(pi[:, None] * P * lp).sum())
+        """-sum nu(a b) log P(a, b) over the state pairs a b."""
+        paths, nu = _state_paths(self, 2)
+        a, b = paths.T
+        return float(-(nu * np.log(self.transition[a, b])).sum())
 
     def sample_words(self, n: int, length: int, rng,
                      start_weights=None) -> np.ndarray:
@@ -161,13 +161,32 @@ class MarkovMeasure:
 
 
 def _stationary_vector(P: np.ndarray) -> np.ndarray:
+    """pi P = pi, sum pi = 1: one direct solve, the last balance equation
+    replaced by the normalization; lstsq (least norm) where more than one
+    closed class makes that singular."""
     n = P.shape[0]
-    A = np.vstack([P.T - np.eye(n), np.ones(n)])
-    b = np.zeros(n + 1)
+    A = P.T - np.eye(n)
+    A[-1] = 1.0
+    b = np.zeros(n)
     b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
+    try:
+        pi = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        pi, *_ = np.linalg.lstsq(A, b, rcond=None)
     pi = np.maximum(pi, 0.0)
     return pi / pi.sum()
+
+
+def _state_paths(base: MarkovMeasure, length: int):
+    """(paths, nu): the state paths of `length` states along positive
+    kernel steps, as the rows of an int array in lexicographic order, and
+    their probabilities nu(p) = pi(p_0) P(p_0, p_1) ... P(p_-2, p_-1)."""
+    P = base.transition
+    paths = _words(P > 0, length)
+    nu = base.stationary[paths[:, 0]]
+    for a, b in zip(paths.T[:-1], paths.T[1:]):
+        nu = nu * P[a, b]
+    return paths, nu
 
 
 @dataclass(frozen=True)
@@ -704,32 +723,20 @@ def equilibrium_state(system: Suspension, phi) -> SuspendedMeasure:
 
 def entropy_and_mean(mu: SuspendedMeasure, phi) -> tuple:
     """(h_mu, int phi dmu) for the flow measure: Abramov quotient for the
-    entropy, fiber-rate average for the integral."""
-    h_base = mu.base.entropy()
-    h = h_base / mu.mean_roof
+    entropy; phi on the word of each state path p long enough for its
+    width, weighted by nu(p) r(p_0) / mean roof, for the integral."""
+    h = mu.base.entropy() / mu.mean_roof
     if phi is None:
         return h, 0.0
     if not isinstance(phi, CylinderPotential):
         raise TypeError("entropy_and_mean needs a cylinder potential")
-    phihat = _phihat_on_states(mu, phi)
-    mean_phi = float(np.dot(mu.base.stationary, phihat)) / mu.mean_roof
-    return h, mean_phi
-
-
-def _phihat_on_states(mu: SuspendedMeasure, phi: CylinderPotential):
-    """Fiber integrals of phi on the measure's state alphabet.  When the
-    potential needs more symbols than the state words provide, average over
-    the state paths that continue them, weighted by the kernel; a state
-    shows the last symbol of its word."""
     words = mu.base.words
-    more = phi.width - min(map(len, words))
-    P = mu.base.transition
-    paths = _words(P > 0, more + 1)
-    prob = np.prod(P[paths[:, :-1], paths[:, 1:]], axis=1)
+    paths, nu = _state_paths(
+        mu.base, max(1, phi.width - min(map(len, words)) + 1))
     vals = [phi.value(words[p[0]] + tuple(words[j][-1] for j in p[1:]))
             for p in paths.tolist()]
-    return np.bincount(paths[:, 0], prob * vals,
-                       len(words)) * mu.roof.array
+    weights = nu * mu.roof.array[paths[:, 0]] / mu.mean_roof
+    return h, float(np.dot(weights, vals))
 
 
 def random_markov_measure(sft: Sft, rng) -> MarkovMeasure:
@@ -768,9 +775,9 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
         raise TypeError("cylinder potential required")
     if phi.width != 1:
         raise ValueError("gibbs_ratio_stats needs a width-1 potential")
+    k_rho = _forced_depth(rho)
     P_val = pressure(system, phi, "spectral").value
     rng = np.random.default_rng(seed)
-    k_rho = _forced_depth(rho)
     length = int(math.ceil(max(t_grid) / system.roof.min)) + k_rho + 3
     paths, heights = _sample_orbits(mu, samples, length, rng)
     r0 = mu.roof.array[paths[:, 0]]

@@ -7,6 +7,9 @@ suspended Markov measure, transfer-operator layers of an emission chain,
 a dict merge for a mixture, and a weak* distance summed over the union of
 the two key sets.  It is slow but each table is written out directly, so
 the tests compare every producer and every weak* distance against it.
+The per-state fiber integrals and the masked-log kernel entropy are the
+oracles of the flow mean and entropy that `thermo` reads off its state
+path table.
 `weighted_orbit_measure` has its own oracle in `cycle_reference.py`, which
 sums `orbit_measure` from here over explicitly enumerated cycles.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from thermoflow import SuspendedMeasure, WeakStarConfig
+from thermoflow.sft import _words
 
 
 def locate(symbol_at, lengths, h, k=0):
@@ -193,6 +197,38 @@ def chain_statistics(chain, roofs: np.ndarray,
         base = layer
     hist = np.full(cfg.height_bins, 1.0 / cfg.height_bins)
     return EmpiricalMeasure(freqs, hist, n_sym)
+
+
+def phihat_on_states(mu, phi):
+    """Fiber integrals of phi on the measure's state alphabet.  When the
+    potential needs more symbols than the state words provide, average over
+    the state paths that continue them, weighted by the kernel; a state
+    shows the last symbol of its word."""
+    words = mu.base.words
+    more = phi.width - min(map(len, words))
+    P = mu.base.transition
+    paths = _words(P > 0, more + 1)
+    prob = np.prod(P[paths[:, :-1], paths[:, 1:]], axis=1)
+    vals = [phi.value(words[p[0]] + tuple(words[j][-1] for j in p[1:]))
+            for p in paths.tolist()]
+    return np.bincount(paths[:, 0], prob * vals,
+                       len(words)) * mu.roof.array
+
+
+def flow_mean(mu, phi) -> float:
+    """int phi dmu as the stationary average of the per-state fiber
+    integrals over the mean roof."""
+    return float(np.dot(mu.base.stationary,
+                        phihat_on_states(mu, phi))) / mu.mean_roof
+
+
+def markov_entropy(chain) -> float:
+    """-sum pi_a P_ab log P_ab over the whole kernel, log 0 masked to 0."""
+    P = chain.transition
+    pi = chain.stationary
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lp = np.where(P > 0, np.log(np.where(P > 0, P, 1.0)), 0.0)
+    return float(-(pi[:, None] * P * lp).sum())
 
 
 def weak_star_distance(a, b, cfg: WeakStarConfig = WeakStarConfig(),

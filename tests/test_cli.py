@@ -218,6 +218,41 @@ def test_samples_below_one_is_a_usage_error(capsys, subcommand, samples):
     assert f"--samples must be at least 1, got {samples}" in err
 
 
+# the model flags each subcommand needs, so that only the number is wrong
+MODEL_FLAGS = {
+    "glue": ["--sft", "golden.json", "--seed", "7"],
+    "gibbs": ["--sft", "full2.json", "--potential", "phi_small.json",
+              "--samples", "10", "--seed", "1"],
+    "ldp": ["--sft", "full2.json", "--psi", "psi_ind1.json", "--samples",
+            "10", "--seed", "1"],
+    "pressure": ["--sft", "full2.json", "--potential", "zero.json"],
+    "entropy-dense": ["--sft", "full2.json", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("subcommand, flag, value", [
+    ("glue", "--delta", "0"), ("glue", "--delta", "-0.1"),
+    ("glue", "--delta", "inf"), ("gibbs", "--delta", "0"),
+    ("gibbs", "--delta", "-0.1"), ("gibbs", "--delta", "nan"),
+    ("ldp", "--epsilon", "nan"), ("ldp", "--epsilon", "-0.1"),
+    ("ldp", "--epsilon", "0.1,inf"), ("ldp", "--t-grid", "0"),
+    ("ldp", "--t-grid", "5,nan"), ("gibbs", "--t-grid", "-5"),
+    ("pressure", "--max-period", "-3"), ("pressure", "--max-period", "0"),
+    ("entropy-dense", "--eta", "0"), ("entropy-dense", "--eta", "nan"),
+])
+def test_numeric_flag_out_of_range_is_a_usage_error(capsys, subcommand,
+                                                    flag, value):
+    """--delta, --eta, --max-period and --t-grid values must be finite and
+    positive, --epsilon values finite and >= 0; anything else exits 64
+    before any computation (delta <= 0 used to loop forever)."""
+    argv = [subcommand] + [data_path(a) if a.endswith(".json") else a
+                           for a in MODEL_FLAGS[subcommand]]
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert code == 64
+    assert f"error: {flag} must be finite and " in err
+    assert out == ""
+
+
 def test_entropy_dense_requires_eta(capsys):
     code, _, err = run_cli(capsys, "entropy-dense", "--sft",
                            data_path("full2.json"), "--seed", "0")

@@ -11,6 +11,7 @@ import pytest
 from scipy.stats import chisquare
 
 from box_reference import pair_stat_counts
+from chain_reference import build_block_chain
 
 from thermoflow import (
     ApproxTarget,
@@ -25,18 +26,21 @@ from thermoflow import (
     Suspension,
     WeakSpecificationError,
     WeakStarConfig,
-    chain_statistics,
     entropy_and_mean,
     ergodic_approximation,
     glue_countable,
     glue_generic_family,
     glue_words,
+    graph_suspension,
+    measure_statistics,
     mixture_entropy,
     mixture_statistics,
+    random_markov_measure,
     separated_generic_set,
     weak_star_distance,
 )
-from thermoflow.entropy_density import _box_cells, _sample_from_box
+from thermoflow.entropy_density import (_box_cells, _build_block_chain,
+                                        _sample_from_box)
 from thermoflow.sft import _close_word, is_admissible_word
 
 CFG = WeakStarConfig()
@@ -328,7 +332,7 @@ def test_ergodic_approximation_standard_mixture(full2_unit):
     assert abs(rep.h_mu - h9) < 1e-12
     assert abs(rep.h_nu - h9) < 0.05
     # the approximant is itself ergodic with the reported statistics
-    stats = chain_statistics(rep.nu, rep.roofs, CFG)
+    stats = measure_statistics(rep.nu, CFG)
     lam = mixture_statistics(target, full2_unit.roof, CFG)
     assert abs(weak_star_distance(stats, lam, CFG) - rep.D) < 1e-12
     # counting certificate: the glued-family rate clears the lower bound
@@ -342,11 +346,50 @@ def test_ergodic_approximation_standard_mixture(full2_unit):
                       "block_checks"}
 
 
+@pytest.mark.parametrize("L", [12, 100])
+@pytest.mark.parametrize("weights", [(0.3, 0.7), (0.2, 0.3, 0.5)])
+@pytest.mark.parametrize("model", ["full2_unit", "golden12", "rose2",
+                                   "theta"])
+def test_block_chain_matches_dict_reference(model, weights, L, request):
+    """The block chain placed by index arithmetic is the chain the dict
+    builder adds state by state: the same kernel, state words and roofs
+    exactly, and a stationary vector within 1e-15, on seeded random
+    components."""
+    system = request.getfixturevalue(model)
+    if not isinstance(system, Suspension):
+        system = graph_suspension(system)
+    rng = np.random.default_rng(L + len(weights))
+    target = ApproxTarget(tuple((random_markov_measure(system.sft, rng), a)
+                                for a in weights), 0.1)
+    nu = _build_block_chain(system, target, L)
+    chain, emit, roofs = build_block_chain(system, target, L)
+    np.testing.assert_array_equal(nu.base.transition, chain.transition)
+    assert nu.base.words == chain.words
+    np.testing.assert_array_equal(nu.roof.array, roofs)
+    np.testing.assert_allclose(nu.base.stationary, chain.stationary,
+                               rtol=0, atol=1e-15)
+
+
+def test_ergodic_approximation_small_eta_picks_its_own_gluing_time(
+        full2_unit):
+    """At eta = 0.01 each component's share of the gluing time holds the
+    4 / eta = 400 symbols its separated set needs (t = 800, not 793.75,
+    which raised "increase t"), and the approximation and its count
+    certificate hold."""
+    eta = 0.01
+    rep = ergodic_approximation(full2_unit, standard_mixture(eta), CFG,
+                                seed=0)
+    assert rep.D < eta and abs(rep.h_nu - rep.h_mu) < eta
+    cert = rep.count_certificate
+    assert cert["t"] == 800.0
+    assert cert["log_Em_rate"] > cert["bound"]
+
+
 def test_ergodic_approximation_single_component(full2_unit):
     mu = bernoulli(0.5)
     target = ApproxTarget(((mu, 1.0),), 0.05)
     rep = ergodic_approximation(full2_unit, target, CFG, seed=0)
-    assert rep.nu is mu
+    assert rep.nu.base is mu
     assert rep.D == 0.0
     assert abs(rep.h_nu - math.log(2)) < 1e-12
     assert "single ergodic component" in rep.count_certificate["note"]

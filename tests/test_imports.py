@@ -229,6 +229,26 @@ def test_every_parameter_is_set_by_some_call():
     assert unset_parameters(library, callers) == []
 
 
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py"))
+                                         - {SRC / "__init__.py"}),
+                         ids=lambda p: p.name)
+def test_all_lists_own_definitions(path):
+    """Every function or class a module's __all__ names is defined in that
+    module, not re-exported from another, and the package exports it: by
+    name, or with its module when the package exports the module (io)."""
+    import importlib
+    import inspect
+
+    import thermoflow
+    module = importlib.import_module(f"thermoflow.{path.stem}")
+    for name in getattr(module, "__all__", ()):
+        obj = getattr(module, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            assert obj.__module__ == module.__name__, name
+            assert name in thermoflow.__all__ \
+                or path.stem in thermoflow.__all__, name
+
+
 def scipy_imports(source: str) -> list:
     """(enclosing top-level name or None, module) for each import of scipy
     or a scipy submodule in `source`."""

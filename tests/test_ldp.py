@@ -139,7 +139,7 @@ def test_statistics_match_dict_reference(name, depth, full2_unit, golden12,
     weak* distance between them, on seeded inputs."""
     import stats_reference as ref
     from cycle_reference import reference_weighted_measure
-    from thermoflow import (ApproxTarget, SuspendedMeasure, chain_statistics,
+    from thermoflow import (ApproxTarget, SuspendedMeasure,
                             mixture_statistics, random_markov_measure)
     from thermoflow.entropy_density import _build_block_chain
     from thermoflow.sft import _close_word
@@ -159,13 +159,13 @@ def test_statistics_match_dict_reference(name, depth, full2_unit, golden12,
 
     target = ApproxTarget(((random_markov_measure(sft, rng), 0.3),
                            (random_markov_measure(sft, rng), 0.7)), 0.1)
-    chain, _, roofs = _build_block_chain(system, target, 12)
+    chain = _build_block_chain(system, target, 12)
     mu = SuspendedMeasure(target.components[0][0], system.roof)
     pairs = [(measure_statistics(mu, cfg), ref.measure_statistics(mu, cfg)),
              (mixture_statistics(target, system.roof, cfg),
               ref.mixture_statistics(target, system.roof, cfg)),
-             (chain_statistics(chain, roofs, cfg),
-              ref.chain_statistics(chain, roofs, cfg))]
+             (measure_statistics(chain, cfg),
+              ref.chain_statistics(chain.base, chain.roof.array, cfg))]
     for length in (1, 3, 7):
         w = closed_word(length)
         pairs.append((orbit_measure(system, w, cfg),
@@ -603,6 +603,17 @@ def test_deviation_frequency_reads_state_words(full2_unit):
     a = deviation_frequency(full2_unit, named, ind1(), 0.1, 30.0, 2000, 1)
     b = deviation_frequency(full2_unit, plain, ind0, 0.1, 30.0, 2000, 1)
     assert a == b and a.hits > 0
+
+
+@pytest.mark.parametrize("eps, t", [(0.1, 0.0), (0.1, -5.0),
+                                    (0.1, math.inf), (-0.1, 20.0),
+                                    (math.nan, 20.0), (math.inf, 20.0)])
+def test_deviation_frequency_rejects_bad_eps_and_t(full2_unit, eps, t):
+    """t must be finite and positive, eps finite and >= 0: a negative eps
+    counted every sample, a NaN none, and t = 0 divided by zero."""
+    mu = equilibrium_state(full2_unit, zero_potential())
+    with pytest.raises(ValueError, match="must be"):
+        deviation_frequency(full2_unit, mu, ind1(), eps, t, 100, 7)
 
 
 def test_deviation_frequency_eps_zero(full2_unit):

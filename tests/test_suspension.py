@@ -1,9 +1,11 @@
 """Suspension flows: evolution, the chain metric on the mapping torus,
 shadowing, gluing, and periodic closing."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from thermoflow import (
@@ -17,7 +19,8 @@ from thermoflow import (
     min_gap_bound,
 )
 
-from thermoflow.suspension import _locate, _pieces, _row_integrals
+from thermoflow.suspension import (_forced_depth, _locate, _pieces,
+                                   _row_integrals)
 
 from test_sft import random_irreducible_sft, _random_word
 
@@ -343,3 +346,18 @@ def test_margin_and_transition_bound(golden12):
     assert Suspension.margin(0.1) == 2
     tau = min_gap_bound(golden12.sft)
     assert golden12.transition_bound(0.3) == (tau + 2) * golden12.roof.max
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, math.inf, math.nan])
+def test_scale_must_be_positive_and_finite(golden12, delta):
+    """The forced depth of a delta-ball, and so the margin, the transition
+    bound, gluing and closing, raise ValueError unless 0 < delta < inf;
+    delta <= 0 used to loop forever."""
+    seg = OrbitSegment(golden12.point(BiWord.periodic((0, 1)), 0.0), 2.0)
+    calls = [lambda: _forced_depth(delta), lambda: Suspension.margin(delta),
+             lambda: golden12.transition_bound(delta),
+             lambda: golden12.glue_segments([seg, seg], delta),
+             lambda: golden12.close_segment(seg, delta)]
+    for call in calls:
+        with pytest.raises(ValueError, match="positive and finite"):
+            call()

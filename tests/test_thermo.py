@@ -33,10 +33,11 @@ from thermoflow import (
 from thermoflow import io as tfio
 from thermoflow.sft import _close_word, _words
 from thermoflow.thermo import (_EIG_MAX_N, _Transitions, _gibbs_data,
-                                _perron, _prepare)
+                                _perron, _prepare, _stationary_vector)
 
 import birkhoff_reference
 import perron_reference
+import stats_reference
 from conftest import data_path
 from cycle_reference import primitive_orbits
 
@@ -416,6 +417,61 @@ def test_mean_of_wider_potential_sums_over_continuations(golden12, rose2):
         assert abs(entropy_and_mean(mu, psi)[1] - want) <= 1e-12
 
 
+@pytest.mark.parametrize("model", ["full2_unit", "golden12", "rose2",
+                                   "theta"])
+def test_path_table_matches_state_reference(model, request):
+    """entropy_and_mean and MarkovMeasure.entropy, read off the one state
+    path table, agree within 1e-14 with the per-state fiber integrals and
+    the masked-log kernel entropy: widths 1-3 of psi under equilibrium
+    states of widths 1-3 (block-recoded bases) and under random width-1
+    measures, seeded."""
+    system = request.getfixturevalue(model)
+    if not isinstance(system, Suspension):
+        system = graph_suspension(system)
+    sft = system.sft
+    rng = np.random.default_rng(17)
+
+    def potential(width):
+        return CylinderPotential(width, {
+            tuple(w): float(rng.normal())
+            for w in _words(sft.transitions, width).tolist()})
+
+    for width in (1, 2, 3):
+        measures = [equilibrium_state(system, potential(width)),
+                    SuspendedMeasure(random_markov_measure(sft, rng),
+                                     system.roof)]
+        for mu in measures:
+            h = stats_reference.markov_entropy(mu.base) / mu.mean_roof
+            assert abs(mu.base.entropy()
+                       - stats_reference.markov_entropy(mu.base)) <= 1e-14
+            for psi_width in (1, 2, 3):
+                psi = potential(psi_width)
+                got = entropy_and_mean(mu, psi)
+                assert abs(got[0] - h) <= 1e-14
+                assert abs(got[1] - stats_reference.flow_mean(mu, psi)) \
+                    <= 1e-14, (width, psi_width)
+
+
+def test_stationary_vector_on_reducible_kernels():
+    """Two closed classes make the direct solve singular, and the lstsq
+    fallback takes the least-norm stationary vector: (1/2, 1/2) for the
+    identity, the lstsq solution of the same system for a 4-state kernel
+    of two 2-state classes."""
+    np.testing.assert_array_equal(_stationary_vector(np.eye(2)), [0.5, 0.5])
+    P = np.array([[0.5, 0.5, 0.0, 0.0], [0.25, 0.75, 0.0, 0.0],
+                  [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.75, 0.25]])
+    A = P.T - np.eye(4)
+    A[-1] = 1.0
+    b = np.array([0.0, 0.0, 0.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(A, b)
+    want = np.linalg.lstsq(A, b, rcond=None)[0]
+    pi = _stationary_vector(P)
+    np.testing.assert_allclose(pi, want / want.sum(), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(pi @ P, pi, rtol=0, atol=1e-15)
+    assert pi.min() > 0
+
+
 def test_variational_principle(full2_unit, golden12):
     rng = np.random.default_rng(41)
     for system in (full2_unit, golden12):
@@ -504,6 +560,14 @@ def test_gibbs_rho_validation(full2_unit):
     mu = equilibrium_state(full2_unit, zero_potential())
     with pytest.raises(ValueError, match="above expansivity scale"):
         gibbs_ratio_stats(full2_unit, mu, zero_potential(), rho=0.5,
+                          t_grid=[5.0], samples=10, seed=1)
+
+
+@pytest.mark.parametrize("rho", [0.0, -0.1, math.nan])
+def test_gibbs_rho_must_be_positive(full2_unit, rho):
+    mu = equilibrium_state(full2_unit, zero_potential())
+    with pytest.raises(ValueError, match="positive and finite"):
+        gibbs_ratio_stats(full2_unit, mu, zero_potential(), rho=rho,
                           t_grid=[5.0], samples=10, seed=1)
 
 
