@@ -29,7 +29,8 @@ from .ldp import (EmpiricalMeasure, WeakStarConfig, _segment_distances,
 from .sft import (BiWord, Sft, WeakSpecificationError, _close_word,
                   _glue_blocks, glue_words, is_irreducible, min_gap_bound)
 from .suspension import Roof, SuspPoint, Suspension, _fiber_times, _locate
-from .thermo import MarkovMeasure, SuspendedMeasure, entropy_and_mean
+from .thermo import (MarkovMeasure, SuspendedMeasure, _check_support,
+                     entropy_and_mean)
 
 __all__ = [
     "ApproxTarget",
@@ -194,6 +195,7 @@ def separated_generic_set(system: Suspension, mu: MarkovMeasure,
     if not is_irreducible(system.sft):
         raise WeakSpecificationError(
             "exact box counting needs an irreducible base shift")
+    _check_support(system.sft, mu)
     flow_mu = SuspendedMeasure(mu, system.roof)
     if not (h < entropy_and_mean(flow_mu, None)[0]):
         raise ValueError("h must be strictly below the measure's entropy")
@@ -361,14 +363,13 @@ def _build_block_chain(system: Suspension, target: ApproxTarget,
     src, dst, prob = [], [], []
     for i, ((mu, _), Li) in enumerate(zip(comps, lengths)):
         # kernel steps (j, a) -> (j + 1, b) for j < L_i - 1
-        a, b = np.nonzero(mu.transition > 0)
-        j = np.repeat(np.arange(Li - 1), len(a))
-        a, b = np.tile(a, Li - 1), np.tile(b, Li - 1)
+        j = np.repeat(np.arange(Li - 1), len(mu.src))
+        a, b, p = (np.tile(x, Li - 1) for x in (mu.src, mu.dst, mu.prob))
         keep = (j > 0) | (a == starts[i])
         j, a, b = j[keep], a[keep], b[keep]
         src.append(first[i] + np.where(j > 0, 1 + (j - 1) * n + a, 0))
         dst.append(first[i] + 1 + j * n + b)
-        prob.append(mu.transition[a, b])
+        prob.append(p[keep])
         # from each last symbol along its glue word to the next start
         nxt = (i + 1) % len(comps)
         for last in range(n):
@@ -380,10 +381,10 @@ def _build_block_chain(system: Suspension, target: ApproxTarget,
             src.append(path[:-1])
             dst.append(path[1:])
             prob.append(np.ones(len(path) - 1))
-    P = np.zeros((len(emit), len(emit)))
-    P[np.concatenate(src), np.concatenate(dst)] = np.concatenate(prob)
-    return SuspendedMeasure(MarkovMeasure(P, words=[(s,) for s in emit]),
-                            Roof([system.roof[s] for s in emit]))
+    chain = MarkovMeasure.from_edges(
+        len(emit), *map(np.concatenate, (src, dst, prob)),
+        words=[(s,) for s in emit])
+    return SuspendedMeasure(chain, Roof([system.roof[s] for s in emit]))
 
 
 @dataclass(frozen=True)

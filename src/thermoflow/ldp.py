@@ -30,9 +30,10 @@ from .sft import _shortest_paths
 from .suspension import Roof, SuspPoint, Suspension, _pieces, _row_integrals
 from .thermo import (CylinderPotential, NonConvergenceError, SuspendedMeasure,
                      _Transitions, _bracketed_root, _check_spectral,
-                     _gibbs_data, _orbit_sums, _prepare, _sample_orbits,
-                     _spectral_root, _state_paths, _stationary_vector,
-                     block_recode, entropy_and_mean, zero_potential)
+                     _check_support, _gibbs_data, _orbit_sums, _prepare,
+                     _sample_orbits, _spectral_root, _state_paths,
+                     _stationary_vector, block_recode, entropy_and_mean,
+                     zero_potential)
 
 __all__ = [
     "WeakStarConfig",
@@ -491,9 +492,7 @@ def _circulation(src, dst, r) -> np.ndarray:
     positive circulation."""
     m = int(src.max()) + 1
     deg = np.bincount(src, minlength=m)
-    P = np.zeros((m, m))
-    P[src, dst] = 1.0 / deg[src]
-    y = _stationary_vector(P)[src] / deg[src]
+    y = _stationary_vector(m, src, dst, 1.0 / deg[src])[src] / deg[src]
     return y / (r @ y)
 
 
@@ -615,8 +614,7 @@ def deviation_frequency(system: Suspension, m: SuspendedMeasure,
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     if psi.width != 1:
         raise ValueError("deviation_frequency supports width-1 psi")
-    if any(len(w) != 1 for w in m.base.words):
-        raise ValueError("width-1 base measure required")
+    _check_support(system.sft, m.base)
     rng = np.random.default_rng(seed)
     mbar = entropy_and_mean(m, psi)[1]
     psi_v = np.array([psi.value(w) for w in m.base.words])

@@ -133,13 +133,19 @@ def is_admissible_word(sft: Sft, word) -> bool:
     return all(sft.allowed(a, b) for a, b in zip(w, w[1:]))
 
 
-def _words(A, w: int) -> np.ndarray:
-    """The words of length w admissible for the 0/1 matrix A, as the rows
-    of an int array in lexicographic order."""
-    W = np.arange(len(A))[:, None]
+def _words(edges, w: int) -> np.ndarray:
+    """The words of length w along the edges (src, dst) in row-major order
+    on states 0..n-1, every state with an out-edge, as the rows of an int
+    array in lexicographic order: each step repeats a row once for each
+    successor of its last state."""
+    src, dst = edges
+    degree = np.bincount(src)
+    ends = np.cumsum(degree)  # one past the last edge of each state
+    W = np.arange(len(degree))[:, None]
     for _ in range(w - 1):
-        i, j = np.nonzero(A[W[:, -1]])
-        W = np.column_stack([W[i], j])
+        k = degree[W[:, -1]]
+        edge = np.repeat(ends[W[:, -1]] - k.cumsum(), k) + np.arange(k.sum())
+        W = np.column_stack([np.repeat(W, k, axis=0), dst[edge]])
     return W
 
 

@@ -25,9 +25,14 @@ closed-orbit sums from one lattice engine (`_orbit_sums`), which needs
 rational roof values and L t <= _MAX_TICKS ticks on the lattice 1/L.
 
 Equilibrium states are built from Perron eigendata (Parry/Gibbs kernel),
-on the w-block recoding when the potential has width w > 1.  Statistics,
-flow means and entropy of a Markov measure read one table of its state
-paths (`_state_paths`); flow entropy is the Abramov quotient.
+on the w-block recoding when the potential has width w > 1.  A Markov
+kernel is one edge list of its positive entries in row-major order (as
+`Sft._edges`); only the stationary solve and the `transition` view make
+it dense.  Statistics, flow means and entropy read one table of its state
+paths (`_state_paths`).  Sampled paths step along the edges, the last
+successor of a state taking every u above the threshold before it, also
+where round-off leaves its row's sum short of 1.  Flow entropy is the
+Abramov quotient.
 """
 
 from __future__ import annotations
@@ -84,7 +89,12 @@ class CylinderPotential:
             {tuple(k): float(v) for k, v in self.table.items()})
 
     def value(self, word) -> float:
-        return self.table[tuple(word[: self.width])]
+        key = tuple(word[: self.width])
+        try:
+            return self.table[key]
+        except KeyError:
+            raise ValueError(f"the width-{self.width} potential table has "
+                             f"no value for the word {key}") from None
 
 
 def zero_potential() -> CylinderPotential:
@@ -93,9 +103,6 @@ def zero_potential() -> CylinderPotential:
     class _ZeroTable(dict):
         def __missing__(self, key):
             return 0.0
-
-        def __contains__(self, key):
-            return True
 
     p = CylinderPotential(1, {})
     object.__setattr__(p, "table", _ZeroTable())
@@ -108,63 +115,99 @@ def zero_potential() -> CylinderPotential:
 
 
 class MarkovMeasure:
-    """Shift-invariant Markov measure: stochastic kernel supported on the
-    SFT transitions plus its stationary vector.  `words` names each state
+    """Shift-invariant Markov measure: a stochastic kernel supported on the
+    SFT transitions plus its stationary vector.  The kernel is one edge
+    list of its positive entries, src -> dst with probability prob, in
+    row-major order (that of `Sft._edges`); `transition` is a dense
+    read-only view of it, built on first read.  `words` names each state
     by a block of original symbols (single symbols by default)."""
 
     def __init__(self, transition, stationary=None, words=None):
         P = np.asarray(transition, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("kernel must be square")
-        rs = P.sum(axis=1)
-        if np.any(np.abs(rs - 1.0) > 1e-9):
+        src, dst = np.nonzero(P)
+        self._set(src, dst, P[src, dst], P.sum(axis=1), stationary, words)
+
+    @classmethod
+    def from_edges(cls, n: int, src, dst, prob, stationary=None, words=None):
+        """The measure of the entries prob on the edges src -> dst, in any
+        order, of states 0..n-1."""
+        order = np.lexsort((dst, src))
+        src, dst, prob = (np.asarray(a)[order] for a in (src, dst, prob))
+        mu = cls.__new__(cls)
+        mu._set(src, dst, prob, np.bincount(src, prob, n), stationary, words)
+        return mu
+
+    def _set(self, src, dst, prob, row_sums, stationary, words):
+        if not np.all(np.isfinite(prob) & (prob >= 0)):
+            raise ValueError("kernel entries must be finite and >= 0")
+        if np.any(np.abs(row_sums - 1.0) > 1e-9):
             raise ValueError("kernel rows must sum to 1")
-        P = P / rs[:, None]
-        self.transition = P
-        n = P.shape[0]
+        n, keep = len(row_sums), prob > 0
+        self.n_states, self.src, self.dst = n, src[keep], dst[keep]
+        self.prob = prob[keep] / row_sums[self.src]
         if stationary is None:
-            stationary = _stationary_vector(P)
+            stationary = _stationary_vector(n, self.src, self.dst, self.prob)
         pi = np.asarray(stationary, dtype=float)
         pi = pi / pi.sum()
-        if np.max(np.abs(pi @ P - pi)) > 1e-9:
+        if np.max(np.abs(np.bincount(self.dst, pi[self.src] * self.prob, n)
+                         - pi)) > 1e-9:
             raise ValueError("stationary vector does not satisfy pi P = pi")
         self.stationary = pi
         if words is None:
             words = tuple((i,) for i in range(n))
         self.words = tuple(tuple(w) for w in words)
 
-    @property
-    def n_states(self) -> int:
-        return self.transition.shape[0]
+    @cached_property
+    def transition(self) -> np.ndarray:
+        P = np.zeros((self.n_states, self.n_states))
+        P[self.src, self.dst] = self.prob
+        P.setflags(write=False)
+        return P
+
+    def _edge(self, a, b) -> np.ndarray:
+        """The edge-list index of each step a -> b."""
+        n = self.n_states
+        return np.searchsorted(self.src * n + self.dst, a * n + b)
 
     def entropy(self) -> float:
-        """-sum nu(a b) log P(a, b) over the state pairs a b."""
-        paths, nu = _state_paths(self, 2)
-        a, b = paths.T
-        return float(-(nu * np.log(self.transition[a, b])).sum())
+        """-sum nu(a b) log P(a, b) over the edges a -> b."""
+        nu = self.stationary[self.src] * self.prob
+        return float(-(nu * np.log(self.prob)).sum())
 
     def sample_words(self, n: int, length: int, rng,
                      start_weights=None) -> np.ndarray:
         """n independent stationary sample paths, the (n, length) view of
-        a step-major array: a step fills one row, each next state being
-        the number of its predecessor's cumulative thresholds below u."""
-        thresholds = np.cumsum(self.transition, axis=1).T
+        a step-major array: a step fills one row.  The next state is the
+        successor in the slot that counts the predecessor's thresholds
+        below u, its row's cumulative sums with the last one made inf."""
+        starts = np.searchsorted(self.src, np.arange(self.n_states))
+        slot = np.arange(len(self.src)) - starts[self.src]
+        table = np.zeros((self.n_states, slot.max() + 1))
+        table[self.src, slot] = np.where(
+            np.diff(self.src, append=self.n_states), np.inf, self.prob)
+        thresholds = np.cumsum(table, axis=1)[:, :-1].T
         w0 = self.stationary if start_weights is None else \
             np.asarray(start_weights, float) / np.sum(start_weights)
         out = np.zeros((length, n), dtype=np.int64)
         out[0] = rng.choice(self.n_states, size=n, p=w0)
         for prev, row in zip(out[:-1], out[1:]):
             u = rng.random(n)
+            edge = starts.take(prev)
             for column in thresholds:
-                row += u > column.take(prev)
+                edge += u > column.take(prev)
+            self.dst.take(edge, out=row)
         return out.T
 
 
-def _stationary_vector(P: np.ndarray) -> np.ndarray:
-    """pi P = pi, sum pi = 1: one direct solve, the last balance equation
-    replaced by the normalization; lstsq (least norm) where more than one
-    closed class makes that singular."""
-    n = P.shape[0]
+def _stationary_vector(n: int, src, dst, prob) -> np.ndarray:
+    """pi P = pi, sum pi = 1 for the kernel P of the entries prob on the
+    edges src -> dst: one direct solve on the dense P, the last balance
+    equation replaced by the normalization; lstsq (least norm) where more
+    than one closed class makes that singular."""
+    P = np.zeros((n, n))
+    P[src, dst] = prob
     A = P.T - np.eye(n)
     A[-1] = 1.0
     b = np.zeros(n)
@@ -178,15 +221,26 @@ def _stationary_vector(P: np.ndarray) -> np.ndarray:
 
 
 def _state_paths(base: MarkovMeasure, length: int):
-    """(paths, nu): the state paths of `length` states along positive
-    kernel steps, as the rows of an int array in lexicographic order, and
-    their probabilities nu(p) = pi(p_0) P(p_0, p_1) ... P(p_-2, p_-1)."""
-    P = base.transition
-    paths = _words(P > 0, length)
+    """(paths, nu): the state paths of `length` states along the kernel's
+    edges, as the rows of an int array in lexicographic order, and their
+    probabilities nu(p) = pi(p_0) P(p_0, p_1) ... P(p_-2, p_-1)."""
+    paths = _words((base.src, base.dst), length)
     nu = base.stationary[paths[:, 0]]
     for a, b in zip(paths.T[:-1], paths.T[1:]):
-        nu = nu * P[a, b]
+        nu = nu * base.prob[base._edge(a, b)]
     return paths, nu
+
+
+def _check_support(sft: Sft, base: MarkovMeasure) -> None:
+    """ValueError unless base is a width-1 measure on transitions of the
+    SFT; the message names a transition the SFT forbids."""
+    if any(len(w) != 1 for w in base.words):
+        raise ValueError("width-1 base measure required")
+    a, b = (np.ravel(base.words)[s] for s in (base.src, base.dst))
+    bad = np.flatnonzero(~sft.transitions[a, b])
+    if bad.size:
+        raise ValueError(f"the measure puts mass on the transition "
+                         f"{a[bad[0]]} -> {b[bad[0]]}, which the SFT forbids")
 
 
 @dataclass(frozen=True)
@@ -226,17 +280,18 @@ def block_recode(sft: Sft, roof: Roof, w: int):
     which the word construction already guarantees)."""
     if w == 1:
         return sft, roof, tuple((s,) for s in range(sft.n_symbols))
-    W = _words(sft.transitions, w)
-    # the rows of W are sorted, so are their base-n values: u + (b,) leads
-    # to the state whose value is (value(u) mod n^(w-1)) n + b
-    n = sft.n_symbols
-    key = np.ravel_multi_index(W.T, (n,) * w)
-    i, b = np.nonzero(sft.transitions[W[:, -1]])
-    j = np.searchsorted(key, key[i] % n ** (w - 1) * n + b)
+    # the rows u + (b,) of the (w + 1)-words are the edges u -> u[1:] + (b,)
+    # in row-major order, and every w-word u has one; the rows are sorted,
+    # so are the base-n keys of their first and last w symbols
+    U = _words(sft._edges, w + 1)
+    src, dst = (np.ravel_multi_index(V.T, (sft.n_symbols,) * w)
+                for V in (U[:, :-1], U[:, 1:]))
+    new = np.diff(src, prepend=-1) > 0
+    W, i, j = U[new, :-1], np.cumsum(new) - 1, np.searchsorted(src[new], dst)
     A = np.zeros((len(W), len(W)), bool)
     A[i, j] = True
     sft_w = Sft(A)
-    sft_w._edges = i, j  # in row-major order already: fill the cache
+    sft_w._edges = i, j  # fill the cache
     return (sft_w, Roof([roof[s] for s in W[:, 0].tolist()]),
             tuple(map(tuple, W.tolist())))
 
@@ -664,7 +719,7 @@ def _orbit_sums(system: Suspension, phi: CylinderPotential, t: float,
     if depth is None or not P:
         return L, counts, traces, None, None
 
-    W = _words(A, max(depth, phi.width) - phi.width + 1)  # state words
+    W = _words(sft_w._edges, max(depth, phi.width) - phi.width + 1)
     first, last = W[:, 0], W[:, -1]
     Rc = np.cumsum(R[W], axis=1)
     Fc = np.cumsum(phihat[W], axis=1)
@@ -713,11 +768,12 @@ def equilibrium_state(system: Suspension, phi) -> SuspendedMeasure:
     sft_w, roof_w, words, phihat = _prepare(system, phi)
     _, x, lam, v, u = _gibbs_data(_Transitions.of(sft_w), phihat,
                                   roof_w.array)
-    kernel = sft_w.transitions * (x * v)[None, :] / (lam * v[:, None])
-    kernel = kernel / kernel.sum(axis=1)[:, None]
+    src, dst = sft_w._edges
+    prob = (x * v)[dst] / (lam * v[src])
+    prob = prob / np.bincount(src, prob)[src]
     pi = u * v
     pi = pi / pi.sum()
-    base = MarkovMeasure(kernel, pi, words)
+    base = MarkovMeasure.from_edges(len(v), src, dst, prob, pi, words)
     return SuspendedMeasure(base, roof_w)
 
 
@@ -741,15 +797,10 @@ def entropy_and_mean(mu: SuspendedMeasure, phi) -> tuple:
 
 def random_markov_measure(sft: Sft, rng) -> MarkovMeasure:
     """A random fully-supported Markov measure on the SFT transitions."""
-    n = sft.n_symbols
-    P = np.zeros((n, n))
-    for i in range(n):
-        succ = sft.successors(i)
-        row = rng.random(len(succ)) + 0.05
-        row = row / row.sum()
-        for s, p in zip(succ, row):
-            P[i, s] = p
-    return MarkovMeasure(P)
+    src, dst = sft._edges
+    prob = rng.random(len(src)) + 0.05
+    return MarkovMeasure.from_edges(sft.n_symbols, src, dst,
+                                    prob / np.bincount(src, prob)[src])
 
 
 # ----------------------------------------------------------------------
@@ -769,8 +820,7 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
     Phi(x, t) and the occupied fiber c(t) off the sampled state paths."""
     if rho >= min(1.0, system.roof.min) / 4.0:
         raise ValueError("above expansivity scale")
-    if len(mu.base.words[0]) != 1:
-        raise ValueError("gibbs_ratio_stats needs a width-1 base measure")
+    _check_support(system.sft, mu.base)
     if not isinstance(phi, CylinderPotential):
         raise TypeError("cylinder potential required")
     if phi.width != 1:
@@ -785,8 +835,8 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
     win = (np.minimum(1.0, u + rho) - np.maximum(0.0, u - rho)) * r0
     # log_nu[:, d - 1]: log nu of the cylinder of the first d + 1 states;
     # the ball depth d = c + k_rho is at least 2, as rho < 1/4
-    log_nu = np.log(mu.base.stationary[paths[:, :1]]) + np.cumsum(
-        np.log(mu.base.transition[paths[:, :-1], paths[:, 1:]]), axis=1)
+    log_nu = np.log(mu.base.stationary[paths[:, :1]]) + np.cumsum(np.log(
+        mu.base.prob[mu.base._edge(paths[:, :-1], paths[:, 1:])]), axis=1)
     phi_v = np.array([phi.value(w) for w in mu.base.words])
     per_t = {}
     for t in t_grid:

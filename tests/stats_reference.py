@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from thermoflow import SuspendedMeasure, WeakStarConfig
-from thermoflow.sft import _words
+import kernel_reference
 
 
 def locate(symbol_at, lengths, h, k=0):
@@ -207,7 +207,7 @@ def phihat_on_states(mu, phi):
     words = mu.base.words
     more = phi.width - min(map(len, words))
     P = mu.base.transition
-    paths = _words(P > 0, more + 1)
+    paths = kernel_reference.words(P > 0, more + 1)
     prob = np.prod(P[paths[:, :-1], paths[:, 1:]], axis=1)
     vals = [phi.value(words[p[0]] + tuple(words[j][-1] for j in p[1:]))
             for p in paths.tolist()]

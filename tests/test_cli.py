@@ -176,6 +176,20 @@ def test_distance_potential_is_an_unknown_type(capsys, tmp_path):
     assert "unknown potential type 'distance'" in err
 
 
+@pytest.mark.parametrize("subcommand", ["pressure", "equilibrium"])
+def test_potential_missing_a_word_names_it(capsys, tmp_path, subcommand):
+    """A width-2 table on golden without the admissible word 10 exits 2,
+    and the message names the word and the table's width."""
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"type": "cylinder", "width": 2,
+                               "table": {"00": 0.1, "01": -0.2}}))
+    code, _, err = run_cli(capsys, subcommand, "--sft",
+                           data_path("golden.json"), "--potential", str(phi))
+    assert code == 2
+    assert "width-2 potential table has no value for the word (1, 0)" \
+        in err
+
+
 def test_graph_lengths_and_roof_values_read_alike():
     """Graph lengths and roof entries follow one rule: a JSON number is the
     binary fraction it stores, a string is parsed exactly."""

@@ -396,7 +396,7 @@ def _random_table(rng, sft, width, scale):
     from thermoflow.sft import _words
     return CylinderPotential(width, {
         tuple(w): float(rng.normal(0, scale))
-        for w in _words(sft.transitions, width).tolist()})
+        for w in _words(sft._edges, width).tolist()})
 
 
 def _methods_agree(system, phi, psi, fractions):

@@ -92,7 +92,7 @@ def test_birkhoff_matches_reference(model, request):
     for width in (1, 2, 3):
         phi = CylinderPotential(width, {
             tuple(w): float(rng.normal())
-            for w in _words(sft.transitions, width).tolist()})
+            for w in _words(sft._edges, width).tolist()})
         for i in range(20):
             word, n = [int(rng.integers(sft.n_symbols))], rng.integers(1, 9)
             while len(word) < n:
@@ -290,7 +290,7 @@ def _perron_corpus(request, cases):
         system = request.getfixturevalue(model)
         if isinstance(system, MetricGraph):
             system = graph_suspension(system)
-        words = _words(system.sft.transitions, width)
+        words = _words(system.sft._edges, width)
         phi = CylinderPotential(width, dict(zip(
             map(tuple, words.tolist()), rng.uniform(-1.0, 1.0, len(words)))))
         sft_w, roof_w, _, phihat = _prepare(system, phi)
@@ -338,7 +338,7 @@ def test_pressure_counts_perron_products(full2_unit, rose2):
     d = pressure(full2_unit, phi1(full2_unit.sft, [0.3, -0.1])).diagnostics
     assert d["perron_iterations"] == d["perron_solves"] > 0
     system = graph_suspension(rose2)
-    words = _words(system.sft.transitions, 4)
+    words = _words(system.sft._edges, 4)
     phi = CylinderPotential(4, {tuple(w): 0.1 * w[0] for w in words.tolist()})
     d = pressure(system, phi).diagnostics
     assert d["perron_iterations"] > 2 * d["perron_solves"] > 0
@@ -434,7 +434,7 @@ def test_path_table_matches_state_reference(model, request):
     def potential(width):
         return CylinderPotential(width, {
             tuple(w): float(rng.normal())
-            for w in _words(sft.transitions, width).tolist()})
+            for w in _words(sft._edges, width).tolist()})
 
     for width in (1, 2, 3):
         measures = [equilibrium_state(system, potential(width)),
@@ -457,7 +457,8 @@ def test_stationary_vector_on_reducible_kernels():
     fallback takes the least-norm stationary vector: (1/2, 1/2) for the
     identity, the lstsq solution of the same system for a 4-state kernel
     of two 2-state classes."""
-    np.testing.assert_array_equal(_stationary_vector(np.eye(2)), [0.5, 0.5])
+    np.testing.assert_array_equal(
+        _stationary_vector(2, [0, 1], [0, 1], [1.0, 1.0]), [0.5, 0.5])
     P = np.array([[0.5, 0.5, 0.0, 0.0], [0.25, 0.75, 0.0, 0.0],
                   [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.75, 0.25]])
     A = P.T - np.eye(4)
@@ -466,7 +467,8 @@ def test_stationary_vector_on_reducible_kernels():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(A, b)
     want = np.linalg.lstsq(A, b, rcond=None)[0]
-    pi = _stationary_vector(P)
+    src, dst = np.nonzero(P)
+    pi = _stationary_vector(4, src, dst, P[src, dst])
     np.testing.assert_allclose(pi, want / want.sum(), rtol=0, atol=1e-15)
     np.testing.assert_allclose(pi @ P, pi, rtol=0, atol=1e-15)
     assert pi.min() > 0
