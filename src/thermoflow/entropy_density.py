@@ -29,8 +29,8 @@ from .ldp import (EmpiricalMeasure, WeakStarConfig, _segment_distances,
 from .sft import (BiWord, Sft, WeakSpecificationError, _close_word,
                   _glue_blocks, glue_words, is_irreducible, min_gap_bound)
 from .suspension import Roof, SuspPoint, Suspension, _fiber_times, _locate
-from .thermo import (MarkovMeasure, SuspendedMeasure, _check_support,
-                     entropy_and_mean)
+from .thermo import (MarkovMeasure, NonConvergenceError, SuspendedMeasure,
+                     _check_support, entropy_and_mean)
 
 __all__ = [
     "ApproxTarget",
@@ -413,7 +413,8 @@ def ergodic_approximation(system: Suspension, target: ApproxTarget,
                           cfg: WeakStarConfig = WeakStarConfig(),
                           seed: int = 0) -> ApproximationReport:
     """An ergodic flow measure nu (the block chain) with D(lambda, nu) < eta
-    and |h_nu - h_lambda| < eta, plus the gluing count certificate."""
+    and |h_nu - h_lambda| < eta, plus the gluing count certificate
+    (NonConvergenceError where no gluing time it tries passes it)."""
     eta = target.eta
     comps = target.components
     lam_stats = mixture_statistics(target, system.roof, cfg)
@@ -441,18 +442,26 @@ def ergodic_approximation(system: Suspension, target: ApproxTarget,
             f"infeasible eta: switching overhead {overhead}/L limits the "
             f"achievable tolerance; minimal achievable eta ~ {min_eta:.4f}")
     # counting certificate from the glued family at a t in the valid regime,
-    # long enough that each component's share holds _min_block_length words
+    # long enough that each component's share holds _min_block_length
+    # words; t doubles while the count rate is not above its bound
     M_diam = _weak_star_diameter(cfg)
     t_glue = max(400.0, 2.0 * overhead * M_diam / eta,
                  *(_min_block_length(eta)
                    * SuspendedMeasure(m_, system.roof).mean_roof / a
                    for m_, a in comps))
-    fam = glue_generic_family(system, target, t_glue, m=3, seed=seed,
-                              cfg=cfg)
-    rate = fam.log_Em / (fam.t * fam.m)
-    bound = h_mu - eta - (sum(_flow_entropy(m_, system.roof)
-                              for m_, _ in comps)
-                          + math.log(fam.C)) / fam.t
+    for doubling in (1, 2, 4, 8):
+        fam = glue_generic_family(system, target, doubling * t_glue, m=3,
+                                  seed=seed, cfg=cfg)
+        rate = fam.log_Em / (fam.t * fam.m)
+        bound = h_mu - eta - (sum(_flow_entropy(m_, system.roof)
+                                  for m_, _ in comps)
+                              + math.log(fam.C)) / fam.t
+        if rate > bound:
+            break
+    else:
+        raise NonConvergenceError(
+            f"count certificate fails up to t = {fam.t:g}: log(#E_m)/(tm) "
+            f"= {rate:.6f} is not above the bound {bound:.6f}")
     return ApproximationReport(
         nu, eta, D, h_mu, h_nu, L,
         {"log_Em_rate": rate, "bound": bound, "k": fam.k_partition,

@@ -197,21 +197,16 @@ class Geodesic:
 # ----------------------------------------------------------------------
 
 
-def _agreement_run(w1, w2, i, j, lo, hi):
-    """Largest [km, kp] with w1(i+s) == w2(j+s) for all s in [-km, kp],
-    bounded by the coordinate windows [lo, hi] for both words (coordinates
-    i+s and j+s must stay within [lo, hi])."""
+def _agreement_run(w1, w2, window):
+    """Largest [km, kp] within [-window, window] with w1(s) == w2(s) for
+    all s in [-km, kp]."""
     kp = 0
-    while i + kp + 1 <= hi and j + kp + 1 <= hi \
-            and w1(i + kp + 1) == w2(j + kp + 1):
+    while kp < window and w1(kp + 1) == w2(kp + 1):
         kp += 1
-    hit_hi = (i + kp + 1 > hi) or (j + kp + 1 > hi)
     km = 0
-    while i - km - 1 >= lo and j - km - 1 >= lo \
-            and w1(i - km - 1) == w2(j - km - 1):
+    while km < window and w1(-km - 1) == w2(-km - 1):
         km += 1
-    hit_lo = (i - km - 1 < lo) or (j - km - 1 < lo)
-    return km, kp, hit_lo, hit_hi
+    return km, kp
 
 
 def _window(geo: Geodesic, nwin: int):
@@ -347,18 +342,16 @@ def lift_distance(g1: Geodesic, g2: Geodesic, t, window: int = 64):
     h1 = float(g1.susp.height)
     h2 = float(g2.susp.height)
     t = float(t)
-    # position coverage check
+    # position coverage check: a run cut by the window then ends past
+    # h1 + t and h2 + t, so the clamp below leaves them as they are
     lengths = g.roof.floats
     need = max(abs(h1 + t), abs(h2 + t)) + g.roof.max
     if window * g.roof.min < need:
         raise ValueError("insufficient unwinding")
     if w1(0) == w2(0):
-        km, kp, hit_lo, hit_hi = _agreement_run(w1, w2, 0, 0,
-                                                -window, window)
-        Lp = math.inf if hit_hi else math.fsum(
-            lengths[w1(k)] for k in range(kp + 1))
-        Lm = math.inf if hit_lo else math.fsum(
-            lengths[w1(k)] for k in range(-km, 0))
+        km, kp = _agreement_run(w1, w2, window)
+        Lp = math.fsum(lengths[w1(k)] for k in range(kp + 1))
+        Lm = math.fsum(lengths[w1(k)] for k in range(-km, 0))
         x = h1 + t
         y = h2 + t
         xc = min(max(x, -Lm), Lp)

@@ -29,11 +29,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .sft import _shortest_paths
 from .suspension import Roof, SuspPoint, Suspension, _pieces, _row_integrals
 from .thermo import (CylinderPotential, NonConvergenceError, SuspendedMeasure,
-                     _Transitions, _bracketed_root, _check_spectral,
-                     _check_support, _gibbs_data, _orbit_sums, _prepare,
-                     _sample_orbits, _spectral_root, _state_paths,
-                     _stationary_vector, block_recode, entropy_and_mean,
-                     zero_potential)
+                     _bracketed_root, _check_spectral, _check_support,
+                     _gibbs_data, _orbit_sums, _prepare, _sample_orbits,
+                     _spectral_root, _state_paths, _stationary_vector,
+                     block_recode, entropy_and_mean, zero_potential)
 
 __all__ = [
     "WeakStarConfig",
@@ -298,15 +297,14 @@ def rate_function(system: Suspension, phi, psi: CylinderPotential,
     r = roof_w.array
     phihat, psihat = (np.array([f.value(u) for u in words]) * r
                       for f in (phi, psi))
-    A = _Transitions.of(sft_w)
-    P0, mbar = _pressure_and_mean(A, phihat, psihat, r)
+    src, dst = sft_w._edges
+    P0, mbar = _pressure_and_mean(src, dst, phihat, psihat, r)
     lo_u, hi_u = _psi_range(system, psi)
     tol = 1e-12 * max(1.0, abs(lo_u), abs(hi_u))
-    src, dst = sft_w._edges
     faces = {hi_u: _face(src, dst, (psihat - hi_u * r)[src]),
              lo_u: _face(src, dst, (lo_u * r - psihat)[src])}
     if method == "legendre":
-        qtilde = _legendre(A, r, phihat, psihat, P0, mbar)
+        qtilde = _legendre(src, dst, r, phihat, psihat, P0, mbar)
     else:
         qtilde = _direct(src, dst, r[src], phihat[src], psihat[src], P0,
                          faces)
@@ -370,16 +368,16 @@ def _max_cycle_ratio(A: np.ndarray, num: np.ndarray,
         lam = ratio
 
 
-def _pressure_and_mean(A, phihat, psihat, r):
+def _pressure_and_mean(src, dst, phihat, psihat, r):
     """(P, m): the pressure of the fiber integrals phihat on the
-    transitions A and the psi mean <pi, psihat> / <pi, r> of its
+    transitions src -> dst and the psi mean <pi, psihat> / <pi, r> of its
     equilibrium state, pi = v u from one `_gibbs_data` solve."""
-    P, _, _, v, u = _gibbs_data(A, phihat, r)
+    P, _, _, v, u = _gibbs_data(len(r), src, dst, phihat, r)
     pi = v * u
     return P, float(pi @ psihat / (pi @ r))
 
 
-def _legendre(A, r, phihat, psihat, P0, mbar):
+def _legendre(src, dst, r, phihat, psihat, P0, mbar):
     """qtilde(u) = sup over beta in [-B, B] of beta u - Lambda(beta),
     Lambda(beta) = P(phi + beta psi) - P(phi), B = 40 / max|psi|.
     Lambda'(beta) is the psi mean of the equilibrium state of phi + beta
@@ -395,7 +393,8 @@ def _legendre(A, r, phihat, psihat, P0, mbar):
     curve = {0.0: 0.0}  # beta -> Lambda(beta)
 
     def slope(beta):
-        P, mean = _pressure_and_mean(A, phihat + beta * psihat, psihat, r)
+        P, mean = _pressure_and_mean(src, dst, phihat + beta * psihat,
+                                     psihat, r)
         curve[beta] = P - P0
         return mean
 
@@ -458,7 +457,7 @@ def _face_pressure(src, dst, phihat, r, method) -> float:
     m = int(src.max()) + 1
     phi_m, r_m = np.zeros(m), np.ones(m)
     phi_m[src], r_m[src] = phihat, r
-    return _spectral_root(_Transitions(m, src, dst), phi_m, r_m, 1e-12)[0]
+    return _spectral_root(m, src, dst, phi_m, r_m, 1e-12)[0]
 
 
 def _face(src, dst, weight) -> list:

@@ -8,11 +8,12 @@ Pressure is computed three ways:
   strictly decreasing in s, and the Illinois method locates its zero in a
   fixed bracket.  One kernel, `_perron`, finds every Perron root and
   accepts it on a Collatz-Wielandt certificate of relative width 1e-13.
-  Up to _EIG_MAX_N states it starts from a dense eigenvector and usually
-  stops at once; above, it runs a power iteration on M + lam I (lam the
-  running root estimate, which converges on periodic SFTs too),
-  warm-started from the last solve and applying M over the edge list of
-  A, so a block recode never builds a dense M.  `_perron` records how
+  It reads M as the edge list of A (`Sft._edges`) with one weight per
+  edge.  Up to _EIG_MAX_N states it starts from a dense eigenvector and
+  usually stops at once; above, it runs a power iteration on M + lam I
+  (lam the running root estimate, which converges on periodic SFTs too),
+  warm-started from the last solve and applying M over the edges, so a
+  block recode never builds a dense M.  `_perron` records how
   _EIG_MAX_N was measured.
 * ``separated``: growth-rate regression of exact phi-weighted partition
   sums Z(t) over words whose cumulative roof lands in (t - max r, t].
@@ -334,65 +335,11 @@ _PERRON_MAX_ITER = 100_000
 _EIG_MAX_N = 48
 
 
-class _Transitions:
-    """The 0/1 matrix A of the transfer matrices M = A diag(x), from its
-    edges src -> dst on states 0..n-1, every state with an out-edge.
-    `times(x)` is M: a dense array up to _EIG_MAX_N states, an
-    `_EdgeMatrix` above."""
-
-    def __init__(self, n: int, src, dst):
-        order = np.argsort(src, kind="stable")
-        self.n, self.src, self.dst = n, src[order], dst[order]
-        self.max_degree = int(np.bincount(src, minlength=n).max())
-        if n <= _EIG_MAX_N:
-            self.dense = np.zeros((n, n))
-            self.dense[src, dst] = 1.0
-        else:
-            self.starts = np.searchsorted(self.src, np.arange(n))
-
-    @classmethod
-    def of(cls, sft: Sft) -> "_Transitions":
-        return cls(sft.n_symbols, *sft._edges)
-
-    @cached_property
-    def T(self) -> "_Transitions":
-        return _Transitions(self.n, self.dst, self.src)
-
-    def times(self, x: np.ndarray):
-        if self.n <= _EIG_MAX_N:
-            return self.dense * x[None, :]
-        return _EdgeMatrix(self, x)
-
-
-class _EdgeMatrix:
-    """M = A diag(x) on the edge list of A: (M v)_a sums x_b v_b over the
-    edges a -> b, one `take` and one `np.add.reduceat` over the edges
-    sorted by source."""
-
-    def __init__(self, A: _Transitions, x: np.ndarray):
-        self.shape = (A.n, A.n)
-        self._dst, self._starts, self._x = A.dst, A.starts, x
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return np.add.reduceat((self._x * v).take(self._dst), self._starts)
-
-
-@dataclass(frozen=True)
-class _PerronSolve:
-    """The Perron root, the right Perron vector summing to 1, and the
-    number of products M v it took."""
-
-    root: float
-    vector: np.ndarray
-    steps: int
-
-    def __iter__(self):  # allows `lam, v = _perron(M)`
-        return iter((self.root, self.vector))
-
-
-def _perron(M, v0=None) -> _PerronSolve:
-    """Perron data of an irreducible non-negative n x n matrix M, applied
-    as M @ v: a dense array, or an `_EdgeMatrix`.
+def _perron(n: int, src, dst, weight, v0=None) -> tuple:
+    """(root, v, steps): the Perron root of an irreducible non-negative
+    n x n matrix M, its right Perron vector summing to 1, and the number
+    of products M v it took.  M holds weight[e] at (src[e], dst[e]), the
+    edges sorted by source.
 
     The certificate: the ratios (M v)_i / v_i bracket the Perron root
     (Collatz-Wielandt), so the relative width of their range bounds the
@@ -401,35 +348,47 @@ def _perron(M, v0=None) -> _PerronSolve:
     power step on M + lam I, whose shift makes the Perron root strictly
     dominant even when M is periodic.
 
-    The start depends on n.  Up to _EIG_MAX_N states, v is the eigenvector
-    of `np.linalg.eig` for the eigenvalue of largest real part, in absolute
-    value, and usually passes the certificate at once.  A non-finite M or
-    a seed with a zero entry falls back to the start of larger n: v0 if
-    given, else uniform.  The bound is where one eigendecomposition stops
-    paying for the power steps it saves.  With one BLAS thread, eig takes
-    about 20 us at n = 2, 370 us at 32, 950 us at 48 and 2 ms at 64, and a
+    The regime depends on n.  Up to _EIG_MAX_N states, M is dense and v
+    starts as the eigenvector of `np.linalg.eig` for the eigenvalue of
+    largest real part, in absolute value, and usually passes the
+    certificate at once.  A non-finite M or a seed with a zero entry falls
+    back to the start of larger n: v0 if given, else uniform.  Above, M v
+    is one `take` and one `np.add.reduceat` over the edges, with no dense
+    M built.  The bound is where one eigendecomposition stops paying for
+    the power steps it saves.  With one BLAS thread, eig takes about 20 us
+    at n = 2, 370 us at 32, 950 us at 48 and 2 ms at 64, and a
     warm-started solve 20 to 240 steps of about 10 us on the edge list,
     20 on rose2 and its block recodes, 100 or more where the second
     eigenvalue is close.  Timing `pressure` in both regimes on random
     SFTs of 32 to 64 states and on block recodes of golden, theta and
     rose2, eig was as fast or faster on every case up to 48 states but
     rose2 at 36 (1.35 times slower), the edge list on most above."""
-    n = M.shape[0]
     v = None
-    if n <= _EIG_MAX_N and np.isfinite(M).all():
-        vals, vecs = np.linalg.eig(M)
-        seed = np.abs(vecs[:, np.argmax(vals.real)])
-        if np.all(seed > 0):
-            v = seed / seed.sum()
+    if n <= _EIG_MAX_N:
+        M = np.zeros((n, n))
+        M[src, dst] = weight
+        if np.isfinite(M).all():
+            vals, vecs = np.linalg.eig(M)
+            seed = np.abs(vecs[:, np.argmax(vals.real)])
+            if np.all(seed > 0):
+                v = seed / seed.sum()
+
+        def times(v):
+            return M @ v
+    else:
+        starts = np.searchsorted(src, np.arange(n))
+
+        def times(v):
+            return np.add.reduceat(weight * v.take(dst), starts)
     if v is None:
         v = np.full(n, 1.0 / n) if v0 is None else v0 / v0.sum()
     for it in range(1, _PERRON_MAX_ITER + 1):
-        w = M @ v
+        w = times(v)
         lam = w.sum()
         r = w / v
         res = (r.max() - r.min()) / lam
         if res <= _PERRON_TOL:
-            return _PerronSolve(float(lam), v, it)
+            return float(lam), v, it
         if not math.isfinite(res):
             break
         v = 0.5 * (w / lam + v)
@@ -475,48 +434,50 @@ def _bracketed_root(f, lo: float, hi: float, flo: float, fhi: float,
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
-def _spectral_root(A: _Transitions, phihat: np.ndarray, roofs: np.ndarray,
+def _spectral_root(n: int, src, dst, phihat: np.ndarray, roofs: np.ndarray,
                    tol: float) -> tuple:
     """(root, half-width of the final bracket, last Perron vector, counts)
     of the decreasing s -> log Perron root of M(s) = A diag(e^{phihat - s
-    roofs}).  Every root is certified by `_perron` to relative width
-    _PERRON_TOL.  Up to _EIG_MAX_N states each M(s) is a dense array and
-    its solve starts from an eig seed; above, M(s) is applied over the
-    edge list of A, with no dense M built, and each solve starts from
-    the last one's vector.  counts holds the Perron solves and their
-    products M v."""
+    roofs}), A the 0/1 matrix of the edges src -> dst on states 0..n-1,
+    sorted by source.  Every root is certified by `_perron` to relative
+    width _PERRON_TOL; each solve above _EIG_MAX_N states starts from the
+    last one's vector.  counts holds the Perron solves and their products
+    M v."""
     v = None
     counts = {"perron_solves": 0, "perron_iterations": 0}
 
     def log_perron(s):
         nonlocal v
-        solve = _perron(A.times(np.exp(phihat - s * roofs)), v)
-        v = solve.vector
+        root, v, steps = _perron(n, src, dst,
+                                 np.exp(phihat - s * roofs)[dst], v)
         counts["perron_solves"] += 1
-        counts["perron_iterations"] += solve.steps
-        return math.log(solve.root)
+        counts["perron_iterations"] += steps
+        return math.log(root)
 
     # M(lo) >= A entrywise, so its Perron root is >= rho(A) >= 1; every row
     # of M(hi) sums to at most 1, so its Perron root is <= 1
     lo = float(np.min(phihat / roofs)) - 1e-12
     hi = float(np.max(phihat / roofs)) \
-        + math.log(A.max_degree) / roofs.min() + 1e-12
+        + math.log(np.bincount(src).max()) / roofs.min() + 1e-12
     root, half = _bracketed_root(log_perron, lo, hi, log_perron(lo),
                                  log_perron(hi), tol)
     return root, half, v, counts
 
 
-def _gibbs_data(A: _Transitions, phihat: np.ndarray, roofs: np.ndarray):
-    """(P, x, lam, v, u): the pressure P of the fiber integrals phihat,
-    the weights x = e^{phihat - P roofs} of M = A diag(x), and the Perron
-    root and the right and left Perron vectors of M.  The right solve
-    starts from the root's last vector.  The left vector is x y, y the
-    right Perron vector of A^T diag(x).  The equilibrium state is the
-    Markov chain M_ab v_b / (lam v_a) with stationary vector u v."""
-    P_val, _, v, _ = _spectral_root(A, phihat, roofs, 1e-12)
+def _gibbs_data(n: int, src, dst, phihat: np.ndarray, roofs: np.ndarray):
+    """(P, x, lam, v, u): the pressure P of the fiber integrals phihat on
+    the edges src -> dst (sorted by source), the weights x = e^{phihat - P
+    roofs} of M = A diag(x), and the Perron root and the right and left
+    Perron vectors of M.  The right solve starts from the root's last
+    vector.  The left vector is x y, y the right Perron vector of A^T
+    diag(x), over the reversed edges sorted by their new source.  The
+    equilibrium state is the Markov chain M_ab v_b / (lam v_a) with
+    stationary vector u v."""
+    P_val, _, v, _ = _spectral_root(n, src, dst, phihat, roofs, 1e-12)
     x = np.exp(phihat - P_val * roofs)
-    lam, v = _perron(A.times(x), v)
-    _, y = _perron(A.T.times(x))
+    lam, v, _ = _perron(n, src, dst, x[dst], v)
+    back = np.argsort(dst, kind="stable")
+    _, y, _ = _perron(n, dst[back], src[back], x[src[back]])
     return P_val, x, lam, v, x * y
 
 
@@ -537,8 +498,8 @@ def pressure(system: Suspension, phi, method: str = "spectral",
     sft_w, roof_w, words, phihat = _prepare(system, phi)
 
     if method == "spectral":
-        val, err, _, counts = _spectral_root(_Transitions.of(sft_w), phihat,
-                                             roof_w.array, tol)
+        val, err, _, counts = _spectral_root(
+            sft_w.n_symbols, *sft_w._edges, phihat, roof_w.array, tol)
         return PressureResult(val, err, "spectral",
                               {"bracket_width": 2 * err, **counts})
     if method == "separated":
@@ -766,9 +727,9 @@ def equilibrium_state(system: Suspension, phi) -> SuspendedMeasure:
     """The Gibbs/equilibrium measure of phi via Perron eigendata of
     M(P(phi))."""
     sft_w, roof_w, words, phihat = _prepare(system, phi)
-    _, x, lam, v, u = _gibbs_data(_Transitions.of(sft_w), phihat,
-                                  roof_w.array)
     src, dst = sft_w._edges
+    _, x, lam, v, u = _gibbs_data(len(words), src, dst, phihat,
+                                  roof_w.array)
     prob = (x * v)[dst] / (lam * v[src])
     prob = prob / np.bincount(src, prob)[src]
     pi = u * v

@@ -1,11 +1,12 @@
-"""The Perron solve before the eigenvector seed and the edge-list operator:
+"""The Perron solve before the eigenvector seed and the edge-list input:
 the oracle for `thermoflow.thermo._perron`.
 
 A shifted power iteration on a dense matrix from the uniform vector (or
 v0), stopped by the same Collatz-Wielandt certificate.  Every step is a
-dense matrix-vector product, so the library's two regimes (an
-`np.linalg.eig` seed on small matrices, `np.add.reduceat` over the edge
-list on large ones) are checked against one plain computation.
+dense matrix-vector product, so the library's two regimes on one edge
+list with a weight per edge (an `np.linalg.eig` seed on the dense matrix
+it scatters into, up to _EIG_MAX_N states, and `np.add.reduceat` over
+the edges above) are checked against one plain computation.
 """
 
 import math

@@ -4,11 +4,12 @@ determinism, logging control, and flag validation."""
 import csv
 import filecmp
 import json
+import math
 
 import pytest
 
-from thermoflow import (Roof, Sft, Suspension, equilibrium_state,
-                        gibbs_ratio_stats)
+from thermoflow import (Roof, Sft, Suspension, deviation_frequency,
+                        equilibrium_state, gibbs_ratio_stats, zero_potential)
 from thermoflow import io as tfio
 from thermoflow.cli import main
 
@@ -154,6 +155,33 @@ def test_ldp_singular_kkt_exits_3(capsys, tmp_path):
     assert "singular KKT matrix" in err
 
 
+def test_ldp_rates_and_monte_carlo_row(capsys, tmp_path):
+    """In process on full2 with psi the indicator of symbol 1 and eps =
+    0.1: both rate columns are the Cramer rate log 2 - H(0.6) of fair coin
+    flips within 1e-9, and the Monte Carlo row is a direct
+    `deviation_frequency` call with the run's seed, t = 50 and n."""
+    code, _, _ = run_cli(capsys, "ldp", "--sft", data_path("full2.json"),
+                         "--psi", data_path("psi_ind1.json"), "--epsilon",
+                         "0.1", "--samples", "400", "--seed", "5", "--out",
+                         str(tmp_path))
+    assert code == 0
+    with open(tmp_path / "rate_function.csv") as f:
+        (eps, q_leg, q_dir), = list(csv.reader(f))[2:]
+    q = math.log(2) + 0.6 * math.log(0.6) + 0.4 * math.log(0.4)
+    assert float(eps) == 0.1
+    assert abs(float(q_leg) - q) <= 1e-9
+    assert abs(float(q_dir) - q) <= 1e-9
+    with open(tmp_path / "deviation_mc.csv") as f:
+        (row,) = list(csv.reader(f))[2:]
+    system = Suspension(Sft([[1, 1], [1, 1]]), Roof([1.0, 1.0]))
+    psi = tfio.load_potential(tfio.read_json(data_path("psi_ind1.json")))
+    dev = deviation_frequency(system,
+                              equilibrium_state(system, zero_potential()),
+                              psi, 0.1, 50.0, 400, 5)
+    assert [float(x) for x in row] == [0.1, 50.0, dev.frequency,
+                                       dev.log_rate, dev.ci_low, dev.ci_high]
+
+
 def test_pressure_json_reports_perron_iterations(capsys, tmp_path):
     """pressure.json carries the Perron solves and their products M v."""
     code, _, _ = run_cli(capsys, "pressure", "--sft",
@@ -286,6 +314,21 @@ def test_entropy_dense_certificate_deterministic(capsys, tmp_path):
         assert cert.endswith("True")
     assert filecmp.cmp(dirs[0] / "entropy_dense.json",
                        dirs[1] / "entropy_dense.json", shallow=False)
+
+
+def test_entropy_dense_small_eta_doubles_the_gluing_time(capsys, tmp_path):
+    """At eta = 0.005 the count rate at the first gluing time, t = 1600,
+    is below its bound; the run doubles t once, where the certificate
+    holds, and exits 0."""
+    code, out, _ = run_cli(capsys, "entropy-dense", "--sft",
+                           data_path("full2.json"), "--eta", "0.005",
+                           "--seed", "0", "--out", str(tmp_path))
+    assert code == 0
+    cert = next(line for line in out.splitlines()
+                if line.startswith("count certificate:"))
+    assert cert.endswith("True")
+    with open(tmp_path / "entropy_dense.json") as f:
+        assert json.load(f)["count_certificate"]["t"] == 3200.0
 
 
 # --- artifacts ----------------------------------------------------------------

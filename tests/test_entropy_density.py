@@ -2,6 +2,7 @@
 sets, glued generic families with counting certificates, the block-chain
 ergodic approximation, and stable countable gluing."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -18,6 +19,7 @@ from thermoflow import (
     BiWord,
     EPS_SEP,
     MarkovMeasure,
+    NonConvergenceError,
     OrbitSegment,
     Roof,
     Sft,
@@ -387,6 +389,27 @@ def test_ergodic_approximation_small_eta_picks_its_own_gluing_time(
     cert = rep.count_certificate
     assert cert["t"] == 800.0
     assert cert["log_Em_rate"] > cert["bound"]
+
+
+def test_ergodic_approximation_raises_when_no_doubling_certifies(
+        full2_unit, monkeypatch):
+    """With every glued family's count forced to 1 (rate 0), the gluing
+    time doubles three times from t = 400, and then the failed count
+    certificate is a NonConvergenceError."""
+    import thermoflow.entropy_density as ed
+    glue, ts = ed.glue_generic_family, []
+
+    def no_count(system, target, t, **kw):
+        ts.append(t)
+        return dataclasses.replace(glue(system, target, t, **kw), log_Em=0.0)
+
+    monkeypatch.setattr(ed, "glue_generic_family", no_count)
+    with pytest.raises(NonConvergenceError,
+                       match=r"count certificate fails up to t = 3200: "
+                             r"log\(#E_m\)/\(tm\) = 0.000000 is not above "
+                             r"the bound 0.22"):
+        ergodic_approximation(full2_unit, standard_mixture(0.1), CFG, seed=0)
+    assert ts == [400.0, 800.0, 1600.0, 3200.0]
 
 
 def test_ergodic_approximation_single_component(full2_unit):

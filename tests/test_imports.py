@@ -1,11 +1,12 @@
 """Every name a library module, test module or script imports is read in
-that module, every module-level private function of the library is read
-somewhere outside its own body, every name a library function assigns is
-read in that function, and every defaulted parameter of a library function
-is set by some call in the library, tests, scripts or benchmark.  A name
-listed in the module's __all__ counts as read; __future__ imports are
-skipped.  The library imports no scipy, and every CLI subcommand runs in
-a fresh interpreter where importing scipy fails."""
+that module, every module-level private function, class and constant of
+the library is read somewhere outside the statement that binds it, every
+name a library function assigns is read in that function, and every
+defaulted parameter of a library function is set by some call in the
+library, tests, scripts or benchmark.  A name listed in the module's
+__all__ counts as read; __future__ imports are skipped.  The library
+imports no scipy, and every CLI subcommand runs in a fresh interpreter
+where importing scipy fails."""
 
 import ast
 import os
@@ -56,9 +57,22 @@ def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unreferenced_private_functions(sources: dict) -> list:
-    """Module-level functions named _x in `sources` ({module: text}) whose
-    name no top-level statement but their own definition reads."""
+def _defined_names(top) -> list:
+    """The names a module-level statement binds: a function or class, or
+    the targets of an assignment, tuple targets included."""
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                        ast.ClassDef)):
+        return [top.name]
+    targets = top.targets if isinstance(top, ast.Assign) else \
+        [top.target] if isinstance(top, ast.AnnAssign) else []
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """Module-level functions, classes and constants named _x in `sources`
+    ({module: text}) whose name no top-level statement but the one that
+    binds it reads."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     reads = [(top, {n.id for n in ast.walk(top) if isinstance(n, ast.Name)
                     and isinstance(n.ctx, ast.Load)}
@@ -66,11 +80,10 @@ def unreferenced_private_functions(sources: dict) -> list:
                  if isinstance(n, ast.Attribute)})
              for tree in trees.values() for top in tree.body]
     return sorted(
-        f"{mod}:{top.name}" for mod, tree in trees.items()
-        for top in tree.body
-        if isinstance(top, ast.FunctionDef) and top.name.startswith("_")
-        and not top.name.startswith("__")
-        and not any(top.name in names for other, names in reads
+        f"{mod}:{name}" for mod, tree in trees.items()
+        for top in tree.body for name in _defined_names(top)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in names for other, names in reads
                     if other is not top))
 
 
@@ -78,14 +91,21 @@ def test_unreferenced_private_functions_examples():
     srcs = {"a": "def _f():\n    return _f()\n\ndef _g():\n    pass\n",
             "b": "from a import _g\n_g()\n\nclass C:\n    def _h(self):\n"
                  "        pass\n"}
-    assert unreferenced_private_functions(srcs) == ["a:_f"]
-    assert unreferenced_private_functions(
+    assert unreferenced_private_names(srcs) == ["a:_f"]
+    assert unreferenced_private_names(
         {"a": "import m\nm._k()\ndef _k():\n    pass\n"}) == []
+    # classes, constants, tuple and annotated targets; dunders are skipped
+    assert unreferenced_private_names(
+        {"a": "class _C:\n    pass\n\nclass _D(_C):\n    pass\n",
+         "b": "_X, (_Y, Z) = 1, (2, 3)\n_W: int = _Y\n__all__ = []\n"}
+    ) == ["a:_D", "b:_W", "b:_X"]
+    assert unreferenced_private_names(
+        {"a": "_N = 4\n\ndef f():\n    return _N\n"}) == []
 
 
 def test_every_private_function_is_read():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert unreferenced_private_functions(sources) == []
+    assert unreferenced_private_names(sources) == []
 
 
 def unused_locals(source: str) -> list:

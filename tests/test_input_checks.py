@@ -1,0 +1,118 @@
+"""The input checks of the public API: each bad input raises the named
+exception with its message, before any computation."""
+
+import numpy as np
+import pytest
+
+from thermoflow import (BiWord, CylinderPotential, EmpiricalMeasure,
+                        Geodesic, GraphModelError, MarkovMeasure, MetricGraph,
+                        OrbitSegment, Roof, Sft, Suspension, d_GX,
+                        empirical_measure, glue_words, graph_suspension,
+                        pressure, rate_function, weak_star_distance,
+                        zero_potential)
+from thermoflow import io as tfio
+
+FULL2 = Suspension(Sft([[1, 1], [1, 1]]), Roof([1.0, 1.0]))
+GOLDEN = Sft([[1, 1], [1, 0]])
+POINT = FULL2.point(BiWord.periodic((0, 1)), 0.25)
+IND1 = CylinderPotential(1, {(0,): 0.0, (1,): 1.0})
+ROSE2 = MetricGraph(1, [(0, 0, 1), (0, 0, 1)])
+GEODESIC = Geodesic(ROSE2, graph_suspension(ROSE2).point(
+    BiWord.periodic((0,)), 0.0))
+
+
+def _measure(depth, bins):
+    return EmpiricalMeasure([[0] * depth], [1.0], [1.0] * bins)
+
+
+CHECKS = {
+    "pressure-method": (
+        lambda: pressure(FULL2, zero_potential(), "magic"),
+        ValueError, r"unknown pressure method 'magic'"),
+    "rate-method": (
+        lambda: rate_function(FULL2, None, IND1, [0.1], "magic"),
+        ValueError, r"unknown rate method 'magic'"),
+    "rate-psi": (
+        lambda: rate_function(FULL2, None, {(0,): 0.0}, [0.1]),
+        ValueError, r"psi must be fiber-representable \(cylinder potential\)"),
+    "weak-star-depth": (
+        lambda: weak_star_distance(_measure(1, 2), _measure(2, 2)),
+        ValueError, r"depth mismatch between empirical measures"),
+    "weak-star-bins": (
+        lambda: weak_star_distance(_measure(2, 2), _measure(2, 3)),
+        ValueError, r"height-bin mismatch"),
+    "empirical-sum": (
+        lambda: EmpiricalMeasure([[0], [1]], [0.5, 0.25], [1.0]),
+        ValueError, r"frequencies sum to 0.75"),
+    "empirical-t": (
+        lambda: empirical_measure(FULL2, POINT, 0.0),
+        ValueError, r"t > 0 required"),
+    "markov-square": (
+        lambda: MarkovMeasure([[0.5, 0.5]]),
+        ValueError, r"kernel must be square"),
+    "markov-rows": (
+        lambda: MarkovMeasure([[0.5, 0.25], [0.5, 0.5]]),
+        ValueError, r"kernel rows must sum to 1"),
+    "markov-stationary": (
+        lambda: MarkovMeasure([[0.9, 0.1], [0.5, 0.5]], [0.5, 0.5]),
+        ValueError, r"stationary vector does not satisfy pi P = pi"),
+    "potential-width": (
+        lambda: CylinderPotential(0, {}),
+        ValueError, r"width >= 1 required"),
+    "sft-square": (
+        lambda: Sft([[1, 1]]),
+        ValueError, r"transition matrix must be square"),
+    "sft-boolean": (
+        lambda: Sft([[1, 2], [1, 1]]),
+        ValueError, r"transition matrix must be boolean \(0/1 entries\)"),
+    "sft-empty": (
+        lambda: Sft(np.zeros((0, 0))),
+        ValueError, r"need at least one symbol"),
+    "graph-length": (
+        lambda: MetricGraph(1, [(0, 0, 0)]),
+        ValueError, r"edge lengths must be positive"),
+    "graph-endpoint": (
+        lambda: MetricGraph(1, [(0, 1, 1)]),
+        ValueError, r"edge endpoint out of range"),
+    "graph-edges": (
+        lambda: MetricGraph(1, []),
+        GraphModelError, r"graph has no edges"),
+    "dgx-horizon": (
+        lambda: d_GX(GEODESIC, GEODESIC, tail_horizon=0.5),
+        ValueError, r"tail_horizon >= 1 required"),
+    "roof-value": (
+        lambda: Roof([1.0, 0.0]),
+        ValueError, r"roof values must be finite and positive"),
+    "suspension-roof": (
+        lambda: Suspension(Sft([[1, 1], [1, 1]]), Roof([1.0])),
+        ValueError, r"roof must assign a value to every symbol"),
+    "point-height": (
+        lambda: FULL2.point(BiWord.periodic((0, 1)), 1.0),
+        ValueError, r"height 1.0 outside \[0, 1.0\)"),
+    "bw-horizon": (
+        lambda: FULL2.bw_distance(POINT, POINT, horizon=0),
+        ValueError, r"horizon >= 1 required"),
+    "shadows-delta": (
+        lambda: FULL2.shadows(POINT, OrbitSegment(POINT, 1.0), 0.0),
+        ValueError, r"delta must be positive"),
+    "glue-segments-empty": (
+        lambda: FULL2.glue_segments([], 0.1),
+        ValueError, r"need at least one segment"),
+    "glue-words-empty": (
+        lambda: glue_words(GOLDEN, (), (0,)),
+        ValueError, r"v and w must be nonempty admissible words"),
+    "glue-words-inadmissible": (
+        lambda: glue_words(GOLDEN, (1, 1), (0,)),
+        ValueError, r"v and w must be admissible"),
+    "load-sft-symbols": (
+        lambda: tfio.load_sft({"symbols": ["a"],
+                               "transitions": [[1, 1], [1, 1]]}),
+        ValueError, r"symbols length does not match transitions"),
+}
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_input_check_raises_its_message(check):
+    call, error, message = CHECKS[check]
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

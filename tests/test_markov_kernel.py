@@ -17,8 +17,7 @@ from thermoflow import (CylinderPotential, MarkovMeasure, Roof, Sft,
                         zero_potential)
 from thermoflow.entropy_density import ApproxTarget, _build_block_chain
 from thermoflow.sft import _words
-from thermoflow.thermo import (_Transitions, _gibbs_data, _prepare,
-                               _state_paths)
+from thermoflow.thermo import _gibbs_data, _prepare, _state_paths
 
 import kernel_reference as ref
 
@@ -78,8 +77,8 @@ def _corpus(system, rng):
             map(tuple, words.tolist()), rng.uniform(-1, 1, len(words)))))
         mu = equilibrium_state(system, phi)
         sft_w, roof_w, _, phihat = _prepare(system, phi)
-        _, x, lam, v, _ = _gibbs_data(_Transitions.of(sft_w), phihat,
-                                      roof_w.array)
+        _, x, lam, v, _ = _gibbs_data(sft_w.n_symbols, *sft_w._edges,
+                                      phihat, roof_w.array)
         dense = ref.equilibrium_kernel(sft_w.transitions, x, lam, v)
         yield mu.base, dense
     for _ in range(2):

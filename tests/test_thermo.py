@@ -32,8 +32,8 @@ from thermoflow import (
 )
 from thermoflow import io as tfio
 from thermoflow.sft import _close_word, _words
-from thermoflow.thermo import (_EIG_MAX_N, _Transitions, _gibbs_data,
-                                _perron, _prepare, _stationary_vector)
+from thermoflow.thermo import (_EIG_MAX_N, _gibbs_data, _perron, _prepare,
+                                _stationary_vector)
 
 import birkhoff_reference
 import perron_reference
@@ -237,9 +237,16 @@ def test_theta_nonconstant_potential():
     assert abs(h + m - P) <= 1e-9
 
 
+def _edges(M):
+    """(n, src, dst, weight): the nonzero entries of a dense matrix in
+    row-major order, the input of `_perron`."""
+    src, dst = np.nonzero(M)
+    return len(M), src, dst, M[src, dst]
+
+
 def test_perron_stiff_two_by_two():
     # golden (1,2) far out on the pressure curve: |lambda_2| / rho ~ 0.99997
-    lam, v = _perron(np.array([[1.0, 1.48e9], [1.0, 0.0]]))
+    lam, v, _ = _perron(*_edges(np.array([[1.0, 1.48e9], [1.0, 0.0]])))
     rho = (1 + math.sqrt(1 + 4 * 1.48e9)) / 2
     assert abs(lam - rho) <= 1e-12 * rho
     assert abs(v.sum() - 1.0) <= 1e-12
@@ -249,24 +256,22 @@ def test_perron_failure_names_size_iterations_residual():
     M = np.array([[np.nan, 1.0], [1.0, 0.0]])
     with pytest.raises(NonConvergenceError,
                        match=r"2x2 matrix .* 1 iterations .* residual nan"):
-        _perron(M)
+        _perron(*_edges(M))
 
 
 def test_perron_seed_with_a_zero_entry_falls_back():
     """Two nearly decoupled states: eig gives (1, 0) for the Perron root
     1, where the certificate divides by zero, so the solve starts
     uniform, which is exact."""
-    lam, v = _perron(np.array([[1.0, 1e-200], [1e-200, 1.0]]))
+    lam, v, _ = _perron(*_edges(np.array([[1.0, 1e-200], [1e-200, 1.0]])))
     assert lam == 1.0
     assert np.array_equal(v, [0.5, 0.5])
 
 
-def _assert_matches_reference(A, x, lam, v, u):
-    """lam and the right and left Perron vectors v, u of M = A diag(x)
-    match the dense power iteration of `perron_reference` within 1e-12
+def _assert_matches_reference(M, lam, v, u):
+    """lam and the right and left Perron vectors v, u of the dense M match
+    the dense power iteration of `perron_reference` within 1e-12
     relative, entry by entry."""
-    M = np.zeros((A.n, A.n))
-    M[A.src, A.dst] = x[A.dst]
     lam_ref, v_ref = perron_reference.perron(M)
     _, u_ref = perron_reference.perron(M.T)
     assert abs(lam - lam_ref) <= 1e-12 * lam_ref
@@ -274,17 +279,18 @@ def _assert_matches_reference(A, x, lam, v, u):
         assert np.all(np.abs(vec - ref) <= 1e-12 * ref)
 
 
-def _kernel_data(A, x):
-    """(lam, v, u) of M = A diag(x) from cold `_perron` calls, the left
-    vector through the transposed edges."""
-    lam, v = _perron(A.times(x))
-    _, y = _perron(A.T.times(x))
-    return lam, v, x * y
+def _kernel_data(M):
+    """(lam, v, u) of the dense M from cold `_perron` calls on its
+    nonzero entries, the left vector as the right one of M^T."""
+    lam, v, _ = _perron(*_edges(M))
+    _, u, _ = _perron(*_edges(M.T))
+    return lam, v, u
 
 
 def _perron_corpus(request, cases):
-    """(transitions, weights x at the pressure, lam, v, u) from
-    `_gibbs_data` for a seeded potential of each (model fixture, width)."""
+    """(M = A diag(x) dense, lam, v, u), x the weights at the pressure
+    and the rest from `_gibbs_data`, for a seeded potential of each
+    (model fixture, width)."""
     rng = np.random.default_rng(18)
     for model, width in cases:
         system = request.getfixturevalue(model)
@@ -294,8 +300,9 @@ def _perron_corpus(request, cases):
         phi = CylinderPotential(width, dict(zip(
             map(tuple, words.tolist()), rng.uniform(-1.0, 1.0, len(words)))))
         sft_w, roof_w, _, phihat = _prepare(system, phi)
-        A = _Transitions.of(sft_w)
-        yield (A,) + _gibbs_data(A, phihat, roof_w.array)[1:]
+        _, x, lam, v, u = _gibbs_data(sft_w.n_symbols, *sft_w._edges, phihat,
+                                      roof_w.array)
+        yield sft_w.transitions * x[None, :], lam, v, u
 
 
 @pytest.fixture(scope="session")
@@ -310,13 +317,12 @@ def test_perron_eig_regime_matches_dense_reference(request):
     36 states), and the stiff 2 x 2 of `test_perron_stiff_two_by_two`."""
     cases = [(m, w) for m in ("full2_unit", "golden12", "theta", "cycle2")
              for w in (1, 2)] + [("rose2", 2), ("rose2", 3)]
-    for A, x, lam, v, u in _perron_corpus(request, cases):
-        assert A.n <= _EIG_MAX_N
-        _assert_matches_reference(A, x, lam, v, u)
-        _assert_matches_reference(A, x, *_kernel_data(A, x))
-    stiff = _Transitions(2, np.array([0, 0, 1]), np.array([0, 1, 0]))
-    x = np.array([1.0, 1.48e9])
-    _assert_matches_reference(stiff, x, *_kernel_data(stiff, x))
+    for M, lam, v, u in _perron_corpus(request, cases):
+        assert len(M) <= _EIG_MAX_N
+        _assert_matches_reference(M, lam, v, u)
+        _assert_matches_reference(M, *_kernel_data(M))
+    stiff = np.array([[1.0, 1.48e9], [1.0, 0.0]])
+    _assert_matches_reference(stiff, *_kernel_data(stiff))
 
 
 def test_perron_edge_regime_matches_dense_reference(request):
@@ -325,10 +331,10 @@ def test_perron_edge_regime_matches_dense_reference(request):
     widths 4 and 5 (108 and 324 states) and the periodic theta recoded
     to width 5 (96 states), with seeded potentials."""
     cases = [("rose2", 4), ("rose2", 5), ("theta", 5)]
-    for A, x, lam, v, u in _perron_corpus(request, cases):
-        assert A.n > _EIG_MAX_N
-        _assert_matches_reference(A, x, lam, v, u)
-        _assert_matches_reference(A, x, *_kernel_data(A, x))
+    for M, lam, v, u in _perron_corpus(request, cases):
+        assert len(M) > _EIG_MAX_N
+        _assert_matches_reference(M, lam, v, u)
+        _assert_matches_reference(M, *_kernel_data(M))
 
 
 def test_pressure_counts_perron_products(full2_unit, rose2):
