@@ -19,6 +19,7 @@ meet the target in one signed weak* pass.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,9 +27,10 @@ import numpy as np
 
 from .ldp import (EmpiricalMeasure, WeakStarConfig, _segment_distances,
                   measure_statistics, weak_star_distance)
-from .sft import (BiWord, Sft, WeakSpecificationError, _close_word,
-                  _glue_blocks, glue_words, is_irreducible, min_gap_bound)
-from .suspension import Roof, SuspPoint, Suspension, _fiber_times, _locate
+from .sft import (Sft, WeakSpecificationError, _close_word, _glue_blocks,
+                  glue_words, is_irreducible, min_gap_bound)
+from .suspension import (_BW_MAX_SHIFT, Roof, Suspension, _bw_from_words,
+                         _fiber_times, _locate)
 from .thermo import (MarkovMeasure, NonConvergenceError, SuspendedMeasure,
                      _check_support, entropy_and_mean)
 
@@ -320,21 +322,18 @@ def glue_generic_family(system: Suspension, target: ApproxTarget,
     block_D = _segment_distances(
         system, *zip(*blocks), c_times,
         mixture_statistics(target, system.roof, cfg), cfg)
-    # sampled separation: distinct members differ somewhere; verify the
-    # BW distance at the divergence time exceeds eps/2
-    points = [SuspPoint(BiWord.periodic(w), 0.0) for w in closed]
+    # sampled separation: distinct members differ somewhere; the BW
+    # distance at the floor of the first fiber where their words differ,
+    # read from windows of the closed words, must exceed eps/2
+    window = np.arange(-_BW_MAX_SHIFT, 32 + _BW_MAX_SHIFT)
     seps = []
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            wa, _, ta = members[a]
-            wb, _, tb = members[b]
-            j = next((i for i in range(min(len(wa), len(wb)))
-                      if wa[i] != wb[i]), None)
-            if j is None:
-                continue
-            d = system.bw_distance(system.flow(points[a], ta[j]),
-                                   system.flow(points[b], tb[j]))
-            seps.append(d)
+    for (a, ca), (b, cb) in itertools.combinations(zip(members, closed), 2):
+        j = next((i for i, (x, y) in enumerate(zip(a[0], b[0])) if x != y),
+                 None)
+        if j is not None:
+            xs, ys = (np.take(c, j + window, mode="wrap").tolist()
+                      for c in (ca, cb))
+            seps.append(_bw_from_words(xs, ys, 0.0, 0.0, 32))
     _, starts0, times0 = members[0]
     b_times = [times0[starts0[kk * p]] for kk in range(m)]
     return GluedFamily(t, m, tuple(lengths), tuple(gammas), k_part, C,
@@ -353,15 +352,23 @@ def _build_block_chain(system: Suspension, target: ApproxTarget,
     of its kernel from its likeliest symbol, then a glue word leads on to
     the next component's.  Block state (i, j, s) sits at
     first[i] + (j and 1 + (j-1) n + s), the glue states after all of them;
-    each state shows and lasts one symbol."""
+    each state shows and lasts one symbol.  The stationary vector is the
+    visit frequencies of one cycle, so no n x n solve is made."""
     n, comps = system.sft.n_symbols, target.components
     starts = [int(np.argmax(mu.stationary)) for mu, _ in comps]
     lengths = [max(2, int(round(a * L))) for _, a in comps]
     first = np.cumsum([0] + [1 + (Li - 1) * n for Li in lengths]).tolist()
     emit = [s for st, Li in zip(starts, lengths)
             for s in [st] + list(range(n)) * (Li - 1)]
-    src, dst, prob = [], [], []
+    src, dst, prob, pi, glue_pi = [], [], [], [], []
     for i, ((mu, _), Li) in enumerate(zip(comps, lengths)):
+        # visit frequencies: position j holds the law of the walk j steps
+        # from the start, each glue state the mass of the symbol it leaves
+        law = np.eye(n)[starts[i]]
+        pi.append([1.0])
+        for _ in range(Li - 1):
+            law = np.bincount(mu.dst, law[mu.src] * mu.prob, n)
+            pi.append(law)
         # kernel steps (j, a) -> (j + 1, b) for j < L_i - 1
         j = np.repeat(np.arange(Li - 1), len(mu.src))
         a, b, p = (np.tile(x, Li - 1) for x in (mu.src, mu.dst, mu.prob))
@@ -377,13 +384,14 @@ def _build_block_chain(system: Suspension, target: ApproxTarget,
             for g in glue_words(system.sft, (last,), (starts[nxt],)):
                 path.append(len(emit))
                 emit.append(g)
+                glue_pi.append(law[last])
             path.append(first[nxt])
             src.append(path[:-1])
             dst.append(path[1:])
             prob.append(np.ones(len(path) - 1))
     chain = MarkovMeasure.from_edges(
         len(emit), *map(np.concatenate, (src, dst, prob)),
-        words=[(s,) for s in emit])
+        np.concatenate(pi + [glue_pi]), words=[(s,) for s in emit])
     return SuspendedMeasure(chain, Roof([system.roof[s] for s in emit]))
 
 
@@ -478,7 +486,6 @@ def glue_countable(system: Suspension, segs, delta: float, depth: int):
     """Glue the first `depth` segments of a stream so that deepening never
     changes already-emitted coordinates; returns (SuspPoint, emitted_end)
     where coordinates < emitted_end are final for all larger depths."""
-    import itertools
     head = list(itertools.islice(iter(segs), depth))
     if len(head) < depth:
         raise ValueError("stream exhausted before requested depth")

@@ -514,9 +514,11 @@ def _max_entropy(src, dst, c, K, b, y, max_iter=_NEWTON_MAX_ITER) -> float:
     10.2 and 11.3) along the central path: g = -(H + <c, y>) - mu sum_e
     log y_e for mu = 1, 0.1, ..., 1e-14, each centred from the last.  C
     holds the circulation rows but the first (the rows sum to zero) over
-    K; a step solves [[g'', C^T], [C, 0]] [dy, w] = [-g', 0] and is
-    halved until y stays positive and, while the Newton decrement
-    -<g', dy> exceeds 1e-12, until g falls by a hundredth of it (Armijo).
+    K; a step solves [[g'', C^T], [C, 0]] [dy, w] = [-g', (0, b) - C y],
+    whose primal residual keeps round-off from piling up in the
+    constraints (infeasible-start Newton, 10.3), and is halved until y
+    stays positive and, while the Newton decrement -<g', dy> exceeds
+    1e-12, until g falls by a hundredth of it (Armijo).
     The Hessian of -H is block-diagonal per source state a, diag(1 / y_e)
     - 1 / y_a on a's out-edges, and singular along per-state scalings of
     y; the only circulation among them is y itself, which <K[0], y> = 1
@@ -543,6 +545,7 @@ def _max_entropy(src, dst, c, K, b, y, max_iter=_NEWTON_MAX_ITER) -> float:
         while True:
             out = np.bincount(src, y, m)[src]
             rhs[:E] = c - np.log(y / out) + mu / y
+            rhs[E:] = np.r_[np.zeros(m - 1), b] - C @ y
             kkt[:E, :E] = np.diag(1.0 / y + mu / y ** 2) \
                 - block / out[:, None]
             try:

@@ -35,8 +35,8 @@ j >= max(0, -min_i r_i) at which x_{j+S} differs from y_j (any disagreement
 below that threshold escapes every forcing window and is free), and
 v(n) = 2^-(n+1) truncated to 0 at the horizon.  The vertical cost adds the
 height moves and one full unit per interior crossing away from a seam.
-Patterns up to five crossings are enumerated once and pruned by dominance;
-the distance is the minimum over the surviving patterns evaluated in both
+Patterns up to five crossings are enumerated once, as 38 distinct
+signatures; the distance is the minimum over all of them evaluated in both
 directions, so symmetry is exact and the triangle inequality holds for every
 chain realizable within the pattern family (stress-checked on randomized
 triples in the test suite).  Flowing by s moves a point by at most
@@ -46,6 +46,7 @@ relies on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -140,64 +141,26 @@ class ClosedOrbit:
 
 def _pattern_signatures():
     """Enumerate seam-passage patterns of up to five passages and reduce
-    them to evaluation signatures (S, rmax, rmin, vert), where vert
-    describes the vertical cost as a function of the two normalized heights:
+    them to evaluation signatures (S, rmax, rmin, first, interior, end):
+    the vertical cost is a function of the two normalized heights.
 
-        vert = (u_coeff_kind, interior, end_level)
-
-    u_coeff_kind: 0 -> no passage (direct route, |u - v| handled separately);
-    +1 -> first passage up, contributes (1 - u); -1 -> first passage down,
-    contributes u.  interior: full seam-to-seam units paid between passages.
-    end_level: 0 or 1, the level after the last passage; the final vertical
-    leg costs v or (1 - v).
-    Dominated signatures are pruned."""
+    first: +1 -> first passage up, contributes (1 - u); -1 -> first
+    passage down, contributes u.  After a passage the level is 0 (up) or
+    1 (down), so a passage pays one full seam-to-seam unit exactly when it
+    repeats the previous direction: interior counts those repeats.
+    end: the level after the last passage; the final vertical leg costs v
+    or (1 - v).  The direct route (no passage) is evaluated separately.
+    Distinct patterns may share a signature; each signature is kept once,
+    in the order of its first pattern."""
     sigs = {}
     for length in range(1, 6):
         for bits in range(1 << length):
             eps = [1 if (bits >> i) & 1 else -1 for i in range(length)]
-            # vertical bookkeeping in normalized units
-            interior = 0
-            level = None
-            for k, e in enumerate(eps):
-                if k == 0:
-                    level = 0 if e == 1 else 1
-                else:
-                    if e == 1:
-                        interior += 1 - level  # climb from `level` to 1
-                        level = 0
-                    else:
-                        interior += level  # descend from `level` to 0
-                        level = 1
             S = sum(eps)
-            partial = 0
-            rvals = [S]
-            for e in eps:
-                partial += e
-                rvals.append(S - partial)
-            key = (S, max(rvals), min(rvals), eps[0], interior, level)
-            sigs[key] = True
-    # dominance pruning: same S, first-passage direction and end level;
-    # one signature dominates another when its interior cost is <= and its
-    # forcing window is at least as favorable.
-    out = []
-    keys = list(sigs)
-    for k in keys:
-        S, rmax, rmin, first, interior, end = k
-        dominated = False
-        for k2 in keys:
-            if k2 == k:
-                continue
-            S2, rmax2, rmin2, first2, interior2, end2 = k2
-            if (
-                S2 == S and first2 == first and end2 == end
-                and interior2 <= interior and rmax2 >= rmax and rmin2 <= rmin
-                and (interior2, rmax2, rmin2) != (interior, rmax, rmin)
-            ):
-                dominated = True
-                break
-        if not dominated:
-            out.append(k)
-    return out
+            r = [S - c for c in itertools.accumulate(eps, initial=0)]
+            interior = sum(a == b for a, b in zip(eps, eps[1:]))
+            sigs[(S, max(r), min(r), eps[0], interior, int(eps[-1] < 0))] = 1
+    return list(sigs)
 
 
 _BW_PATTERNS = _pattern_signatures()
@@ -207,7 +170,10 @@ _BW_MAX_SHIFT = max(
 
 
 def _bw_from_words(xs, ys, u: float, v: float, horizon: int) -> float:
-    """Pattern-family Bowen-Walters distance from symbol windows.
+    """Pattern-family Bowen-Walters distance from symbol windows: the
+    direct route and every pattern in both directions, from x to y and
+    from y to x, under one running minimum (a pattern whose vertical
+    cost alone reaches it is skipped), so the value is symmetric.
 
     xs, ys are sequences containing coordinates [-M, horizon + M) of the two
     base words (M = _BW_MAX_SHIFT), indexed so that xs[M + j] is coordinate
@@ -223,17 +189,18 @@ def _bw_from_words(xs, ys, u: float, v: float, horizon: int) -> float:
         j += 1
     best = abs(u - v) + vv(j)
 
-    for S, rmax, rmin, first, interior, end in _BW_PATTERNS:
-        vert = (1.0 - u if first == 1 else u) + interior
-        vert += v if end == 0 else 1.0 - v
-        if vert >= best:
-            continue
-        j = max(0, -rmin)
-        while j < horizon and xs[M + j + S] == ys[M + j]:
-            j += 1
-        cost = vert + vv(j + rmax if j < horizon else horizon)
-        if cost < best:
-            best = cost
+    for a, b, ua, vb in ((xs, ys, u, v), (ys, xs, v, u)):
+        for S, rmax, rmin, first, interior, end in _BW_PATTERNS:
+            vert = (1.0 - ua if first == 1 else ua) + interior
+            vert += vb if end == 0 else 1.0 - vb
+            if vert >= best:
+                continue
+            j = max(0, -rmin)
+            while j < horizon and a[M + j + S] == b[M + j]:
+                j += 1
+            cost = vert + vv(j + rmax if j < horizon else horizon)
+            if cost < best:
+                best = cost
     return best
 
 
@@ -395,10 +362,7 @@ class Suspension:
         v = q.height / self.roof[y.symbol_at(0)]
         xs = x.window(-M, horizon + M)
         ys = y.window(-M, horizon + M)
-        return min(
-            _bw_from_words(xs, ys, u, v, horizon),
-            _bw_from_words(ys, xs, v, u, horizon),
-        )
+        return _bw_from_words(xs, ys, u, v, horizon)
 
     # ------------------------------------------------------------------
     # shadowing
@@ -434,10 +398,7 @@ class Suspension:
             xs = xw[kx - M:kx - M + width]
             u = hy / floats[yw[ky]]
             v = hx / floats[xw[kx]]
-            d = min(
-                _bw_from_words(ys, xs, u, v, horizon),
-                _bw_from_words(xs, ys, v, u, horizon),
-            )
+            d = _bw_from_words(ys, xs, u, v, horizon)
             if d > worst:
                 worst = d
             if i < n:

@@ -148,6 +148,10 @@ class MarkovMeasure:
         n, keep = len(row_sums), prob > 0
         self.n_states, self.src, self.dst = n, src[keep], dst[keep]
         self.prob = prob[keep] / row_sums[self.src]
+        twice = np.flatnonzero(np.diff(self.src * n + self.dst) == 0)
+        if twice.size:
+            a, b = self.src[twice[0]], self.dst[twice[0]]
+            raise ValueError(f"kernel entry ({a}, {b}) is given twice")
         if stationary is None:
             stationary = _stationary_vector(n, self.src, self.dst, self.prob)
         pi = np.asarray(stationary, dtype=float)

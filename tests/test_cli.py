@@ -295,6 +295,39 @@ def test_numeric_flag_out_of_range_is_a_usage_error(capsys, subcommand,
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["pressure", "--sft", "full2.json"], "error: --potential is required"),
+    (["glue", "--sft", "golden.json", "--seed", "1"],
+     "error: --delta is required for glue"),
+    (["entropy-dense", "--sft", "full3.json", "--eta", "0.1", "--seed", "0"],
+     "error: entropy-dense supports 2-symbol base shifts"),
+    (["pressure", "--sft", "full2.json", "--frobnicate"],
+     "unrecognized arguments: --frobnicate"),
+])
+def test_usage_errors_exit_64(capsys, tmp_path, argv, message):
+    """A missing required flag, a 3-symbol entropy-dense model and an
+    unknown flag (argparse's own exit) all exit 64 with the message."""
+    (tmp_path / "full3.json").write_text(
+        json.dumps({"transitions": [[1, 1, 1]] * 3}))
+    argv = [str(tmp_path / a) if a == "full3.json"
+            else data_path(a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64
+    assert message in err
+
+
+def test_entropy_dense_random_components_on_golden(capsys):
+    """On a shift that is not full, entropy-dense draws its two components
+    at random from the seed; on golden at eta = 0.1 the certificate holds."""
+    code, out, _ = run_cli(capsys, "entropy-dense", "--sft",
+                           data_path("golden.json"), "--eta", "0.1",
+                           "--seed", "0")
+    assert code == 0
+    cert = next(line for line in out.splitlines()
+                if line.startswith("count certificate:"))
+    assert cert.endswith("True")
+
+
 def test_entropy_dense_requires_eta(capsys):
     code, _, err = run_cli(capsys, "entropy-dense", "--sft",
                            data_path("full2.json"), "--seed", "0")

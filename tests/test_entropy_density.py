@@ -43,7 +43,7 @@ from thermoflow import (
 )
 from thermoflow.entropy_density import (_box_cells, _build_block_chain,
                                         _sample_from_box)
-from thermoflow.sft import _close_word, is_admissible_word
+from thermoflow.sft import _close_word, _glue_blocks, is_admissible_word
 
 CFG = WeakStarConfig()
 
@@ -308,6 +308,36 @@ def test_glue_generic_family_certificates(full2_unit):
     h_mu = mixture_entropy(target, full2_unit.roof)
     assert rate > h_mu - eta - 0.05
     assert rate <= h_mu + eta
+
+
+@pytest.mark.parametrize("model", ["full2_unit", "golden12"])
+def test_sample_separations_are_the_flowed_distances(model, request):
+    """Each sampled separation, read from windows of the two closed words
+    at the first index where the glued words differ, is exactly
+    bw_distance of the two periodic points flowed to the floor of that
+    fiber, on seeded members drawn as the family draws them."""
+    system = request.getfixturevalue(model)
+    comps = ((bernoulli(0.9), bernoulli(0.1)) if model == "full2_unit" else
+             (MarkovMeasure([[0.5, 0.5], [1.0, 0.0]]),
+              MarkovMeasure([[0.8, 0.2], [1.0, 0.0]])))
+    target = ApproxTarget(tuple((mu, 0.5) for mu in comps), 0.1)
+    m, seed = 3, 4
+    fam = glue_generic_family(system, target, 200.0, m, seed)
+    rng = np.random.default_rng(seed)
+    cells = [_box_cells(system.sft, g.length, g.box) for g in fam.gammas]
+    words = [_glue_blocks(system.sft, [
+        _sample_from_box(c, g.length, rng, 1)[0]
+        for _ in range(m) for g, c in zip(fam.gammas, cells)])[0]
+        for _ in range(3)]
+    want = []
+    for wa, wb in itertools.combinations(words, 2):
+        j = next(i for i, (x, y) in enumerate(zip(wa, wb)) if x != y)
+        pa, pb = (system.flow(SuspPoint(BiWord.periodic(
+            _close_word(system.sft, w)), 0.0),
+            sum(system.roof[s] for s in w[:j])) for w in (wa, wb))
+        want.append(system.bw_distance(pa, pb))
+    assert fam.sample_separations == tuple(want)
+    assert len(want) == 3 and min(want) >= fam.eps_half
 
 
 def test_glue_generic_family_regime_violation(full2_unit):

@@ -6,10 +6,12 @@ import pytest
 
 from thermoflow import (BiWord, CylinderPotential, EmpiricalMeasure,
                         Geodesic, GraphModelError, MarkovMeasure, MetricGraph,
-                        OrbitSegment, Roof, Sft, Suspension, d_GX,
-                        empirical_measure, glue_words, graph_suspension,
-                        pressure, rate_function, weak_star_distance,
-                        zero_potential)
+                        OrbitSegment, Roof, Sft, SuspendedMeasure, Suspension,
+                        birkhoff, d_GX, deviation_frequency, empirical_measure,
+                        entropy_and_mean, gibbs_ratio_stats, glue_words,
+                        graph_suspension, lift_distance, measure_statistics,
+                        pressure, rate_function, separated_generic_set,
+                        weak_star_distance, zero_potential)
 from thermoflow import io as tfio
 
 FULL2 = Suspension(Sft([[1, 1], [1, 1]]), Roof([1.0, 1.0]))
@@ -19,6 +21,14 @@ IND1 = CylinderPotential(1, {(0,): 0.0, (1,): 1.0})
 ROSE2 = MetricGraph(1, [(0, 0, 1), (0, 0, 1)])
 GEODESIC = Geodesic(ROSE2, graph_suspension(ROSE2).point(
     BiWord.periodic((0,)), 0.0))
+ROSE3 = MetricGraph(1, [(0, 0, 1), (0, 0, 1), (0, 0, 1)])
+OTHER_GEODESIC = Geodesic(ROSE3, graph_suspension(ROSE3).point(
+    BiWord.periodic((0,)), 0.0))
+HALF = MarkovMeasure([[0.5, 0.5], [0.5, 0.5]])
+FLOW_HALF = SuspendedMeasure(HALF, FULL2.roof)
+PAIRS = MarkovMeasure(HALF.transition, words=[(0, 0), (0, 1)])
+WIDTH2 = CylinderPotential(2, {(a, b): 0.0 for a in (0, 1) for b in (0, 1)})
+FULL3 = Suspension(Sft(np.ones((3, 3), dtype=int)), Roof([1.0] * 3))
 
 
 def _measure(depth, bins):
@@ -108,6 +118,43 @@ CHECKS = {
         lambda: tfio.load_sft({"symbols": ["a"],
                                "transitions": [[1, 1], [1, 1]]}),
         ValueError, r"symbols length does not match transitions"),
+    "separated-set-alphabet": (
+        lambda: separated_generic_set(FULL3, HALF, 0.1, 100.0, 0.1, 0),
+        NotImplementedError,
+        r"exact box counting implemented for 2-symbol alphabets"),
+    "deviation-psi-width": (
+        lambda: deviation_frequency(FULL2, FLOW_HALF, WIDTH2, 0.1, 10.0,
+                                    10, 0),
+        ValueError, r"deviation_frequency supports width-1 psi"),
+    "support-width": (
+        lambda: separated_generic_set(FULL2, PAIRS, 0.1, 100.0, 0.1, 0),
+        ValueError, r"width-1 base measure required"),
+    "birkhoff-potential": (
+        lambda: birkhoff(FULL2, {(0,): 0.0}, OrbitSegment(POINT, 1.0)),
+        TypeError, r"unsupported potential dict"),
+    "entropy-mean-potential": (
+        lambda: entropy_and_mean(FLOW_HALF, {(0,): 0.0}),
+        TypeError, r"entropy_and_mean needs a cylinder potential"),
+    "gibbs-potential": (
+        lambda: gibbs_ratio_stats(FULL2, FLOW_HALF, {(0,): 0.0}, 0.1, [1.0],
+                                  10, 0),
+        TypeError, r"cylinder potential required"),
+    "segment-duration": (
+        lambda: OrbitSegment(POINT, -1.0),
+        ValueError, r"duration must be finite and nonnegative"),
+    "dgx-graphs": (
+        lambda: d_GX(GEODESIC, OTHER_GEODESIC),
+        ValueError, r"geodesics over different graphs"),
+    "lift-graphs": (
+        lambda: lift_distance(GEODESIC, OTHER_GEODESIC, 0.0),
+        ValueError, r"geodesics over different graphs"),
+    "point-distance-offset": (
+        lambda: ROSE2.point_distance((0, 2), (0, 0)),
+        ValueError, r"offset outside edge"),
+    "markov-repeated-edge": (
+        lambda: MarkovMeasure.from_edges(2, [0, 0, 1], [1, 1, 0],
+                                         [0.5, 0.5, 1.0]),
+        ValueError, r"kernel entry \(0, 1\) is given twice"),
 }
 
 
@@ -116,3 +163,22 @@ def test_input_check_raises_its_message(check):
     call, error, message = CHECKS[check]
     with pytest.raises(error, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("obj", [{"type": "cylinder", "width": 1,
+                                  "table": {}},
+                                 {"type": "zero"}])
+def test_load_potential_zero_forms(obj):
+    """An empty width-1 table and the "zero" type both load as phi = 0."""
+    phi = tfio.load_potential(obj)
+    assert phi.width == 1
+    assert [phi.value((s,)) for s in range(3)] == [0.0, 0.0, 0.0]
+
+
+def test_weak_star_distance_reads_a_flow_measure_on_either_side():
+    """A `SuspendedMeasure` as the second argument is read through
+    `measure_statistics`, as it is as the first."""
+    stats = measure_statistics(FLOW_HALF)
+    other = empirical_measure(FULL2, POINT, 5.0)
+    assert weak_star_distance(other, FLOW_HALF) == \
+        weak_star_distance(other, stats) > 0

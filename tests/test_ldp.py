@@ -485,6 +485,21 @@ def test_psi_range_separates_near_ties(full2_unit):
     assert _psi_range(full2_unit, psi) == (1.0 - 1e-9, 1.0)
 
 
+@pytest.mark.parametrize("k", range(5, 13))
+def test_direct_near_the_range_end_is_right_or_raises(full2_unit, k):
+    """For psi = 1_[1] on full2 at u = 1 - 1e-k, direct is within 1e-9 of
+    the closed form log 2 - H(u) or raises NonConvergenceError, never a
+    silent error (1.06e-8 at k = 7 while round-off could pile up in the
+    constraint rows of the Newton steps)."""
+    d = 10.0 ** -k
+    exact = math.log(2) + (1 - d) * math.log(1 - d) + d * math.log(d)
+    try:
+        q = rate_function(full2_unit, None, ind1(), [0.5 - d], "direct")
+    except NonConvergenceError:
+        return
+    assert abs(q[0.5 - d] - exact) <= 1e-9
+
+
 def test_direct_singular_kkt_near_range_end_is_nonconvergence(full2_unit):
     """At u = 1 - 1e-10 for psi = 1_[1] on full2, inside the psi range but
     beyond the reach of its face, the KKT matrix of the first Newton step

@@ -1,6 +1,7 @@
 """Suspension flows: evolution, the chain metric on the mapping torus,
 shadowing, gluing, and periodic closing."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,8 +20,8 @@ from thermoflow import (
     min_gap_bound,
 )
 
-from thermoflow.suspension import (_forced_depth, _locate, _pieces,
-                                   _row_integrals)
+from thermoflow.suspension import (_BW_PATTERNS, _forced_depth, _locate,
+                                   _pieces, _row_integrals)
 
 from test_sft import random_irreducible_sft, _random_word
 
@@ -177,6 +178,20 @@ def test_bw_differs_at_origin(full2_unit):
     # the evaluation restricts chains to the declared pattern family, which
     # is within a factor 2 of the chain infimum: >= (1/2) * d(x, y) = 1/4
     assert full2_unit.bw_distance(p, q) >= 0.25
+
+
+def test_no_pattern_signature_dominates_another():
+    """No two of the 38 signatures share S, first passage and end level
+    with one no dearer inside (interior) and no narrower in its forcing
+    window (rmax >=, rmin <=) than the other, so a dominance pass would
+    prune none of them."""
+    assert len(set(_BW_PATTERNS)) == len(_BW_PATTERNS) == 38
+    for a, b in itertools.permutations(_BW_PATTERNS, 2):
+        S, rmax, rmin, first, interior, end = a
+        S2, rmax2, rmin2, first2, interior2, end2 = b
+        assert not (S2 == S and first2 == first and end2 == end
+                    and interior2 <= interior and rmax2 >= rmax
+                    and rmin2 <= rmin), (a, b)
 
 
 def test_bw_metric_axioms_random_triples(golden12):
