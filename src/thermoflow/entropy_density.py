@@ -10,15 +10,15 @@ from the one state-path table of `thermo` rather than as abstract limits.
 Separated generic sets are counted exactly in closed form over pair
 statistics (irreducible 2-symbol base shifts: a word is fixed by its runs,
 so each (#1, #11) cell is a sum of products of two binomials), giving
-integer-arithmetic #Gamma >= e^{t h} certificates; members are sampled
-uniformly from the same cells, and weak* closeness of members is verified
-on seeded samples: the closed sample words go straight to the array walk
-`_pieces` as gathered windows, with no BiWord per member, and all members
-meet the target in one signed weak* pass.
+integer-arithmetic #Gamma >= e^{t h} certificates.  Seeded members are
+drawn uniformly from the same cells as one array batch, and their closed
+words go as gathered windows straight to the array walk `_pieces` (no
+BiWord per member), meeting the target in one signed weak* pass.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -83,6 +83,7 @@ class SeparatedSet:
     t: float
     box: dict
     sampled_D: tuple  # weak* distances of sampled members to the target
+    diagnostics: dict  # box cells, members sampled, draws discarded
 
     @property
     def certificate_ok(self) -> bool:
@@ -130,51 +131,49 @@ def _box_cells(sft: Sft, n: int, box: dict):
     return cells
 
 
-def _randrange_big(rng, total: int) -> int:
-    """Uniform integer in [0, total) for arbitrary-precision totals
-    (rejection sampling on bit blocks; acceptance probability >= 1/2)."""
-    bits = total.bit_length()
-    words = (bits + 61) // 62
-    while True:
-        r = 0
-        for _ in range(words):
-            r = (r << 62) | int(rng.integers(0, 1 << 62))
+def _randrange_big(rng, total: int, k: int) -> tuple:
+    """(k uniform integers in [0, total), the draws discarded): a draw joins
+    62-bit blocks masked to the bits of total and is kept when below total,
+    with probability > 1/2, so each round draws twice the number missing."""
+    bits, draws, drawn = total.bit_length(), [], 0
+    while m := 2 * (k - len(draws)):
+        blocks = rng.integers(0, 1 << 62, ((bits + 61) // 62, m))
+        r = sum(b << 62 * i for i, b in enumerate(blocks.astype(object)))
         r &= (1 << bits) - 1
-        if r < total:
-            return r
+        draws += r[r < total][:k - len(draws)].tolist()
+        drawn += m
+    return draws, drawn - k
 
 
-def _random_composition(rng, m: int, k: int) -> list:
-    """Uniform composition of m into k positive parts (uniform cut points);
-    the parts are the gaps of the sorted cuts, in plain Python."""
-    if k == 0:
-        return []
-    cuts = sorted(rng.choice(m - 1, k - 1, replace=False).tolist())
-    bounds = [0, *(c + 1 for c in cuts), m]
-    return [b - a for a, b in zip(bounds, bounds[1:])]
+def _box_words(cells, n: int, rng, k: int) -> tuple:
+    """(k uniform length-n words of the box given by its cells, the draws
+    `_randrange_big` discarded): the draws pick cells on the cumulative
+    weights.  In a row, column c < n is the c-th one and n + c the c-th
+    zero, each with the gap after it.  One argsort of uniform keys cuts a
+    uniform r - 1 (z - 1) of the ones' (zeros') gaps, r = n1 - n11; the
+    runs alternate from the first symbol, so one stable argsort of
+    2 * run + parity lays them out."""
+    cum = list(itertools.accumulate(c[0] for c in cells))
+    draws, rejected = _randrange_big(rng, cum[-1], k)
+    n1, n11, z, first = np.array([cells[bisect.bisect_right(cum, r)][1:]
+                                  for r in draws]).reshape(-1, 4).T[:, :, None]
+    col = np.arange(2 * n)
+    zero = col >= n
+    size = np.where(zero, n - n1, n1)
+    keys = np.where(col % n < size - 1, rng.random((k, 2 * n)) + 2 * zero, 4.0)
+    rank = np.empty((k, 2 * n), dtype=np.int64)
+    rank[np.arange(k)[:, None], np.argsort(keys, axis=1)] = col
+    cut = (rank < np.where(zero, np.maximum(n1 - 1, 0) + z - 1,
+                           n1 - n11 - 1)).reshape(k, 2, n)
+    run = (np.cumsum(cut, axis=2) - cut).reshape(k, 2 * n)
+    order = np.argsort(np.where(col % n < size, 2 * run + (zero == first),
+                                2 * n), axis=1, kind="stable")
+    return list(map(tuple, (order[:, :n] < n).astype(int).tolist())), rejected
 
 
-def _sample_from_box(cells, n: int, rng, k: int):
-    """k uniform samples from the length-n words of a box given by its
-    cells: pick a cell by weight, split its ones and zeros into runs by
-    uniform compositions, and interleave the runs."""
-    total = sum(c[0] for c in cells)
-    words = []
-    for _ in range(k):
-        r = _randrange_big(rng, total)
-        for weight, n1, n11, z, first in cells:
-            if r < weight:
-                break
-            r -= weight
-        runs = {1: iter(_random_composition(rng, n1, n1 - n11)),
-                0: iter(_random_composition(rng, n - n1, z))}
-        word = []
-        sym = first
-        while len(word) < n:
-            word.extend([sym] * next(runs[sym]))
-            sym = 1 - sym
-        words.append(tuple(word))
-    return words
+def _sample_from_box(cells, n: int, rng, k: int) -> list:
+    """k uniform words of the box given by its cells (`_box_words`)."""
+    return _box_words(cells, n, rng, k)[0]
 
 
 def _min_block_length(eta: float) -> int:
@@ -213,12 +212,13 @@ def separated_generic_set(system: Suspension, mu: MarkovMeasure,
         raise ValueError("increase t")
     log_count = math.log(count)  # math.log takes ints of any size
     rng = np.random.default_rng(seed)
-    sample = _sample_from_box(cells, n, rng, k=min(20, count))
+    sample, rejected = _box_words(cells, n, rng, min(20, count))
     dists = _segment_distances(
         system, [_close_word(system.sft, w) for w in sample],
         [0] * len(sample), float(t), measure_statistics(flow_mu, cfg), cfg)
-    return SeparatedSet(n, count, log_count, h, t, box,
-                        tuple(dists.tolist()))
+    return SeparatedSet(n, count, log_count, h, t, box, tuple(dists.tolist()),
+                        dict(cells=len(cells), sampled=len(sample),
+                             rejected=rejected))
 
 
 def _flow_entropy(mu: MarkovMeasure, roof: Roof) -> float:

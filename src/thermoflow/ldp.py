@@ -172,12 +172,12 @@ def _segment_distances(system: Suspension, words, starts, t,
                        ) -> np.ndarray:
     """D(E_t(x_i), b) for the periodic points x_i of the cyclic words[i]
     flowed to the floor of fiber starts[i], for time t (one t, or one per
-    row): windows gathered by np.take(..., mode="wrap"), one walk from
-    height 0, one signed pass."""
+    row): windows gathered by one index into the concatenated words, one
+    walk from height 0, one signed pass."""
     n = int(max(np.atleast_1d(t)) / system.roof.min) + 2
-    cols = np.arange(n + cfg.depth - 1)
-    windows = np.stack([np.take(w, s + cols, mode="wrap")
-                        for w, s in zip(words, starts)])
+    length = np.array([len(w) for w in words])[:, None]
+    cols = np.add.outer(starts, np.arange(n + cfg.depth - 1)) % length
+    windows = np.concatenate(words)[cols + np.cumsum(length)[:, None] - length]
     pieces, hist = _histograms(windows[:, :n], system.roof, 0.0, t,
                                cfg.height_bins)
     return _distances(sliding_window_view(windows, cfg.depth, axis=1),

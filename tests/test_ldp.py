@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from thermoflow import (
     BiWord,
@@ -27,13 +28,16 @@ from thermoflow import (
     measure_statistics,
     orbit_measure,
     pressure,
+    random_markov_measure,
     rate_function,
     weak_star_distance,
     weighted_orbit_measure,
     zero_potential,
 )
 
-from thermoflow.ldp import _beta_quantile, _psi_range
+from thermoflow import ldp
+from thermoflow.ldp import (_beta_quantile, _distances, _histograms,
+                            _psi_range, _segment_distances)
 from thermoflow.sft import _close_word
 from thermoflow.thermo import NonConvergenceError
 
@@ -602,6 +606,53 @@ def test_batched_objective_matches_scalar_path(name, full2_unit, golden12):
         ref = _scalar_objective(system, k, phi, psi)
         assert good == (ref is not None)
         assert abs(o - ref[0]) <= 1e-14 and abs(m - ref[1]) <= 1e-14, k
+
+
+def _per_member_windows(words, starts, width):
+    """Each member's window, one np.take(..., mode="wrap") per word."""
+    cols = np.arange(width)
+    return np.stack([np.take(w, s + cols, mode="wrap")
+                     for w, s in zip(words, starts)])
+
+
+@pytest.mark.parametrize("per_row_t", [False, True])
+@pytest.mark.parametrize("model", ["full2_unit", "golden12", "rose2"])
+def test_segment_windows_one_gather_match_per_member_take(
+        model, per_row_t, request, monkeypatch):
+    """The one index into the concatenated words gathers the windows and
+    gives the distances of a per-member np.take(..., mode="wrap"), bit for
+    bit, on words of unequal lengths whose windows wrap several times."""
+    system = request.getfixturevalue(model)
+    if model == "rose2":
+        system = graph_suspension(system)
+    rng = np.random.default_rng(9)
+    words = []
+    for length in (1, 2, 5, 11, 26, 40):
+        w = [int(rng.integers(system.sft.n_symbols))]
+        while len(w) < length:
+            succ = system.sft.successors(w[-1])
+            w.append(int(succ[rng.integers(len(succ))]))
+        words.append(_close_word(system.sft, w))
+    starts = [int(s) for s in rng.integers(0, 200, len(words))]
+    t = rng.uniform(90.0, 120.0, len(words)) if per_row_t else 120.0
+    b = measure_statistics(SuspendedMeasure(
+        random_markov_measure(system.sft, rng), system.roof), CFG)
+    seen = []
+    monkeypatch.setattr(ldp, "sliding_window_view",
+                        lambda a, *args, **kw: seen.append(a.copy())
+                        or sliding_window_view(a, *args, **kw))
+    got = _segment_distances(system, words, starts, t, b, CFG)
+    n = int(np.max(t) / system.roof.min) + 2
+    windows = _per_member_windows(words, starts, n + CFG.depth - 1)
+    assert windows.shape[1] > 2 * max(map(len, words))  # wraps twice
+    assert len(seen) == 1 and seen[0].dtype == windows.dtype
+    assert np.array_equal(seen[0], windows)
+    pieces, hist = _histograms(windows[:, :n], system.roof, 0.0, t,
+                               CFG.height_bins)
+    want = _distances(sliding_window_view(windows, CFG.depth, axis=1),
+                      pieces / pieces.sum(axis=1, keepdims=True),
+                      hist / hist.sum(axis=1, keepdims=True), b, CFG)
+    assert got.tobytes() == want.tobytes()
 
 
 # --- Monte Carlo deviations -----------------------------------------------------
