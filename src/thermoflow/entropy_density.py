@@ -21,7 +21,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,6 +84,8 @@ class SeparatedSet:
     box: dict
     sampled_D: tuple  # weak* distances of sampled members to the target
     diagnostics: dict  # box cells, members sampled, draws discarded
+    # the cells of `_box_cells`, kept for sampling more members
+    cells: list = field(default_factory=list, compare=False, repr=False)
 
     @property
     def certificate_ok(self) -> bool:
@@ -218,7 +220,7 @@ def separated_generic_set(system: Suspension, mu: MarkovMeasure,
         [0] * len(sample), float(t), measure_statistics(flow_mu, cfg), cfg)
     return SeparatedSet(n, count, log_count, h, t, box, tuple(dists.tolist()),
                         dict(cells=len(cells), sampled=len(sample),
-                             rejected=rejected))
+                             rejected=rejected), cells)
 
 
 def _flow_entropy(mu: MarkovMeasure, roof: Roof) -> float:
@@ -300,12 +302,10 @@ def glue_generic_family(system: Suspension, target: ApproxTarget,
     log_Em = m * (sum(g.log_count for g in gammas) - math.log(C))
 
     # sample members of E_m: pick one word per (round, component), glue
-    cells = [_box_cells(system.sft, g.length, g.box) for g in gammas]
-
     def sample_member():
         word, starts = _glue_blocks(
-            system.sft, [_sample_from_box(c, g.length, rng, 1)[0]
-                         for _ in range(m) for g, c in zip(gammas, cells)])
+            system.sft, [_sample_from_box(g.cells, g.length, rng, 1)[0]
+                         for _ in range(m) for g in gammas])
         times = _fiber_times(word.__getitem__, system.roof, 0, len(word))
         return word, starts, times
 

@@ -19,7 +19,7 @@ The module needs numpy only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
@@ -27,7 +27,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .sft import _shortest_paths
-from .suspension import Roof, SuspPoint, Suspension, _pieces, _row_integrals
+from .suspension import (Roof, SuspPoint, Suspension, _column_integrals,
+                         _pieces)
 from .thermo import (CylinderPotential, NonConvergenceError, SuspendedMeasure,
                      _bracketed_root, _check_spectral, _check_support,
                      _gibbs_data, _orbit_sums, _prepare, _sample_orbits,
@@ -595,6 +596,8 @@ class DeviationResult:
     hits: int
     n_samples: int
     note: str = ""
+    # the path columns walked and the walk's window W
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
 
 def deviation_frequency(system: Suspension, m: SuspendedMeasure,
@@ -621,8 +624,8 @@ def deviation_frequency(system: Suspension, m: SuspendedMeasure,
     mbar = entropy_and_mean(m, psi)[1]
     psi_v = np.array([psi.value(w) for w in m.base.words])
     length = int(math.ceil(t / system.roof.min)) + 2
-    words, h0 = _sample_orbits(m, n_samples, length, rng)
-    integral, _ = _row_integrals(words, psi_v, m.roof, h0, t)
+    columns, heights = _sample_orbits(m, n_samples, length, rng)
+    integral, _, walk = _column_integrals(columns, psi_v, m.roof, t, heights)
     tol = 1e-9 * t * max(1.0, float(np.max(np.abs(psi_v))))
     hits = int(np.sum(np.abs(integral - t * mbar) >= t * eps - tol))
     alpha = 0.05
@@ -630,7 +633,7 @@ def deviation_frequency(system: Suspension, m: SuspendedMeasure,
         ci_hi_p = 1.0 - (alpha / 2) ** (1.0 / n_samples)
         return DeviationResult(0.0, -math.inf, -math.inf,
                                math.log(ci_hi_p) / t, 0, n_samples,
-                               "zero hits: upper confidence bound only")
+                               "zero hits: upper confidence bound only", walk)
     freq = hits / n_samples
     lo_p = _beta_quantile(hits, n_samples - hits + 1, alpha / 2)
     hi_p = _beta_quantile(hits + 1, n_samples - hits, 1 - alpha / 2) \
@@ -638,7 +641,7 @@ def deviation_frequency(system: Suspension, m: SuspendedMeasure,
     note = "" if hits >= 10 else "insufficient resolution"
     return DeviationResult(freq, math.log(freq) / t,
                            math.log(lo_p) / t, math.log(hi_p) / t,
-                           hits, n_samples, note)
+                           hits, n_samples, note, walk)
 
 
 _CF_MAX_ITER = 10_000

@@ -14,8 +14,9 @@ floats are equal; an exact height walks the exact values.  `_locate` maps
 a time to a fiber and height (flows, gluing, geodesics), `_fiber_times`
 a fiber to its start time, and `_pieces` cuts many segments into fiber
 pieces at once (`birkhoff` on cylinder potentials, `empirical_measure`,
-separated sets and glued families).  `_row_integrals` integrates along
-sampled paths (`gibbs_ratio_stats`, `deviation_frequency`).
+separated sets and glued families).  `_column_integrals` integrates along
+sampled paths streamed one column at a time (`deviation_frequency`), and
+`_row_integrals` along the rows of a path array (`gibbs_ratio_stats`).
 
 Metric convention
 -----------------
@@ -282,34 +283,60 @@ def _pieces(fibers: np.ndarray, roof: Roof, h, t):
     return pieces, k
 
 
-def _row_integrals(rows, values, roof: Roof, h0, t):
-    """The walk of sampled paths: for each row of states started at height
-    h0 of its first fiber, int_0^t of the fiber-constant `values` and the
-    index of the fiber occupied at h0 + t, compared on `roof.array` only.
-    The rows must reach past h0 + t.  One pass over the columns keeps
-    running sums acc of the roof values and of the fiber integrals, holds
-    them at the last fiber ending by h0 + t, and counts those fibers (k).
-
-    Its callers start from uniform random float heights, where a float tie
-    has probability zero, and walk many long rows: on full2 with 100 000
-    paths of 52 fibers (t = 50; 2 cores, Python 3.11) this walk takes
-    57 ms and 7 MB of peak RSS, `_pieces` and a weighted sum 300 ms and
-    169 MB.  `_pieces` keeps what the other walks need: every piece, and
-    the exact compare at float ties."""
-    n = len(rows)
-    total = h0 + t
+def _column_integrals(columns, values, roof: Roof, t, heights):
+    """The walk of sampled paths, fed one column of n states at a time:
+    int_0^t of the fiber-constant `values` from height h0 of the first
+    fiber, the index k of the fiber occupied at h0 + t (compared on
+    `roof.array` only), and {"columns": walked, "window": W}.  `heights`
+    maps the first column to h0 in [0, r(s_0)] after the last column, so
+    paths may be drawn before their heights; they must reach past
+    t + r(s_0).  k counts the running roof sums S_j <= h0 + t: every
+    S_j <= t counts, no S_j > fl(t + r(s_0)) does, and at most
+    W = ceil(r_max / r_min) + 1 lie between.  The walk holds the sums at
+    the last sure fiber and the states of the next W + 1 columns in a
+    ring, O(n W) memory for any t, and resumes the same additions once h0
+    is known.  Its callers draw uniform float heights, where a float tie
+    has probability zero; `_pieces` keeps the exact compare at ties."""
+    columns = iter(columns)
+    first = next(columns)
+    n, hi = len(first), t + roof.array.take(first)
+    size = int(math.ceil(roof.max / roof.min)) + 2
     table = np.stack([roof.array, values * roof.array])
     acc, held = np.zeros((2, n)), np.zeros((2, n))
-    k = np.zeros(n, dtype=np.int64)
-    for col in rows.T:
+    states, sure = np.zeros((size, n), np.int64), np.zeros(n, np.int64)
+    for j, col in enumerate(itertools.chain([first], columns)):
+        live = acc[0] <= hi
         acc += table.take(col, axis=1)
-        done = acc[0] <= total
+        if acc[0].max() <= t:  # every path surely counts fiber j
+            held[...] = acc
+            sure += 1
+            continue
+        done = acc[0] <= t
         np.copyto(held, acc, where=done)
-        k += done
+        sure += done
+        np.copyto(states[j % size], col, where=live)
+    del acc
+    h0 = heights(first)
+    total = h0 + t
+    rows, k, going = np.arange(n), sure.copy(), np.ones(n, bool)
+    for a in range(size):  # the ring holds fibers sure .. first past hi
+        step = held + table.take(states[(sure + a) % size, rows], axis=1)
+        going &= step[0] <= total
+        np.copyto(held, step, where=going)
+        k += going
+    if np.any((k > j) | (total < t) | (total > hi)):
+        raise ValueError("start heights must lie in [0, r(s_0)] and the "
+                         "paths reach past t + r(s_0)")
     end, full = held
-    first = h0 * values.take(rows[:, 0])
-    last = (total - end) * values.take(rows[np.arange(n), k])
-    return full - first + last, k
+    last = (total - end) * values.take(states[k % size, rows])
+    return (full - h0 * values.take(first) + last, k,
+            {"columns": j + 1, "window": size - 1})
+
+
+def _row_integrals(rows, values, roof: Roof, h0, t):
+    """(integrals, k) of `_column_integrals` over the K rows of states
+    `rows`, started at the known heights h0."""
+    return _column_integrals(rows.T, values, roof, t, lambda _: h0)[:2]
 
 
 class Suspension:

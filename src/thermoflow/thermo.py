@@ -181,12 +181,12 @@ class MarkovMeasure:
         nu = self.stationary[self.src] * self.prob
         return float(-(nu * np.log(self.prob)).sum())
 
-    def sample_words(self, n: int, length: int, rng,
-                     start_weights=None) -> np.ndarray:
-        """n independent stationary sample paths, the (n, length) view of
-        a step-major array: a step fills one row.  The next state is the
-        successor in the slot that counts the predecessor's thresholds
-        below u, its row's cumulative sums with the last one made inf."""
+    def sample_columns(self, n: int, length: int, rng, start_weights=None):
+        """n independent stationary sample paths, a new array of n states
+        per step: one `rng.choice` for the starts, one `rng.random(n)` u a
+        step.  The next state is the successor in the slot that counts the
+        predecessor's thresholds below u, its row's cumulative sums with the
+        last one made inf."""
         starts = np.searchsorted(self.src, np.arange(self.n_states))
         slot = np.arange(len(self.src)) - starts[self.src]
         table = np.zeros((self.n_states, slot.max() + 1))
@@ -195,15 +195,22 @@ class MarkovMeasure:
         thresholds = np.cumsum(table, axis=1)[:, :-1].T
         w0 = self.stationary if start_weights is None else \
             np.asarray(start_weights, float) / np.sum(start_weights)
-        out = np.zeros((length, n), dtype=np.int64)
-        out[0] = rng.choice(self.n_states, size=n, p=w0)
-        for prev, row in zip(out[:-1], out[1:]):
+        col = rng.choice(self.n_states, size=n, p=w0)
+        yield col
+        for _ in range(length - 1):
             u = rng.random(n)
-            edge = starts.take(prev)
+            edge = starts.take(col)
             for column in thresholds:
-                edge += u > column.take(prev)
-            self.dst.take(edge, out=row)
-        return out.T
+                edge += u > column.take(col)
+            col = self.dst.take(edge)
+            yield col
+
+    def sample_words(self, n: int, length: int, rng,
+                     start_weights=None) -> np.ndarray:
+        """n independent stationary sample paths, the (n, length) view of
+        the step-major array of `sample_columns`."""
+        return np.fromiter(self.sample_columns(n, length, rng, start_weights),
+                           np.dtype((np.int64, n)), length).T
 
 
 def _stationary_vector(n: int, src, dst, prob) -> np.ndarray:
@@ -263,15 +270,16 @@ class SuspendedMeasure:
 
 
 def _sample_orbits(mu: SuspendedMeasure, n: int, length: int, rng):
-    """n orbits sampled from mu: state paths (the rows of an (n, length)
-    array) whose first state i is drawn with weight pi_i r_i, and a start
-    height uniform in the first fiber."""
+    """n orbits sampled from mu: the state columns of their paths, one
+    step at a time, whose first state i is drawn with weight pi_i r_i,
+    and the map from the first column to start heights uniform in the
+    first fiber, drawn by the call (after the paths)."""
     if n < 1:
         raise ValueError(f"the sample count must be at least 1, got {n}")
     roofs = mu.roof.array
-    paths = mu.base.sample_words(n, length, rng,
-                                 start_weights=mu.base.stationary * roofs)
-    return paths, rng.random(n) * roofs[paths[:, 0]]
+    columns = mu.base.sample_columns(n, length, rng,
+                                     start_weights=mu.base.stationary * roofs)
+    return columns, lambda first: rng.random(n) * roofs[first]
 
 
 # ----------------------------------------------------------------------
@@ -794,7 +802,9 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
     P_val = pressure(system, phi, "spectral").value
     rng = np.random.default_rng(seed)
     length = int(math.ceil(max(t_grid) / system.roof.min)) + k_rho + 3
-    paths, heights = _sample_orbits(mu, samples, length, rng)
+    columns, draw_heights = _sample_orbits(mu, samples, length, rng)
+    paths = np.array(list(columns)).T
+    heights = draw_heights(paths[:, 0])
     r0 = mu.roof.array[paths[:, 0]]
     u = heights / r0
     win = (np.minimum(1.0, u + rho) - np.maximum(0.0, u - rho)) * r0

@@ -289,6 +289,24 @@ def test_approx_target_validates_weights():
 
 # --- glued generic families ------------------------------------------------------
 
+def test_glue_builds_each_components_box_cells_once(full2_unit,
+                                                    monkeypatch):
+    """`glue_generic_family` samples its blocks from the cells that
+    `separated_generic_set` built for each component."""
+    from thermoflow import entropy_density
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return _box_cells(*args)
+    monkeypatch.setattr(entropy_density, "_box_cells", counted)
+    fam = glue_generic_family(full2_unit, standard_mixture(0.1), t=200.0,
+                              m=3, seed=0)
+    assert len(calls) == len(fam.gammas) == 2
+    for g in fam.gammas:
+        assert g.cells == _box_cells(full2_unit.sft, g.length, g.box)
+
+
 def test_glue_generic_family_certificates(full2_unit):
     eta = 0.1
     target = standard_mixture(eta)

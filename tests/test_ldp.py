@@ -1,7 +1,9 @@
 """Weighted periodic-orbit equidistribution, the truncated weak* metric,
 rate functions by two methods, and Monte Carlo deviation frequencies."""
 
+import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -759,6 +761,33 @@ def test_deviation_hits_pinned(full2_unit):
     mu = equilibrium_state(full2_unit, zero_potential())
     dev = deviation_frequency(full2_unit, mu, ind1(), 0.1, 50.0, 100_000, 42)
     assert dev.hits == 17724
+
+
+def test_deviation_memory_does_not_grow_with_t(full2_unit):
+    """The paths stream through the walk: no array has a t-sized axis, so
+    the traced peak at n = 10^5, t = 50 stays under 25 MB (a whole path
+    array alone is 42 MB) and barely moves from t = 50 to t = 400."""
+    mu = equilibrium_state(full2_unit, zero_potential())
+
+    def peak(n, t):
+        tracemalloc.start()
+        try:
+            deviation_frequency(full2_unit, mu, ind1(), 0.1, t, n, 42)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(100_000, 50.0) < 25e6
+    assert peak(20_000, 400.0) <= 1.5 * peak(20_000, 50.0)
+
+
+def test_deviation_reports_the_walk(golden12):
+    """The diagnostics name the path columns walked, ceil(t / r_min) + 2,
+    and the window W = ceil(r_max / r_min) + 1; they do not enter
+    comparisons."""
+    mu = equilibrium_state(golden12, zero_potential())
+    dev = deviation_frequency(golden12, mu, ind1(), 0.1, 20.0, 500, 3)
+    assert dev.diagnostics == {"columns": 22, "window": 3}
+    assert dataclasses.replace(dev, diagnostics={}) == dev
 
 
 def test_beta_quantile_matches_scipy():

@@ -20,8 +20,13 @@ from thermoflow import (
     min_gap_bound,
 )
 
-from thermoflow.suspension import (_BW_PATTERNS, _forced_depth, _locate,
-                                   _pieces, _row_integrals)
+from thermoflow.suspension import (_BW_PATTERNS, _column_integrals,
+                                   _forced_depth, _locate, _pieces,
+                                   _row_integrals)
+from thermoflow.thermo import (SuspendedMeasure, _sample_orbits,
+                               random_markov_measure)
+
+from row_integrals_reference import row_integrals
 
 from test_sft import random_irreducible_sft, _random_word
 
@@ -150,6 +155,86 @@ def test_row_walk_ending_on_a_roof_occupies_the_next_fiber(golden12):
                                  np.array([1.0, 10.0]), golden12.roof,
                                  0.0, 3.0)
     assert k.tolist() == [2] and integral.tolist() == [21.0]
+
+
+def _walk_system(name, request):
+    if name == "thirds":
+        return Suspension(Sft([[1, 1], [1, 1]]), Roof([1, Fraction(1, 3)]))
+    if name in ("rose2", "theta"):
+        return graph_suspension(request.getfixturevalue(name))
+    return request.getfixturevalue(name)
+
+
+def _same_walk(got, want):
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+WALK_MODELS = ["full2_unit", "golden12", "thirds", "rose2", "theta"]
+
+
+@pytest.mark.parametrize("name", WALK_MODELS)
+def test_column_walk_streams_the_sampled_orbits(name, request):
+    """Streamed paths with heights drawn after the walk integrate bit for
+    bit as the reference walk over the whole path array, whose heights
+    are drawn after the same paths from the same generator."""
+    system = _walk_system(name, request)
+    roofs = system.roof.array
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        mu = SuspendedMeasure(random_markov_measure(system.sft, rng),
+                              system.roof)
+        values = rng.normal(size=len(roofs))
+        for t in (0.5, 6.25, 31.0):
+            length = math.ceil(t / system.roof.min) + 2
+            columns, heights = _sample_orbits(mu, 300, length,
+                                              np.random.default_rng(seed))
+            got = _column_integrals(columns, values, system.roof, t, heights)
+            ref_rng = np.random.default_rng(seed)
+            paths = mu.base.sample_words(
+                300, length, ref_rng, mu.base.stationary * roofs)
+            h0 = ref_rng.random(300) * roofs[paths[:, 0]]
+            _same_walk(got, row_integrals(paths, values, system.roof, h0, t))
+            assert got[2] == {"columns": length, "window":
+                              math.ceil(roofs.max() / roofs.min()) + 1}
+
+
+@pytest.mark.parametrize("name", WALK_MODELS)
+def test_column_walk_matches_row_reference_at_ties(name, request):
+    """Heights 0 and r_0 (1 - 2^-52), and times t where a roof sum S_j
+    of a path equals t or fl(t + r_0), the two bounds the streamed walk
+    decides by: bit for bit the reference walk."""
+    system = _walk_system(name, request)
+    roofs = system.roof.array
+    rng = np.random.default_rng(11)
+    mu = random_markov_measure(system.sft, rng)
+    values = rng.normal(size=len(roofs))
+    paths = mu.sample_words(200, 64, rng)
+    sums = np.cumsum(roofs[paths], axis=1)
+    r0 = roofs[paths[:, 0]]
+    times = []
+    for j in (3, 17, 40):
+        times.append(float(sums[0, j]))
+        t = float(sums[0, j] - r0[0])
+        assert t + r0[0] == sums[0, j]
+        times.append(t)
+    for t in times:
+        for scale in (0.0, 1.0 - 2.0 ** -52):
+            got = _column_integrals(paths.T, values, system.roof, t,
+                                    lambda first: scale * roofs[first])
+            _same_walk(got[:2], row_integrals(paths, values, system.roof,
+                                              scale * r0, t))
+
+
+def test_column_walk_rejects_heights_off_the_fiber_and_short_paths(
+        golden12):
+    paths = np.array([[0, 1, 0, 0, 1]])
+    values = np.array([1.0, 10.0])
+    for h0 in (-0.5, 1.5):
+        with pytest.raises(ValueError, match="start heights"):
+            _row_integrals(paths, values, golden12.roof, h0, 2.0)
+    with pytest.raises(ValueError, match="reach past"):
+        _row_integrals(paths, values, golden12.roof, 0.5, 6.5)
 
 
 def test_bw_identity_and_vertical(full2_unit):
