@@ -29,7 +29,7 @@ from .ldp import (EmpiricalMeasure, WeakStarConfig, _segment_distances,
                   measure_statistics, weak_star_distance)
 from .sft import (Sft, WeakSpecificationError, _close_word, _glue_blocks,
                   glue_words, is_irreducible, min_gap_bound)
-from .suspension import (_BW_MAX_SHIFT, Roof, Suspension, _bw_from_words,
+from .suspension import (_BW_MAX_SHIFT, Roof, Suspension, _bw_distances,
                          _fiber_times, _locate)
 from .thermo import (MarkovMeasure, NonConvergenceError, SuspendedMeasure,
                      _check_support, entropy_and_mean)
@@ -326,14 +326,17 @@ def glue_generic_family(system: Suspension, target: ApproxTarget,
     # distance at the floor of the first fiber where their words differ,
     # read from windows of the closed words, must exceed eps/2
     window = np.arange(-_BW_MAX_SHIFT, 32 + _BW_MAX_SHIFT)
-    seps = []
+    pairs = []
     for (a, ca), (b, cb) in itertools.combinations(zip(members, closed), 2):
         j = next((i for i, (x, y) in enumerate(zip(a[0], b[0])) if x != y),
                  None)
         if j is not None:
-            xs, ys = (np.take(c, j + window, mode="wrap").tolist()
-                      for c in (ca, cb))
-            seps.append(_bw_from_words(xs, ys, 0.0, 0.0, 32))
+            pairs.append([np.take(c, j + window, mode="wrap")
+                          for c in (ca, cb)])
+    words = np.array(pairs, dtype=int).reshape(-1, 2, len(window))
+    zero = np.zeros(len(pairs))
+    seps = _bw_distances(words, np.arange(len(pairs)), zero, zero,
+                         32).tolist()
     _, starts0, times0 = members[0]
     b_times = [times0[starts0[kk * p]] for kk in range(m)]
     return GluedFamily(t, m, tuple(lengths), tuple(gammas), k_part, C,

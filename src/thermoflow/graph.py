@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .sft import Sft, _shortest_paths
-from .suspension import Roof, SuspPoint, Suspension, _locate
+from .suspension import Roof, SuspPoint, Suspension, _check_finite, _locate
 
 __all__ = [
     "GraphModelError",
@@ -181,12 +181,14 @@ class Geodesic:
         return self.susp.base.symbol_at(k)
 
     def shift_time(self, t) -> "Geodesic":
+        _check_finite("t", t)
         base = self.susp.base
         k, h = _locate(base.symbol_at, self.graph.roof, self.susp.height + t)
         return Geodesic(self.graph, SuspPoint(base.shift(k) if k else base, h))
 
     def position(self, t):
         """(directed edge, offset along it) occupied at time t."""
+        _check_finite("t", t)
         base = self.susp.base
         k, h = _locate(base.symbol_at, self.graph.roof, self.susp.height + t)
         return base.symbol_at(k), h
@@ -197,16 +199,11 @@ class Geodesic:
 # ----------------------------------------------------------------------
 
 
-def _agreement_run(w1, w2, window):
-    """Largest [km, kp] within [-window, window] with w1(s) == w2(s) for
-    all s in [-km, kp]."""
-    kp = 0
-    while kp < window and w1(kp + 1) == w2(kp + 1):
-        kp += 1
-    km = 0
-    while km < window and w1(-km - 1) == w2(-km - 1):
-        km += 1
-    return km, kp
+def _first_mismatch(w1, w2, default: int) -> int:
+    """The first index at which the sequences w1 and w2 differ; `default`
+    when they agree on their common length."""
+    return next((k for k, (a, b) in enumerate(zip(w1, w2)) if a != b),
+                default)
 
 
 def _window(geo: Geodesic, nwin: int):
@@ -273,6 +270,7 @@ def d_GX(g1: Geodesic, g2: Geodesic, tail_horizon: float = 8.0):
         raise ValueError("geodesics over different graphs")
     g = g1.graph
     T = float(tail_horizon)
+    _check_finite("tail_horizon", T)
     if T < 1:
         raise ValueError("tail_horizon >= 1 required")
     nwin = math.ceil((T + g.roof.max) / g.roof.min) + 2
@@ -333,32 +331,35 @@ def d_GX(g1: Geodesic, g2: Geodesic, tail_horizon: float = 8.0):
 
 def lift_distance(g1: Geodesic, g2: Geodesic, t, window: int = 64):
     """Tree distance between the lifts synchronized at the divergence point
-    of the two edge words nearest coordinate 0."""
+    of the two edge words nearest coordinate 0.  Both words are read once on
+    coordinates [-window, window], and the agreement run around 0 is
+    scanned from 0 outwards on each side."""
     g = g1.graph
     if g is not g2.graph and g != g2.graph:
         raise ValueError("geodesics over different graphs")
-    w1 = g1.susp.base.symbol_at
-    w2 = g2.susp.base.symbol_at
+    _check_finite("t", t)
     h1 = float(g1.susp.height)
     h2 = float(g2.susp.height)
     t = float(t)
     # position coverage check: a run cut by the window then ends past
     # h1 + t and h2 + t, so the clamp below leaves them as they are
-    lengths = g.roof.floats
     need = max(abs(h1 + t), abs(h2 + t)) + g.roof.max
     if window * g.roof.min < need:
         raise ValueError("insufficient unwinding")
-    if w1(0) == w2(0):
-        km, kp = _agreement_run(w1, w2, window)
-        Lp = math.fsum(lengths[w1(k)] for k in range(kp + 1))
-        Lm = math.fsum(lengths[w1(k)] for k in range(-km, 0))
+    w1 = g1.susp.base.window(-window, window + 1)
+    w2 = g2.susp.base.window(-window, window + 1)
+    if w1[window] == w2[window]:
+        kp = _first_mismatch(w1[window + 1:], w2[window + 1:], window)
+        km = _first_mismatch(w1[window - 1::-1], w2[window - 1::-1], window)
+        lengths = g.roof.floats
+        Lp = math.fsum([lengths[s] for s in w1[window:window + kp + 1]])
+        Lm = math.fsum([lengths[s] for s in w1[window - km:window]])
         x = h1 + t
         y = h2 + t
         xc = min(max(x, -Lm), Lp)
         yc = min(max(y, -Lm), Lp)
         return abs(xc - yc) + abs(x - xc) + abs(y - yc)
-    v1 = g.tail[w1(0)]
-    v2 = g.tail[w2(0)]
+    v1 = g.tail[w1[window]]
+    v2 = g.tail[w2[window]]
     b = float(g.vertex_distances()[v1][v2])
     return abs(h1 + t) + b + abs(h2 + t)
-

@@ -225,6 +225,14 @@ def _rotate(w: tuple, r: int) -> tuple:
     return w[r:] + w[:r]
 
 
+def _repeat(w: tuple, start: int, n: int) -> tuple:
+    """w[(start + i) mod len(w)] for 0 <= i < n; () when n <= 0."""
+    if n <= 0:
+        return ()
+    r = start % len(w)
+    return (w * ((r + n) // len(w) + 1))[r:r + n]
+
+
 def _least_rotation(w: tuple) -> int:
     """Booth's algorithm: the least r with _rotate(w, r) lexicographically
     least, in O(len(w)); f is the failure function of s = w + w from k."""
@@ -318,8 +326,14 @@ class BiWord:
         return self.right_tail[(k2 - len(self.core)) % len(self.right_tail)]
 
     def window(self, a: int, b: int) -> tuple:
-        """Symbols at coordinates a..b-1."""
-        return tuple(self.symbol_at(k) for k in range(a, b))
+        """Symbols at coordinates a..b-1: a slice of the left tail's
+        repetition, of the core and of the right tail's, in that order."""
+        cs = self.core_start
+        ce = cs + len(self.core)
+        lo, hi = max(a, cs), min(b, ce)
+        return (_repeat(self.left_tail, a - cs, min(b, cs) - a)
+                + self.core[lo - cs:max(lo, hi) - cs]
+                + _repeat(self.right_tail, max(a, ce) - ce, b - max(a, ce)))
 
     def shift(self, m: int) -> "BiWord":
         """sigma^m: (sigma^m x)_k = x_{k+m}."""

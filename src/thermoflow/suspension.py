@@ -170,39 +170,67 @@ _BW_MAX_SHIFT = max(
 )
 
 
-def _bw_from_words(xs, ys, u: float, v: float, horizon: int) -> float:
-    """Pattern-family Bowen-Walters distance from symbol windows: the
-    direct route and every pattern in both directions, from x to y and
-    from y to x, under one running minimum (a pattern whose vertical
-    cost alone reaches it is skipped), so the value is symmetric.
+# the signatures as rows S, rmax, rmin, first, interior, end, sorted by their
+# vertical part (first, interior, end); each run of one part starts at an
+# index of _BW_PARTS
+_BW_SIGNATURES = np.array(sorted(_BW_PATTERNS, key=lambda s: s[3:])).T
+_BW_PARTS = np.flatnonzero(
+    np.r_[True, np.diff(_BW_SIGNATURES[3:]).any(axis=0)])
 
-    xs, ys are sequences containing coordinates [-M, horizon + M) of the two
-    base words (M = _BW_MAX_SHIFT), indexed so that xs[M + j] is coordinate
-    j.  u, v are the normalized heights."""
+
+def _bw_distances(words, pair, u, v, horizon: int) -> np.ndarray:
+    """Pattern-family Bowen-Walters distances of many points: the direct
+    route and every pattern in both directions, from x to y and from y to
+    x, under one minimum, so each value is symmetric.
+
+    words[p] is an int array (2, horizon + 2M) holding coordinates
+    [-M, horizon + M) of the base words x, y of row p (M = _BW_MAX_SHIFT),
+    so that words[p, 0, M + j] is x_j; point i reads row pair[i] at the
+    normalized heights u[i] over x and v[i] over y: float arrays, or
+    object arrays of exact heights, on which each operation is Python's
+    own.
+
+    The horizontal costs depend on the rows only: one gather of the 2M + 1
+    diagonals in both directions gives, per row, the first disagreement at
+    or after each j (one reversed minimum.accumulate), hence every
+    pattern's cost v(j* + rmax).  The patterns that share a vertical part
+    (first, interior, end) share its cost at every point, and rounding is
+    monotone, so each part keeps only its least horizontal cost.  Each
+    point then adds, for every vertical part in both directions, (first
+    leg + interior) + last leg + that cost, the float operations of the
+    scalar evaluation in its order."""
     M = _BW_MAX_SHIFT
-
-    def vv(n):
-        return 0.0 if n >= horizon else 2.0 ** (-(n + 1))
-
-    # direct route (no passage)
-    j = 0
-    while j < horizon and xs[M + j] == ys[M + j]:
-        j += 1
-    best = abs(u - v) + vv(j)
-
-    for a, b, ua, vb in ((xs, ys, u, v), (ys, xs, v, u)):
-        for S, rmax, rmin, first, interior, end in _BW_PATTERNS:
-            vert = (1.0 - ua if first == 1 else ua) + interior
-            vert += vb if end == 0 else 1.0 - vb
-            if vert >= best:
-                continue
-            j = max(0, -rmin)
-            while j < horizon and a[M + j + S] == b[M + j]:
-                j += 1
-            cost = vert + vv(j + rmax if j < horizon else horizon)
-            if cost < best:
-                best = cost
-    return best
+    S, rmax, rmin = _BW_SIGNATURES[:3]
+    # rows and points run along the last axis
+    w = words.transpose(1, 2, 0)
+    j = np.arange(horizon)
+    miss = w[:, j + np.arange(2 * M + 1)[:, None]] != w[::-1, None, M + j]
+    # nxt[d, M + s, j, p]: the least j' >= j with a[M + j' + s] != b[M + j']
+    # for (a, b) = (x, y), (y, x); horizon where there is none, and for
+    # j >= horizon
+    nxt = np.full((2, 2 * M + 1, horizon + M + 1, len(words)), horizon)
+    np.copyto(nxt[:, :, :horizon], j[:, None], where=miss)
+    nxt = np.minimum.accumulate(nxt[:, :, ::-1], axis=2)[:, :, ::-1]
+    # vv[n] = 2^-(n+1), and 0 from the horizon on
+    vv = np.zeros(horizon + M + 1)
+    vv[:horizon] = np.ldexp(1.0, -1 - j)
+    # reach[d, k, p]: the least v(j* + rmax) over the patterns of vertical
+    # part k
+    reach = np.minimum.reduceat(
+        vv[nxt[:, M + S, -np.minimum(rmin, 0)] + rmax[:, None]], _BW_PARTS,
+        axis=1)
+    first, interior, end = _BW_SIGNATURES[3:, _BW_PARTS]
+    # legs[d, 0 or 1]: u or 1 - u, u the height of direction d's start (u
+    # and v swapped in the second); the first leg is u going down (first
+    # -1) and 1 - u going up, the last leg legs[1 - d, end]
+    ua = np.stack((u, v))
+    legs = np.stack((ua, 1.0 - ua), axis=1)
+    cost = legs[:, (first > 0).astype(int)]
+    cost += interior[:, None]
+    cost += legs[::-1, end]
+    cost += reach[..., pair]
+    return np.minimum(np.abs(u - v) + vv[nxt[0, M, 0]][pair],
+                      cost.min(axis=(0, 1)))
 
 
 def _forced_depth(rho: float) -> int:
@@ -214,6 +242,12 @@ def _forced_depth(rho: float) -> int:
     while 2.0 ** (-(n + 1)) >= rho:
         n += 1
     return n
+
+
+def _check_finite(name: str, value):
+    """Raise ValueError naming `name` unless `value` is a finite number."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _locate(symbol_at, roof: Roof, h, k=0):
@@ -370,6 +404,7 @@ class Suspension:
 
     def flow(self, p: SuspPoint, t) -> SuspPoint:
         """phi_t; exact arithmetic when height and roof values are exact."""
+        _check_finite("t", t)
         k, h = _locate(p.base.symbol_at, self.roof, p.height + t)
         return SuspPoint(p.base.shift(k) if k else p.base, h)
 
@@ -387,9 +422,10 @@ class Suspension:
         x, y = p.base, q.base
         u = p.height / self.roof[x.symbol_at(0)]
         v = q.height / self.roof[y.symbol_at(0)]
-        xs = x.window(-M, horizon + M)
-        ys = y.window(-M, horizon + M)
-        return _bw_from_words(xs, ys, u, v, horizon)
+        words = np.array([[x.window(-M, horizon + M),
+                           y.window(-M, horizon + M)]])
+        return float(_bw_distances(words, [0], np.array([u]), np.array([v]),
+                                   horizon)[0])
 
     # ------------------------------------------------------------------
     # shadowing
@@ -398,14 +434,17 @@ class Suspension:
     def shadows(self, y: SuspPoint, seg: OrbitSegment, delta: float) -> bool:
         """True iff bw_distance(flow(y, s), flow(x, s)) < delta on a grid of
         step <= delta/4 covering [0, t] (endpoints included)."""
-        if delta <= 0:
-            raise ValueError("delta must be positive")
         return self.max_orbit_distance(y, seg, delta) < delta
 
     def max_orbit_distance(self, y: SuspPoint, seg: OrbitSegment,
                            delta: float) -> float:
         """Sup of bw_distance along the shadowing grid (step <= delta/4),
-        read to the horizon max(4, ceil(log2(4/delta)))."""
+        read to the horizon max(4, ceil(log2(4/delta))).  The fiber walk
+        places the grid points; the points on one pair of fibers share
+        their symbol windows, read once per pair by `_bw_distances`."""
+        _check_finite("delta", delta)
+        if delta <= 0:
+            raise ValueError("delta must be positive")
         horizon = max(4, math.ceil(math.log2(4.0 / delta)))
         t = seg.duration
         n = max(1, math.ceil(t / (delta / 4.0)))
@@ -414,24 +453,31 @@ class Suspension:
         span = int(t / self.roof.min) + horizon + M + 4
         yw = y.base.window(-M, span)
         xw = seg.start.base.window(-M, span)
-        floats = self.roof.floats
+        roof = self.roof
         # ky, kx index the windows: coordinate k sits at index k + M
         ky = kx = M
         hy, hx = y.height, seg.start.height
-        width = 2 * M + horizon
-        worst = 0.0
-        for i in range(n + 1):
-            ys = yw[ky - M:ky - M + width]
-            xs = xw[kx - M:kx - M + width]
-            u = hy / floats[yw[ky]]
-            v = hx / floats[xw[kx]]
-            d = _bw_from_words(ys, xs, u, v, horizon)
-            if d > worst:
-                worst = d
-            if i < n:
-                ky, hy = _locate(yw.__getitem__, self.roof, hy + step, ky)
-                kx, hx = _locate(xw.__getitem__, self.roof, hx + step, kx)
-        return worst
+        walk = [(ky, kx, hy, hx)]
+        for _ in range(n):
+            ky, hy = _locate(yw.__getitem__, roof, hy + step, ky)
+            kx, hx = _locate(xw.__getitem__, roof, hx + step, kx)
+            walk.append((ky, kx, hy, hx))
+        ky, kx, hy, hx = zip(*walk)
+        fibers = np.array((ky, kx))
+        windows = np.array((yw, xw))
+        # normalized heights float(h) / r: what h / roof.floats[s] gives for
+        # a float, int or Fraction h
+        u, v = np.array((hy, hx), dtype=float) \
+            / roof.array[windows[[[0], [1]], fibers]]
+        # the fibers only move forward: a new pair starts where either moves
+        new = np.ones(n + 1, dtype=bool)
+        new[1:] = (fibers[:, 1:] != fibers[:, :-1]).any(axis=0)
+        # each new pair's windows: coordinates [k - M, k + horizon + M) of
+        # yw and xw, where coordinate k sits at index k + M
+        cols = np.arange(horizon + 2 * M) - M
+        words = windows[[[0], [1]], fibers[:, new].T[:, :, None] + cols]
+        d = _bw_distances(words, np.cumsum(new) - 1, u, v, horizon)
+        return float(d.max())
 
     # ------------------------------------------------------------------
     # gluing and closing

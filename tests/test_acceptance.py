@@ -12,7 +12,6 @@ from thermoflow import (
     ApproxTarget,
     BiWord,
     CylinderPotential,
-    Geodesic,
     MarkovMeasure,
     OrbitSegment,
     Roof,
@@ -40,7 +39,7 @@ from thermoflow import (
 
 from exact_deviation import exact_deviation_probability
 from test_sft import brute_force_gap_bound, random_irreducible_sft
-from test_graph import random_geodesic
+from test_graph import correlated_pair, random_geodesic
 
 CFG = WeakStarConfig()
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
@@ -100,29 +99,6 @@ def test_criterion_2_gluing_contract():
 
 # --- 3: metric lemmas -------------------------------------------------------------
 
-def _correlated_pair(g, rng, agree_len=24):
-    """Two geodesics whose edge words agree on coordinates [0, agree_len)
-    but are chosen independently outside, for shadowing hypotheses."""
-    sft, roof = build_edge_sft(g)
-    word = [int(rng.integers(g.n_dir))]
-    for _ in range(agree_len - 1):
-        succ = sft.successors(word[-1])
-        word.append(int(succ[rng.integers(len(succ))]))
-
-    def extend():
-        left = [int(rng.integers(g.n_dir))]
-        while not sft.allowed(left[0], word[0]):
-            left = [int(rng.integers(g.n_dir))]
-        succ = sft.successors(word[-1])
-        right = [int(succ[rng.integers(len(succ))])]
-        return BiWord((left[0],), tuple(word), (right[0],), 0)
-
-    susp = graph_suspension(g)
-    h = float(rng.random()) * roof[word[0]]
-    return (Geodesic(g, susp.point(extend(), h)),
-            Geodesic(g, susp.point(extend(), h)))
-
-
 def test_criterion_3_metric_lemmas(rose2, theta):
     start = time.monotonic()
     # comparison bound with K = 1/2: d_GX >= (1/2) d_X, certified errors
@@ -150,7 +126,7 @@ def test_criterion_3_metric_lemmas(rose2, theta):
         for _ in range(500):
             eps = float(rng.choice([0.1, 0.3]))
             T = -math.log(eps)
-            g1, g2 = _correlated_pair(g, rng)
+            g1, g2 = correlated_pair(g, rng)
             ts = np.linspace(a - T, b + T, 13)
             if any(lift_distance(g1, g2, float(t), window=64) >= eps / 2
                    for t in ts):

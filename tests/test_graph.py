@@ -24,6 +24,7 @@ from thermoflow import (
 from thermoflow.thermo import _orbit_sums
 
 import dgx_reference
+import lift_reference
 from cycle_reference import primitive_orbits
 
 
@@ -59,6 +60,29 @@ def agreement_pair(g, rng, R=2):
                     (int(rng.integers(g.n_dir)),), -R) for _ in "ab"]
     h = float(rng.random()) * roof[bases[0].symbol_at(0)]
     return tuple(Geodesic(g, susp.point(base, h)) for base in bases)
+
+
+def correlated_pair(g, rng, agree_len=24):
+    """Two geodesics whose edge words agree on coordinates [0, agree_len)
+    but are chosen independently outside, for shadowing hypotheses."""
+    sft, roof = build_edge_sft(g)
+    word = [int(rng.integers(g.n_dir))]
+    for _ in range(agree_len - 1):
+        succ = sft.successors(word[-1])
+        word.append(int(succ[rng.integers(len(succ))]))
+
+    def extend():
+        left = [int(rng.integers(g.n_dir))]
+        while not sft.allowed(left[0], word[0]):
+            left = [int(rng.integers(g.n_dir))]
+        succ = sft.successors(word[-1])
+        right = [int(succ[rng.integers(len(succ))])]
+        return BiWord((left[0],), tuple(word), (right[0],), 0)
+
+    susp = graph_suspension(g)
+    h = float(rng.random()) * roof[word[0]]
+    return (Geodesic(g, susp.point(extend(), h)),
+            Geodesic(g, susp.point(extend(), h)))
 
 
 def dgx_corpus(g, seed, n_pairs):
@@ -239,6 +263,32 @@ def test_lift_distance_matches_exact_run_sums(rose2, theta):
             for t in rng.uniform(-20.0, 20.0, 5):
                 assert lift_distance(g1, g2, t) \
                     == dgx_reference.lift_distance(g1, g2, t)
+
+
+@pytest.mark.parametrize("name", ["rose2", "theta", "thirds"])
+def test_lift_distance_matches_agreement_run_reference(name, request):
+    """lift_distance reads both windows once; it equals the reference that
+    reads symbol_at per coordinate bit for bit, or raises where it raises,
+    on independent, correlated (criterion 3) and identical pairs at windows
+    8 to 200."""
+    g = THIRDS if name == "thirds" else request.getfixturevalue(name)
+    rng = np.random.default_rng(23)
+    pairs = []
+    for _ in range(6):
+        a, b = random_geodesic(g, rng), random_geodesic(g, rng)
+        pairs += [(a, b), correlated_pair(g, rng), (a, a),
+                  correlated_pair(g, rng, agree_len=int(rng.integers(2, 9)))]
+    for window in (8, 13, 64, 200):
+        reach = window * g.roof.min
+        for g1, g2 in pairs:
+            for t in rng.uniform(-reach, reach, 3):
+                try:
+                    want = lift_reference.lift_distance(g1, g2, t, window)
+                except ValueError as err:
+                    with pytest.raises(ValueError, match=str(err)):
+                        lift_distance(g1, g2, t, window)
+                    continue
+                assert lift_distance(g1, g2, t, window) == want
 
 
 # --- d_GX -------------------------------------------------------------------

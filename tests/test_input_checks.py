@@ -148,6 +148,42 @@ CHECKS = {
     "lift-graphs": (
         lambda: lift_distance(GEODESIC, OTHER_GEODESIC, 0.0),
         ValueError, r"geodesics over different graphs"),
+    "lift-t": (
+        lambda: lift_distance(GEODESIC, GEODESIC, float("nan")),
+        ValueError, r"t must be finite, got nan"),
+    "shift-time-t": (
+        lambda: GEODESIC.shift_time(float("nan")),
+        ValueError, r"t must be finite, got nan"),
+    "position-t": (
+        lambda: GEODESIC.position(float("inf")),
+        ValueError, r"t must be finite, got inf"),
+    "flow-t": (
+        lambda: FULL2.flow(POINT, float("-inf")),
+        ValueError, r"t must be finite, got -inf"),
+    "shadows-delta-nan": (
+        lambda: FULL2.shadows(POINT, OrbitSegment(POINT, 1.0), float("nan")),
+        ValueError, r"delta must be finite, got nan"),
+    "shadows-delta-inf": (
+        lambda: FULL2.shadows(POINT, OrbitSegment(POINT, 1.0), float("inf")),
+        ValueError, r"delta must be finite, got inf"),
+    "max-orbit-delta-nan": (
+        lambda: FULL2.max_orbit_distance(POINT, OrbitSegment(POINT, 1.0),
+                                         float("nan")),
+        ValueError, r"delta must be finite, got nan"),
+    "max-orbit-delta-inf": (
+        lambda: FULL2.max_orbit_distance(POINT, OrbitSegment(POINT, 1.0),
+                                         float("inf")),
+        ValueError, r"delta must be finite, got inf"),
+    "max-orbit-delta": (
+        lambda: FULL2.max_orbit_distance(POINT, OrbitSegment(POINT, 1.0),
+                                         -0.1),
+        ValueError, r"delta must be positive"),
+    "dgx-horizon-inf": (
+        lambda: d_GX(GEODESIC, GEODESIC, tail_horizon=float("inf")),
+        ValueError, r"tail_horizon must be finite, got inf"),
+    "dgx-horizon-nan": (
+        lambda: d_GX(GEODESIC, GEODESIC, tail_horizon=float("nan")),
+        ValueError, r"tail_horizon must be finite, got nan"),
     "point-distance-offset": (
         lambda: ROSE2.point_distance((0, 2), (0, 0)),
         ValueError, r"offset outside edge"),

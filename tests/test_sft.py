@@ -245,6 +245,27 @@ def test_biword_symbol_at_phases():
     assert got == [0, 1, 1, 0, 1, 1, 0, 1, 1]
 
 
+def test_biword_window_matches_symbol_at():
+    """The sliced window equals symbol_at read coordinate by coordinate, on
+    random words (tails of 1-4 symbols, cores of 0-6, core_start -10..10),
+    for ranges that start and end in every region and for the empty ranges
+    a = b and b < a."""
+    rng = np.random.default_rng(21)
+    for _ in range(400):
+        lt, core, rt = (tuple(rng.integers(3, size=int(rng.integers(*n)))
+                              .tolist()) for n in ((1, 5), (0, 7), (1, 5)))
+        x = BiWord(lt, core, rt, int(rng.integers(-10, 11)))
+        cs, ce = x.core_start, x.core_start + len(x.core)
+        # a point deep in the left tail, on each boundary and in the core,
+        # and deep in the right tail
+        marks = sorted({cs - 9, cs - 1, cs, (cs + ce) // 2, ce - 1, ce,
+                        ce + 9})
+        for a in marks:
+            for b in marks + [m + 17 for m in marks] + [a, a - 1, a - 3]:
+                assert x.window(a, b) == tuple(
+                    x.symbol_at(k) for k in range(a, b)), (x, a, b)
+
+
 def test_biword_core_absorption():
     # core symbols matching the tails get absorbed
     x = BiWord((0,), (0, 1), (1,), 0)

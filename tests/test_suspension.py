@@ -20,12 +20,14 @@ from thermoflow import (
     min_gap_bound,
 )
 
-from thermoflow.suspension import (_BW_PATTERNS, _column_integrals,
+from thermoflow.suspension import (_BW_MAX_SHIFT, _BW_PATTERNS,
+                                   _bw_distances, _column_integrals,
                                    _forced_depth, _locate, _pieces,
                                    _row_integrals)
 from thermoflow.thermo import (SuspendedMeasure, _sample_orbits,
                                random_markov_measure)
 
+import bw_reference
 from row_integrals_reference import row_integrals
 
 from test_sft import random_irreducible_sft, _random_word
@@ -304,6 +306,72 @@ def test_bw_zero_iff_equal_up_to_horizon(golden12):
             assert golden12.bw_distance(p, q, horizon=32) > 0.0
 
 
+def _bw_corpus(rng, horizon):
+    """Window pairs over 2 or 3 symbols for one horizon: equal words,
+    near-equal ones (one to three symbols changed) and unrelated ones."""
+    width = horizon + 2 * _BW_MAX_SHIFT
+    pairs = []
+    for n_sym in (2, 3):
+        for kind in range(6):
+            x = rng.integers(n_sym, size=width)
+            y = x.copy()
+            if kind in (2, 3, 4):
+                at = rng.integers(width, size=kind - 1)
+                y[at] = (y[at] + 1) % n_sym
+            elif kind == 5:
+                y = rng.integers(n_sym, size=width)
+            pairs.append((x, y))
+    return pairs
+
+
+def test_bw_kernel_matches_scalar_reference():
+    """One kernel call per horizon 1..40 over a seeded corpus of window
+    pairs, each read at heights 0, 1 - 2^-52 and random: bit for bit the
+    scalar pattern loop, pair by pair."""
+    rng = np.random.default_rng(26)
+    top = 1.0 - 2.0 ** -52
+    for horizon in range(1, 41):
+        pairs = _bw_corpus(rng, horizon)
+        words = np.array(pairs)
+        pair, us, vs = [], [], []
+        for p in range(len(pairs)):
+            for u, v in ((0.0, 0.0), (top, 0.0), (0.0, top), (top, top),
+                         tuple(rng.random(2))):
+                pair.append(p)
+                us.append(u)
+                vs.append(v)
+        got = _bw_distances(words, np.array(pair), np.array(us),
+                            np.array(vs), horizon)
+        want = [bw_reference.bw_from_words(*words[p].tolist(), u, v, horizon)
+                for p, u, v in zip(pair, us, vs)]
+        assert got.tolist() == want, horizon
+
+
+def test_bw_distance_matches_scalar_reference(golden12, theta):
+    """The one-point call: bit for bit the scalar loop on the windows, with
+    float heights and with exact heights over theta's exact roof, where the
+    scalar loop adds Fractions exactly until a float joins them."""
+    rng = np.random.default_rng(27)
+    M = _BW_MAX_SHIFT
+    exact = graph_suspension(theta)
+    for system in (golden12, exact):
+        for k in range(60):
+            p, q = _random_point(system, rng), _random_point(system, rng)
+            if system is exact:
+                p = SuspPoint(p.base, Fraction(k % 7, 7)
+                              * system.roof[p.base.symbol_at(0)])
+            if system is exact and k % 2:
+                q = SuspPoint(q.base, Fraction(k % 5, 5)
+                              * system.roof[q.base.symbol_at(0)])
+            u = p.height / system.roof[p.base.symbol_at(0)]
+            v = q.height / system.roof[q.base.symbol_at(0)]
+            horizon = (1, 8, 32)[k % 3]
+            assert system.bw_distance(p, q, horizon) == \
+                bw_reference.bw_from_words(p.base.window(-M, horizon + M),
+                                           q.base.window(-M, horizon + M),
+                                           u, v, horizon)
+
+
 # --- shadowing --------------------------------------------------------------
 
 def test_shadows_self(golden12):
@@ -333,6 +401,31 @@ def test_max_orbit_distance_exact_roof_matches_float_roof(theta):
         for delta in (0.3, 0.1):
             assert exact.max_orbit_distance(y, seg, delta) \
                 == floats.max_orbit_distance(y, seg, delta)
+
+
+@pytest.mark.parametrize("name", ["golden12", "theta", "thirds",
+                                  "random"])
+def test_max_orbit_distance_matches_grid_reference(name, request):
+    """The shadowing sup equals the per-point reference walk bit for bit at
+    delta = 0.3, 0.05 and 0.01 (horizons 4, 7 and 9): y unrelated to x, on
+    x's base at another height, and x flowed a little."""
+    rng = np.random.default_rng(31)
+    if name == "random":
+        sfts = [random_irreducible_sft(rng, max_symbols=4) for _ in range(2)]
+        systems = [Suspension(sft, Roof(rng.uniform(0.5, 2.0, sft.n_symbols)))
+                   for sft in sfts]
+    else:
+        systems = [_walk_system(name, request)]
+    for system in systems:
+        for delta in (0.3, 0.05, 0.01):
+            x = _random_point(system, rng)
+            seg = OrbitSegment(x, float(rng.uniform(0.5, 4.0)))
+            r0 = system.roof[x.base.symbol_at(0)]
+            for y in (_random_point(system, rng),
+                      system.point(x.base, float(rng.random()) * r0),
+                      system.flow(x, float(rng.uniform(0.0, delta)))):
+                assert system.max_orbit_distance(y, seg, delta) == \
+                    bw_reference.max_orbit_distance(system, y, seg, delta)
 
 
 # --- gluing -----------------------------------------------------------------
