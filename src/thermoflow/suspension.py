@@ -15,8 +15,8 @@ a time to a fiber and height (flows, gluing, geodesics), `_fiber_times`
 a fiber to its start time, and `_pieces` cuts many segments into fiber
 pieces at once (`birkhoff` on cylinder potentials, `empirical_measure`,
 separated sets and glued families).  `_column_integrals` integrates along
-sampled paths streamed one column at a time (`deviation_frequency`), and
-`_row_integrals` along the rows of a path array (`gibbs_ratio_stats`).
+sampled paths fed one column at a time: streamed (`deviation_frequency`)
+or the columns of a path array (`gibbs_ratio_stats`).
 
 Metric convention
 -----------------
@@ -26,9 +26,9 @@ The base metric is the forward-window metric
 
 and d = 0 when x and y agree on [0, horizon).  Heights are compared in
 normalized units u = s / r(x_0).  The Bowen-Walters distance is evaluated as
-the minimum over a finite family of seam-passage patterns: a pattern is a
-sequence of roof/floor crossings (up = +1, down = -1) applied while moving
-from p to q, with horizontal motion allowed between crossings.  For a fixed
+the minimum over seam-passage patterns: a pattern is a sequence of
+roof/floor crossings (up = +1, down = -1) applied while moving from p to
+q, with horizontal motion allowed between crossings.  For a fixed
 pattern the infimum over the intermediate words has a closed form: writing
 S for the net shift, c_i for the partial shifts and r_i = S - c_i, the
 horizontal cost is v(j* + max_i r_i) where j* is the first coordinate
@@ -36,13 +36,14 @@ j >= max(0, -min_i r_i) at which x_{j+S} differs from y_j (any disagreement
 below that threshold escapes every forcing window and is free), and
 v(n) = 2^-(n+1) truncated to 0 at the horizon.  The vertical cost adds the
 height moves and one full unit per interior crossing away from a seam.
-Patterns up to five crossings are enumerated once, as 38 distinct
-signatures; the distance is the minimum over all of them evaluated in both
-directions, so symmetry is exact and the triangle inequality holds for every
-chain realizable within the pattern family (stress-checked on randomized
-triples in the test suite).  Flowing by s moves a point by at most
-2|s|/min r in this metric, the Lipschitz constant the shadowing grid
-relies on.
+The distance is the minimum over all patterns, of any length, evaluated in
+both directions.  Only the four alternating patterns can attain it, and
+they map to one another when p and q swap (see `_BW_SIGNATURES`), so only
+they are evaluated, from p to q.  Symmetry is exact and the triangle
+inequality holds for every chain realizable within the pattern family
+(stress-checked on randomized triples in the test suite).  Flowing by s
+moves a point by at most 2|s|/min r in this metric, the Lipschitz constant
+the shadowing grid relies on.
 """
 
 from __future__ import annotations
@@ -72,16 +73,19 @@ class Roof:
     `values` keeps the values as given: Fractions and ints stay exact, and a
     float is the binary fraction it stores.  The fiber walk and the lattice
     engine of closed-orbit sums read them exactly.  `array` is their one
-    float64 view: the values are validated on it, `min` and `max` read it,
-    and so does every numeric kernel; `floats` holds the same floats as a
-    tuple, for the scalar walk.  A roof value that is not a binary
-    fraction, such as 1/3, must be given exactly for closed-orbit sums."""
+    float64 view: the values are validated on it, `min` and `max` are its
+    extremes as floats, and every numeric kernel reads it; `floats` holds
+    the same floats as a tuple, for the scalar walk.  A roof value that is
+    not a binary fraction, such as 1/3, must be given exactly for
+    closed-orbit sums."""
 
     def __init__(self, values):
         self.values = tuple(values)
         self.array = np.array(self.values, dtype=float)
-        if not self.values or not (0 < self.array.min()
-                                   and self.array.max() < math.inf):
+        # an empty roof has min = inf above max = -inf; a NaN is NaN in both
+        self.min = float(self.array.min(initial=math.inf))
+        self.max = float(self.array.max(initial=-math.inf))
+        if not 0 < self.min <= self.max < math.inf:
             raise ValueError("roof values must be finite and positive")
         self.array.setflags(write=False)
         self.floats = tuple(self.array.tolist())
@@ -91,14 +95,6 @@ class Roof:
 
     def __len__(self):
         return len(self.values)
-
-    @property
-    def max(self) -> float:
-        return float(self.array.max())
-
-    @property
-    def min(self) -> float:
-        return float(self.array.min())
 
     def __eq__(self, other):
         return isinstance(other, Roof) and self.values == other.values
@@ -140,48 +136,36 @@ class ClosedOrbit:
     period: float
 
 
-def _pattern_signatures():
-    """Enumerate seam-passage patterns of up to five passages and reduce
-    them to evaluation signatures (S, rmax, rmin, first, interior, end):
-    the vertical cost is a function of the two normalized heights.
-
-    first: +1 -> first passage up, contributes (1 - u); -1 -> first
-    passage down, contributes u.  After a passage the level is 0 (up) or
-    1 (down), so a passage pays one full seam-to-seam unit exactly when it
-    repeats the previous direction: interior counts those repeats.
-    end: the level after the last passage; the final vertical leg costs v
-    or (1 - v).  The direct route (no passage) is evaluated separately.
-    Distinct patterns may share a signature; each signature is kept once,
-    in the order of its first pattern."""
-    sigs = {}
-    for length in range(1, 6):
-        for bits in range(1 << length):
-            eps = [1 if (bits >> i) & 1 else -1 for i in range(length)]
-            S = sum(eps)
-            r = [S - c for c in itertools.accumulate(eps, initial=0)]
-            interior = sum(a == b for a, b in zip(eps, eps[1:]))
-            sigs[(S, max(r), min(r), eps[0], interior, int(eps[-1] < 0))] = 1
-    return list(sigs)
-
-
-_BW_PATTERNS = _pattern_signatures()
-_BW_MAX_SHIFT = max(
-    max(abs(s[0]), abs(s[1]), abs(s[2])) for s in _BW_PATTERNS
-)
-
-
-# the signatures as rows S, rmax, rmin, first, interior, end, sorted by their
-# vertical part (first, interior, end); each run of one part starts at an
-# index of _BW_PARTS
-_BW_SIGNATURES = np.array(sorted(_BW_PATTERNS, key=lambda s: s[3:])).T
-_BW_PARTS = np.flatnonzero(
-    np.r_[True, np.diff(_BW_SIGNATURES[3:]).any(axis=0)])
+# The seam-passage patterns (of any length) reduce to signatures (S, rmax,
+# rmin, first, interior, end): S the net shift, rmax and rmin bounding the
+# partial shifts r_i, `first` the first passage (+1 up, paying 1 - u; -1
+# down, paying u), `interior` the passages that repeat the previous
+# direction, each paying a full seam-to-seam unit, and `end` the level
+# after the last passage (0 after up, 1 after down), where the last leg
+# pays v or 1 - v.  Only the alternating patterns have interior 0, one
+# signature per (first, end), and only they can attain the minimum: a
+# pattern with interior k >= 1 costs legs + k + h >= legs + 1, while the
+# alternating one with its (first, end) has the same legs and costs
+# legs + h' <= legs + 1/2, every horizontal cost being at most v(0) = 1/2.
+# Rounding is monotone, so the minimum over these four is the minimum over
+# all patterns, bit for bit.  The four are closed under swapping x and y:
+# + from x to y costs what - costs from y to x (the same shifted diagonal,
+# the same two legs added in the other order, and float addition
+# commutes), and +- and -+ are their own mirrors.  So one direction gives
+# the minimum of both, and it is exactly symmetric.  Columns: the patterns
+# +, +-, -, -+; rows S, rmax, rmin, first, end.
+_BW_SIGNATURES = np.array([[1, 0, -1, 0],
+                           [1, 0, 0, 1],
+                           [0, -1, -1, 0],
+                           [1, 1, -1, -1],
+                           [0, 1, 1, 0]])
+_BW_MAX_SHIFT = int(np.abs(_BW_SIGNATURES[:3]).max())
 
 
 def _bw_distances(words, pair, u, v, horizon: int) -> np.ndarray:
     """Pattern-family Bowen-Walters distances of many points: the direct
-    route and every pattern in both directions, from x to y and from y to
-    x, under one minimum, so each value is symmetric.
+    route and the four signatures of `_BW_SIGNATURES` from x to y, under
+    one minimum, which is the minimum of both directions.
 
     words[p] is an int array (2, horizon + 2M) holding coordinates
     [-M, horizon + M) of the base words x, y of row p (M = _BW_MAX_SHIFT),
@@ -191,46 +175,31 @@ def _bw_distances(words, pair, u, v, horizon: int) -> np.ndarray:
     own.
 
     The horizontal costs depend on the rows only: one gather of the 2M + 1
-    diagonals in both directions gives, per row, the first disagreement at
-    or after each j (one reversed minimum.accumulate), hence every
-    pattern's cost v(j* + rmax).  The patterns that share a vertical part
-    (first, interior, end) share its cost at every point, and rounding is
-    monotone, so each part keeps only its least horizontal cost.  Each
-    point then adds, for every vertical part in both directions, (first
-    leg + interior) + last leg + that cost, the float operations of the
-    scalar evaluation in its order."""
+    diagonals gives, per row, the first disagreement at or after each j
+    (one reversed minimum.accumulate), hence every signature's cost
+    v(j* + rmax).  Each point then adds, for every signature, first leg +
+    last leg + that cost, the float operations of the scalar evaluation in
+    its order."""
     M = _BW_MAX_SHIFT
-    S, rmax, rmin = _BW_SIGNATURES[:3]
+    S, rmax, rmin, first, end = _BW_SIGNATURES
     # rows and points run along the last axis
-    w = words.transpose(1, 2, 0)
+    x, y = words.transpose(1, 2, 0)
     j = np.arange(horizon)
-    miss = w[:, j + np.arange(2 * M + 1)[:, None]] != w[::-1, None, M + j]
-    # nxt[d, M + s, j, p]: the least j' >= j with a[M + j' + s] != b[M + j']
-    # for (a, b) = (x, y), (y, x); horizon where there is none, and for
-    # j >= horizon
-    nxt = np.full((2, 2 * M + 1, horizon + M + 1, len(words)), horizon)
-    np.copyto(nxt[:, :, :horizon], j[:, None], where=miss)
-    nxt = np.minimum.accumulate(nxt[:, :, ::-1], axis=2)[:, :, ::-1]
+    miss = x[j + np.arange(2 * M + 1)[:, None]] != y[M + j]
+    # nxt[M + s, j, p]: the least j' >= j with x_{j' + s} != y_{j'};
+    # horizon where there is none, and for j >= horizon
+    nxt = np.full((2 * M + 1, horizon + M + 1, len(words)), horizon)
+    np.copyto(nxt[:, :horizon], j[:, None], where=miss)
+    nxt = np.minimum.accumulate(nxt[:, ::-1], axis=1)[:, ::-1]
     # vv[n] = 2^-(n+1), and 0 from the horizon on
     vv = np.zeros(horizon + M + 1)
     vv[:horizon] = np.ldexp(1.0, -1 - j)
-    # reach[d, k, p]: the least v(j* + rmax) over the patterns of vertical
-    # part k
-    reach = np.minimum.reduceat(
-        vv[nxt[:, M + S, -np.minimum(rmin, 0)] + rmax[:, None]], _BW_PARTS,
-        axis=1)
-    first, interior, end = _BW_SIGNATURES[3:, _BW_PARTS]
-    # legs[d, 0 or 1]: u or 1 - u, u the height of direction d's start (u
-    # and v swapped in the second); the first leg is u going down (first
-    # -1) and 1 - u going up, the last leg legs[1 - d, end]
-    ua = np.stack((u, v))
-    legs = np.stack((ua, 1.0 - ua), axis=1)
-    cost = legs[:, (first > 0).astype(int)]
-    cost += interior[:, None]
-    cost += legs[::-1, end]
-    cost += reach[..., pair]
-    return np.minimum(np.abs(u - v) + vv[nxt[0, M, 0]][pair],
-                      cost.min(axis=(0, 1)))
+    # the first leg is u going down (first -1) and 1 - u going up, the
+    # last leg v at end level 0 and 1 - v at level 1
+    cost = np.stack((u, 1.0 - u))[(first > 0).astype(int)]
+    cost += np.stack((v, 1.0 - v))[end]
+    cost += vv[nxt[M + S, -rmin] + rmax[:, None]][:, pair]
+    return np.minimum(np.abs(u - v) + vv[nxt[M, 0]][pair], cost.min(axis=0))
 
 
 def _forced_depth(rho: float) -> int:
@@ -365,12 +334,6 @@ def _column_integrals(columns, values, roof: Roof, t, heights):
     last = (total - end) * values.take(states[k % size, rows])
     return (full - h0 * values.take(first) + last, k,
             {"columns": j + 1, "window": size - 1})
-
-
-def _row_integrals(rows, values, roof: Roof, h0, t):
-    """(integrals, k) of `_column_integrals` over the K rows of states
-    `rows`, started at the known heights h0."""
-    return _column_integrals(rows.T, values, roof, t, lambda _: h0)[:2]
 
 
 class Suspension:

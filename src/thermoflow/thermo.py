@@ -46,8 +46,8 @@ from fractions import Fraction
 import numpy as np
 
 from .sft import Sft, _words, is_irreducible
-from .suspension import (OrbitSegment, Roof, Suspension, _forced_depth,
-                         _locate, _pieces, _row_integrals)
+from .suspension import (OrbitSegment, Roof, Suspension, _column_integrals,
+                         _forced_depth, _locate, _pieces)
 
 __all__ = [
     "NonConvergenceError",
@@ -815,7 +815,8 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
     phi_v = np.array([phi.value(w) for w in mu.base.words])
     per_t = {}
     for t in t_grid:
-        Phi, c = _row_integrals(paths, phi_v, mu.roof, heights, t)
+        Phi, c = _column_integrals(paths.T, phi_v, mu.roof, t,
+                                   lambda _: heights)[:2]
         ball = np.exp(log_nu[np.arange(samples), c + k_rho - 1]) * win \
             / mu.mean_roof
         ratios = ball / np.exp(-t * P_val + Phi)

@@ -20,10 +20,9 @@ from thermoflow import (
     min_gap_bound,
 )
 
-from thermoflow.suspension import (_BW_MAX_SHIFT, _BW_PATTERNS,
+from thermoflow.suspension import (_BW_MAX_SHIFT, _BW_SIGNATURES,
                                    _bw_distances, _column_integrals,
-                                   _forced_depth, _locate, _pieces,
-                                   _row_integrals)
+                                   _forced_depth, _locate, _pieces)
 from thermoflow.thermo import (SuspendedMeasure, _sample_orbits,
                                random_markov_measure)
 
@@ -153,9 +152,9 @@ def test_flow_to_roof_lands_on_next_floor(golden12, theta):
 def test_row_walk_ending_on_a_roof_occupies_the_next_fiber(golden12):
     """golden (1,2) from height 0 for t = 3 ends on the floor of fiber 2,
     which it then occupies; phi = (1, 10) integrates to 1 + 2 * 10."""
-    integral, k = _row_integrals(np.array([[0, 1, 0, 0, 1]]),
-                                 np.array([1.0, 10.0]), golden12.roof,
-                                 0.0, 3.0)
+    integral, k = _column_integrals(np.array([[0, 1, 0, 0, 1]]).T,
+                                    np.array([1.0, 10.0]), golden12.roof,
+                                    3.0, lambda _: 0.0)[:2]
     assert k.tolist() == [2] and integral.tolist() == [21.0]
 
 
@@ -230,13 +229,15 @@ def test_column_walk_matches_row_reference_at_ties(name, request):
 
 def test_column_walk_rejects_heights_off_the_fiber_and_short_paths(
         golden12):
-    paths = np.array([[0, 1, 0, 0, 1]])
+    columns = np.array([[0, 1, 0, 0, 1]]).T
     values = np.array([1.0, 10.0])
     for h0 in (-0.5, 1.5):
         with pytest.raises(ValueError, match="start heights"):
-            _row_integrals(paths, values, golden12.roof, h0, 2.0)
+            _column_integrals(columns, values, golden12.roof, 2.0,
+                              lambda _: h0)
     with pytest.raises(ValueError, match="reach past"):
-        _row_integrals(paths, values, golden12.roof, 0.5, 6.5)
+        _column_integrals(columns, values, golden12.roof, 6.5,
+                          lambda _: 0.5)
 
 
 def test_bw_identity_and_vertical(full2_unit):
@@ -268,17 +269,40 @@ def test_bw_differs_at_origin(full2_unit):
 
 
 def test_no_pattern_signature_dominates_another():
-    """No two of the 38 signatures share S, first passage and end level
-    with one no dearer inside (interior) and no narrower in its forcing
-    window (rmax >=, rmin <=) than the other, so a dominance pass would
-    prune none of them."""
-    assert len(set(_BW_PATTERNS)) == len(_BW_PATTERNS) == 38
-    for a, b in itertools.permutations(_BW_PATTERNS, 2):
+    """No two of the oracle's 38 signatures share S, first passage and end
+    level with one no dearer inside (interior) and no narrower in its
+    forcing window (rmax >=, rmin <=) than the other, so this same-S
+    dominance prunes none of them; the kernel's pruning rests on the
+    bound on horizontal costs instead (next test)."""
+    patterns = bw_reference.PATTERNS
+    assert len(set(patterns)) == len(patterns) == 38
+    for a, b in itertools.permutations(patterns, 2):
         S, rmax, rmin, first, interior, end = a
         S2, rmax2, rmin2, first2, interior2, end2 = b
         assert not (S2 == S and first2 == first and end2 == end
                     and interior2 <= interior and rmax2 >= rmax
                     and rmin2 <= rmin), (a, b)
+
+
+def test_kernel_signatures_are_the_alternating_ones():
+    """The premises of the kernel's pruning: its four signatures are the
+    interior-0 signatures of the oracle's family, one per (first, end),
+    and every other signature repeats a direction (interior >= 1).  And
+    the four map onto themselves when x and y swap: read from y to x, a
+    signature costs what (-S, rmax - S, rmin - S, first', end') costs from
+    x to y, its first leg becoming the last and its last the first."""
+    table = _BW_SIGNATURES.T.tolist()
+    kernel = [(S, rmax, rmin, first, 0, end)
+              for S, rmax, rmin, first, end in table]
+    alternating = [s for s in bw_reference.PATTERNS if s[4] == 0]
+    assert sorted(kernel) == sorted(alternating)
+    assert sorted((s[3], s[5]) for s in kernel) == \
+        [(-1, 0), (-1, 1), (1, 0), (1, 1)]
+    assert all(s[4] >= 1 for s in bw_reference.PATTERNS if s not in kernel)
+    mirrored = [[-S, rmax - S, rmin - S, 2 * end - 1, int(first > 0)]
+                for S, rmax, rmin, first, end in table]
+    assert sorted(mirrored) == sorted(table)
+    assert _BW_MAX_SHIFT == 1
 
 
 def test_bw_metric_axioms_random_triples(golden12):
@@ -307,9 +331,12 @@ def test_bw_zero_iff_equal_up_to_horizon(golden12):
 
 
 def _bw_corpus(rng, horizon):
-    """Window pairs over 2 or 3 symbols for one horizon: equal words,
-    near-equal ones (one to three symbols changed) and unrelated ones."""
-    width = horizon + 2 * _BW_MAX_SHIFT
+    """Window pairs over 2 or 3 symbols for one horizon, of the oracle's
+    coordinates [-5, horizon + 5): equal words, near-equal ones (one to
+    three symbols changed), unrelated ones, and x rolled by each shift
+    -5..5 with up to two symbols changed, where the shifted diagonals
+    hold long runs of agreement."""
+    width = horizon + 2 * bw_reference.M
     pairs = []
     for n_sym in (2, 3):
         for kind in range(6):
@@ -321,13 +348,26 @@ def _bw_corpus(rng, horizon):
             elif kind == 5:
                 y = rng.integers(n_sym, size=width)
             pairs.append((x, y))
+        for shift in range(-bw_reference.M, bw_reference.M + 1):
+            x = rng.integers(n_sym, size=width)
+            y = np.roll(x, shift)
+            at = rng.integers(width, size=rng.integers(3))
+            y[at] = (y[at] + 1) % n_sym
+            pairs.append((x, y))
     return pairs
+
+
+def _kernel_windows(words):
+    """The kernel's coordinates [-1, horizon + 1) of the oracle's windows
+    [-5, horizon + 5), along the last axis."""
+    cut = bw_reference.M - _BW_MAX_SHIFT
+    return words[..., cut:words.shape[-1] - cut]
 
 
 def test_bw_kernel_matches_scalar_reference():
     """One kernel call per horizon 1..40 over a seeded corpus of window
     pairs, each read at heights 0, 1 - 2^-52 and random: bit for bit the
-    scalar pattern loop, pair by pair."""
+    scalar loop over the 38 signatures, pair by pair."""
     rng = np.random.default_rng(26)
     top = 1.0 - 2.0 ** -52
     for horizon in range(1, 41):
@@ -340,8 +380,8 @@ def test_bw_kernel_matches_scalar_reference():
                 pair.append(p)
                 us.append(u)
                 vs.append(v)
-        got = _bw_distances(words, np.array(pair), np.array(us),
-                            np.array(vs), horizon)
+        got = _bw_distances(_kernel_windows(words), np.array(pair),
+                            np.array(us), np.array(vs), horizon)
         want = [bw_reference.bw_from_words(*words[p].tolist(), u, v, horizon)
                 for p, u, v in zip(pair, us, vs)]
         assert got.tolist() == want, horizon
@@ -352,7 +392,7 @@ def test_bw_distance_matches_scalar_reference(golden12, theta):
     float heights and with exact heights over theta's exact roof, where the
     scalar loop adds Fractions exactly until a float joins them."""
     rng = np.random.default_rng(27)
-    M = _BW_MAX_SHIFT
+    M = bw_reference.M
     exact = graph_suspension(theta)
     for system in (golden12, exact):
         for k in range(60):
