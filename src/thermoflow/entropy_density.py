@@ -173,11 +173,6 @@ def _box_words(cells, n: int, rng, k: int) -> tuple:
     return list(map(tuple, (order[:, :n] < n).astype(int).tolist())), rejected
 
 
-def _sample_from_box(cells, n: int, rng, k: int) -> list:
-    """k uniform words of the box given by its cells (`_box_words`)."""
-    return _box_words(cells, n, rng, k)[0]
-
-
 def _min_block_length(eta: float) -> int:
     """The fewest symbols a separated generic set's words may have."""
     return max(16, int(4.0 / eta))
@@ -301,15 +296,15 @@ def glue_generic_family(system: Suspension, target: ApproxTarget,
     C = float(k_part) ** p
     log_Em = m * (sum(g.log_count for g in gammas) - math.log(C))
 
-    # sample members of E_m: pick one word per (round, component), glue
-    def sample_member():
-        word, starts = _glue_blocks(
-            system.sft, [_sample_from_box(g.cells, g.length, rng, 1)[0]
-                         for _ in range(m) for g in gammas])
-        times = _fiber_times(word.__getitem__, system.roof, 0, len(word))
-        return word, starts, times
-
-    members = [sample_member() for _ in range(3)]
+    # sample 3 members of E_m: one batch of 3m words per component;
+    # member r glues blocks r m .. r m + m - 1 of each, round by round
+    blocks = [_box_words(g.cells, g.length, rng, 3 * m)[0] for g in gammas]
+    members = []
+    for r in range(3):
+        word, starts = _glue_blocks(system.sft, [
+            b[r * m + kk] for kk in range(m) for b in blocks])
+        members.append((word, starts, _fiber_times(
+            word.__getitem__, system.roof, 0, len(word))))
     closed = [_close_word(system.sft, w) for w, _, _ in members]
     # D(E_c(f_{b_k} y), lambda) on the first two rounds of each member:
     # the walk starts at the floor of the round's first block and lasts c,

@@ -596,7 +596,7 @@ class DeviationResult:
     hits: int
     n_samples: int
     note: str = ""
-    # the path columns walked and the walk's window W
+    # the path columns walked
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
@@ -624,8 +624,8 @@ def deviation_frequency(system: Suspension, m: SuspendedMeasure,
     mbar = entropy_and_mean(m, psi)[1]
     psi_v = np.array([psi.value(w) for w in m.base.words])
     length = int(math.ceil(t / system.roof.min)) + 2
-    columns, heights = _sample_orbits(m, n_samples, length, rng)
-    integral, _, walk = _column_integrals(columns, psi_v, m.roof, t, heights)
+    u, columns = _sample_orbits(m, n_samples, length, rng)
+    integral, _, walk = _column_integrals(columns, psi_v, m.roof, t, u)
     tol = 1e-9 * t * max(1.0, float(np.max(np.abs(psi_v))))
     hits = int(np.sum(np.abs(integral - t * mbar) >= t * eps - tol))
     alpha = 0.05

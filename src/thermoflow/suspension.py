@@ -286,54 +286,36 @@ def _pieces(fibers: np.ndarray, roof: Roof, h, t):
     return pieces, k
 
 
-def _column_integrals(columns, values, roof: Roof, t, heights):
+def _column_integrals(columns, values, roof: Roof, t, u):
     """The walk of sampled paths, fed one column of n states at a time:
-    int_0^t of the fiber-constant `values` from height h0 of the first
-    fiber, the index k of the fiber occupied at h0 + t (compared on
-    `roof.array` only), and {"columns": walked, "window": W}.  `heights`
-    maps the first column to h0 in [0, r(s_0)] after the last column, so
-    paths may be drawn before their heights; they must reach past
-    t + r(s_0).  k counts the running roof sums S_j <= h0 + t: every
-    S_j <= t counts, no S_j > fl(t + r(s_0)) does, and at most
-    W = ceil(r_max / r_min) + 1 lie between.  The walk holds the sums at
-    the last sure fiber and the states of the next W + 1 columns in a
-    ring, O(n W) memory for any t, and resumes the same additions once h0
-    is known.  Its callers draw uniform float heights, where a float tie
-    has probability zero; `_pieces` keeps the exact compare at ties."""
+    int_0^t of the fiber-constant `values` from height h0 = u r(s_0) of
+    the first fiber, u in [0, 1] the normalized start heights, the index k
+    of the fiber occupied at h0 + t (compared on `roof.array` only), and
+    {"columns": walked}.  One pass holds the running sums of the roof and
+    of values * roof while the roof sum is <= h0 + t, counts those fibers
+    and keeps the state occupied at h0 + t: O(n) memory for any t.  The
+    paths must reach past h0 + t.  Its callers draw uniform float heights,
+    where a float tie has probability zero; `_pieces` keeps the exact
+    compare at ties."""
     columns = iter(columns)
     first = next(columns)
-    n, hi = len(first), t + roof.array.take(first)
-    size = int(math.ceil(roof.max / roof.min)) + 2
-    table = np.stack([roof.array, values * roof.array])
-    acc, held = np.zeros((2, n)), np.zeros((2, n))
-    states, sure = np.zeros((size, n), np.int64), np.zeros(n, np.int64)
-    for j, col in enumerate(itertools.chain([first], columns)):
-        live = acc[0] <= hi
-        acc += table.take(col, axis=1)
-        if acc[0].max() <= t:  # every path surely counts fiber j
-            held[...] = acc
-            sure += 1
-            continue
-        done = acc[0] <= t
-        np.copyto(held, acc, where=done)
-        sure += done
-        np.copyto(states[j % size], col, where=live)
-    del acc
-    h0 = heights(first)
+    h0 = u * roof.array.take(first)
     total = h0 + t
-    rows, k, going = np.arange(n), sure.copy(), np.ones(n, bool)
-    for a in range(size):  # the ring holds fibers sure .. first past hi
-        step = held + table.take(states[(sure + a) % size, rows], axis=1)
-        going &= step[0] <= total
-        np.copyto(held, step, where=going)
-        k += going
-    if np.any((k > j) | (total < t) | (total > hi)):
+    table = np.stack([roof.array, values * roof.array])
+    acc, held = np.zeros((2, len(first))), np.zeros((2, len(first)))
+    k, state, done = np.zeros(len(first), np.int64), first.copy(), True
+    for j, col in enumerate(itertools.chain([first], columns)):
+        np.copyto(state, col, where=done)
+        acc += table.take(col, axis=1)
+        done = acc[0] <= total
+        np.copyto(held, acc, where=done)
+        k += done
+    if np.any(done | (u < 0) | (u > 1)):
         raise ValueError("start heights must lie in [0, r(s_0)] and the "
                          "paths reach past t + r(s_0)")
     end, full = held
-    last = (total - end) * values.take(states[k % size, rows])
-    return (full - h0 * values.take(first) + last, k,
-            {"columns": j + 1, "window": size - 1})
+    last = (total - end) * values.take(state)
+    return full - h0 * values.take(first) + last, k, {"columns": j + 1}
 
 
 class Suspension:

@@ -270,16 +270,14 @@ class SuspendedMeasure:
 
 
 def _sample_orbits(mu: SuspendedMeasure, n: int, length: int, rng):
-    """n orbits sampled from mu: the state columns of their paths, one
-    step at a time, whose first state i is drawn with weight pi_i r_i,
-    and the map from the first column to start heights uniform in the
-    first fiber, drawn by the call (after the paths)."""
+    """n orbits sampled from mu: their normalized start heights u, uniform
+    in [0, 1) and drawn first, and the state columns of their paths, one
+    step at a time, whose first state i is drawn with weight pi_i r_i."""
     if n < 1:
         raise ValueError(f"the sample count must be at least 1, got {n}")
-    roofs = mu.roof.array
-    columns = mu.base.sample_columns(n, length, rng,
-                                     start_weights=mu.base.stationary * roofs)
-    return columns, lambda first: rng.random(n) * roofs[first]
+    u = rng.random(n)
+    return u, mu.base.sample_columns(
+        n, length, rng, start_weights=mu.base.stationary * mu.roof.array)
 
 
 # ----------------------------------------------------------------------
@@ -791,6 +789,9 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
     nu(cylinder) * window_length / mean_roof.  The base measure of mu and
     the cylinder potential phi must have width 1: the array walk reads
     Phi(x, t) and the occupied fiber c(t) off the sampled state paths."""
+    if len(t_grid) == 0 or not all(0 < t < math.inf for t in t_grid):
+        raise ValueError(f"t_grid must be non-empty with every t positive "
+                         f"and finite, got {list(t_grid)}")
     if rho >= min(1.0, system.roof.min) / 4.0:
         raise ValueError("above expansivity scale")
     _check_support(system.sft, mu.base)
@@ -802,12 +803,10 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
     P_val = pressure(system, phi, "spectral").value
     rng = np.random.default_rng(seed)
     length = int(math.ceil(max(t_grid) / system.roof.min)) + k_rho + 3
-    columns, draw_heights = _sample_orbits(mu, samples, length, rng)
+    u, columns = _sample_orbits(mu, samples, length, rng)
     paths = np.array(list(columns)).T
-    heights = draw_heights(paths[:, 0])
-    r0 = mu.roof.array[paths[:, 0]]
-    u = heights / r0
-    win = (np.minimum(1.0, u + rho) - np.maximum(0.0, u - rho)) * r0
+    win = (np.minimum(1.0, u + rho) - np.maximum(0.0, u - rho)) \
+        * mu.roof.array[paths[:, 0]]
     # log_nu[:, d - 1]: log nu of the cylinder of the first d + 1 states;
     # the ball depth d = c + k_rho is at least 2, as rho < 1/4
     log_nu = np.log(mu.base.stationary[paths[:, :1]]) + np.cumsum(np.log(
@@ -815,8 +814,7 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
     phi_v = np.array([phi.value(w) for w in mu.base.words])
     per_t = {}
     for t in t_grid:
-        Phi, c = _column_integrals(paths.T, phi_v, mu.roof, t,
-                                   lambda _: heights)[:2]
+        Phi, c = _column_integrals(paths.T, phi_v, mu.roof, t, u)[:2]
         ball = np.exp(log_nu[np.arange(samples), c + k_rho - 1]) * win \
             / mu.mean_roof
         ratios = ball / np.exp(-t * P_val + Phi)

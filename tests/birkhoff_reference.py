@@ -37,9 +37,9 @@ def gibbs_ratio_stats(system, mu, phi, rho, t_grid, samples, seed) -> dict:
     k_rho = _forced_depth(rho)
     length = int(math.ceil(max(t_grid) / system.roof.min)) + k_rho + 3
     roofs = mu.roof.array
+    us = rng.random(samples)
     paths = mu.base.sample_words(samples, length, rng,
                                  start_weights=mu.base.stationary * roofs)
-    heights = rng.random(samples) * roofs[paths[:, 0]]
     ratios = {t: [] for t in t_grid}
     logpi = np.log(mu.base.stationary)
     with np.errstate(divide="ignore"):
@@ -49,9 +49,9 @@ def gibbs_ratio_stats(system, mu, phi, rho, t_grid, samples, seed) -> dict:
                         -np.inf)
     for s in range(samples):
         word = paths[s]
-        h = heights[s]
+        u = us[s]
         r0 = roofs[word[0]]
-        u = h / r0
+        h = u * r0
         cum = np.cumsum(roofs[word])
         start = SuspPoint(
             BiWord.periodic(_close_word(system.sft, word.tolist())), float(h))

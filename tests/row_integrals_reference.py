@@ -1,12 +1,13 @@
 """Reference row walk for `suspension._column_integrals`.
 
 The whole (n, length) array of sampled states is held at once, with the
-start heights known before the walk: one pass over its columns keeps
-running sums of the roof values and of the fiber integrals, holds them at
-the last fiber ending by h0 + t, and counts those fibers.  The library walk
-takes the columns one at a time and the heights only after the last one,
-but it adds the same numbers in the same order, so the tests require the
-two to agree bit for bit.
+start heights given: one pass over its columns keeps running sums of the
+roof values and of the fiber integrals, holds them at the last fiber
+ending by h0 + t, and counts those fibers.  The library walk takes the
+columns one at a time, the normalized heights u with h0 = u r(s_0), and
+keeps the state of the fiber occupied at h0 + t as it goes instead of
+indexing the array afterwards; it adds the same numbers in the same
+order, so the tests require the two to agree bit for bit.
 """
 
 import numpy as np

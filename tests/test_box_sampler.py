@@ -15,7 +15,7 @@ import box_reference as ref
 from thermoflow import (MarkovMeasure, Roof, Sft, Suspension,
                         entropy_density, separated_generic_set)
 from thermoflow.entropy_density import (_box_cells, _box_words,
-                                        _randrange_big, _sample_from_box)
+                                        _randrange_big)
 from thermoflow.sft import is_admissible_word
 
 IRREDUCIBLE_2 = {
@@ -43,7 +43,8 @@ LAW_CASES = {
     "golden": ([[1, 1], [1, 0]], [[0.6, 0.4], [1.0, 0.0]], 70),
 }
 
-SAMPLERS = {"batched": _sample_from_box, "reference": ref.sample_from_box}
+SAMPLERS = {"batched": lambda *args: _box_words(*args)[0],
+            "reference": ref.sample_from_box}
 
 
 def _runs(w):
@@ -149,7 +150,7 @@ def test_draws_are_admissible_box_words(name, k):
         assert cells
         keys = {c[1:] for c in cells}
         for _ in range(5):
-            words = _sample_from_box(cells, n, rng, k)
+            words = _box_words(cells, n, rng, k)[0]
             assert len(words) == k
             for w in words:
                 assert len(w) == n and set(w) <= {0, 1}
@@ -180,7 +181,7 @@ def test_edge_cells(name, n, cell, k):
     rng = np.random.default_rng(6)
     seen = set()
     for _ in range(max(1, 20 * cells[0][0] // k)):
-        for w in _sample_from_box(cells, n, rng, k):
+        for w in _box_words(cells, n, rng, k)[0]:
             assert is_admissible_word(sft, w)
             assert _cell_of(w) == cell
             seen.add(w)

@@ -41,8 +41,8 @@ from thermoflow import (
     separated_generic_set,
     weak_star_distance,
 )
-from thermoflow.entropy_density import (_box_cells, _build_block_chain,
-                                        _sample_from_box)
+from thermoflow.entropy_density import (_box_cells, _box_words,
+                                        _build_block_chain)
 from thermoflow.sft import _close_word, _glue_blocks, is_admissible_word
 
 CFG = WeakStarConfig()
@@ -144,8 +144,8 @@ def test_box_sampler_uniform(name, pi1, p11, zeta):
     assert sum(c[0] for c in cells) == len(words) > 0
     index = {w: i for i, w in enumerate(words)}
     hits = np.zeros(len(words))
-    for w in _sample_from_box(cells, n, np.random.default_rng(3),
-                              20 * len(words)):
+    for w in _box_words(cells, n, np.random.default_rng(3),
+                        20 * len(words))[0]:
         assert w in index  # admissible and in the box
         hits[index[w]] += 1
     assert chisquare(hits).pvalue > 1e-3
@@ -214,8 +214,8 @@ def test_sampled_D_matches_scalar_path(name):
     assert (g.count, g.length, g.log_count) == frozen
     assert g.certificate_ok == (g.log_count >= t * h)
     cells = _box_cells(system.sft, g.length, g.box)
-    sample = _sample_from_box(cells, g.length, np.random.default_rng(seed),
-                              len(g.sampled_D))
+    sample = _box_words(cells, g.length, np.random.default_rng(seed),
+                        len(g.sampled_D))[0]
     target = ref.measure_statistics(SuspendedMeasure(mu, system.roof), CFG)
     assert len(g.sampled_D) == 20
     for d, w in zip(g.sampled_D, sample):
@@ -235,16 +235,18 @@ def test_sample_block_D_matches_scalar_path(name):
     target = ApproxTarget(((mu, 0.5), (other, 0.5)), 0.1)
     m, seed = 3, 2
     fam = glue_generic_family(system, target, 240.0, m, seed)
-    # the members, drawn as the family draws them
+    # the members, drawn as the family draws them: 3 m blocks per
+    # component, member r gluing blocks r m .. r m + m - 1 of each
     rng = np.random.default_rng(seed)
-    cells = [_box_cells(system.sft, g.length, g.box) for g in fam.gammas]
+    blocks = [_box_words(_box_cells(system.sft, g.length, g.box), g.length,
+                         rng, 3 * m)[0] for g in fam.gammas]
     lam = ref.mixture_statistics(target, system.roof, CFG)
     want = []
-    for _ in range(3):
+    for r in range(3):
         word, starts = [], []
-        for _ in range(m):
-            for g, c in zip(fam.gammas, cells):
-                w = _sample_from_box(c, g.length, rng, 1)[0]
+        for kk in range(m):
+            for b in blocks:
+                w = b[r * m + kk]
                 if word:
                     word.extend(glue_words(system.sft, (word[-1],), (w[0],)))
                 starts.append(len(word))
@@ -342,11 +344,11 @@ def test_sample_separations_are_the_flowed_distances(model, request):
     m, seed = 3, 4
     fam = glue_generic_family(system, target, 200.0, m, seed)
     rng = np.random.default_rng(seed)
-    cells = [_box_cells(system.sft, g.length, g.box) for g in fam.gammas]
+    blocks = [_box_words(_box_cells(system.sft, g.length, g.box), g.length,
+                         rng, 3 * m)[0] for g in fam.gammas]
     words = [_glue_blocks(system.sft, [
-        _sample_from_box(c, g.length, rng, 1)[0]
-        for _ in range(m) for g, c in zip(fam.gammas, cells)])[0]
-        for _ in range(3)]
+        b[r * m + kk] for kk in range(m) for b in blocks])[0]
+        for r in range(3)]
     want = []
     for wa, wb in itertools.combinations(words, 2):
         j = next(i for i, (x, y) in enumerate(zip(wa, wb)) if x != y)

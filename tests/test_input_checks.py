@@ -139,6 +139,24 @@ CHECKS = {
         lambda: gibbs_ratio_stats(FULL2, FLOW_HALF, {(0,): 0.0}, 0.1, [1.0],
                                   10, 0),
         TypeError, r"cylinder potential required"),
+    "gibbs-t-negative": (
+        lambda: gibbs_ratio_stats(FULL2, FLOW_HALF, IND1, 0.1, [-1.0], 10, 0),
+        ValueError, r"t_grid must be non-empty with every t positive and "
+                    r"finite, got \[-1\.0\]"),
+    "gibbs-t-nan": (
+        lambda: gibbs_ratio_stats(FULL2, FLOW_HALF, IND1, 0.1,
+                                  [1.0, float("nan")], 10, 0),
+        ValueError, r"t_grid must be non-empty with every t positive and "
+                    r"finite, got \[1\.0, nan\]"),
+    "gibbs-t-inf": (
+        lambda: gibbs_ratio_stats(FULL2, FLOW_HALF, IND1, 0.1,
+                                  [float("inf")], 10, 0),
+        ValueError, r"t_grid must be non-empty with every t positive and "
+                    r"finite, got \[inf\]"),
+    "gibbs-t-empty": (
+        lambda: gibbs_ratio_stats(FULL2, FLOW_HALF, IND1, 0.1, [], 10, 0),
+        ValueError, r"t_grid must be non-empty with every t positive and "
+                    r"finite, got \[\]"),
     "segment-duration": (
         lambda: OrbitSegment(POINT, -1.0),
         ValueError, r"duration must be finite and nonnegative"),

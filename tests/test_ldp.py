@@ -44,6 +44,7 @@ from thermoflow.sft import _close_word
 from thermoflow.thermo import NonConvergenceError
 
 from exact_deviation import exact_deviation_probability
+from row_integrals_reference import row_integrals
 
 CFG = WeakStarConfig()
 
@@ -756,11 +757,23 @@ def test_sampler_matches_reference(k):
 
 
 def test_deviation_hits_pinned(full2_unit):
-    """Criterion 9's Monte Carlo run draws the same paths as before the
-    step-major sampler: the hit count is the pinned one."""
+    """Criterion 9's Monte Carlo run counts the hits of the reference row
+    walk over the same draws: the normalized heights first, then the
+    whole path array from the same generator."""
     mu = equilibrium_state(full2_unit, zero_potential())
-    dev = deviation_frequency(full2_unit, mu, ind1(), 0.1, 50.0, 100_000, 42)
-    assert dev.hits == 17724
+    n, t, eps = 100_000, 50.0, 0.1
+    dev = deviation_frequency(full2_unit, mu, ind1(), eps, t, n, 42)
+    rng = np.random.default_rng(42)
+    roofs = mu.roof.array
+    u = rng.random(n)
+    paths = mu.base.sample_words(n, math.ceil(t / mu.roof.min) + 2, rng,
+                                 mu.base.stationary * roofs)
+    psi_v = np.array([ind1().value(w) for w in mu.base.words])
+    integral, _ = row_integrals(paths, psi_v, mu.roof,
+                                u * roofs[paths[:, 0]], t)
+    mean = entropy_and_mean(mu, ind1())[1]
+    tol = 1e-9 * t * max(1.0, float(np.max(np.abs(psi_v))))
+    assert dev.hits == np.sum(np.abs(integral - t * mean) >= t * eps - tol)
 
 
 def test_deviation_memory_does_not_grow_with_t(full2_unit):
@@ -781,12 +794,11 @@ def test_deviation_memory_does_not_grow_with_t(full2_unit):
 
 
 def test_deviation_reports_the_walk(golden12):
-    """The diagnostics name the path columns walked, ceil(t / r_min) + 2,
-    and the window W = ceil(r_max / r_min) + 1; they do not enter
-    comparisons."""
+    """The diagnostics name the path columns walked, ceil(t / r_min) + 2;
+    they do not enter comparisons."""
     mu = equilibrium_state(golden12, zero_potential())
     dev = deviation_frequency(golden12, mu, ind1(), 0.1, 20.0, 500, 3)
-    assert dev.diagnostics == {"columns": 22, "window": 3}
+    assert dev.diagnostics == {"columns": 22}
     assert dataclasses.replace(dev, diagnostics={}) == dev
 
 

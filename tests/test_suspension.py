@@ -154,7 +154,7 @@ def test_row_walk_ending_on_a_roof_occupies_the_next_fiber(golden12):
     which it then occupies; phi = (1, 10) integrates to 1 + 2 * 10."""
     integral, k = _column_integrals(np.array([[0, 1, 0, 0, 1]]).T,
                                     np.array([1.0, 10.0]), golden12.roof,
-                                    3.0, lambda _: 0.0)[:2]
+                                    3.0, np.zeros(1))[:2]
     assert k.tolist() == [2] and integral.tolist() == [21.0]
 
 
@@ -176,9 +176,9 @@ WALK_MODELS = ["full2_unit", "golden12", "thirds", "rose2", "theta"]
 
 @pytest.mark.parametrize("name", WALK_MODELS)
 def test_column_walk_streams_the_sampled_orbits(name, request):
-    """Streamed paths with heights drawn after the walk integrate bit for
-    bit as the reference walk over the whole path array, whose heights
-    are drawn after the same paths from the same generator."""
+    """Streamed paths integrate bit for bit as the reference walk over the
+    whole path array, whose normalized heights are drawn before the same
+    paths from the same generator."""
     system = _walk_system(name, request)
     roofs = system.roof.array
     for seed in range(3):
@@ -188,23 +188,23 @@ def test_column_walk_streams_the_sampled_orbits(name, request):
         values = rng.normal(size=len(roofs))
         for t in (0.5, 6.25, 31.0):
             length = math.ceil(t / system.roof.min) + 2
-            columns, heights = _sample_orbits(mu, 300, length,
-                                              np.random.default_rng(seed))
-            got = _column_integrals(columns, values, system.roof, t, heights)
+            u, columns = _sample_orbits(mu, 300, length,
+                                        np.random.default_rng(seed))
+            got = _column_integrals(columns, values, system.roof, t, u)
             ref_rng = np.random.default_rng(seed)
+            u = ref_rng.random(300)
             paths = mu.base.sample_words(
                 300, length, ref_rng, mu.base.stationary * roofs)
-            h0 = ref_rng.random(300) * roofs[paths[:, 0]]
+            h0 = u * roofs[paths[:, 0]]
             _same_walk(got, row_integrals(paths, values, system.roof, h0, t))
-            assert got[2] == {"columns": length, "window":
-                              math.ceil(roofs.max() / roofs.min()) + 1}
+            assert got[2] == {"columns": length}
 
 
 @pytest.mark.parametrize("name", WALK_MODELS)
 def test_column_walk_matches_row_reference_at_ties(name, request):
     """Heights 0 and r_0 (1 - 2^-52), and times t where a roof sum S_j
-    of a path equals t or fl(t + r_0), the two bounds the streamed walk
-    decides by: bit for bit the reference walk."""
+    of a path equals t or fl(t + r_0), so that h0 + t can fall on the end
+    of a fiber: bit for bit the reference walk."""
     system = _walk_system(name, request)
     roofs = system.roof.array
     rng = np.random.default_rng(11)
@@ -222,7 +222,7 @@ def test_column_walk_matches_row_reference_at_ties(name, request):
     for t in times:
         for scale in (0.0, 1.0 - 2.0 ** -52):
             got = _column_integrals(paths.T, values, system.roof, t,
-                                    lambda first: scale * roofs[first])
+                                    np.full(len(paths), scale))
             _same_walk(got[:2], row_integrals(paths, values, system.roof,
                                               scale * r0, t))
 
@@ -231,13 +231,13 @@ def test_column_walk_rejects_heights_off_the_fiber_and_short_paths(
         golden12):
     columns = np.array([[0, 1, 0, 0, 1]]).T
     values = np.array([1.0, 10.0])
-    for h0 in (-0.5, 1.5):
+    for u in (-0.5, 1.5):
         with pytest.raises(ValueError, match="start heights"):
             _column_integrals(columns, values, golden12.roof, 2.0,
-                              lambda _: h0)
+                              np.array([u]))
     with pytest.raises(ValueError, match="reach past"):
         _column_integrals(columns, values, golden12.roof, 6.5,
-                          lambda _: 0.5)
+                          np.array([0.5]))
 
 
 def test_bw_identity_and_vertical(full2_unit):
