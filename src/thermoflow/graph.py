@@ -9,13 +9,14 @@ undirected edge i; reversal(e) = e XOR 1.
 The universal cover is a tree; lifts are handled by explicit two-ray
 geometry: any two lifted geodesics either share a common segment (when the
 edge words share a run) or are joined by a bridge between two vertices, so
-pointwise tree distances are piecewise-linear in t and the d_GX integral
-against e^{-2|t|} is evaluated in closed form per linear piece (quadrature
-error zero; only the tail truncation contributes to the error bound).
+pointwise tree distances are piecewise-linear in t.  Each is a constant,
+hinges (t - c)_+ or (-t - c)_+ and a term odd in t, so its integral
+against e^{-2|t|} is a sum of closed-form hinge integrals (quadrature error
+zero; only the tail truncation contributes to the error bound).
 `d_GX` is an array kernel over the two edge windows: one equality mask
-yields every common run, every run's integral is evaluated at once, and
-bridged alignments separate into per-vertex minima, so a call costs
-O(n_win^2) array work plus O(n_win + V^2) for the bridges.
+yields every common run, one hinge-integral call values every alignment,
+and bridged alignments take each vertex's fiber nearest in time, so a call
+costs O(n_win^2) array work plus O(V n_win + V^2) for the bridges.
 
 Every path length comes from the one (min, +) kernel `sft._shortest_paths`
 on exact lengths: the vertex distances that bridge the lifts, built once
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,12 +70,12 @@ class MetricGraph:
         m = len(und)
         if m == 0:
             raise GraphModelError("graph has no edges")
-        # directed edges: 2i forward (a->b), 2i+1 reverse (b->a)
-        self.tail = []
-        self.head = []
-        for (a, b, _) in und:
-            self.tail += [a, b]
-            self.head += [b, a]
+        # directed edges: 2i forward (a->b), 2i+1 reverse (b->a), as
+        # read-only int arrays
+        self.tail = np.array([v for (a, b, _) in und for v in (a, b)])
+        self.head = np.array([v for (a, b, _) in und for v in (b, a)])
+        self.tail.setflags(write=False)
+        self.head.setflags(write=False)
         self.n_dir = 2 * m
         # the exact lengths, as the roof of the directed-edge suspension
         self.roof = Roof(l for (_, _, l) in und for _ in range(2))
@@ -92,6 +94,9 @@ class MetricGraph:
         self._vdist.setflags(write=False)
         if (self._vdist == math.inf).any():
             raise GraphModelError("graph not connected")
+        # the float copy that d_GX and lift_distance read
+        self._vdist_float = self._vdist.astype(float)
+        self._vdist_float.setflags(write=False)
         betti = m - self.n_vertices + 1
         if betti < 2:
             raise GraphModelError(
@@ -232,22 +237,18 @@ def _agreement_runs(w1, w2):
     return i, i - (c - n), end
 
 
-def _integrate_rows(t, d):
-    """Row sums of int d(t) e^{-2|t|} dt, d linear between the sorted kinks
-    t of each row (0 among them) with values d there.  On each side of 0,
-    sigma e^{2 sigma t} ((a + b t)/2 - sigma b/4), sigma = 1 for t <= 0 and
-    -1 for t >= 0, is an antiderivative of (a + b t) e^{-2|t|}."""
-    t0, t1 = t[:, :-1], t[:, 1:]
-    dt = t1 - t0
-    b = (d[:, 1:] - d[:, :-1]) / np.where(dt > 0, dt, 1.0)
-    a = d[:, :-1] - b * t0
-    sigma = np.where(t1 <= 0, 1.0, -1.0)
-
-    def anti(t):
-        return sigma * np.exp(2 * sigma * t) * ((a + b * t) / 2.0
-                                                - sigma * b / 4.0)
-
-    return np.where(dt > 0, anti(t1) - anti(t0), 0.0).sum(axis=1)
+def _hinge_integral(c, T: float):
+    """G(c) = int_{-T}^{T} (t - c)_+ e^{-2|t|} dt, elementwise on the float
+    array c.  On [0, T], G(s) = (e^{-2s} - e^{-2T})/4 - e^{-2T} (T - s)/2,
+    and G = 0 past T.  Since (t - c)_+ = (t - c) + (c - t)_+ and
+    t e^{-2|t|} is odd, G(c) = (-c)_+ (1 - e^{-2T}) + G(min(|c|, T)) for
+    every c.  The difference of exponentials is written as
+    e^{-2s} (1 - e^{-2u}), u = T - s, so G is exactly 0.0 for c >= T."""
+    s = np.minimum(np.abs(c), T)
+    u = T - s
+    return (np.maximum(-c, 0.0) * -math.expm1(-2 * T)
+            - np.exp(-2 * s) * np.expm1(-2 * u) / 4
+            - math.exp(-2 * T) * u / 2)
 
 
 def d_GX(g1: Geodesic, g2: Geodesic, tail_horizon: float = 8.0):
@@ -256,15 +257,20 @@ def d_GX(g1: Geodesic, g2: Geodesic, tail_horizon: float = 8.0):
     |t| = tail_horizon = T; returns (value, error bound).
 
     Both edge words are read once, on a window of coordinates that reaches
-    past |t| = T on both sides.  Common-edge alignments glue the lifts
-    along a maximal run on which the words agree, one per run and diagonal
-    i - j of the windows' equality mask.  Bridged alignments join vertices
-    v1, v2 that the lifts pass at times -a_x, -a_y by a path of length
-    b = vd[v1][v2]; their integral F(a_x) + F(a_y) + b (1 - e^{-2T}),
-    F(a) = int |t + a| e^{-2|t|} dt, is least at the least F per vertex.
-    The value is the least integral over both kinds, common runs winning
-    ties; the error bound is the tail int_T^inf (d(T) + 2(t-T)) e^{-2t} dt
-    on both sides of the winner.
+    past |t| = T on both sides; a lift passes the tail of window edge k at
+    time -a[k].  An alignment's distance is a constant L, hinges
+    2 (t - c)_+ or 2 (-t - c)_+ and a term odd in t, so its integral is
+    L W0 + sum 2 G(c), W0 = 1 - e^{-2T}, G = `_hinge_integral` (one call
+    for all).  A common-edge run, one per run and diagonal i - j of the
+    windows' equality mask, glues the lifts along [0, hi] past the tail of
+    its first edge: L = |a_x - a_y|, hinges max(a_x, a_y) and
+    hi - min(a_x, a_y).  A bridge joins the vertices v1, v2 passed at a_x,
+    a_y by a path of length b = vd[v1][v2]: L = |a_x| + |a_y| + b, hinges
+    |a_x| and |a_y|; as F(a) = 2 G(|a|) + |a| W0 grows with |a|, each
+    vertex's fiber of least |a| gives its least bridge.  The value is the
+    least integral, common runs winning ties; the error bound is the tail
+    int_T^inf (d(T) + 2(t-T)) e^{-2t} dt on both sides of the winner, where
+    d(-T) + d(T) = 2 L + 2 sum over its hinges of (T - c)_+ + (-T - c)_+.
     """
     if g1.graph is not g2.graph and g1.graph != g2.graph:
         raise ValueError("geodesics over different graphs")
@@ -275,57 +281,44 @@ def d_GX(g1: Geodesic, g2: Geodesic, tail_horizon: float = 8.0):
         raise ValueError("tail_horizon >= 1 required")
     nwin = math.ceil((T + g.roof.max) / g.roof.min) + 2
     n = 2 * nwin + 1
+    V = g.n_vertices
     w1, cum1 = _window(g1, nwin)
     w2, cum2 = _window(g2, nwin)
     # x(t) = t + a1[i]: lift 1's position past the tail of window edge i
     a1 = float(g1.susp.height) - cum1[:n]
     a2 = float(g2.susp.height) - cum2[:n]
 
-    # common-edge rows: the lifts share [0, hi] past the tail of the run's
-    # first edge; a run cut by the window's edge is cut beyond |t| = T,
-    # where it changes no distance that is integrated
+    # common-edge runs; a run cut by the window's edge is cut beyond
+    # |t| = T, where it changes no distance that is integrated
     i, j, end = _agreement_runs(w1, w2)
-    hi = (cum1[end] - cum1[i])[:, None]
-    ax, ay = a1[i][:, None], a2[j][:, None]
     rows = len(i)
-    ts = np.empty((rows + 2 * n, 7))
-    ts[:, :3] = (-T, 0.0, T)
-    ts[:rows, 3:] = np.hstack((-ax, hi - ax, -ay, hi - ay))
-    # bridged rows: F(a) for every fiber of both windows, kinked at -a
-    a = np.concatenate((a1, a2))[:, None]
-    ts[rows:, 3:] = T
-    ts[rows:, 3:4] = -a
-    np.minimum(np.maximum(ts, -T, out=ts), T, out=ts)
-    ts.sort(axis=1)
-    x, y = ts[:rows] + ax, ts[:rows] + ay
-    xc = np.minimum(np.maximum(x, 0.0), hi)
-    yc = np.minimum(np.maximum(y, 0.0), hi)
-    d = np.vstack((np.abs(xc - yc) + (np.abs(x - xc) + np.abs(y - yc)),
-                   np.abs(ts[rows:] + a)))
-    value = _integrate_rows(ts, d)
-    F = value[rows:]
-    value = value[:rows]
+    ax, ay = a1[i], a2[j]
+    hi = cum1[end] - cum1[i]
+    # the least |a| per vertex: least[v] on window 1, least[V + v] on
+    # window 2, inf where a window misses v
+    on_v = g.tail[np.concatenate((w1, w2))] == np.arange(V)[:, None]
+    least = np.where(on_v, np.abs(np.concatenate((a1, a2))), np.inf) \
+        .reshape(V, 2, n).min(axis=2).T.ravel()
+    c = np.concatenate((np.maximum(ax, ay), hi - np.minimum(ax, ay), least))
+    G2 = 2 * _hinge_integral(c, T)
+    W0 = -math.expm1(-2 * T)
+    common = G2[:rows] + G2[rows:2 * rows] + np.abs(ax - ay) * W0
+    F = G2[2 * rows:] + least * W0
+    vd = g._vdist_float
+    bridged = F[:V, None] + F[V:] + W0 * vd
 
-    # the best bridged alignment, from F's least value per vertex
-    on_v = np.asarray(g.tail)[np.concatenate((w1, w2))] \
-        == np.arange(g.n_vertices)[:, None]
-    Fv = np.where(on_v, F, np.inf)
-    vd = np.array(g.vertex_distances(), dtype=float)
-    total = Fv[:, :n].min(axis=1)[:, None] + Fv[:, n:].min(axis=1) \
-        + (1.0 - math.exp(-2 * T)) * vd
-    v1, v2 = np.unravel_index(np.argmin(total), total.shape)
-    bx = a1[Fv[v1, :n].argmin()]
-    by = a2[Fv[v2, n:].argmin()]
-    b = vd[v1, v2]
-
-    k = int(np.argmin(value)) if rows else None
-    if k is None or total[v1, v2] < value[k]:
-        val = total[v1, v2]
-        d_lo = abs(-T + bx) + b + abs(-T + by)
-        d_hi = abs(T + bx) + b + abs(T + by)
+    v1, v2 = np.unravel_index(np.argmin(bridged), bridged.shape)
+    k = int(np.argmin(common)) if rows else None
+    if k is None or bridged[v1, v2] < common[k]:
+        val = bridged[v1, v2]
+        hinges = least[[v1, V + v2]]
+        L = hinges.sum() + vd[v1, v2]
     else:
-        val, d_lo, d_hi = value[k], d[k, 0], d[k, -1]
-    tail_err = math.exp(-2 * T) * (d_lo + d_hi + 2.0) / 2.0
+        val = common[k]
+        hinges = c[[k, rows + k]]
+        L = abs(ax[k] - ay[k])
+    ends = (np.maximum(T - hinges, 0.0) + np.maximum(-T - hinges, 0.0)).sum()
+    tail_err = math.exp(-2 * T) * (L + ends + 1.0)
     return float(val), float(tail_err)
 
 
@@ -338,6 +331,8 @@ def lift_distance(g1: Geodesic, g2: Geodesic, t, window: int = 64):
     if g is not g2.graph and g != g2.graph:
         raise ValueError("geodesics over different graphs")
     _check_finite("t", t)
+    if not isinstance(window, numbers.Integral) or window < 1:
+        raise ValueError(f"window must be a positive integer, got {window!r}")
     h1 = float(g1.susp.height)
     h2 = float(g2.susp.height)
     t = float(t)
@@ -361,5 +356,5 @@ def lift_distance(g1: Geodesic, g2: Geodesic, t, window: int = 64):
         return abs(xc - yc) + abs(x - xc) + abs(y - yc)
     v1 = g.tail[w1[window]]
     v2 = g.tail[w2[window]]
-    b = float(g.vertex_distances()[v1][v2])
+    b = float(g._vdist_float[v1, v2])
     return abs(h1 + t) + b + abs(h2 + t)

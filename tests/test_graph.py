@@ -21,6 +21,7 @@ from thermoflow import (
     lift_distance,
     zero_potential,
 )
+from thermoflow.graph import _hinge_integral
 from thermoflow.thermo import _orbit_sums
 
 import dgx_reference
@@ -347,6 +348,81 @@ def test_dgx_exact_divergence_value(rose2):
     v, err = d_GX(g1, g2, tail_horizon=12.0)
     assert abs(v - math.exp(-4)) <= err + 1e-9
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("T", [1.0, 8.0, 12.0])
+def test_hinge_integral_matches_piecewise_reference(T):
+    """G(c) = int_{-T}^{T} (t - c)_+ e^{-2|t|} dt against the segment-wise
+    integral of dgx_reference, for c below, at and inside both ends of
+    [-T, T], at 0 and past T; G is exactly 0.0 from c = T on, infinity
+    included (a vertex absent from a window), with no float warning."""
+    cs = [-2 * T, -T, -T / 3, 0.0, T / 3, T, 1.5 * T]
+    with np.errstate(all="raise"):
+        got = _hinge_integral(np.array(cs), T)
+        past = _hinge_integral(np.array([T, 1.5 * T, 2 * T + 1, np.inf]), T)
+    for c, G in zip(cs, got):
+        want = dgx_reference._integrate_pwl(
+            [c], lambda t, c=c: max(t - c, 0.0), T)
+        assert abs(G - want) <= 1e-14 * max(1.0, abs(want))
+    assert past.tolist() == [0.0] * 4
+
+
+@pytest.mark.parametrize("T", [1.0, 8.0, 12.0])
+def test_bridge_integral_is_even_and_grows_with_offset(T):
+    """The premise of d_GX's per-vertex rule: F(a) = int |t + a| e^{-2|t|}
+    dt over [-T, T], which is G(a) + G(-a) and so even, equals
+    2 G(|a|) + |a| W0 (W0 = 1 - e^{-2T}) and is nondecreasing in |a|, so
+    the least F over a vertex's fibers is at its fiber of least |a|."""
+    a = np.linspace(0.0, 2 * T, 257)
+    W0 = 1.0 - math.exp(-2 * T)
+    F = _hinge_integral(a, T) + _hinge_integral(-a, T)
+    assert np.allclose(F, 2 * _hinge_integral(a, T) + a * W0,
+                       rtol=1e-14, atol=1e-14)
+    assert (np.diff(F) > 0).all()
+    for x in (-1.5 * T, -0.3, 0.0, 0.7, T):
+        want = dgx_reference._integrate_pwl(
+            [-x], lambda t, x=x: abs(t + x), T)
+        assert abs(_hinge_integral(np.array([x, -x]), T).sum() - want) \
+            <= 1e-14 * max(1.0, want)
+
+
+@pytest.mark.parametrize("T", [1.0, 20.0])
+def test_dgx_matches_reference_at_short_and_long_horizons(T, rose2, theta):
+    """At T = 1 most kinks of the alignments fall outside [-T, T]; at
+    T = 20 the windows reach far past them.  Value and error bound match
+    dgx_reference within 1e-12, d(a, a) == 0.0, and d(a, b) == d(b, a)
+    exactly on rose2 and theta (to 1e-14 on the thirds graph)."""
+    for g in (rose2, theta, THIRDS):
+        for a, b, _ in dgx_corpus(g, 47, 8):
+            v, err = d_GX(a, b, tail_horizon=T)
+            v_ref, err_ref = dgx_reference.d_GX(a, b, tail_horizon=T)
+            assert abs(v - v_ref) <= 1e-12 * max(1.0, abs(v_ref))
+            assert abs(err - err_ref) <= 1e-12 * max(1.0, abs(err_ref))
+            assert d_GX(a, a, tail_horizon=T)[0] == 0.0
+            v_ba, _ = d_GX(b, a, tail_horizon=T)
+            if g is THIRDS:
+                assert abs(v - v_ba) <= 1e-14 * max(1.0, abs(v))
+            else:
+                assert v == v_ba
+
+
+def test_dgx_bridged_only():
+    """Two loops joined by a bar of length 2: geodesics that wind around
+    different loops share no edge, so the value is the bridge along the
+    bar, and it matches dgx_reference with its error bound at every height
+    and horizon, in both orders."""
+    g = MetricGraph(2, [(0, 0, 1), (1, 1, Fraction(1, 2)), (0, 1, 2)])
+    susp = graph_suspension(g)
+    for h in (0.0, 0.25, 0.5, 0.75):
+        for T in (1.0, 3.0, 8.0):
+            a = Geodesic(g, susp.point(BiWord.periodic((0,)), h))
+            b = Geodesic(g, susp.point(BiWord.periodic((2,)), h / 2))
+            for x, y in ((a, b), (b, a)):
+                v, err = d_GX(x, y, tail_horizon=T)
+                v_ref, err_ref = dgx_reference.d_GX(x, y, tail_horizon=T)
+                assert v > 2 * (1.0 - math.exp(-2 * T))
+                assert abs(v - v_ref) <= 1e-12 * max(1.0, v_ref)
+                assert abs(err - err_ref) <= 1e-12 * max(1.0, err_ref)
 
 
 def _position_distance(g, geo1, geo2, t):

@@ -169,6 +169,9 @@ CHECKS = {
     "lift-t": (
         lambda: lift_distance(GEODESIC, GEODESIC, float("nan")),
         ValueError, r"t must be finite, got nan"),
+    "lift-window": (
+        lambda: lift_distance(GEODESIC, GEODESIC, 0.0, window=2.5),
+        ValueError, r"window must be a positive integer, got 2\.5"),
     "shift-time-t": (
         lambda: GEODESIC.shift_time(float("nan")),
         ValueError, r"t must be finite, got nan"),
