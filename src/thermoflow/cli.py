@@ -36,7 +36,7 @@ from .thermo import (
 )
 from .ldp import (
     WeakStarConfig,
-    deviation_frequency,
+    _deviation_frequencies,
     measure_statistics,
     rate_function,
     weak_star_distance,
@@ -391,9 +391,8 @@ def _cmd_ldp(run: _Run) -> int:
     mc_rows = [("eps", "t", "frequency", "log_rate", "ci_low", "ci_high")]
     print(f"Monte Carlo deviation frequencies at t = {t}, "
           f"n = {n}")
-    for e in eps_grid:
-        dev = deviation_frequency(run.system, mu, psi, e, t,
-                                  n, seed)
+    devs = _deviation_frequencies(run.system, mu, psi, eps_grid, t, n, seed)
+    for e, dev in zip(eps_grid, devs):
         note = f"  [{dev.note}]" if dev.note else ""
         print(f"  eps = {e:<6g} freq = {dev.frequency:.6g} "
               f"log-rate = {dev.log_rate:.6f} "

@@ -390,7 +390,7 @@ def _build_block_chain(system: Suspension, target: ApproxTarget,
     chain = MarkovMeasure.from_edges(
         len(emit), *map(np.concatenate, (src, dst, prob)),
         np.concatenate(pi + [glue_pi]), words=[(s,) for s in emit])
-    return SuspendedMeasure(chain, Roof([system.roof[s] for s in emit]))
+    return SuspendedMeasure(chain, system.roof.take(emit))
 
 
 @dataclass(frozen=True)

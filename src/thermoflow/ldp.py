@@ -296,8 +296,7 @@ def rate_function(system: Suspension, phi, psi: CylinderPotential,
     sft_w, roof_w, words = block_recode(system.sft, system.roof,
                                         max(phi.width, psi.width))
     r = roof_w.array
-    phihat, psihat = (np.array([f.value(u) for u in words]) * r
-                      for f in (phi, psi))
+    phihat, psihat = (f.values(words) * r for f in (phi, psi))
     src, dst = sft_w._edges
     P0, mbar = _pressure_and_mean(src, dst, phihat, psihat, r)
     lo_u, hi_u = _psi_range(system, psi)
@@ -613,21 +612,39 @@ def deviation_frequency(system: Suspension, m: SuspendedMeasure,
     the test is made in integral units with an explicit tolerance,
     |I - t mean| >= t eps - tol with tol = 1e-9 t max(1, max|psi|), and
     round-off in the cumulative sums cannot drop the boundary atoms."""
+    return _deviation_frequencies(system, m, psi, (eps,), t, n_samples,
+                                  seed)[0]
+
+
+def _deviation_frequencies(system: Suspension, m: SuspendedMeasure,
+                           psi: CylinderPotential, eps_grid, t: float,
+                           n_samples: int, seed: int) -> list:
+    """deviation_frequency at each eps of eps_grid, from one walk of the
+    seed's samples: the draws do not depend on eps, only the count does."""
     if not 0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    if not 0 <= eps < math.inf:
-        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    for eps in eps_grid:
+        if not 0 <= eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {eps}")
     if psi.width != 1:
         raise ValueError("deviation_frequency supports width-1 psi")
     _check_support(system.sft, m.base)
     rng = np.random.default_rng(seed)
     mbar = entropy_and_mean(m, psi)[1]
-    psi_v = np.array([psi.value(w) for w in m.base.words])
+    psi_v = psi.values(m.base.words)
     length = int(math.ceil(t / system.roof.min)) + 2
     u, columns = _sample_orbits(m, n_samples, length, rng)
     integral, _, walk = _column_integrals(columns, psi_v, m.roof, t, u)
     tol = 1e-9 * t * max(1.0, float(np.max(np.abs(psi_v))))
-    hits = int(np.sum(np.abs(integral - t * mbar) >= t * eps - tol))
+    distance = np.abs(integral - t * mbar)
+    return [_deviation_count(int(np.sum(distance >= t * eps - tol)),
+                             n_samples, t, walk) for eps in eps_grid]
+
+
+def _deviation_count(hits: int, n_samples: int, t: float,
+                     walk: dict) -> DeviationResult:
+    """The frequency of hits deviations among n_samples walks to time t,
+    with its interval."""
     alpha = 0.05
     if hits == 0:
         ci_hi_p = 1.0 - (alpha / 2) ** (1.0 / n_samples)

@@ -53,16 +53,17 @@ class WeakSpecificationError(ValueError):
 class Sft:
     """An SFT given by a boolean transition matrix.
 
-    transitions[i][j] truthy means the word "ij" is allowed.  SFTs with
-    stranded symbols (no successor or no predecessor) are rejected at
-    construction.
+    transitions[i][j] == 1 means the word "ij" is allowed; entries other
+    than 0 and 1 are rejected, a test that a bool array passes by its type
+    and so skips (a block recoding builds one).  SFTs with stranded
+    symbols (no successor or no predecessor) are rejected at construction.
     """
 
     def __init__(self, transitions):
         A = np.asarray(transitions)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("transition matrix must be square")
-        if not np.all((A == 0) | (A == 1)):
+        if A.dtype != bool and not np.all((A == 0) | (A == 1)):
             raise ValueError("transition matrix must be boolean (0/1 entries)")
         A = A.astype(bool)
         if A.shape[0] < 1:

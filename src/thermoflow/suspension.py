@@ -77,18 +77,33 @@ class Roof:
     extremes as floats, and every numeric kernel reads it; `floats` holds
     the same floats as a tuple, for the scalar walk.  A roof value that is
     not a binary fraction, such as 1/3, must be given exactly for
-    closed-orbit sums."""
+    closed-orbit sums.  `take` builds the roof of a recoding by index, so
+    each value is converted to float once, by the roof it comes from."""
 
     def __init__(self, values):
-        self.values = tuple(values)
-        self.array = np.array(self.values, dtype=float)
+        values = tuple(values)
+        self._set(values, np.array(values, dtype=float))
+
+    def take(self, idx) -> "Roof":
+        """The roof whose value i is this roof's value idx[i]: the exact
+        values by tuple indexing, the float view by `array.take`, the same
+        floats that converting the values again would give."""
+        idx = np.asarray(idx, dtype=np.intp)
+        roof = Roof.__new__(Roof)
+        roof._set(tuple(map(self.values.__getitem__, idx.tolist())),
+                  self.array.take(idx))
+        return roof
+
+    def _set(self, values: tuple, array: np.ndarray):
+        self.values = values
+        self.array = array
         # an empty roof has min = inf above max = -inf; a NaN is NaN in both
-        self.min = float(self.array.min(initial=math.inf))
-        self.max = float(self.array.max(initial=-math.inf))
+        self.min = float(array.min(initial=math.inf))
+        self.max = float(array.max(initial=-math.inf))
         if not 0 < self.min <= self.max < math.inf:
             raise ValueError("roof values must be finite and positive")
-        self.array.setflags(write=False)
-        self.floats = tuple(self.array.tolist())
+        array.setflags(write=False)
+        self.floats = tuple(array.tolist())
 
     def __getitem__(self, i):
         return self.values[i]
@@ -306,7 +321,8 @@ def _column_integrals(columns, values, roof: Roof, t, u):
     k, state, done = np.zeros(len(first), np.int64), first.copy(), True
     for j, col in enumerate(itertools.chain([first], columns)):
         np.copyto(state, col, where=done)
-        acc += table.take(col, axis=1)
+        for a, row in zip(acc, table):  # an n-long temporary, not (2, n)
+            a += row.take(col)
         done = acc[0] <= total
         np.copyto(held, acc, where=done)
         k += done

@@ -94,8 +94,21 @@ class CylinderPotential:
         try:
             return self.table[key]
         except KeyError:
-            raise ValueError(f"the width-{self.width} potential table has "
-                             f"no value for the word {key}") from None
+            raise self._missing(key) from None
+
+    def values(self, words) -> np.ndarray:
+        """[value(u) for u in words] as a float array, one dict lookup
+        per word; the words are tuples, read to their first `width`
+        symbols."""
+        w = self.width
+        try:
+            return np.array([self.table[u[:w]] for u in words], dtype=float)
+        except KeyError as e:
+            raise self._missing(e.args[0]) from None
+
+    def _missing(self, key) -> ValueError:
+        return ValueError(f"the width-{self.width} potential table has no "
+                          f"value for the word {key}")
 
 
 def zero_potential() -> CylinderPotential:
@@ -288,7 +301,10 @@ def _sample_orbits(mu: SuspendedMeasure, n: int, length: int, rng):
 def block_recode(sft: Sft, roof: Roof, w: int):
     """(Sft_w, Roof_w, words): the w-block presentation; state u -> v is
     allowed iff u[1:] == v[:-1] (and the extra transition is admissible,
-    which the word construction already guarantees)."""
+    which the word construction already guarantees).  It is built by
+    index: the transitions as a bool array (so `Sft` skips its 0/1 test),
+    the edge cache from the same indices, and the roof by `Roof.take` of
+    each word's first symbol; w = 1 returns sft and roof themselves."""
     if w == 1:
         return sft, roof, tuple((s,) for s in range(sft.n_symbols))
     # the rows u + (b,) of the (w + 1)-words are the edges u -> u[1:] + (b,)
@@ -303,15 +319,13 @@ def block_recode(sft: Sft, roof: Roof, w: int):
     A[i, j] = True
     sft_w = Sft(A)
     sft_w._edges = i, j  # fill the cache
-    return (sft_w, Roof([roof[s] for s in W[:, 0].tolist()]),
-            tuple(map(tuple, W.tolist())))
+    return sft_w, roof.take(W[:, 0]), tuple(map(tuple, W.tolist()))
 
 
 def _prepare(system: Suspension, phi: CylinderPotential):
     """Recoded (sft, roof, words, phihat) matching the potential width."""
     sft_w, roof_w, words = block_recode(system.sft, system.roof, phi.width)
-    phihat = np.array([phi.value(u) for u in words]) * roof_w.array
-    return sft_w, roof_w, words, phihat
+    return sft_w, roof_w, words, phi.values(words) * roof_w.array
 
 
 # ----------------------------------------------------------------------
@@ -811,7 +825,7 @@ def gibbs_ratio_stats(system: Suspension, mu: SuspendedMeasure, phi,
     # the ball depth d = c + k_rho is at least 2, as rho < 1/4
     log_nu = np.log(mu.base.stationary[paths[:, :1]]) + np.cumsum(np.log(
         mu.base.prob[mu.base._edge(paths[:, :-1], paths[:, 1:])]), axis=1)
-    phi_v = np.array([phi.value(w) for w in mu.base.words])
+    phi_v = phi.values(mu.base.words)
     per_t = {}
     for t in t_grid:
         Phi, c = _column_integrals(paths.T, phi_v, mu.roof, t, u)[:2]

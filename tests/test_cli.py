@@ -182,6 +182,28 @@ def test_ldp_rates_and_monte_carlo_row(capsys, tmp_path):
                                        dev.log_rate, dev.ci_low, dev.ci_high]
 
 
+def test_ldp_monte_carlo_rows_over_an_eps_grid(capsys, tmp_path):
+    """The CLI walks its sample once for the whole eps grid; each row is
+    still a `deviation_frequency` call with the run's seed."""
+    code, _, _ = run_cli(capsys, "ldp", "--sft", data_path("golden.json"),
+                         "--roof", data_path("golden_roof12.json"), "--psi",
+                         data_path("psi_ind1.json"), "--epsilon",
+                         "0.05,0.1,0.3", "--samples", "500", "--seed", "9",
+                         "--out", str(tmp_path))
+    assert code == 0
+    with open(tmp_path / "deviation_mc.csv") as f:
+        rows = list(csv.reader(f))[2:]
+    system = Suspension(Sft([[1, 1], [1, 0]]), Roof([1.0, 2.0]))
+    psi = tfio.load_potential(tfio.read_json(data_path("psi_ind1.json")))
+    mu = equilibrium_state(system, zero_potential())
+    want = []
+    for eps in (0.05, 0.1, 0.3):
+        dev = deviation_frequency(system, mu, psi, eps, 50.0, 500, 9)
+        want.append([eps, 50.0, dev.frequency, dev.log_rate, dev.ci_low,
+                     dev.ci_high])
+    assert [[float(x) for x in row] for row in rows] == want
+
+
 def test_pressure_json_reports_perron_iterations(capsys, tmp_path):
     """pressure.json carries the Perron solves and their products M v."""
     code, _, _ = run_cli(capsys, "pressure", "--sft",

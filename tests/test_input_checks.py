@@ -45,6 +45,11 @@ CHECKS = {
     "rate-psi": (
         lambda: rate_function(FULL2, None, {(0,): 0.0}, [0.1]),
         ValueError, r"psi must be fiber-representable \(cylinder potential\)"),
+    "rate-psi-word": (
+        lambda: rate_function(FULL2, None, CylinderPotential(
+            2, {(0, 0): 0.0, (0, 1): 1.0, (1, 0): 1.0}), [0.1]),
+        ValueError, r"the width-2 potential table has no value for the word "
+                    r"\(1, 1\)"),
     "weak-star-depth": (
         lambda: weak_star_distance(_measure(1, 2), _measure(2, 2)),
         ValueError, r"depth mismatch between empirical measures"),
@@ -75,6 +80,15 @@ CHECKS = {
     "sft-boolean": (
         lambda: Sft([[1, 2], [1, 1]]),
         ValueError, r"transition matrix must be boolean \(0/1 entries\)"),
+    "sft-square-bool": (
+        lambda: Sft(np.ones((2, 3), dtype=bool)),
+        ValueError, r"transition matrix must be square"),
+    "sft-stranded-bool-successor": (
+        lambda: Sft(np.array([[True, True], [False, False]])),
+        ValueError, r"stranded symbol: some symbol has no successor"),
+    "sft-stranded-bool-predecessor": (
+        lambda: Sft(np.array([[True, False], [True, False]])),
+        ValueError, r"stranded symbol: some symbol has no predecessor"),
     "sft-empty": (
         lambda: Sft(np.zeros((0, 0))),
         ValueError, r"need at least one symbol"),
