@@ -12,6 +12,11 @@ Graph:     { "vertices": n, "edges": [{"from": i, "to": j, "length": q}] }
            value that is not a binary fraction must be a string for
            closed-orbit sums
 Potential: { "type": "cylinder", "width": w, "table": {"word": value} }
+           A word is its symbol indices separated by commas, a trailing
+           comma allowed ("10," is the one-symbol word 10, "1,0" two
+           symbols), or without a comma one digit per symbol ("10" is
+           the word 1, 0).  Every word has w symbols.  An empty table of
+           width 1 (the default width) is phi = 0.
 """
 
 from __future__ import annotations
@@ -62,17 +67,36 @@ def load_graph(obj):
 def load_potential(obj):
     kind = obj.get("type", "cylinder")
     if kind == "cylinder":
+        width = int(obj.get("width", 1))
         table = {}
         for key, val in obj["table"].items():
-            word = tuple(int(c) for c in key.split(",")) \
-                if "," in key else tuple(int(c) for c in key)
+            word = _word(key)
+            if len(word) != width:
+                raise ValueError(
+                    f"potential key {key!r} reads as the word {word} of "
+                    f"length {len(word)}, not the width {width} (a key "
+                    f"without a comma has one symbol per digit)")
             table[word] = float(val)
-        if not table and int(obj.get("width", 1)) == 1:
+        if not table and width == 1:
             return zero_potential()
-        return CylinderPotential(int(obj["width"]), table)
+        return CylinderPotential(width, table)
     if kind == "zero":
         return zero_potential()
     raise ValueError(f"unknown potential type {kind!r}")
+
+
+def _word(key: str) -> tuple:
+    """A potential table key as a word of symbol indices: comma-separated,
+    with an optional trailing comma, or one digit per symbol when the key
+    has no comma."""
+    parts = key.split(",") if "," in key else list(key)
+    if len(parts) > 1 and parts[-1] == "":
+        parts.pop()
+    try:
+        return tuple(int(c) for c in parts)
+    except ValueError:
+        raise ValueError(f"potential key {key!r} is not a word of symbol "
+                         f"indices") from None
 
 
 def read_json(path):

@@ -314,24 +314,39 @@ def _column_integrals(columns, values, roof: Roof, t, u):
     compare at ties."""
     columns = iter(columns)
     first = next(columns)
+    n = len(first)
     h0 = u * roof.array.take(first)
     total = h0 + t
     table = np.stack([roof.array, values * roof.array])
-    acc, held = np.zeros((2, len(first))), np.zeros((2, len(first)))
-    k, state, done = np.zeros(len(first), np.int64), first.copy(), True
-    for j, col in enumerate(itertools.chain([first], columns)):
-        np.copyto(state, col, where=done)
+    acc = np.zeros((2, n))
+    # while the largest roof sum plus the largest roof is <= the least h0 +
+    # t, every row ends its next fiber by its h0 + t (float addition rounds
+    # monotonically), so the walk only adds
+    walked, bound, rmax = 0, float(total.min()), roof.max
+    columns = itertools.chain([first], columns)
+    while acc[0].max() + rmax <= bound:
+        col = next(columns, None)
+        if col is None:
+            break
         for a, row in zip(acc, table):  # an n-long temporary, not (2, n)
+            a += row.take(col)
+        walked += 1
+    held, state = acc.copy(), first.copy()
+    k, done = np.full(n, walked, np.int64), np.ones(n, bool)
+    for col in columns:
+        np.copyto(state, col, where=done)
+        for a, row in zip(acc, table):
             a += row.take(col)
         done = acc[0] <= total
         np.copyto(held, acc, where=done)
         k += done
+        walked += 1
     if np.any(done | (u < 0) | (u > 1)):
         raise ValueError("start heights must lie in [0, r(s_0)] and the "
                          "paths reach past t + r(s_0)")
     end, full = held
     last = (total - end) * values.take(state)
-    return full - h0 * values.take(first) + last, k, {"columns": j + 1}
+    return full - h0 * values.take(first) + last, k, {"columns": walked}
 
 
 class Suspension:

@@ -5,8 +5,10 @@ Pressure is computed three ways:
 * ``spectral``: P(phi) is the unique s at which the Perron root of
   M(s)_{ee'} = A_{ee'} exp(phihat(e') - s r(e')) equals 1 (phihat
   integrates the potential over the fiber of e'); the log-Perron-root is
-  strictly decreasing in s, and the Illinois method locates its zero in a
-  fixed bracket.  One kernel, `_perron`, finds every Perron root and
+  strictly decreasing in s with slope in [-max r, -min r], so each value
+  brackets its zero, and a secant iteration inside those brackets
+  (`_spectral_root`) needs one solve when the roof is constant and a few
+  otherwise.  One kernel, `_perron`, finds every Perron root and
   accepts it on a Collatz-Wielandt certificate of relative width 1e-13.
   It reads M as the edge list of A (`Sft._edges`) with one weight per
   edge.  Up to _EIG_MAX_N states it starts from a dense eigenvector and
@@ -85,9 +87,12 @@ class CylinderPotential:
     def __post_init__(self):
         if self.width < 1:
             raise ValueError("width >= 1 required")
-        object.__setattr__(
-            self, "table",
-            {tuple(k): float(v) for k, v in self.table.items()})
+        table = {tuple(k): float(v) for k, v in self.table.items()}
+        for key in table:
+            if len(key) != self.width:
+                raise ValueError(f"the width-{self.width} potential table "
+                                 f"has the key {key} of length {len(key)}")
+        object.__setattr__(self, "table", table)
 
     def value(self, word) -> float:
         key = tuple(word[: self.width])
@@ -354,6 +359,7 @@ def birkhoff(system: Suspension, phi, seg: OrbitSegment) -> float:
 
 
 _PERRON_TOL = 1e-13
+_EPS = float(np.finfo(float).eps)
 _PERRON_MAX_ITER = 100_000
 # the largest n whose Perron solve starts from a dense eigenvector
 _EIG_MAX_N = 48
@@ -436,7 +442,9 @@ def _bracketed_root(f, lo: float, hi: float, flo: float, fhi: float,
                     tol: float) -> tuple:
     """(root, half-width of the final bracket) of a continuous f on
     [lo, hi] by the Illinois method, given flo = f(lo) != 0 and fhi =
-    f(hi) of the other sign or zero."""
+    f(hi) of the other sign or zero.  It reads only the signs and values
+    of f, so it serves roots with no bound on the slope of f, such as the
+    beta of `ldp._legendre`."""
     moved = 0  # the end replaced last, +1 lo, -1 hi
     while hi - lo > 2 * tol:
         # regula falsi point, kept tol inside the bracket so that the end
@@ -461,31 +469,61 @@ def _bracketed_root(f, lo: float, hi: float, flo: float, fhi: float,
 def _spectral_root(n: int, src, dst, phihat: np.ndarray, roofs: np.ndarray,
                    tol: float) -> tuple:
     """(root, half-width of the final bracket, last Perron vector, counts)
-    of the decreasing s -> log Perron root of M(s) = A diag(e^{phihat - s
-    roofs}), A the 0/1 matrix of the edges src -> dst on states 0..n-1,
-    sorted by source.  Every root is certified by `_perron` to relative
-    width _PERRON_TOL; each solve above _EIG_MAX_N states starts from the
-    last one's vector.  counts holds the Perron solves and their products
-    M v."""
+    of f(s) = log Perron root of M(s) = A diag(e^{phihat - s roofs}), A the
+    0/1 matrix of the edges src -> dst on states 0..n-1, sorted by source.
+    Every root is certified by `_perron` to relative width _PERRON_TOL;
+    each solve above _EIG_MAX_N states starts from the last one's vector.
+    counts holds the Perron solves and their products M v.
+
+    f'(s) is minus the mean roof of the equilibrium state of phihat - s
+    roofs (Parry-Pollicott, Asterisque 187-188, ch. 4), so it lies in
+    [-r_max, -r_min], and one value f(s) puts the root in [s + f/r_max,
+    s + f/r_min] when f >= 0 (the ends swapped when f < 0).  A computed
+    f is within delta = 2 _PERRON_TOL + eps (|f| + 2 |s| r_max +
+    max|phihat|) of the true one, eps = 2^-52: the certificate bounds
+    |lam - rho| by _PERRON_TOL lam, and the second _PERRON_TOL covers the
+    rounding of the certificate's ratios and sums and of exp (a few ulp
+    each); the eps term covers the rounding of the argument phihat - s
+    roofs of exp, which becomes a relative error of the weights, of the
+    log, and of the bracket ends s + (f -/+ delta) / r (delta / r >= 2 eps
+    |s|).  Each solve narrows the bracket by f -/+ delta.  The next point
+    is the secant through the last two values when it lies inside the
+    bracket and the last solve at least halved it, else the midpoint, so
+    that every other solve halves the bracket.  The loop stops once the
+    bracket is at most 2 tol wide or at the floor 2 delta / r_min that one
+    solve at the root gives.  With a constant roof one solve reaches that
+    floor."""
     v = None
     counts = {"perron_solves": 0, "perron_iterations": 0}
-
-    def log_perron(s):
-        nonlocal v
-        root, v, steps = _perron(n, src, dst,
-                                 np.exp(phihat - s * roofs)[dst], v)
-        counts["perron_solves"] += 1
-        counts["perron_iterations"] += steps
-        return math.log(root)
-
+    r_min, r_max = float(roofs.min()), float(roofs.max())
+    phi_max = float(np.abs(phihat).max())
     # M(lo) >= A entrywise, so its Perron root is >= rho(A) >= 1; every row
     # of M(hi) sums to at most 1, so its Perron root is <= 1
     lo = float(np.min(phihat / roofs)) - 1e-12
     hi = float(np.max(phihat / roofs)) \
-        + math.log(np.bincount(src).max()) / roofs.min() + 1e-12
-    root, half = _bracketed_root(log_perron, lo, hi, log_perron(lo),
-                                 log_perron(hi), tol)
-    return root, half, v, counts
+        + math.log(np.bincount(src).max()) / r_min + 1e-12
+    s, last = 0.5 * (lo + hi), None
+    while True:
+        root, v, steps = _perron(n, src, dst,
+                                 np.exp(phihat - s * roofs)[dst], v)
+        counts["perron_solves"] += 1
+        counts["perron_iterations"] += steps
+        f = math.log(root)
+        delta = 2 * _PERRON_TOL \
+            + _EPS * (abs(f) + 2 * abs(s) * r_max + phi_max)
+        width = hi - lo
+        lo = max(lo, s + (f - delta) / (r_max if f >= delta else r_min))
+        hi = min(hi, s + (f + delta) / (r_min if f >= -delta else r_max))
+        # the floor, with the rounding of the two ends
+        if hi - lo <= 2 * max(tol, delta / r_min) \
+                + 2 * _EPS * (abs(lo) + abs(hi)):
+            return 0.5 * (lo + hi), 0.5 * (hi - lo), v, counts
+        nxt = 0.5 * (lo + hi)
+        if last is not None and last[1] != f and hi - lo <= 0.5 * width:
+            secant = s - f * (s - last[0]) / (f - last[1])
+            if lo < secant < hi:
+                nxt = secant
+        last, s = (s, f), nxt
 
 
 def _gibbs_data(n: int, src, dst, phihat: np.ndarray, roofs: np.ndarray):

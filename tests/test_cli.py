@@ -80,6 +80,30 @@ def test_pressure_rose2_spectral(capsys):
     assert "P = 1.098612" in out  # log 3
 
 
+def test_pressure_reads_symbols_past_nine(capsys, tmp_path):
+    """A rose of six unit loops has 12 directed edges, each followed by 11;
+    its width-1 table keyed "0," ... "11," gives phi = 1/2 everywhere and
+    P = log 11 + 1/2.  The key "10" is the word (1, 0) and exits 2."""
+    rose6 = tmp_path / "rose6.json"
+    rose6.write_text(json.dumps({"vertices": 1, "edges": [
+        {"from": 0, "to": 0, "length": "1"}] * 6}))
+    phi = tmp_path / "phi.json"
+    table = {f"{e},": 0.5 for e in range(12)}
+    phi.write_text(json.dumps({"type": "cylinder", "width": 1,
+                               "table": table}))
+    code, out, _ = run_cli(capsys, "pressure", "--graph", str(rose6),
+                           "--potential", str(phi))
+    assert code == 0
+    assert f"P = {math.log(11) + 0.5:.6f}" in out
+    table["10"] = table.pop("10,")
+    phi.write_text(json.dumps({"type": "cylinder", "width": 1,
+                               "table": table}))
+    code, _, err = run_cli(capsys, "pressure", "--graph", str(rose6),
+                           "--potential", str(phi))
+    assert code == 2
+    assert "potential key '10' reads as the word (1, 0)" in err
+
+
 def test_pressure_all_methods_spread(capsys):
     code, out, _ = run_cli(capsys, "pressure", "--sft",
                            data_path("full2.json"), "--potential",

@@ -226,6 +226,18 @@ CHECKS = {
         lambda: MarkovMeasure.from_edges(2, [0, 0, 1], [1, 1, 0],
                                          [0.5, 0.5, 1.0]),
         ValueError, r"kernel entry \(0, 1\) is given twice"),
+    "cylinder-key-length": (
+        lambda: CylinderPotential(1, {(1, 0): 2.0}),
+        ValueError, r"the width-1 potential table has the key \(1, 0\) of "
+                    r"length 2"),
+    "potential-key-length": (
+        lambda: tfio.load_potential({"width": 1, "table": {"10": 2.0}}),
+        ValueError, r"potential key '10' reads as the word \(1, 0\) of "
+                    r"length 2, not the width 1 \(a key without a comma has "
+                    r"one symbol per digit\)"),
+    "potential-key-not-a-word": (
+        lambda: tfio.load_potential({"width": 1, "table": {"10,x": 2.0}}),
+        ValueError, r"potential key '10,x' is not a word of symbol indices"),
 }
 
 
@@ -244,6 +256,16 @@ def test_load_potential_zero_forms(obj):
     phi = tfio.load_potential(obj)
     assert phi.width == 1
     assert [phi.value((s,)) for s in range(3)] == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("width, key, word", [
+    (1, "10,", (10,)), (1, "7", (7,)), (2, "10", (1, 0)), (2, "1,0", (1, 0)),
+    (2, "1,0,", (1, 0)), (2, "12,3", (12, 3))])
+def test_load_potential_key_forms(width, key, word):
+    """A key with a comma lists its symbols, a trailing comma allowed; a
+    key without one has a symbol per digit."""
+    phi = tfio.load_potential({"width": width, "table": {key: 0.5}})
+    assert phi.table == {word: 0.5}
 
 
 def test_weak_star_distance_reads_a_flow_measure_on_either_side():

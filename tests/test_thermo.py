@@ -350,6 +350,145 @@ def test_pressure_counts_perron_products(full2_unit, rose2):
     assert d["perron_iterations"] > 2 * d["perron_solves"] > 0
 
 
+# --- spectral root: slope brackets ------------------------------------------
+
+# full2, golden (1, 1) and (1, 2), rose2, theta, and full2 under the roofs
+# (1, 1/3), (0.01, 0.02) and the constant 0.01
+BRACKET_MODELS = {
+    "full2": (Sft([[1, 1], [1, 1]]), [1.0, 1.0]),
+    "golden11": (Sft([[1, 1], [1, 0]]), [1.0, 1.0]),
+    "golden12": (Sft([[1, 1], [1, 0]]), [1.0, 2.0]),
+    "third": (Sft([[1, 1], [1, 1]]), [1.0, 1 / 3]),
+    "stiff": (Sft([[1, 1], [1, 1]]), [0.01, 0.02]),
+    "tiny": (Sft([[1, 1], [1, 1]]), [0.01, 0.01]),
+}
+
+
+def _bracket_model(name, rose2, theta):
+    if name in BRACKET_MODELS:
+        sft, roof = BRACKET_MODELS[name]
+        return Suspension(sft, Roof(roof))
+    return graph_suspension({"rose2": rose2, "theta": theta}[name])
+
+
+def _seeded_potential(system, width, scale, seed):
+    words = _words(system.sft._edges, width).tolist()
+    rng = np.random.default_rng(seed)
+    return CylinderPotential(width, {tuple(w): scale * rng.standard_normal()
+                                     for w in words})
+
+
+def _bisection_pressure(system, phi, guess):
+    """[a, b]: the last bracket of a bisection on the sign of s -> log of
+    the largest |eigenvalue| (`np.linalg.eigvals`) of the dense M(s) =
+    A diag(e^{phihat - s r}) of the recoding, started 1e-6 around guess,
+    where the sign is checked to change."""
+    sft_w, roof_w, _, phihat = _prepare(system, phi)
+    A, r = sft_w.transitions.astype(float), roof_w.array
+
+    def f(s):
+        M = A * np.exp(phihat - s * r)[None, :]
+        return math.log(np.abs(np.linalg.eigvals(M)).max())
+
+    a, b = guess - 1e-6, guess + 1e-6
+    assert f(a) > 0 > f(b)
+    while a < 0.5 * (a + b) < b:
+        m = 0.5 * (a + b)
+        a, b = (m, b) if f(m) > 0 else (a, m)
+    return a, b
+
+
+@pytest.mark.parametrize("model", ["full2", "golden11", "golden12", "rose2",
+                                   "theta", "third", "stiff", "tiny"])
+def test_spectral_error_bar_covers_bisection_reference(model, rose2, theta):
+    """Widths 1-3, seeded potentials at scales 0, 0.5 and 3, at the default
+    tol and at `_gibbs_data`'s 1e-12: [value - error, value + error] meets
+    the bisection bracket, widened by 1e-14 / min r for the log error of
+    the dense eigenvalues (at most about 4e-15 on such matrices against an
+    extended-precision power iteration)."""
+    system = _bracket_model(model, rose2, theta)
+    slack = 1e-14 / system.roof.min
+    for width in (1, 2, 3):
+        for k, scale in enumerate((0.0, 0.5, 3.0)):
+            phi = _seeded_potential(system, width, scale, [width, k])
+            guess = pressure(system, phi).value
+            a, b = _bisection_pressure(system, phi, guess)
+            for tol in (1e-10, 1e-12):
+                val, err = pressure(system, phi, tol=tol)
+                assert a - slack <= val + err and val - err <= b + slack, \
+                    (width, scale, tol, val, err, a, b)
+
+
+def _coboundary(system, width, c, seed):
+    """phi with phi r = c r + g(x_1) - g(x_0) for a seeded g on symbols,
+    as a width-`width` table: cohomologous to the constant c, so its
+    pressure is P(0) + c.  Its Perron vector is not uniform."""
+    g = np.random.default_rng(seed).standard_normal(system.sft.n_symbols)
+    r = system.roof.array
+    words = _words(system.sft._edges, width).tolist()
+    return CylinderPotential(width, {
+        tuple(w): (c * r[w[0]] + g[w[1]] - g[w[0]]) / r[w[0]]
+        for w in words})
+
+
+def test_spectral_error_bar_covers_closed_form(rose2, golden12):
+    """Coboundary potentials with exact pressures log 3 + c on rose2 (108
+    and 324 block states, power steps over the edges), -log x + c on
+    golden (1, 2) (x^3 + x = 1) and log 2 / 0.01 + c under the constant
+    roof 0.01: each error bar covers the exact value, up to 4 ulp of the
+    value's rounding."""
+    x = 0.6823278038280193
+    for _ in range(3):
+        x -= (x ** 3 + x - 1) / (3 * x * x + 1)
+    tiny = Suspension(Sft([[1, 1], [1, 1]]), Roof([0.01, 0.01]))
+    cases = [(graph_suspension(rose2), math.log(3), (4, 5)),
+             (golden12, -math.log(x), (2, 3)),
+             (tiny, math.log(2) / 0.01, (2, 6))]
+    eps = np.finfo(float).eps
+    for system, p0, widths in cases:
+        for width in widths:
+            for c, seed in ((0.3, 1), (-0.7, 2), (0.0, 3)):
+                phi = _coboundary(system, width, c, seed)
+                for tol in (1e-10, 1e-12):
+                    val, err = pressure(system, phi, tol=tol)
+                    exact = p0 + c
+                    assert abs(val - exact) <= err + 4 * eps * abs(exact), \
+                        (width, c, tol, val, err, exact)
+
+
+def test_spectral_root_solves_once_on_constant_roofs(rose2, cycle2):
+    """A constant roof makes f(s) = log Perron root linear in s, so one
+    solve pins the root: full2, golden, rose2 and the periodic two-cycle
+    with seeded width-1 and width-2 potentials, and rose2 recoded to
+    widths 5 and 6 (324 and 972 states), at tol 1e-10 and 1e-12."""
+    systems = [Suspension(Sft([[1, 1], [1, 1]]), Roof([1.0, 1.0])),
+               Suspension(Sft([[1, 1], [1, 0]]), Roof([1.0, 1.0])),
+               graph_suspension(rose2), cycle2]
+    cases = [(s, w) for s in systems for w in (1, 2)]
+    cases += [(graph_suspension(rose2), 5), (graph_suspension(rose2), 6)]
+    for system, width in cases:
+        phi = _seeded_potential(system, width, 0.5, width)
+        for tol in (1e-10, 1e-12):
+            d = pressure(system, phi, tol=tol).diagnostics
+            assert d["perron_solves"] == 1, (system.sft.n_symbols, width)
+
+
+def test_spectral_root_solves_with_unequal_roofs(golden12, theta):
+    """Golden (1, 2) and theta need fewer than the 8 solves an Illinois
+    loop on the sign of f takes, and the roof (0.01, 0.02) at 1e-12 stops
+    at the floor 2 delta / min r within 10 solves."""
+    for system in (golden12, graph_suspension(theta)):
+        for width in (1, 2):
+            phi = _seeded_potential(system, width, 0.5, width)
+            for tol in (1e-10, 1e-12):
+                d = pressure(system, phi, tol=tol).diagnostics
+                assert d["perron_solves"] < 8
+    stiff = Suspension(Sft([[1, 1], [1, 1]]), Roof([0.01, 0.02]))
+    for phi in (zero_potential(), _seeded_potential(stiff, 2, 3.0, 0)):
+        d = pressure(stiff, phi, tol=1e-12).diagnostics
+        assert d["perron_solves"] <= 10
+
+
 def test_rate_legendre_golden12_matches_direct(golden12):
     psi = phi1(golden12.sft, [0.0, 1.0])
     leg = rate_function(golden12, None, psi, [0.1], "legendre")[0.1]
