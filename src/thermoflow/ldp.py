@@ -6,11 +6,12 @@ shorter table a prefix marginal) plus a normalized-height histogram; the
 weak* distance is the weighted sum of total-variation discrepancies over
 all depths.  Orbit segments are cut into fiber pieces by the array walk
 of `suspension` over rows of gathered window symbols, and the distances
-of K measures to one target come from one signed pass with the member id
-as first column.  The rate function q(eps) = P(phi) - sup{h + int phi :
-|int psi - mean| >= eps} is computed both by a Legendre transform of the
-pressure curve beta -> P(phi + beta psi) and by direct maximization over
-edge measures (one Newton solve of a concave program), and compared to
+of K measures to one target come from one signed pass over one int64 key
+per row, the member id and then the word in base largest symbol + 1.
+The rate function q(eps) = P(phi) - sup{h + int phi : |int psi - mean|
+>= eps} is computed both by a Legendre transform of the pressure curve
+beta -> P(phi + beta psi) and by direct maximization over edge measures
+(one Newton solve of a concave program), and compared to
 Monte Carlo deviation frequencies on step-major paths, whose
 Clopper-Pearson bounds come from an in-house incomplete beta function.
 The module needs numpy only.
@@ -194,6 +195,8 @@ def weighted_orbit_measure(system: Suspension, phi, t: float,
     Per(t) holds the primitive closed orbits of period <= t.  The sums are
     exact transfer-matrix traces on the roof lattice (`thermo._orbit_sums`),
     so the roof values must be rational."""
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive, got {t}")
     _, counts, _, words, weights = _orbit_sums(system, phi, t, cfg.depth)
     if not counts.any():
         raise ValueError("no closed orbits yet")
@@ -240,29 +243,40 @@ def _distances(words, weights, heights, b: EmpiricalMeasure,
                cfg: WeakStarConfig) -> np.ndarray:
     """D(a_i, b) for K measures a_i given as word rows words[i] (n, depth),
     frequencies weights[i] (zero on unused rows) and histograms
-    heights[i].  One signed pass over a table whose first column is the
-    member id: the rows of each a_i with sign +, those of b tiled once per
-    member with sign -.  Sorted, the rows with equal (id, k-word) sum to
-    freq_a_i - freq_b; one reduceat gives them for every k, and
-    np.bincount sums each member's weighted |differences|."""
+    heights[i].  One signed pass over a table of int64 keys, the member id
+    and then the word in base B = largest symbol + 1: the rows of each a_i
+    with sign +, those of b once per member with sign -.  Stably sorted
+    (the order of a lexsort of the id and word columns), the rows with
+    equal key // B^(depth - k) (id and k-word) sum to freq_a_i - freq_b;
+    one reduceat gives them for every k, and np.bincount sums each
+    member's weighted |differences|.  ValueError where K B^depth does not
+    fit in an int64."""
     K, n, depth = words.shape
-    table = np.empty((K, n + len(b.words), depth + 1), dtype=np.int64)
-    table[..., 0] = np.arange(K)[:, None]
-    table[:, :n, 1:] = words
-    table[:, n:, 1:] = b.words
-    signed = np.concatenate(
-        [weights, np.broadcast_to(-b.weights, (K, len(b.words)))], axis=1)
-    table, signed = table.reshape(-1, depth + 1), signed.ravel()
-    order = np.lexsort(table.T[::-1])
-    table, signed = table[order], signed[order]
-    # row i of depth k starts a group when first[i] < k + 1; every depth
-    # starts at row 0, so no group runs across two depths
-    starts = np.flatnonzero(_first_difference(table)
-                            <= np.arange(1, depth + 1)[:, None])
-    level, row = np.divmod(starts, len(table))
-    diff = np.add.reduceat(np.tile(signed, depth), starts)
+    B = max(int(words.max(initial=0)), int(b.words.max(initial=0))) + 1
+    if K * B ** depth >= 2 ** 63:
+        raise ValueError(f"weak* keys overflow int64: K = {K} members of "
+                         f"words in base B = {B} at depth D = {depth} "
+                         f"need K B^D < 2^63")
+    power = B ** np.arange(depth - 1, -1, -1, dtype=np.int64)  # B^(D-1)..1
+    keys = np.empty((K, n + len(b.words)), dtype=np.int64)
+    keys[:, :n], keys[:, n:] = words @ power, b.words @ power
+    keys += np.arange(0, K * B ** depth, B ** depth)[:, None]
+    signed = np.empty(keys.shape)
+    signed[:, :n], signed[:, n:] = weights, -b.weights
+    keys, signed = keys.ravel(), signed.ravel()
+    order = np.argsort(keys, kind="stable")
+    keys, signed = keys[order], signed[order]
+    # row i of depth k starts a group where its key // B^(depth - k)
+    # differs from row i - 1's; every depth starts at row 0, so no group
+    # runs across two depths
+    prefix = keys // power[:, None]
+    new = np.ones(prefix.shape, dtype=bool)
+    np.not_equal(prefix[:, 1:], prefix[:, :-1], out=new[:, 1:])
+    starts = np.flatnonzero(new)
+    level, row = np.divmod(starts, len(keys))
+    diff = np.add.reduceat(signed[None].repeat(depth, axis=0).ravel(), starts)
     wk = np.array([cfg.depth_weight(k) for k in range(1, depth + 1)])
-    return np.bincount(table[row, 0], wk[level] * np.abs(diff),
+    return np.bincount(keys[row] // B ** depth, wk[level] * np.abs(diff),
                        minlength=K) \
         + cfg.height_weight * np.abs(heights - b.heights).sum(axis=1)
 

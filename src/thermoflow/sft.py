@@ -134,20 +134,34 @@ def is_admissible_word(sft: Sft, word) -> bool:
     return all(sft.allowed(a, b) for a, b in zip(w, w[1:]))
 
 
-def _words(edges, w: int) -> np.ndarray:
+def _words(edges, w: int, prob=None, start=None):
     """The words of length w along the edges (src, dst) in row-major order
     on states 0..n-1, every state with an out-edge, as the rows of an int
     array in lexicographic order: each step repeats a row once for each
-    successor of its last state."""
+    successor of its last state, read from a table of each state's
+    successors padded with -1.
+
+    Given per-edge probabilities prob and start weights start, returns
+    (words, nu) with nu(p) = start(p_0) prob(p_0 p_1) ... prob(p_-2 p_-1),
+    multiplied in that order."""
     src, dst = edges
     degree = np.bincount(src)
-    ends = np.cumsum(degree)  # one past the last edge of each state
+    slot = np.arange(len(src)) - (np.cumsum(degree) - degree)[src]
+    succ = np.full((len(degree), degree.max()), -1, dtype=np.int64)
+    succ[src, slot] = dst
     W = np.arange(len(degree))[:, None]
+    if prob is not None:
+        step = np.zeros(succ.shape)
+        step[src, slot] = prob
+        nu = np.array(start, dtype=float)
     for _ in range(w - 1):
-        k = degree[W[:, -1]]
-        edge = np.repeat(ends[W[:, -1]] - k.cumsum(), k) + np.arange(k.sum())
-        W = np.column_stack([np.repeat(W, k, axis=0), dst[edge]])
-    return W
+        last = W[:, -1]
+        nxt, k = succ.take(last, axis=0), degree.take(last)
+        keep = nxt >= 0
+        W = np.column_stack([W.repeat(k, axis=0), nxt[keep]])
+        if prob is not None:
+            nu = nu.repeat(k) * step.take(last, axis=0)[keep]
+    return W if prob is None else (W, nu)
 
 
 def is_irreducible(sft: Sft) -> bool:

@@ -253,12 +253,9 @@ def _stationary_vector(n: int, src, dst, prob) -> np.ndarray:
 def _state_paths(base: MarkovMeasure, length: int):
     """(paths, nu): the state paths of `length` states along the kernel's
     edges, as the rows of an int array in lexicographic order, and their
-    probabilities nu(p) = pi(p_0) P(p_0, p_1) ... P(p_-2, p_-1)."""
-    paths = _words((base.src, base.dst), length)
-    nu = base.stationary[paths[:, 0]]
-    for a, b in zip(paths.T[:-1], paths.T[1:]):
-        nu = nu * base.prob[base._edge(a, b)]
-    return paths, nu
+    probabilities nu(p) = pi(p_0) P(p_0, p_1) ... P(p_-2, p_-1), carried
+    along the same walk."""
+    return _words((base.src, base.dst), length, base.prob, base.stationary)
 
 
 def _check_support(sft: Sft, base: MarkovMeasure) -> None:
@@ -555,7 +552,11 @@ def _check_spectral(system: Suspension, phi) -> None:
 def pressure(system: Suspension, phi, method: str = "spectral",
              t_grid=None, max_period: float = 12.0,
              tol: float = 1e-10) -> PressureResult:
-    """Topological pressure of the suspension flow for the potential phi."""
+    """Topological pressure of the suspension flow for the potential phi;
+    the closed-orbit methods read orbits of period up to max_period."""
+    if method in ("separated", "gurevic") and not 0 < max_period < math.inf:
+        raise ValueError(f"max_period must be finite and positive, got "
+                         f"{max_period}")
     _check_spectral(system, phi)
     sft_w, roof_w, words, phihat = _prepare(system, phi)
 

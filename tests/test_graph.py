@@ -425,6 +425,40 @@ def test_dgx_bridged_only():
                 assert abs(err - err_ref) <= 1e-12 * max(1.0, err_ref)
 
 
+TIE_EPS = 2.0 ** -27
+
+
+@pytest.mark.parametrize("T, s", [
+    (1.0, 1.25), (1.0, 1.5), (2.0, 3.0),  # split before -T
+    (1.0, 1.0 - TIE_EPS), (3.0, 3.0 - TIE_EPS),  # split just after -T
+])
+def test_dgx_geodesics_that_split_in_the_past(T, s):
+    """Two geodesics on a theta graph with edges of length 10 share their
+    whole past and split at vertex 0 at time -s.  The common run (L = 0,
+    hinge -s) and the bridge at vertex 0 (L = 2s, hinges s and s) are the
+    two best alignments, and they tie in floats: exactly when s >= T,
+    where both are 2 s W0 on [-T, T], and to below one ulp when
+    s = T - eps, where the common run is less by about e^{-2T} eps^2.
+    The common run wins the tie, so the error bound is its tail
+    e^{-2T} (1 + (T + s) + (s - T)_+), and the (-T - c)_+ term of a hinge
+    below -T counts; the bridge's bound would be e^{-2T} (1 + 2T) at
+    s = T - eps.  Value and bound match dgx_reference, in both orders."""
+    g = MetricGraph(2, [(1, 0, 10), (0, 1, 10), (0, 1, 10)])
+    susp = graph_suspension(g)
+    # the past ... 2 0 2 0; then 2 0 2 ... on one, 4 3 4 ... on the other
+    a = Geodesic(g, susp.point(BiWord((2, 0), (2,), (0, 2), 0), s))
+    b = Geodesic(g, susp.point(BiWord((2, 0), (4,), (3, 4), 0), s))
+    tail = math.exp(-2 * T) * (1.0 + (T + s) + max(s - T, 0.0))
+    for x, y in ((a, b), (b, a)):
+        v, err = d_GX(x, y, tail_horizon=T)
+        v_ref, err_ref = dgx_reference.d_GX(x, y, tail_horizon=T)
+        assert abs(v - v_ref) <= 1e-12 * max(1.0, v_ref)
+        assert abs(err - err_ref) <= 1e-12 * max(1.0, err_ref)
+        assert abs(err - tail) <= 1e-15
+        if s >= T:
+            assert v == 2 * (s * -math.expm1(-2 * T))
+
+
 def _position_distance(g, geo1, geo2, t):
     e1, h1 = geo1.position(t)
     e2, h2 = geo2.position(t)

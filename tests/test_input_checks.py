@@ -11,7 +11,8 @@ from thermoflow import (BiWord, CylinderPotential, EmpiricalMeasure,
                         entropy_and_mean, gibbs_ratio_stats, glue_words,
                         graph_suspension, lift_distance, measure_statistics,
                         pressure, rate_function, separated_generic_set,
-                        weak_star_distance, zero_potential)
+                        weak_star_distance, weighted_orbit_measure,
+                        zero_potential)
 from thermoflow import io as tfio
 
 FULL2 = Suspension(Sft([[1, 1], [1, 1]]), Roof([1.0, 1.0]))
@@ -209,6 +210,27 @@ CHECKS = {
         lambda: FULL2.max_orbit_distance(POINT, OrbitSegment(POINT, 1.0),
                                          float("inf")),
         ValueError, r"delta must be finite, got inf"),
+    "orbit-measure-t-negative": (
+        lambda: weighted_orbit_measure(FULL2, zero_potential(), -1.0),
+        ValueError, r"t must be finite and positive, got -1\.0"),
+    "orbit-measure-t-zero": (
+        lambda: weighted_orbit_measure(FULL2, zero_potential(), 0.0),
+        ValueError, r"t must be finite and positive, got 0\.0"),
+    "orbit-measure-t-inf": (
+        lambda: weighted_orbit_measure(FULL2, zero_potential(),
+                                       float("inf")),
+        ValueError, r"t must be finite and positive, got inf"),
+    "orbit-measure-t-nan": (
+        lambda: weighted_orbit_measure(FULL2, zero_potential(),
+                                       float("nan")),
+        ValueError, r"t must be finite and positive, got nan"),
+    **{f"pressure-{method}-max-period-{name}": (
+        lambda method=method, x=x: pressure(FULL2, zero_potential(), method,
+                                            max_period=x),
+        ValueError, rf"max_period must be finite and positive, got {name}")
+       for method in ("gurevic", "separated")
+       for name, x in (("-1.0", -1.0), ("0.0", 0.0), ("inf", float("inf")),
+                       ("nan", float("nan")))},
     "max-orbit-delta": (
         lambda: FULL2.max_orbit_distance(POINT, OrbitSegment(POINT, 1.0),
                                          -0.1),

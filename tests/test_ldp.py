@@ -658,6 +658,144 @@ def test_segment_windows_one_gather_match_per_member_take(
     assert got.tobytes() == want.tobytes()
 
 
+# --- the keyed weak* kernel against the lexsort oracle ------------------------
+
+def _spy_distances(monkeypatch):
+    """Record the arguments of every `ldp._distances` call."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _distances(*args)
+    monkeypatch.setattr(ldp, "_distances", spy)
+    return calls
+
+
+def _assert_statistics_match_oracle(got, mu, cfg):
+    """measure_statistics(mu) bit for bit against the table built from the
+    state paths of the edge-search walk."""
+    import weakstar_reference as ref
+    paths, nu = ref.state_paths(mu.base, cfg.depth)
+    emit = np.array([w[0] for w in mu.base.words])
+    want = ldp.EmpiricalMeasure(emit[paths], nu * mu.roof.array[paths[:, 0]]
+                                / mu.mean_roof, got.heights)
+    assert np.array_equal(got.words, want.words)
+    assert got.weights.tobytes() == want.weights.tobytes()
+
+
+@pytest.mark.parametrize("depth", [1, 6])
+@pytest.mark.parametrize("name", ["full2", "golden"])
+def test_separated_set_distances_match_lexsort_oracle(name, depth,
+                                                      monkeypatch):
+    """Every separated-set distance (K = 20 members against the target's
+    statistics) at t = 24 ... 70 is bit for bit that of the lexsorted
+    (member id, word) table, and so is the target's table."""
+    import weakstar_reference as ref
+    from thermoflow import separated_generic_set
+    system, P = {"full2": (Sft([[1, 1], [1, 1]]), [[0.3, 0.7], [0.6, 0.4]]),
+                 "golden": (Sft([[1, 1], [1, 0]]), [[0.6, 0.4], [1.0, 0.0]])
+                 }[name]
+    system = Suspension(system, Roof([1.0, 1.0]))
+    mu = MarkovMeasure(P)
+    flow_mu = SuspendedMeasure(mu, system.roof)
+    cfg = WeakStarConfig(depth=depth)
+    h = entropy_and_mean(flow_mu, None)[0] - 0.1
+    calls = _spy_distances(monkeypatch)
+    for t in range(24, 71):
+        got = separated_generic_set(system, mu, h, float(t), 0.2, seed=t,
+                                    cfg=cfg).sampled_D
+        words, weights, heights, b, _ = calls[-1]
+        assert words.shape == (20, words.shape[1], depth)
+        want = ref.distances(*calls[-1])
+        assert np.array(got).tobytes() == want.tobytes(), t
+        _assert_statistics_match_oracle(b, flow_mu, cfg)
+    assert len(calls) == 47
+
+
+@pytest.mark.parametrize("depth", [1, 6])
+@pytest.mark.parametrize("name", ["full2", "golden12", "rose2", "theta"])
+def test_orbit_ladder_distances_match_lexsort_oracle(
+        name, depth, full2_unit, golden12, rose2, theta, monkeypatch):
+    """The weak* distance of each weighted orbit measure on a t-ladder to
+    its equilibrium target (K = 1), for phi = 0 and a seeded width-1 phi,
+    is bit for bit that of the lexsort oracle, and so is every target
+    table built from the walk that carries its own probabilities."""
+    import weakstar_reference as ref
+    system = {"full2": full2_unit, "golden12": golden12,
+              "rose2": graph_suspension(rose2),
+              "theta": graph_suspension(theta)}[name]
+    ladder = {"full2": range(4, 13), "golden12": range(6, 20),
+              "rose2": range(4, 10), "theta": range(4, 15)}[name]
+    cfg = WeakStarConfig(depth=depth)
+    rng = np.random.default_rng(depth)
+    n = system.sft.n_symbols
+    calls = _spy_distances(monkeypatch)
+    for phi in (zero_potential(), CylinderPotential(1, {
+            (i,): float(v) for i, v in enumerate(rng.normal(0, 0.2, n))})):
+        mu = equilibrium_state(system, phi)
+        target = measure_statistics(mu, cfg)
+        _assert_statistics_match_oracle(target, mu, cfg)
+        for t in ladder:
+            emp = weighted_orbit_measure(system, phi, float(t), cfg)[0]
+            got = weak_star_distance(emp, target, cfg)
+            assert calls[-1][0].shape[0] == 1
+            assert got == float(ref.distances(*calls[-1])[0]), t
+    assert len(calls) == 2 * len(ladder)
+
+
+@pytest.mark.parametrize("name", ["full2", "golden12", "rose2", "theta"])
+def test_state_paths_match_edge_search_oracle(name, full2_unit, golden12,
+                                              rose2, theta):
+    """`sft._words` through the padded successor table gives the words of
+    the cumulative-degree walk, and the state paths that carry their own
+    probabilities give the paths and nu of the per-step edge search, bit
+    for bit: on the width-1 base, on width-2 and width-3 block recodes of
+    it and on random kernels, for lengths 1 to 7."""
+    import weakstar_reference as ref
+    from thermoflow.sft import _words
+    from thermoflow.thermo import _state_paths, block_recode
+    system = {"full2": full2_unit, "golden12": golden12,
+              "rose2": graph_suspension(rose2),
+              "theta": graph_suspension(theta)}[name]
+    rng = np.random.default_rng(5)
+    for w in (1, 2, 3):
+        sft_w = block_recode(system.sft, system.roof, w)[0]
+        for length in range(1, 8):
+            assert np.array_equal(_words(sft_w._edges, length),
+                                  ref.words(sft_w._edges, length))
+        phi = CylinderPotential(w, {
+            word: float(rng.normal(0, 0.3))
+            for word in block_recode(system.sft, system.roof, w)[2]})
+        for base in (equilibrium_state(system, phi).base,
+                     random_markov_measure(sft_w, rng)):
+            for length in range(1, 8):
+                paths, nu = _state_paths(base, length)
+                want_paths, want_nu = ref.state_paths(base, length)
+                assert np.array_equal(paths, want_paths)
+                assert nu.tobytes() == want_nu.tobytes(), (w, length)
+
+
+def test_weak_star_keys_fit_int64():
+    """One key per row holds the member id and the depth-6 word in base
+    B = largest symbol + 1, so K B^6 must stay below 2^63: a one-row table
+    of symbol 1447 (1448^6 < 2^63) gives the lexsort oracle's distance,
+    and symbol 1448 (1449^6 > 2^63) raises instead of wrapping round."""
+    import weakstar_reference as ref
+    hist = np.full(CFG.height_bins, 1.0 / CFG.height_bins)
+    for top in (1447, 1448):
+        a = ldp.EmpiricalMeasure([[top] * 6], [1.0], hist)
+        b = ldp.EmpiricalMeasure([[top] * 5 + [0]], [1.0], hist)
+        args = (a.words[None], a.weights[None], a.heights[None], b, CFG)
+        if top == 1447:
+            assert _distances(*args).tobytes() \
+                == ref.distances(*args).tobytes()
+            assert weak_star_distance(a, b) == 2 * 2.0 ** -6
+        else:
+            with pytest.raises(ValueError, match=r"K = 1 .* B = 1449 at "
+                               r"depth D = 6"):
+                _distances(*args)
+
+
 # --- Monte Carlo deviations -----------------------------------------------------
 
 def test_deviation_frequency_reads_state_words(full2_unit):
