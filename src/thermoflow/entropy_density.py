@@ -187,6 +187,9 @@ def separated_generic_set(system: Suspension, mu: MarkovMeasure,
     exact count >= e^{t h}.  Irreducible 2-symbol base shifts only: the
     box is counted and sampled in closed form from the words' runs, as
     (#1, #11) determines all pair counts."""
+    for name, x in (("t", t), ("eta", eta)):
+        if not 0 < x < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {x}")
     if system.sft.n_symbols != 2:
         raise NotImplementedError(
             "exact box counting implemented for 2-symbol alphabets")

@@ -157,8 +157,8 @@ def empirical_measure(system: Suspension, x: SuspPoint, t: float,
                       cfg: WeakStarConfig = WeakStarConfig()
                       ) -> EmpiricalMeasure:
     """E_t(x): exact residence statistics of the orbit segment (x, t)."""
-    if t <= 0:
-        raise ValueError("t > 0 required")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive, got {t}")
     n = int(float(x.height + t) / system.roof.min) + 2  # fibers it meets
     word = np.array(x.base.window(0, n + cfg.depth - 1))
     pieces, hist = _histograms(word[None, :n], system.roof, x.height, t,
@@ -304,6 +304,7 @@ def rate_function(system: Suspension, phi, psi: CylinderPotential,
                          "(cylinder potential)")
     if method not in ("legendre", "direct"):
         raise ValueError(f"unknown rate method {method!r}")
+    _check_eps(eps_grid)
     if phi is None:
         phi = zero_potential()
     _check_spectral(system, phi)
@@ -336,6 +337,13 @@ def rate_function(system: Suspension, phi, psi: CylinderPotential,
 
     return {eps: 0.0 if eps == 0 else min(q(mbar + eps), q(mbar - eps))
             for eps in eps_grid}
+
+
+def _check_eps(eps_grid) -> None:
+    """ValueError unless every eps of eps_grid is finite and >= 0."""
+    for eps in eps_grid:
+        if not 0 <= eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {eps}")
 
 
 def _psi_range(system: Suspension, psi: CylinderPotential):
@@ -488,14 +496,17 @@ def _face(src, dst, weight) -> list:
     D = -_shortest_paths(int(src.max()) + 1, src, dst, -weight)
     tol = 1e-9 * (1.0 + float(np.max(np.abs(weight))))
     critical = np.flatnonzero(weight + D[dst, src] >= -tol)
-    states = np.unique(src[critical])
+    left = np.zeros(len(D), dtype=bool)  # critical states in no piece yet
+    left[src[critical]] = True
     pieces = []
-    while states.size:
-        piece = states[D[states[0], states] + D[states, states[0]] >= -tol]
-        states = np.setdiff1d(states, piece)
-        e = critical[np.isin(src[critical], piece)]
-        pieces.append((e, np.searchsorted(piece, src[e]),
-                       np.searchsorted(piece, dst[e])))
+    while left.any():
+        s = int(np.argmax(left))  # the least state left
+        piece = left & (D[s] + D[:, s] >= -tol)
+        left &= ~piece
+        e = critical[piece[src[critical]]]
+        states = np.flatnonzero(piece)
+        pieces.append((e, np.searchsorted(states, src[e]),
+                       np.searchsorted(states, dst[e])))
     return pieces
 
 
@@ -637,9 +648,7 @@ def _deviation_frequencies(system: Suspension, m: SuspendedMeasure,
     seed's samples: the draws do not depend on eps, only the count does."""
     if not 0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    for eps in eps_grid:
-        if not 0 <= eps < math.inf:
-            raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    _check_eps(eps_grid)
     if psi.width != 1:
         raise ValueError("deviation_frequency supports width-1 psi")
     _check_support(system.sft, m.base)

@@ -557,6 +557,8 @@ def pressure(system: Suspension, phi, method: str = "spectral",
     if method in ("separated", "gurevic") and not 0 < max_period < math.inf:
         raise ValueError(f"max_period must be finite and positive, got "
                          f"{max_period}")
+    if method == "spectral" and not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     _check_spectral(system, phi)
     sft_w, roof_w, words, phihat = _prepare(system, phi)
 
@@ -682,7 +684,7 @@ def _tick_dp(A: np.ndarray, R: np.ndarray, weights: np.ndarray,
     N <= top[k] (top is non-increasing), so U[N] has one row per k with
     top[k] >= N."""
     steps = [(rho, (A * (R == rho))[None] * weights[:, None, :])
-             for rho in np.unique(R)]
+             for rho in sorted(set(R.tolist()))]
     U = [np.broadcast_to(np.eye(len(R)), (len(top),) + A.shape)]
     for N in range(1, int(top[0]) + 1):
         rows = int(np.count_nonzero(top >= N))

@@ -6,9 +6,11 @@ defaulted parameter of a library function is set by some call in the
 library, tests, scripts or benchmark.  A name listed in the module's
 __all__ counts as read; __future__ imports are skipped.  The library
 imports no scipy, and every CLI subcommand runs in a fresh interpreter
-where importing scipy fails."""
+where importing scipy fails; neither they nor the closed-orbit and rate
+entry points load numpy.ma."""
 
 import ast
+import functools
 import os
 import pathlib
 import subprocess
@@ -315,17 +317,35 @@ CLI_RUNS = {
                       "0"],
 }
 
-# a meta path finder, first in line, that fails every import of scipy
-NO_SCIPY = """\
+def _blocker(packages) -> str:
+    """Source of a meta path finder, first in line, that fails every import
+    of the named packages and their submodules."""
+    return f"""\
 import sys
 
-class NoScipy:
+class Blocked:
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            raise ImportError(f"scipy is blocked: {name}")
+        if any(name == p or name.startswith(p + ".") for p in {packages!r}):
+            raise ImportError(f"{{name}} is blocked")
 
-sys.meta_path.insert(0, NoScipy())
+sys.meta_path.insert(0, Blocked())
 """
+
+
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@functools.cache
+def numpy_loads_ma() -> bool:
+    """Whether a bare `import numpy` loads numpy.ma, as numpy < 2 does.
+    numpy 2 loads it at the first plain np.unique, np.setdiff1d or np.isin
+    (np.ma.is_masked), 17-19 ms of a cold process, so the library calls
+    none of them."""
+    return _run_fresh("import sys, numpy\n"
+                      "sys.exit('numpy.ma' in sys.modules)").returncode != 0
 
 
 def test_cli_runs_cover_every_subcommand():
@@ -335,15 +355,40 @@ def test_cli_runs_cover_every_subcommand():
 
 @pytest.mark.parametrize("subcommand", sorted(CLI_RUNS))
 def test_cold_cli_runs_without_scipy(subcommand, tmp_path):
-    """A fresh interpreter in which `import scipy*` raises ImportError runs
-    the subcommand through the CLI and exits 0."""
+    """A fresh interpreter in which `import scipy*` raises ImportError, and
+    so does `import numpy.ma*` unless numpy itself loads it, runs the
+    subcommand through the CLI and exits 0."""
     data = ROOT / "tests" / "data"
     argv = [subcommand] + [str(data / a) if a.endswith(".json") else a
                            for a in CLI_RUNS[subcommand]] \
         + ["--out", str(tmp_path)]
-    code = NO_SCIPY + ("from thermoflow.cli import main\n"
-                       f"sys.exit(main({argv!r}))\n")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    blocked = ("scipy",) if numpy_loads_ma() else ("scipy", "numpy.ma")
+    done = _run_fresh(_blocker(blocked) + (
+        "from thermoflow.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"))
+    assert done.returncode == 0, done.stderr
+
+
+# one call of each closed-orbit and rate entry point on golden (1, 2)
+LIBRARY_RUNS = {
+    "weighted-orbit-measure": "weighted_orbit_measure(SYSTEM, PHI, 8.0)",
+    "pressure-gurevic": "pressure(SYSTEM, PHI, 'gurevic')",
+    "pressure-separated": "pressure(SYSTEM, PHI, 'separated')",
+    "rate-legendre": "rate_function(SYSTEM, PHI, PSI, [0.1, 0.5])",
+    "rate-direct": "rate_function(SYSTEM, PHI, PSI, [0.1, 0.5], 'direct')",
+}
+
+
+@pytest.mark.parametrize("call", sorted(LIBRARY_RUNS))
+def test_cold_library_call_without_numpy_ma(call):
+    """A fresh interpreter in which `import numpy.ma*` raises ImportError
+    makes the call and exits 0."""
+    if numpy_loads_ma():
+        pytest.skip("a bare `import numpy` loads numpy.ma")
+    done = _run_fresh(_blocker(("numpy.ma",)) + (
+        "from thermoflow import *\n"
+        "SYSTEM = Suspension(Sft([[1, 1], [1, 0]]), Roof([1, 2]))\n"
+        "PHI = CylinderPotential(1, {(0,): 0.1, (1,): -0.2})\n"
+        "PSI = CylinderPotential(1, {(0,): 0.0, (1,): 1.0})\n"
+        f"{LIBRARY_RUNS[call]}\n"))
     assert done.returncode == 0, done.stderr

@@ -29,6 +29,8 @@ HALF = MarkovMeasure([[0.5, 0.5], [0.5, 0.5]])
 FLOW_HALF = SuspendedMeasure(HALF, FULL2.roof)
 PAIRS = MarkovMeasure(HALF.transition, words=[(0, 0), (0, 1)])
 WIDTH2 = CylinderPotential(2, {(a, b): 0.0 for a in (0, 1) for b in (0, 1)})
+GOLDEN12 = Suspension(GOLDEN, Roof([1.0, 2.0]))
+PHI = CylinderPotential(1, {(0,): 0.1, (1,): -0.2})
 FULL3 = Suspension(Sft(np.ones((3, 3), dtype=int)), Roof([1.0] * 3))
 
 
@@ -62,7 +64,11 @@ CHECKS = {
         ValueError, r"frequencies sum to 0.75"),
     "empirical-t": (
         lambda: empirical_measure(FULL2, POINT, 0.0),
-        ValueError, r"t > 0 required"),
+        ValueError, r"t must be finite and positive, got 0\.0"),
+    **{f"empirical-t-{name}": (
+        lambda x=x: empirical_measure(FULL2, POINT, x),
+        ValueError, rf"t must be finite and positive, got {name}")
+       for name, x in (("nan", float("nan")), ("inf", float("inf")))},
     "markov-square": (
         lambda: MarkovMeasure([[0.5, 0.5]]),
         ValueError, r"kernel must be square"),
@@ -231,6 +237,25 @@ CHECKS = {
        for method in ("gurevic", "separated")
        for name, x in (("-1.0", -1.0), ("0.0", 0.0), ("inf", float("inf")),
                        ("nan", float("nan")))},
+    **{f"pressure-tol-{name}": (
+        lambda x=x: pressure(FULL2, zero_potential(), tol=x),
+        ValueError, rf"tol must be finite and >= 0, got {name}")
+       for name, x in (("-1.0", -1.0), ("inf", float("inf")),
+                       ("nan", float("nan")))},
+    **{f"rate-{method}-eps-{name}": (
+        lambda method=method, x=x: rate_function(GOLDEN12, PHI, IND1, [x],
+                                                 method),
+        ValueError, rf"eps must be finite and >= 0, got {name}")
+       for method in ("legendre", "direct")
+       for name, x in (("-1.0", -1.0), ("inf", float("inf")),
+                       ("nan", float("nan")))},
+    **{f"separated-set-{arg}-{name}": (
+        lambda arg=arg, x=x: separated_generic_set(
+            FULL2, HALF, 0.1, **{"t": 100.0, "eta": 0.1, arg: x}, seed=0),
+        ValueError, rf"{arg} must be finite and positive, got {name}")
+       for arg, cases in (("t", ("nan", "inf")),
+                          ("eta", ("0.0", "-1.0", "nan", "inf")))
+       for name, x in ((c, float(c)) for c in cases)},
     "max-orbit-delta": (
         lambda: FULL2.max_orbit_distance(POINT, OrbitSegment(POINT, 1.0),
                                          -0.1),

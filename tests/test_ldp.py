@@ -484,6 +484,73 @@ def test_psi_range_matches_max_plus_oracle(name, request):
                            - max_cycle_ratio(A, num, r)) < 1e-14, width
 
 
+def _face_cases(system, psi) -> list:
+    """(src, dst, weight) of the critical graph at each end of the psi
+    range, on the SFT recoded to psi's width, as `rate_function` builds
+    them."""
+    from thermoflow.thermo import _prepare
+    sft_w, roof_w, _, psihat = _prepare(system, psi)
+    src, dst = sft_w._edges
+    r = roof_w.array
+    lo, hi = _psi_range(system, psi)
+    return [(src, dst, (psihat - hi * r)[src]),
+            (src, dst, (lo * r - psihat)[src])]
+
+
+def _assert_faces_match(cases) -> int:
+    """`_face` gives the pieces of the set-routine oracle, in its order;
+    returns how many faces have two or more pieces."""
+    from face_reference import face
+    from thermoflow.ldp import _face
+    multi = 0
+    for src, dst, weight in cases:
+        got, want = _face(src, dst, weight), face(src, dst, weight)
+        assert len(got) == len(want) >= 1
+        for g, w in zip(got, want):
+            for a, b in zip(g, w):
+                assert np.array_equal(a, b)
+        multi += len(got) > 1
+    return multi
+
+
+@pytest.mark.parametrize("name", ["full2_unit", "golden12", "rose2",
+                                  "theta"])
+def test_face_matches_set_routine_oracle(name, request):
+    """The critical-graph pieces at both ends of the psi range equal those
+    of `face_reference.face` (edge indices, renumbered sources and
+    targets, piece order) for seeded psi of widths 1-3."""
+    system = request.getfixturevalue(name)
+    if name in ("rose2", "theta"):
+        system = graph_suspension(system)
+    rng = np.random.default_rng(23)
+    _assert_faces_match(
+        case for width in (1, 2, 3) for _ in range(2)
+        for case in _face_cases(
+            system, _random_table(rng, system.sft, width, 1.0)))
+
+
+def test_face_matches_set_routine_oracle_with_ties():
+    """On 40 seeded irreducible SFTs of 3-6 symbols with roofs in {1, 2}
+    and 0/1-valued psi of widths 1-2, cycle ratios tie, so faces of two
+    or more pieces occur; their pieces equal the oracle's too."""
+    from thermoflow.sft import _words, is_irreducible
+    rng = np.random.default_rng(29)
+    cases = []
+    while len(cases) < 80:
+        k = int(rng.integers(3, 7))
+        A = (rng.random((k, k)) < 0.5).astype(int)
+        if not (A.any(axis=0).all() and A.any(axis=1).all()
+                and is_irreducible(Sft(A))):
+            continue
+        system = Suspension(Sft(A), Roof(rng.integers(1, 3, k).tolist()))
+        width = int(rng.integers(1, 3))
+        psi = CylinderPotential(width, {
+            tuple(w): float(rng.integers(0, 2))
+            for w in _words(system.sft._edges, width).tolist()})
+        cases += _face_cases(system, psi)
+    assert _assert_faces_match(cases) >= 10
+
+
 def test_psi_range_separates_near_ties(full2_unit):
     """Two loops whose psi averages differ by 1e-9 give the two ends of the
     range exactly: the growth tolerance of the cycle search sits far
