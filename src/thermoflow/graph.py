@@ -162,11 +162,11 @@ class MetricGraph:
 
 def build_edge_sft(g: MetricGraph):
     """Directed-edge SFT with non-backtracking transitions and roof = edge
-    lengths, kept exact."""
-    A = np.equal.outer(g.head, g.tail)
-    e = np.arange(g.n_dir)
-    A[e, g.reversal(e)] = False
-    return Sft(A), g.roof
+    lengths, kept exact: e -> e' where e' leaves the vertex e enters and is
+    not e reversed, in row-major order."""
+    src, dst = np.nonzero(np.equal.outer(g.head, g.tail))
+    keep = dst != g.reversal(src)
+    return Sft.from_edges(g.n_dir, src[keep], dst[keep]), g.roof
 
 
 def graph_suspension(g: MetricGraph) -> Suspension:

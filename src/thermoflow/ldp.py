@@ -57,6 +57,12 @@ class WeakStarConfig:
     depth: int = 6
     height_bins: int = 8
 
+    def __post_init__(self):
+        for name in ("depth", "height_bins"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1, got "
+                                 f"{getattr(self, name)}")
+
     def depth_weight(self, k: int) -> float:
         return 2.0 ** (-k)
 

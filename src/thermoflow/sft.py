@@ -51,54 +51,63 @@ class WeakSpecificationError(ValueError):
 
 
 class Sft:
-    """An SFT given by a boolean transition matrix.
-
-    transitions[i][j] == 1 means the word "ij" is allowed; entries other
-    than 0 and 1 are rejected, a test that a bool array passes by its type
-    and so skips (a block recoding builds one).  SFTs with stranded
-    symbols (no successor or no predecessor) are rejected at construction.
+    """An SFT on the symbols 0..n_symbols-1, stored as one edge list,
+    `_edges` = (src, dst), of its allowed words "ij" in row-major order;
+    `transitions` is its dense read-only bool view, built on first read.
+    `Sft(matrix)` takes a square 0/1 matrix; it and `Sft.from_edges` (a
+    block recoding builds one) reject an empty alphabet and stranded
+    symbols (no successor or no predecessor).
     """
 
     def __init__(self, transitions):
         A = np.asarray(transitions)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("transition matrix must be square")
-        if A.dtype != bool and not np.all((A == 0) | (A == 1)):
+        if not np.all((A == 0) | (A == 1)):
             raise ValueError("transition matrix must be boolean (0/1 entries)")
-        A = A.astype(bool)
-        if A.shape[0] < 1:
-            raise ValueError("need at least one symbol")
-        if not A.any(axis=1).all():
-            raise ValueError("stranded symbol: some symbol has no successor")
-        if not A.any(axis=0).all():
-            raise ValueError("stranded symbol: some symbol has no predecessor")
-        self._A = A
-        self._A.setflags(write=False)
-        self.n_symbols = A.shape[0]
+        self._set(A.shape[0], *np.nonzero(A))
 
-    @property
+    @classmethod
+    def from_edges(cls, n: int, src, dst) -> "Sft":
+        """The SFT of the transitions src[e] -> dst[e] on the symbols
+        0..n-1, given in row-major order."""
+        sft = cls.__new__(cls)
+        sft._set(n, src, dst)
+        return sft
+
+    def _set(self, n, src, dst):
+        if n < 1:
+            raise ValueError("need at least one symbol")
+        src, dst = (np.asarray(a, dtype=np.intp) for a in (src, dst))
+        if np.bincount(src, minlength=n).min() == 0:
+            raise ValueError("stranded symbol: some symbol has no successor")
+        if np.bincount(dst, minlength=n).min() == 0:
+            raise ValueError("stranded symbol: some symbol has no predecessor")
+        self.n_symbols = n
+        self._edges = src, dst
+
+    @functools.cached_property
     def transitions(self) -> np.ndarray:
-        return self._A
+        A = np.zeros((self.n_symbols,) * 2, dtype=bool)
+        A[self._edges] = True
+        A.setflags(write=False)
+        return A
 
     def allowed(self, i: int, j: int) -> bool:
-        return bool(self._A[i, j])
+        return bool(self.transitions[i, j])
 
     def successors(self, i: int):
-        return np.flatnonzero(self._A[i])
+        return np.flatnonzero(self.transitions[i])
 
     def __eq__(self, other):
-        return isinstance(other, Sft) and np.array_equal(self._A, other._A)
+        return (isinstance(other, Sft) and self.n_symbols == other.n_symbols
+                and all(map(np.array_equal, self._edges, other._edges)))
 
     def __hash__(self):
-        return hash(self._A.tobytes())
+        return hash((self.n_symbols, *(a.tobytes() for a in self._edges)))
 
     def __repr__(self):
         return f"Sft(n={self.n_symbols})"
-
-    @functools.cached_property
-    def _edges(self) -> tuple:
-        """(src, dst): the allowed transitions in row-major order."""
-        return np.nonzero(self._A)
 
     @functools.cached_property
     def _distances(self) -> np.ndarray:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sft import (BiWord, Sft, _close_word, _glue_blocks, _primitive_root,
-                  min_gap_bound)
+                  _rotate, min_gap_bound)
 
 __all__ = [
     "Roof",
@@ -499,26 +499,20 @@ class Suspension:
         last = segs[-1].start.base
 
         # left tail: continue the first segment's own past
-        lt = first.left_tail
-        nlt = len(lt)
         back = max(0, -first.core_start)
         left_prefix = first.window(-back, 0)
-        lt_rot = lt[(-back - first.core_start) % nlt:] + \
-            lt[:(-back - first.core_start) % nlt]
+        lt_rot = _rotate(first.left_tail, -back - first.core_start)
 
         # window j starts at base coordinate coords[j]
         glued, coords = _glue_blocks(self.sft, windows)
 
         # right tail: continue the last segment's own future beyond its
         # window
-        wlen = len(windows[-1])
-        rt = last.right_tail
-        nrt = len(rt)
-        last_end = wlen  # first coordinate of `last` beyond the window
+        last_end = len(windows[-1])  # first coordinate of `last` beyond it
         rt_region_start = max(last_end, last.core_start + len(last.core))
         right_suffix = last.window(last_end, rt_region_start)
-        rshift = (rt_region_start - last.core_start - len(last.core)) % nrt
-        rt_rot = rt[rshift:] + rt[:rshift]
+        rt_rot = _rotate(last.right_tail,
+                         rt_region_start - last.core_start - len(last.core))
 
         base = BiWord(lt_rot, left_prefix + glued + right_suffix, rt_rot,
                       core_start=-len(left_prefix))

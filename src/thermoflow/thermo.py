@@ -88,10 +88,14 @@ class CylinderPotential:
         if self.width < 1:
             raise ValueError("width >= 1 required")
         table = {tuple(k): float(v) for k, v in self.table.items()}
-        for key in table:
+        for key, v in table.items():
             if len(key) != self.width:
                 raise ValueError(f"the width-{self.width} potential table "
                                  f"has the key {key} of length {len(key)}")
+            if not math.isfinite(v):
+                raise ValueError(f"the width-{self.width} potential table "
+                                 f"has the non-finite value {v} for the "
+                                 f"word {key}")
         object.__setattr__(self, "table", table)
 
     def value(self, word) -> float:
@@ -304,9 +308,9 @@ def block_recode(sft: Sft, roof: Roof, w: int):
     """(Sft_w, Roof_w, words): the w-block presentation; state u -> v is
     allowed iff u[1:] == v[:-1] (and the extra transition is admissible,
     which the word construction already guarantees).  It is built by
-    index: the transitions as a bool array (so `Sft` skips its 0/1 test),
-    the edge cache from the same indices, and the roof by `Roof.take` of
-    each word's first symbol; w = 1 returns sft and roof themselves."""
+    index, with no n x n matrix: the edge list by `Sft.from_edges` and the
+    roof by `Roof.take` of each word's first symbol; w = 1 returns sft and
+    roof themselves."""
     if w == 1:
         return sft, roof, tuple((s,) for s in range(sft.n_symbols))
     # the rows u + (b,) of the (w + 1)-words are the edges u -> u[1:] + (b,)
@@ -317,11 +321,8 @@ def block_recode(sft: Sft, roof: Roof, w: int):
                 for V in (U[:, :-1], U[:, 1:]))
     new = np.diff(src, prepend=-1) > 0
     W, i, j = U[new, :-1], np.cumsum(new) - 1, np.searchsorted(src[new], dst)
-    A = np.zeros((len(W), len(W)), bool)
-    A[i, j] = True
-    sft_w = Sft(A)
-    sft_w._edges = i, j  # fill the cache
-    return sft_w, roof.take(W[:, 0]), tuple(map(tuple, W.tolist()))
+    return (Sft.from_edges(len(W), i, j), roof.take(W[:, 0]),
+            tuple(map(tuple, W.tolist())))
 
 
 def _prepare(system: Suspension, phi: CylinderPotential):
@@ -560,6 +561,8 @@ def pressure(system: Suspension, phi, method: str = "spectral",
     if method == "spectral" and not 0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     _check_spectral(system, phi)
+    if method == "gurevic":
+        return _gurevic_pressure(system, phi, max_period)
     sft_w, roof_w, words, phihat = _prepare(system, phi)
 
     if method == "spectral":
@@ -570,8 +573,6 @@ def pressure(system: Suspension, phi, method: str = "spectral",
     if method == "separated":
         return _separated_pressure(sft_w.transitions.astype(float), roof_w,
                                    phihat, t_grid, max_period)
-    if method == "gurevic":
-        return _gurevic_pressure(system, phi, max_period)
     raise ValueError(f"unknown pressure method {method!r}")
 
 

@@ -264,6 +264,20 @@ def test_potential_missing_a_word_names_it(capsys, tmp_path, subcommand):
         in err
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_potential_with_a_non_finite_value_names_it(capsys, tmp_path, value):
+    """A table value that is not a finite number exits 2 before any solve,
+    and the message names the word."""
+    phi = tmp_path / "phi.json"
+    phi.write_text('{"type": "cylinder", "table": {"0": %s, "1": 0.1}}'
+                   % value)
+    code, _, err = run_cli(capsys, "pressure", "--sft",
+                           data_path("golden.json"), "--potential", str(phi))
+    assert code == 2
+    assert "width-1 potential table has the non-finite value" in err
+    assert "for the word (0,)" in err
+
+
 def test_graph_lengths_and_roof_values_read_alike():
     """Graph lengths and roof entries follow one rule: a JSON number is the
     binary fraction it stores, a string is parsed exactly."""

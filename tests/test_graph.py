@@ -14,6 +14,7 @@ from thermoflow import (
     GraphModelError,
     MetricGraph,
     OrbitSegment,
+    Sft,
     SuspPoint,
     build_edge_sft,
     d_GX,
@@ -21,11 +22,13 @@ from thermoflow import (
     lift_distance,
     zero_potential,
 )
+from thermoflow import io as tfio
 from thermoflow.graph import _hinge_integral
 from thermoflow.thermo import _orbit_sums
 
 import dgx_reference
 import lift_reference
+from conftest import data_path
 from cycle_reference import primitive_orbits
 
 
@@ -116,6 +119,31 @@ def test_edge_sft_theta(theta):
     sft, _ = build_edge_sft(theta)
     assert sft.n_symbols == 6
     assert all(sum(row) == 2 for row in sft.transitions)
+
+
+@pytest.mark.parametrize("name", ["rose2.json", "theta.json", "thirds",
+                                  "square"])
+def test_edge_sft_matches_dense_construction(name):
+    """build_edge_sft lists the transitions of the dense matrix head[e] ==
+    tail[e'] without the reversals, in its row-major order and dtype, on
+    the data graphs (circle.json is no model), the thirds graph and a
+    four-vertex graph with loops."""
+    g = {"thirds": THIRDS,
+         "square": MetricGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1),
+                                   (3, 0, 1), (0, 2, 1), (1, 1, 1),
+                                   (3, 3, 2)])}.get(name)
+    if g is None:
+        g = tfio.load_graph(tfio.read_json(data_path(name)))
+    A = np.equal.outer(g.head, g.tail)
+    e = np.arange(g.n_dir)
+    A[e, g.reversal(e)] = False
+    want = Sft(A)
+    sft, roof = build_edge_sft(g)
+    for a, b in zip(sft._edges, want._edges):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert sft == want and hash(sft) == hash(want)
+    assert np.array_equal(sft.transitions, A)
+    assert roof == g.roof
 
 
 def test_circle_rejected():

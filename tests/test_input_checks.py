@@ -7,6 +7,7 @@ import pytest
 from thermoflow import (BiWord, CylinderPotential, EmpiricalMeasure,
                         Geodesic, GraphModelError, MarkovMeasure, MetricGraph,
                         OrbitSegment, Roof, Sft, SuspendedMeasure, Suspension,
+                        WeakStarConfig,
                         birkhoff, d_GX, deviation_frequency, empirical_measure,
                         entropy_and_mean, gibbs_ratio_stats, glue_words,
                         graph_suspension, lift_distance, measure_statistics,
@@ -53,6 +54,16 @@ CHECKS = {
             2, {(0, 0): 0.0, (0, 1): 1.0, (1, 0): 1.0}), [0.1]),
         ValueError, r"the width-2 potential table has no value for the word "
                     r"\(1, 1\)"),
+    **{f"potential-{name}": (
+        lambda x=x: CylinderPotential(1, {(0,): 0.5, (1,): x}),
+        ValueError, rf"the width-1 potential table has the non-finite value "
+                    rf"{name} for the word \(1,\)")
+       for name, x in (("nan", float("nan")), ("inf", float("inf")),
+                       ("-inf", float("-inf")))},
+    **{f"weak-star-config-{name}-{x}": (
+        lambda name=name, x=x: WeakStarConfig(**{name: x}),
+        ValueError, rf"{name} must be at least 1, got {x}")
+       for name in ("depth", "height_bins") for x in (0, -1)},
     "weak-star-depth": (
         lambda: weak_star_distance(_measure(1, 2), _measure(2, 2)),
         ValueError, r"depth mismatch between empirical measures"),

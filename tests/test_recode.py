@@ -78,6 +78,39 @@ def test_recode_matches_reference(model, request):
         _assert_same_array(phihat, phihat0)
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_recoding_equals_the_sft_of_its_dense_view(model, request):
+    """The recoding built by `Sft.from_edges` equals `Sft` of its own dense
+    view: ==, hash and the edge list, and that view is read-only."""
+    system = _system(request, model)
+    for w in range(1, 7):
+        sft = thermo.block_recode(system.sft, system.roof, w)[0]
+        dense = Sft(sft.transitions)
+        assert sft == dense and hash(sft) == hash(dense)
+        for a, b in zip(sft._edges, dense._edges):
+            _assert_same_array(a, b)
+        assert not sft.transitions.flags.writeable
+        with pytest.raises(ValueError):
+            sft.transitions[0, 0] = True
+
+
+def test_wide_recoding_pressure_stays_small(rose2):
+    """Spectral pressure of a seeded width-8 potential on rose2 (8748
+    states) holds no n x n matrix: its tracemalloc peak stays under 15 MB,
+    where one dense bool matrix alone takes 76.5 MB."""
+    import tracemalloc
+    system = graph_suspension(rose2)
+    phi = _potential(system, 8, np.random.default_rng(5), 0.3)
+    tracemalloc.start()
+    try:
+        p = pressure(system, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(p.value)
+    assert peak < 15e6
+
+
 @pytest.mark.parametrize("model", ["rose2", "theta"])
 def test_solves_on_the_recoding_match_reference(model, request,
                                                 monkeypatch):

@@ -40,6 +40,26 @@ def test_stranded_symbols_rejected():
         Sft([[1, 0], [1, 0]])  # symbol 1 has no predecessor
 
 
+@pytest.mark.parametrize("edges, message", [
+    ((0, [], []), "need at least one symbol"),
+    ((2, [0, 0, 1], [0, 1, 0]), None),
+    ((2, [0, 0], [0, 1]), "some symbol has no successor"),
+    ((2, [0, 1], [0, 0]), "some symbol has no predecessor"),
+])
+def test_from_edges_checks_like_the_constructor(edges, message):
+    """from_edges rejects what Sft rejects for the same transitions, with
+    the same message."""
+    n, src, dst = edges
+    A = np.zeros((n, n), dtype=int)
+    A[src, dst] = 1
+    if message is None:
+        assert Sft.from_edges(*edges) == Sft(A)
+        return
+    for build in (lambda: Sft.from_edges(*edges), lambda: Sft(A)):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
 def test_transitions_boolean():
     sft = Sft([[1, 1], [1, 0]])
     assert all(v in (0, 1) or isinstance(v, bool)
