@@ -12,7 +12,7 @@ Pressure is computed three ways:
   accepts it on a Collatz-Wielandt certificate of relative width 1e-13.
   It reads M as the edge list of A (`Sft._edges`) with one weight per
   edge.  Up to _EIG_MAX_N states it starts from a dense eigenvector and
-  usually stops at once; above, it runs a power iteration on M + lam I
+  usually stops at once; above, it runs a power iteration on M + (lam/4) I
   (lam the running root estimate, which converges on periodic SFTs too),
   warm-started from the last solve and applying M over the edges, so a
   block recode never builds a dense M.  `_perron` records how
@@ -373,8 +373,24 @@ def _perron(n: int, src, dst, weight, v0=None) -> tuple:
     (Collatz-Wielandt), so the relative width of their range bounds the
     relative error of lam = sum(M v) for v summing to 1.  A vector is
     accepted once that width is at most _PERRON_TOL; until then v takes a
-    power step on M + lam I, whose shift makes the Perron root strictly
-    dominant even when M is periodic.
+    power step on M + (lam/4) I, v <- (M v / lam + v / 4) / (5/4).
+
+    The shift.  The step maps an eigenvalue mu of M to (mu + lam/4) /
+    (5 lam/4): the Perron root to 1 and every other eigenvalue strictly
+    inside the unit disk, the peripheral ones lam omega (omega != 1) of a
+    periodic M too, since |omega + 1/4| < 5/4.  Block recodes have most
+    of their spectrum near 0, where the error shrinks by about 1/5 a step;
+    the shift lam, the step (M v / lam + v) / 2, shrinks it by 1/2 there
+    and is the worst origin that still separates a periodic M (Wilkinson,
+    The Algebraic Eigenvalue Problem, 1965, ch. 9).  On 54 seeded cases,
+    spectral pressure and equilibrium_state with phi ~ N(0, s) per word,
+    s in {0.1, 0.5, 1}, on rose2 at widths 4-7, theta 5-8, full2 6-9 and
+    golden with roofs (1, 1) and (1, 2) at 8-10 (55 to 2916 states), the
+    products fell from 80890 to 50893 (37 %).  The price is paid by
+    eigenvalues near the circle |mu| = lam and away from the positive
+    axis, which the shift lam/4 moves less: omega = -1 maps to -3/5 where
+    the shift lam gave 0.  On the one case of the 54 that took more,
+    golden at width 10 with s = 1, the products rose from 865 to 1073.
 
     The regime depends on n.  Up to _EIG_MAX_N states, M is dense and v
     starts as the eigenvector of `np.linalg.eig` for the eigenvalue of
@@ -384,13 +400,17 @@ def _perron(n: int, src, dst, weight, v0=None) -> tuple:
     is one `take` and one `np.add.reduceat` over the edges, with no dense
     M built.  The bound is where one eigendecomposition stops paying for
     the power steps it saves.  With one BLAS thread, eig takes about 20 us
-    at n = 2, 370 us at 32, 950 us at 48 and 2 ms at 64, and a
-    warm-started solve 20 to 240 steps of about 10 us on the edge list,
-    20 on rose2 and its block recodes, 100 or more where the second
-    eigenvalue is close.  Timing `pressure` in both regimes on random
-    SFTs of 32 to 64 states and on block recodes of golden, theta and
-    rose2, eig was as fast or faster on every case up to 48 states but
-    rose2 at 36 (1.35 times slower), the edge list on most above."""
+    at n = 2, 370 us at 32, 950 us at 48 and 2 ms at 64, and a step on the
+    edge list about 11 us at 108 states and 16 us at 324.  A cold solve
+    on a block recode of rose2 with phi ~ U(-0.1, 0.1) takes about 40
+    steps (70 to 81 with the shift lam at width 5); warm-started solves
+    take 60 to 330 on theta, where the second eigenvalue is close.
+    Timing `pressure` in both regimes, best of 7, eig was faster on the
+    one-solve block recodes of full2 at 32 states (2.1 times), golden at
+    34 and 55 (1.3 and 2.2) and rose2 at 36 (1.4), the edge list on theta
+    at 48 (0.96 of eig's time), full2 at 64 (0.78) and on random SFTs
+    with unequal roofs, six warm-started solves each, from 40 states on
+    (0.92 at 40, 0.53 at 48; eig 1.3 times faster at 32)."""
     v = None
     if n <= _EIG_MAX_N:
         M = np.zeros((n, n))
@@ -419,7 +439,7 @@ def _perron(n: int, src, dst, weight, v0=None) -> tuple:
             return float(lam), v, it
         if not math.isfinite(res):
             break
-        v = 0.5 * (w / lam + v)
+        v = (w / lam + 0.25 * v) / 1.25
     raise NonConvergenceError(
         f"Perron iteration on a {n}x{n} matrix stopped after {it} "
         f"iterations with relative residual {res:.3e}")
@@ -792,6 +812,7 @@ def _orbit_sums(system: Suspension, phi: CylinderPotential, t: float,
 def equilibrium_state(system: Suspension, phi) -> SuspendedMeasure:
     """The Gibbs/equilibrium measure of phi via Perron eigendata of
     M(P(phi))."""
+    _check_spectral(system, phi)
     sft_w, roof_w, words, phihat = _prepare(system, phi)
     src, dst = sft_w._edges
     _, x, lam, v, u = _gibbs_data(len(words), src, dst, phihat,

@@ -264,6 +264,17 @@ def test_potential_missing_a_word_names_it(capsys, tmp_path, subcommand):
         in err
 
 
+@pytest.mark.parametrize("subcommand", ["pressure", "equilibrium", "gibbs"])
+def test_reducible_sft_exits_2(capsys, subcommand):
+    """A reducible SFT is rejected before any Perron solve: every
+    subcommand that needs one exits 2 with the same message."""
+    code, _, err = run_cli(capsys, subcommand, "--sft",
+                           data_path("reducible.json"), "--potential",
+                           data_path("phi_small.json"), "--seed", "0")
+    assert code == 2
+    assert "model rejected: system is not irreducible" in err
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
 def test_potential_with_a_non_finite_value_names_it(capsys, tmp_path, value):
     """A table value that is not a finite number exits 2 before any solve,

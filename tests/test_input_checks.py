@@ -9,7 +9,8 @@ from thermoflow import (BiWord, CylinderPotential, EmpiricalMeasure,
                         OrbitSegment, Roof, Sft, SuspendedMeasure, Suspension,
                         WeakStarConfig,
                         birkhoff, d_GX, deviation_frequency, empirical_measure,
-                        entropy_and_mean, gibbs_ratio_stats, glue_words,
+                        entropy_and_mean, equilibrium_state,
+                        gibbs_ratio_stats, glue_words,
                         graph_suspension, lift_distance, measure_statistics,
                         pressure, rate_function, separated_generic_set,
                         weak_star_distance, weighted_orbit_measure,
@@ -33,6 +34,7 @@ WIDTH2 = CylinderPotential(2, {(a, b): 0.0 for a in (0, 1) for b in (0, 1)})
 GOLDEN12 = Suspension(GOLDEN, Roof([1.0, 2.0]))
 PHI = CylinderPotential(1, {(0,): 0.1, (1,): -0.2})
 FULL3 = Suspension(Sft(np.ones((3, 3), dtype=int)), Roof([1.0] * 3))
+REDUCIBLE = Suspension(Sft([[1, 1], [0, 1]]), Roof([1.0, 1.0]))
 
 
 def _measure(depth, bins):
@@ -161,6 +163,16 @@ CHECKS = {
     "support-width": (
         lambda: separated_generic_set(FULL2, PAIRS, 0.1, 100.0, 0.1, 0),
         ValueError, r"width-1 base measure required"),
+    **{f"{name}-reducible": (
+        lambda fn=fn: fn(REDUCIBLE, PHI),
+        ValueError, r"system is not irreducible")
+       for name, fn in (("pressure", pressure),
+                        ("equilibrium", equilibrium_state))},
+    **{f"{name}-potential": (
+        lambda fn=fn: fn(FULL2, 0.5),
+        TypeError, r"unsupported potential float")
+       for name, fn in (("pressure", pressure),
+                        ("equilibrium", equilibrium_state))},
     "birkhoff-potential": (
         lambda: birkhoff(FULL2, {(0,): 0.0}, OrbitSegment(POINT, 1.0)),
         TypeError, r"unsupported potential dict"),

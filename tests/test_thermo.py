@@ -310,6 +310,15 @@ def cycle2():
     return Suspension(Sft([[0, 1], [1, 0]]), Roof([1.0, 1.0]))
 
 
+@pytest.fixture(scope="session")
+def cycle3():
+    """A period-3 shift: the classes {0, 1} -> {2, 3} -> {4, 5} -> {0, 1},
+    every transition between consecutive classes allowed."""
+    A = np.kron(np.roll(np.eye(3, dtype=int), 1, axis=1),
+                np.ones((2, 2), dtype=int))
+    return Suspension(Sft(A), Roof([1.0] * 6))
+
+
 def test_perron_eig_regime_matches_dense_reference(request):
     """Up to _EIG_MAX_N states (eig seed), in `_gibbs_data` and cold:
     full2, golden (1, 2), theta and the periodic two-cycle with seeded
@@ -328,9 +337,10 @@ def test_perron_eig_regime_matches_dense_reference(request):
 def test_perron_edge_regime_matches_dense_reference(request):
     """Above _EIG_MAX_N states (power steps over the edge list), in
     `_gibbs_data` (right solve warm-started) and cold: rose2 recoded to
-    widths 4 and 5 (108 and 324 states) and the periodic theta recoded
-    to width 5 (96 states), with seeded potentials."""
-    cases = [("rose2", 4), ("rose2", 5), ("theta", 5)]
+    widths 4 and 5 (108 and 324 states), and the periodic theta (period
+    2) and cycle3 (period 3) recoded to width 5 (96 states each), with
+    seeded potentials."""
+    cases = [("rose2", 4), ("rose2", 5), ("theta", 5), ("cycle3", 5)]
     for M, lam, v, u in _perron_corpus(request, cases):
         assert len(M) > _EIG_MAX_N
         _assert_matches_reference(M, lam, v, u)
@@ -348,6 +358,20 @@ def test_pressure_counts_perron_products(full2_unit, rose2):
     phi = CylinderPotential(4, {tuple(w): 0.1 * w[0] for w in words.tolist()})
     d = pressure(system, phi).diagnostics
     assert d["perron_iterations"] > 2 * d["perron_solves"] > 0
+
+
+def test_perron_power_steps_on_a_cold_block_recode(rose2):
+    """A cold spectral `pressure` on rose2 at width 5 (324 states, one
+    solve) with phi ~ U(-0.1, 0.1): the bound 55 separates the 41
+    products of steps on M + (lam/4) I from the 74 of steps on M + lam I."""
+    system = graph_suspension(rose2)
+    words = _words(system.sft._edges, 5)
+    rng = np.random.default_rng(0)
+    phi = CylinderPotential(5, dict(zip(map(tuple, words.tolist()),
+                                        rng.uniform(-0.1, 0.1, len(words)))))
+    d = pressure(system, phi).diagnostics
+    assert d["perron_solves"] == 1
+    assert d["perron_iterations"] <= 55
 
 
 # --- spectral root: slope brackets ------------------------------------------
